@@ -8,7 +8,6 @@ text artifacts atomically (write-then-rename), and uses the exit codes
 import argparse
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .kinetics import (
     uniform_f4,
     write_trajectory_csv,
 )
+from .output import atomic_write
 from .raman import (
     ZeemanParams,
     fit_gaussian,
@@ -42,34 +42,6 @@ EXIT_DATA = 3
 EXIT_NON_CONVERGENCE = 4
 
 PRUNE_THRESHOLD = 1e-3
-
-
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pumpsim-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_with(writer, path, *args, **kwargs) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pumpsim-")
-    os.close(fd)
-    try:
-        writer(*args, tmp, **kwargs)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load(args) -> ScenarioConfig:
@@ -113,7 +85,7 @@ def cmd_pump(args) -> int:
     metrics = pump_metrics(trajectory)
 
     out = cfg.directory
-    _write_with(write_trajectory_csv, os.path.join(out, "trajectory.csv"), trajectory)
+    write_trajectory_csv(trajectory, os.path.join(out, "trajectory.csv"))
     lines = [
         f"# t_end_s={cfg.t_end_s:.17g}",
         f"# dt_gamma={cfg.dt_gamma:.17g}",
@@ -126,7 +98,7 @@ def cmd_pump(args) -> int:
     ]
     for t, f in zip(metrics.times, metrics.m0_fraction):
         lines.append(f"{t:.17g},{f:.17g}")
-    _atomic_write(os.path.join(out, "pump_metrics.txt"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out, "pump_metrics.txt"), lines)
     print(f"final m0 fraction: {metrics.m0_fraction[-1]:.6f}")
     if metrics.tau_50 is None:
         print("tau_50: not reached")
@@ -172,12 +144,10 @@ def cmd_spectrum(args) -> int:
             f"velocity resolution at the Fourier limit: {res.recoil_units:.4f} v_r "
             f"(~v_r/{1 / res.recoil_units:.0f}), {res.meters_per_second * 1e6:.0f} um/s"
         )
-        if not fit.converged:
-            _write_with(write_spectrum_csv, os.path.join(out, "spectrum.csv"),
-                        spectrum, fit=fit)
-            print("gaussian fit did not converge", file=sys.stderr)
-            return EXIT_NON_CONVERGENCE
-    _write_with(write_spectrum_csv, os.path.join(out, "spectrum.csv"), spectrum, fit=fit)
+    write_spectrum_csv(spectrum, os.path.join(out, "spectrum.csv"), fit=fit)
+    if fit is not None and not fit.converged:
+        print("gaussian fit did not converge", file=sys.stderr)
+        return EXIT_NON_CONVERGENCE
     print(f"wrote {out}/spectrum.csv")
     return EXIT_OK
 
@@ -195,7 +165,7 @@ def cmd_heat(args) -> int:
         prune_threshold=PRUNE_THRESHOLD if args.prune else None,
     )
     out = cfg.directory
-    _write_with(write_heating_summary, os.path.join(out, "heating.txt"), summary)
+    write_heating_summary(summary, os.path.join(out, "heating.txt"))
     result = summary.result
     print(f"mean fluorescence cycles: {result.mean_cycles:.3f}")
     print(f"delta v_rms: {result.delta_vrms:.3f} v_r "
@@ -235,7 +205,7 @@ def cmd_fit(args) -> int:
         name = os.path.basename(s.source) if s.source else s.observable.label()
         for t, r in zip(s.times, resid):
             lines.append(f"{name},{t:.17g},{r:.17g}")
-    _atomic_write(os.path.join(out, "fit_report.txt"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out, "fit_report.txt"), lines)
     print(f"alpha_hat: {result.depolarization:.6g}")
     print(f"sse: {result.sse:.6g} ({result.iterations} evaluations)")
     if result.weakly_identified:
@@ -255,35 +225,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", help="scenario file", required=False)
         p.add_argument("--out", help="output directory (overrides [output])")
         p.add_argument("--seed", type=int, help="RNG seed (overrides [mc])")
-        p.add_argument("--prune", action="store_true",
-                       help="drop weak off-resonant transitions (reduced equation set)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("states", help="list the 43 sublevels")
-    common(p)
-    p.set_defaults(func=cmd_states)
+    for name, help_text, func in (
+        ("states", "list the 43 sublevels", cmd_states),
+        ("pump", "integrate the pumping dynamics", cmd_pump),
+        ("spectrum", "synthesize a Raman spectrum", cmd_spectrum),
+        ("heat", "recoil-heating estimate", cmd_heat),
+    ):
+        command(name, help_text, func).add_argument(
+            "--prune", action="store_true",
+            help="drop weak off-resonant transitions (reduced equation set)")
 
-    p = sub.add_parser("pump", help="integrate the pumping dynamics")
-    common(p)
-    p.set_defaults(func=cmd_pump)
-
-    p = sub.add_parser("spectrum", help="synthesize a Raman spectrum")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("heat", help="recoil-heating estimate")
-    common(p)
-    p.set_defaults(func=cmd_heat)
-
-    p = sub.add_parser("fit", help="fit the depolarization to observed series")
-    common(p)
+    p = command("fit", "fit the depolarization to observed series "
+               "(always on the reduced equation set)", cmd_fit)
     p.add_argument("data", nargs="*", help="observation CSV files")
     p.add_argument("--fit-scale", action="store_true",
                    help="solve a per-series amplitude scale alongside")
-    p.set_defaults(func=cmd_fit)
     return parser
 
 

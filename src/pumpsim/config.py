@@ -9,31 +9,97 @@ command line can fail before any work starts.
 
 import configparser
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import constants as cst
 from .kinetics import Beam, polarization_weights
+from .raman import GEOMETRIES
 
 
 class ConfigError(ValueError):
     """Raised for unknown keys or out-of-range values in a scenario file."""
 
 
-_SCHEMA = {
-    "constants": {"laser_linewidth_hz"},
-    "pulse": {"tau_s", "geometry"},
-    "field": {"bias_gauss", "rms_fluct_gauss"},
-    "velocity": {"sigma_vr"},
-    "integration": {"dt_gamma", "t_end_s"},
-    "mc": {"samples", "seed"},
-    "output": {"directory"},
+def _number(kind, noun):
+    def parse(raw):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"{raw!r} is not {noun}") from None
+    return parse
+
+
+def _geometry(raw):
+    value = raw.strip().lower()
+    if value not in GEOMETRIES:
+        raise ValueError(f"must be {' or '.join(map(repr, GEOMETRIES))}, got {raw!r}")
+    return value
+
+
+def _target(raw):
+    text = raw.replace(" ", "")
+    for sep in ("->", ">"):
+        if sep in text:
+            lo, _, hi = text.partition(sep)
+            try:
+                return int(lo), int(hi)
+            except ValueError:
+                break
+    raise ValueError(f"expected something like '4->4', got {raw!r}")
+
+
+_FLOAT = _number(float, "a number")
+_INT = _number(int, "an integer")
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str], object]
+    minimum: float | None = None
+    maximum: float | None = None
+    strict_min: bool = False
+
+
+# Every accepted (section, key). A scenario key sets the ScenarioConfig field
+# of the same name; "beams.*" stands for every [beams.<name>] section.
+_KEYS = {
+    ("constants", "laser_linewidth_hz"): _Key(_FLOAT, 0.0, strict_min=True),
+    ("pulse", "tau_s"): _Key(_FLOAT, 0.0, strict_min=True),
+    ("pulse", "geometry"): _Key(_geometry),
+    ("field", "bias_gauss"): _Key(_FLOAT),
+    ("field", "rms_fluct_gauss"): _Key(_FLOAT, 0.0),
+    ("velocity", "sigma_vr"): _Key(_FLOAT, 0.0),
+    ("integration", "dt_gamma"): _Key(_FLOAT, 0.0, 0.1, strict_min=True),
+    ("integration", "t_end_s"): _Key(_FLOAT, 0.0, strict_min=True),
+    ("mc", "samples"): _Key(_INT, 1),
+    ("mc", "seed"): _Key(_INT, 0),
+    ("output", "directory"): _Key(str.strip),
+    ("beams.*", "target"): _Key(_target),
+    ("beams.*", "intensity_ratio"): _Key(_FLOAT, 0.0),
+    ("beams.*", "detuning_gamma"): _Key(_FLOAT),
+    ("beams.*", "alpha"): _Key(_FLOAT, 0.0),
 }
-_BEAM_KEYS = {"target", "intensity_ratio", "detuning_gamma", "alpha"}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _value(section: str, table: str, key: str, raw: str):
+    rule = _KEYS[(table, key)]
+    try:
+        value = rule.parse(raw)
+        if rule.minimum is not None and (
+            value < rule.minimum or (rule.strict_min and value == rule.minimum)
+        ):
+            bound = "greater than" if rule.strict_min else "at least"
+            raise ValueError(f"must be {bound} {rule.minimum}, got {value}")
+        if rule.maximum is not None and value > rule.maximum:
+            raise ValueError(f"must be at most {rule.maximum}, got {value}")
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return value
 
 
 @dataclass
 class ScenarioConfig:
     beams: list[Beam] = field(default_factory=list)
-    beam_names: list[str] = field(default_factory=list)
     laser_linewidth_hz: float = 1.0e6
     tau_s: float = 0.007
     geometry: str = "copropagating"
@@ -51,43 +117,6 @@ class ScenarioConfig:
         return self.dt_gamma / cst.GAMMA
 
 
-def _parse_target(raw: str, section: str) -> tuple[int, int]:
-    text = raw.replace(" ", "")
-    for sep in ("->", ">"):
-        if sep in text:
-            lo, _, hi = text.partition(sep)
-            try:
-                return int(lo), int(hi)
-            except ValueError:
-                break
-    raise ConfigError(
-        f"[{section}] target: expected something like '4->4', got {raw!r}"
-    )
-
-
-def _get_float(section, key, raw, minimum=None, maximum=None, strict_min=False):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: {raw!r} is not a number") from None
-    if minimum is not None and (value < minimum or (strict_min and value == minimum)):
-        bound = "greater than" if strict_min else "at least"
-        raise ConfigError(f"[{section}] {key}: must be {bound} {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"[{section}] {key}: must be at most {maximum}, got {value}")
-    return value
-
-
-def _get_int(section, key, raw, minimum=None):
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: {raw!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{section}] {key}: must be at least {minimum}, got {value}")
-    return value
-
-
 def load_config(path) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -99,73 +128,33 @@ def load_config(path) -> ScenarioConfig:
 
     cfg = ScenarioConfig()
     beam_specs: list[tuple[str, dict]] = []
-
     for section in parser.sections():
-        items = dict(parser.items(section))
-        if section.startswith("beams."):
-            name = section.split(".", 1)[1]
-            unknown = set(items) - _BEAM_KEYS
-            if unknown:
-                raise ConfigError(f"[{section}] unknown key {sorted(unknown)[0]!r}")
-            if "target" not in items or "intensity_ratio" not in items:
-                raise ConfigError(f"[{section}] needs 'target' and 'intensity_ratio'")
-            beam_specs.append((name, items))
-            continue
-        if section not in _SCHEMA:
+        table = "beams.*" if section.startswith("beams.") else section
+        if table not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(items) - _SCHEMA[section]
+        items = dict(parser.items(section))
+        unknown = sorted(key for key in items if (table, key) not in _KEYS)
         if unknown:
-            raise ConfigError(f"[{section}] unknown key {sorted(unknown)[0]!r}")
-        for key, raw in items.items():
-            _apply(cfg, section, key, raw)
+            raise ConfigError(f"[{section}] unknown key {unknown[0]!r}")
+        values = {key: _value(section, table, key, raw) for key, raw in items.items()}
+        if table == "beams.*":
+            if "target" not in values or "intensity_ratio" not in values:
+                raise ConfigError(f"[{section}] needs 'target' and 'intensity_ratio'")
+            beam_specs.append((section, values))
+        else:
+            for key, value in values.items():
+                setattr(cfg, key, value)
 
     linewidth = 2.0 * 3.141592653589793 * cfg.laser_linewidth_hz
-    for name, items in beam_specs:
-        section = f"beams.{name}"
-        fg, fe = _parse_target(items["target"], section)
-        if fg not in cst.GROUND_F:
-            raise ConfigError(f"[{section}] target: no ground level F={fg}")
-        if fe not in cst.EXCITED_F:
-            raise ConfigError(f"[{section}] target: no excited level F'={fe}")
-        if abs(fe - fg) > 1:
-            raise ConfigError(f"[{section}] target: {fg}->{fe}' is not dipole-allowed")
-        intensity = _get_float(section, "intensity_ratio", items["intensity_ratio"], 0.0)
-        detuning = _get_float(section, "detuning_gamma", items.get("detuning_gamma", "0"))
-        alpha = _get_float(section, "alpha", items.get("alpha", "0"), 0.0)
-        cfg.beams.append(
-            Beam(fg, fe, intensity, detuning, linewidth, polarization_weights(alpha))
-        )
-        cfg.beam_names.append(name)
+    for section, values in beam_specs:
+        try:
+            cfg.beams.append(Beam(
+                *values["target"],
+                values["intensity_ratio"],
+                values.get("detuning_gamma", 0.0),
+                linewidth,
+                polarization_weights(values.get("alpha", 0.0)),
+            ))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] target: {exc}") from None
     return cfg
-
-
-def _apply(cfg: ScenarioConfig, section: str, key: str, raw: str) -> None:
-    if section == "constants" and key == "laser_linewidth_hz":
-        cfg.laser_linewidth_hz = _get_float(section, key, raw, 0.0, strict_min=True)
-    elif section == "pulse" and key == "tau_s":
-        cfg.tau_s = _get_float(section, key, raw, 0.0, strict_min=True)
-    elif section == "pulse" and key == "geometry":
-        value = raw.strip().lower()
-        if value not in ("copropagating", "counterpropagating"):
-            raise ConfigError(
-                f"[pulse] geometry: must be 'copropagating' or 'counterpropagating', got {raw!r}"
-            )
-        cfg.geometry = value
-    elif section == "field" and key == "bias_gauss":
-        cfg.bias_gauss = _get_float(section, key, raw)
-    elif section == "field" and key == "rms_fluct_gauss":
-        cfg.rms_fluct_gauss = _get_float(section, key, raw, 0.0)
-    elif section == "velocity" and key == "sigma_vr":
-        cfg.sigma_vr = _get_float(section, key, raw, 0.0)
-    elif section == "integration" and key == "dt_gamma":
-        cfg.dt_gamma = _get_float(section, key, raw, 0.0, maximum=0.1, strict_min=True)
-    elif section == "integration" and key == "t_end_s":
-        cfg.t_end_s = _get_float(section, key, raw, 0.0, strict_min=True)
-    elif section == "mc" and key == "samples":
-        cfg.samples = _get_int(section, key, raw, 1)
-    elif section == "mc" and key == "seed":
-        cfg.seed = _get_int(section, key, raw, 0)
-    elif section == "output" and key == "directory":
-        cfg.directory = raw.strip()
-    else:  # pragma: no cover - schema check above makes this unreachable
-        raise ConfigError(f"[{section}] unknown key {key!r}")

@@ -11,8 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import constants as cst
-from .kinetics import assemble_rate_matrix, integrate_rk4, prune, uniform_f4, with_depolarization
+from .kinetics import (
+    LIBRARY_DT,
+    assemble_rate_matrix,
+    integrate_rk4,
+    prune,
+    uniform_f4,
+    with_depolarization,
+)
 from .structure import Sublevel, parse_label
 
 
@@ -104,22 +110,19 @@ def simulate_observable(
     depolarization: float,
     times: np.ndarray,
     observable: Sublevel = Sublevel("g", 4, 0),
-    dt: float | None = None,
     prune_threshold: float | None = 1e-3,
 ) -> np.ndarray:
     """Model prediction of a ground-sublevel fraction at the requested times,
     starting from the uniformly populated F=4 level."""
-    traj = _simulate(beams, depolarization, float(np.max(times)), dt, prune_threshold)
+    traj = _simulate(beams, depolarization, float(np.max(times)), prune_threshold)
     return np.interp(times, traj.times, traj.sublevel_fraction(observable))
 
 
-def _simulate(beams, depolarization, t_end, dt, prune_threshold):
+def _simulate(beams, depolarization, t_end, prune_threshold):
     matrix = assemble_rate_matrix(with_depolarization(beams, depolarization))
     if prune_threshold is not None:
         matrix, _ = prune(matrix, prune_threshold)
-    if dt is None:
-        dt = 0.01 / cst.GAMMA
-    return integrate_rk4(matrix, uniform_f4(), dt, t_end, max_samples=2001)
+    return integrate_rk4(matrix, uniform_f4(), LIBRARY_DT, t_end, max_samples=2001)
 
 
 @dataclass
@@ -147,9 +150,9 @@ def _objective(series, traj_fractions, fit_scale):
     return sse, tuple(scales)
 
 
-def _model_fractions(series, beams, depolarization, dt, prune_threshold):
+def _model_fractions(series, beams, depolarization, prune_threshold):
     t_end = max(float(s.times.max()) for s in series)
-    traj = _simulate(beams, depolarization, t_end, dt, prune_threshold)
+    traj = _simulate(beams, depolarization, t_end, prune_threshold)
     out = []
     for s in series:
         frac = traj.sublevel_fraction(s.observable)
@@ -162,7 +165,6 @@ def fit_depolarization(
     beams,
     bounds: tuple[float, float] = (0.0, 0.2),
     fit_scale: bool = False,
-    dt: float | None = None,
     prune_threshold: float | None = 1e-3,
     max_iterations: int = 200,
 ) -> FitResult:
@@ -179,7 +181,7 @@ def fit_depolarization(
         raise ValueError("bounds must satisfy 0 <= lower < upper")
 
     def objective(depol):
-        model = _model_fractions(series, beams, depol, dt, prune_threshold)
+        model = _model_fractions(series, beams, depol, prune_threshold)
         return _objective(series, model, fit_scale)[0]
 
     xatol = 1e-4 * hi
@@ -193,7 +195,7 @@ def fit_depolarization(
     # identifiability guard: the objective must move across the search range
     probe_lo, probe_hi = objective(lo), objective(lo + 0.25 * (hi - lo))
     weak = abs(probe_hi - probe_lo) <= 10.0 * 1e-8 * max(probe_lo, probe_hi, 1e-300)
-    model = _model_fractions(series, beams, best, dt, prune_threshold)
+    model = _model_fractions(series, beams, best, prune_threshold)
     sse, scales = _objective(series, model, fit_scale)
     return FitResult(
         depolarization=best,
@@ -217,13 +219,12 @@ def residual_report(
     beams,
     depolarization: float,
     fit_scale: bool = False,
-    dt: float | None = None,
     prune_threshold: float | None = 1e-3,
 ) -> ResidualReport:
     """Per-point residuals (observed minus model) and the SSE the fit
     objective would assign at this contamination value."""
     series = list(series)
-    model = _model_fractions(series, beams, depolarization, dt, prune_threshold)
+    model = _model_fractions(series, beams, depolarization, prune_threshold)
     sse, scales = _objective(series, model, fit_scale)
     residuals = [
         s.values - scale * m for s, m, scale in zip(series, model, scales)

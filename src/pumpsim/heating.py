@@ -11,8 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants as cst
-from .kinetics import assemble_rate_matrix, integrate_rk4, prune, single_sublevel, uniform_f4
+from .kinetics import (
+    LIBRARY_DT,
+    assemble_rate_matrix,
+    first_crossing,
+    integrate_rk4,
+    prune,
+    single_sublevel,
+    uniform_f4,
+)
+from .output import atomic_write
 from .structure import Sublevel
 
 
@@ -51,24 +59,18 @@ class CycleReport:
     t_end: float
 
 
-def _photons_at_threshold(matrix, n0, dt, t_end, threshold):
-    traj = integrate_rk4(matrix, n0, dt, t_end, max_samples=4001)
-    frac = traj.sublevel_fraction(Sublevel("g", 4, 0))
-    hit = np.nonzero(frac >= threshold)[0]
-    if hit.size == 0:
+def _photons_at_threshold(matrix, n0, t_end, threshold):
+    traj = integrate_rk4(matrix, n0, LIBRARY_DT, t_end, max_samples=4001)
+    hit = first_crossing(traj, traj.sublevel_fraction(Sublevel("g", 4, 0)), threshold)
+    if hit is None:
         return float(traj.scattered_photons[-1]), False
-    k = int(hit[0])
-    if k == 0:
-        return 0.0, True
-    t_cross = np.interp(threshold, frac[k - 1 : k + 1], traj.times[k - 1 : k + 1])
-    return float(np.interp(t_cross, traj.times, traj.scattered_photons)), True
+    return hit[1], True
 
 
 def expected_cycles(
     beams,
     t_end: float = 0.02,
     threshold: float = 0.95,
-    dt: float | None = None,
     prune_threshold: float | None = None,
 ) -> CycleReport:
     """Run the rate model from every single F=4 sublevel and from the uniform
@@ -80,19 +82,15 @@ def expected_cycles(
     matrix = assemble_rate_matrix(beams)
     if prune_threshold is not None:
         matrix, _ = prune(matrix, prune_threshold)
-    if dt is None:
-        dt = 0.01 / cst.GAMMA
     per = {}
     reached = {}
     for m in range(-4, 5):
         cycles, ok = _photons_at_threshold(
-            matrix, single_sublevel(Sublevel("g", 4, m)), dt, t_end, threshold
+            matrix, single_sublevel(Sublevel("g", 4, m)), t_end, threshold
         )
         per[m] = cycles
         reached[m] = ok
-    uniform, uniform_ok = _photons_at_threshold(
-        matrix, uniform_f4(), dt, t_end, threshold
-    )
+    uniform, uniform_ok = _photons_at_threshold(matrix, uniform_f4(), t_end, threshold)
     return CycleReport(
         per_sublevel=per,
         reached=reached,
@@ -223,8 +221,8 @@ def heating_summary(
     )
 
 
-def write_heating_summary(summary: HeatingSummary, path, bins: int = 51) -> None:
-    """Key=value block plus a histogram of the projected velocities."""
+def write_heating_summary(summary: HeatingSummary, path) -> None:
+    """Key=value block plus a 51-bin histogram of the projected velocities."""
     result = summary.result
     lines = [
         f"# mean_cycles={result.mean_cycles:.17g}",
@@ -241,9 +239,8 @@ def write_heating_summary(summary: HeatingSummary, path, bins: int = 51) -> None
         "v_over_vr,count",
     ]
     span = 5.0 * max(result.delta_vrms, 1e-9)
-    counts, edges = np.histogram(result.projected, bins=bins, range=(-span, span))
+    counts, edges = np.histogram(result.projected, bins=51, range=(-span, span))
     centers = 0.5 * (edges[:-1] + edges[1:])
     for c, n in zip(centers, counts):
         lines.append(f"{c:.17g},{int(n)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, lines)

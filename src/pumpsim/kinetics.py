@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import constants as cst
+from .output import atomic_write
 from .structure import (
     N_STATES,
     STATES,
@@ -31,6 +32,9 @@ log = logging.getLogger(__name__)
 
 # largest tolerated dt * max|R| for the fixed-step integrator
 STABILITY_LIMIT = 0.1
+
+# integration step of the library's own runs (cycle counts, fits): 0.01/Gamma
+LIBRARY_DT = 0.01 / cst.GAMMA
 
 
 def polarization_weights(depolarization: float) -> tuple[float, float, float]:
@@ -65,14 +69,7 @@ class Beam:
     pol_weights: tuple[float, float, float] = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
-        if self.ground_f not in cst.GROUND_F:
-            raise ValueError(f"no ground hyperfine level F={self.ground_f}")
-        if self.excited_f not in cst.EXCITED_F:
-            raise ValueError(f"no excited hyperfine level F'={self.excited_f}")
-        if abs(self.excited_f - self.ground_f) > 1:
-            raise ValueError(
-                f"{self.ground_f}->{self.excited_f}' is not dipole-allowed"
-            )
+        _check_transition(self.ground_f, self.excited_f)
         if self.intensity_ratio < 0:
             raise ValueError("intensity_ratio must be nonnegative")
         if self.linewidth <= 0:
@@ -80,6 +77,15 @@ class Beam:
         w = self.pol_weights
         if len(w) != 3 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
             raise ValueError("pol_weights must be three nonnegative numbers summing to 1")
+
+
+def _check_transition(ground_f: int, excited_f: int) -> None:
+    if ground_f not in cst.GROUND_F:
+        raise ValueError(f"no ground hyperfine level F={ground_f}")
+    if excited_f not in cst.EXCITED_F:
+        raise ValueError(f"no excited hyperfine level F'={excited_f}")
+    if abs(excited_f - ground_f) > 1:
+        raise ValueError(f"{ground_f}->{excited_f}' is not dipole-allowed")
 
 
 def beam(
@@ -114,10 +120,7 @@ def with_depolarization(beams, depolarization: float) -> list[Beam]:
 def transition_overlap(ground_f: int, excited_f: int, bm: Beam) -> float:
     """Relative probability that `bm` excites the ground_f -> excited_f
     transition, given its linewidth and its offset from that line."""
-    if ground_f not in cst.GROUND_F or excited_f not in cst.EXCITED_F:
-        raise ValueError(f"transition {ground_f}->{excited_f}' outside the state space")
-    if abs(excited_f - ground_f) > 1:
-        raise ValueError(f"{ground_f}->{excited_f}' is not dipole-allowed")
+    _check_transition(ground_f, excited_f)
     mu = bm.linewidth / cst.GAMMA
     # line offset from the laser frequency, in half-linewidths
     offset_hz = cst.excited_level_offset(excited_f) - cst.excited_level_offset(
@@ -134,6 +137,12 @@ def transition_overlap(ground_f: int, excited_f: int, bm: Beam) -> float:
     return mu * (mu + 1.0) * num / den
 
 
+def _rate_prefactor(bm: Beam, overlap: float) -> float:
+    """Stimulated rate (s^-1) per unit branching ratio and polarization
+    weight on a line with the given overlap."""
+    return 0.5 * cst.GAMMA * (cst.GAMMA / bm.linewidth) * bm.intensity_ratio * overlap
+
+
 def stimulated_rate(ground: Sublevel, excited: Sublevel, q: int, bm: Beam) -> float:
     """Stimulated rate (s^-1) between a ground and an excited sublevel for
     polarization component q = m' - m; identical in both directions."""
@@ -146,16 +155,7 @@ def stimulated_rate(ground: Sublevel, excited: Sublevel, q: int, bm: Beam) -> fl
     weight = bm.pol_weights[q + 1]
     if a == 0.0 or weight == 0.0:
         return 0.0
-    overlap = transition_overlap(ground.f, excited.f, bm)
-    return (
-        0.5
-        * cst.GAMMA
-        * (cst.GAMMA / bm.linewidth)
-        * bm.intensity_ratio
-        * overlap
-        * a
-        * weight
-    )
+    return _rate_prefactor(bm, transition_overlap(ground.f, excited.f, bm)) * a * weight
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,7 @@ def assemble_rate_matrix(beams) -> RateMatrix:
             if abs(fe - bm.ground_f) > 1:
                 continue
             overlap = transition_overlap(bm.ground_f, fe, bm)
-            base = (
-                0.5 * cst.GAMMA * (cst.GAMMA / bm.linewidth)
-                * bm.intensity_ratio * overlap
-            )
+            base = _rate_prefactor(bm, overlap)
             for m in range(-bm.ground_f, bm.ground_f + 1):
                 gi = state_index(Sublevel("g", bm.ground_f, m))
                 for q in (-1, 0, 1):
@@ -386,6 +383,25 @@ class PumpMetrics:
     photons_to_tau50: float | None
 
 
+def first_crossing(
+    trajectory: Trajectory, fraction: np.ndarray, level: float
+) -> tuple[float, float] | None:
+    """First time the sampled `fraction` reaches `level` (linear
+    interpolation between samples) and the expected photons scattered up to
+    that time; None when it never does."""
+    hit = np.nonzero(fraction >= level)[0]
+    if hit.size == 0:
+        return None
+    k = int(hit[0])
+    times = trajectory.times
+    if k == 0:
+        t_cross = float(times[0])
+    else:
+        f0, f1 = fraction[k - 1], fraction[k]
+        t_cross = float(times[k - 1] + (level - f0) / (f1 - f0) * (times[k] - times[k - 1]))
+    return t_cross, float(np.interp(t_cross, times, trajectory.scattered_photons))
+
+
 def pump_metrics(trajectory: Trajectory) -> PumpMetrics:
     """Fraction of ground-state atoms in g,F=4,m=0 over time, the first time
     that fraction reaches 0.5 (linear interpolation), and the expected
@@ -393,20 +409,7 @@ def pump_metrics(trajectory: Trajectory) -> PumpMetrics:
     if trajectory.times.size == 0:
         raise ValueError("trajectory is empty")
     frac = trajectory.sublevel_fraction(Sublevel("g", 4, 0))
-    tau_50 = None
-    photons = None
-    above = np.nonzero(frac >= 0.5)[0]
-    if above.size:
-        k = int(above[0])
-        if k == 0:
-            tau_50 = float(trajectory.times[0])
-        else:
-            t0, t1 = trajectory.times[k - 1], trajectory.times[k]
-            f0, f1 = frac[k - 1], frac[k]
-            tau_50 = float(t0 + (0.5 - f0) / (f1 - f0) * (t1 - t0))
-        photons = float(
-            np.interp(tau_50, trajectory.times, trajectory.scattered_photons)
-        )
+    tau_50, photons = first_crossing(trajectory, frac, 0.5) or (None, None)
     return PumpMetrics(trajectory.times, frac, tau_50, photons)
 
 
@@ -424,5 +427,4 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         row.extend(f"{x:.17g}" for x in trajectory.populations[k])
         row.append(f"{trajectory.scattered_photons[k]:.17g}")
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, lines)

@@ -1,0 +1,23 @@
+"""Atomic text output: every file the package writes goes through here."""
+
+import os
+
+
+def atomic_write(path, lines: list[str]) -> None:
+    """Write `lines`, each ending in a newline, to `path` as UTF-8 through a
+    temporary file in the same directory and a rename, so `path` holds
+    either the old or the new contents, never a partial file. The file gets
+    the mode a plain open() would give it, 0o666 less the umask."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".pumpsim-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

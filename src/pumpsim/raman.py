@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 
 from . import constants as cst
+from .output import atomic_write
 from .structure import Sublevel, ZeemanParams, raman_line_offset, state_index
 
 GEOMETRIES = ("copropagating", "counterpropagating")
@@ -157,7 +158,6 @@ def synth_counterpropagating(
     pulse: RamanPulse,
     grid: np.ndarray,
     zeeman: ZeemanParams = ZeemanParams(0.0),
-    quadrature_points: int = 201,
 ) -> Spectrum:
     """Doppler-sensitive spectrum: the copropagating composite line folded
     with the velocity distribution mapped through the Doppler shift.
@@ -189,7 +189,7 @@ def synth_counterpropagating(
 
     span_hz = 12.0 * vdist.sigma * cst.DOPPLER_HZ_PER_RECOIL
     fwhm = lineshape_fwhm(co_pulse)
-    npts = max(201, int(quadrature_points), int(np.ceil(span_hz / (0.25 * fwhm))) + 1)
+    npts = max(201, int(np.ceil(span_hz / (0.25 * fwhm))) + 1)
     npts = min(npts, 60_001)
     if npts % 2 == 0:
         npts += 1
@@ -306,5 +306,4 @@ def write_spectrum_csv(spectrum: Spectrum, path, fit: GaussianFit | None = None)
         lines.append(f"# sigma_mps={fit.sigma_mps:.17g}")
         lines.append(f"# temperature_K={fit.temperature_K:.17g}")
         lines.append(f"# converged={str(fit.converged).lower()}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, lines)

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import constants as cst
+from .output import atomic_write
 from .wigner import wigner_3j, wigner_6j
 
 
@@ -120,8 +121,7 @@ def write_branching_csv(path) -> None:
     for ei in EXCITED_INDICES:
         row = ",".join(f"{table[ei, gi]:.17g}" for gi in GROUND_INDICES)
         lines.append(f"{STATES[ei].label()},{row}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, lines)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Scenario parsing and the command-line surface."""
 
 import os
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pumpsim import config
+from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
+from pumpsim.output import atomic_write
+from pumpsim.structure import write_branching_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -84,18 +89,32 @@ class TestConfig:
             load_config(write_config(tmp_path, bad))
 
     def test_range_checks(self, tmp_path):
-        bad = GOOD.format(out="out").replace("dt_gamma = 0.01", "dt_gamma = 0.5")
-        with pytest.raises(ConfigError, match="dt_gamma"):
-            load_config(write_config(tmp_path, bad))
-        bad = GOOD.format(out="out").replace(
-            "intensity_ratio = 0.019", "intensity_ratio = -1"
-        )
-        with pytest.raises(ConfigError, match="intensity_ratio"):
-            load_config(write_config(tmp_path, bad))
+        # every bounded key of the config table, just past each of its bounds
+        bounded = [(table, key, rule) for (table, key), rule in config._KEYS.items()
+                   if rule.minimum is not None or rule.maximum is not None]
+        assert len(bounded) >= 10
+        for table, key, rule in bounded:
+            section = "beams.pb" if table == "beams.*" else table
+            values = []
+            if rule.minimum is not None:
+                values.append(rule.minimum if rule.strict_min else rule.minimum - 1)
+            if rule.maximum is not None:
+                values.append(5 * rule.maximum)
+            for value in values:
+                items = {}
+                if table == "beams.*":
+                    items = {"target": "4->4", "intensity_ratio": "0.019"}
+                items[key] = str(value)
+                body = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must be"):
+                    load_config(write_config(tmp_path, body))
 
     def test_bad_target(self, tmp_path):
         bad = GOOD.format(out="out").replace("target = 4->4", "target = 4->2")
-        with pytest.raises(ConfigError, match="target"):
+        with pytest.raises(ConfigError, match=r"\[beams\.pb\] target: no excited"):
+            load_config(write_config(tmp_path, bad))
+        bad = GOOD.format(out="out").replace("target = 4->4", "target = 3->5")
+        with pytest.raises(ConfigError, match=r"\[beams\.pb\] target: .*dipole"):
             load_config(write_config(tmp_path, bad))
 
     def test_missing_file(self):
@@ -259,3 +278,34 @@ class TestFitCommand:
         cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
         result = run_cli("fit", "--config", cfg)
         assert result.returncode == 3
+
+    def test_prune_flag_rejected(self, tmp_path):
+        # fit always works on the reduced equation set; it takes no --prune
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        result = run_cli("fit", "--config", cfg, "--prune")
+        assert result.returncode == 2
+        assert "--prune" in result.stderr
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        atomic_write(path, ["old"])
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(path, ["new \udc80"])  # lone surrogate: not UTF-8
+        assert path.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["report.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_mode_follows_umask(self, tmp_path, umask):
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        previous = os.umask(umask)
+        try:
+            assert main(["pump", "--config", cfg, "--prune"]) == 0
+            write_branching_csv(tmp_path / "branching.csv")
+        finally:
+            os.umask(previous)
+        for path in (tmp_path / "out" / "trajectory.csv",
+                     tmp_path / "out" / "pump_metrics.txt",
+                     tmp_path / "branching.csv"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask, path

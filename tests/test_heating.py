@@ -12,7 +12,14 @@ from pumpsim.heating import (
     recoil_walk,
     write_heating_summary,
 )
-from pumpsim.kinetics import beam
+from pumpsim.kinetics import (
+    LIBRARY_DT,
+    assemble_rate_matrix,
+    beam,
+    integrate_rk4,
+    prune,
+    single_sublevel,
+)
 from pumpsim.structure import STATES, Sublevel, branching_table, state_index
 
 
@@ -127,6 +134,17 @@ class TestExpectedCycles:
     def test_threshold_reached(self, report):
         assert all(report.reached.values())
         assert report.uniform_reached
+
+    def test_interior_crossing_interpolated(self, report):
+        # the count falls between the photons of the two samples that
+        # bracket the threshold crossing
+        rm, _ = prune(assemble_rate_matrix(ideal_pump_beams()), 1e-3)
+        traj = integrate_rk4(rm, single_sublevel(Sublevel("g", 4, 2)), LIBRARY_DT,
+                             report.t_end, max_samples=4001)
+        k = int(np.argmax(traj.sublevel_fraction(Sublevel("g", 4, 0)) >= report.threshold))
+        assert k > 0
+        photons = traj.scattered_photons
+        assert photons[k - 1] < report.per_sublevel[2] <= photons[k]
 
     def test_against_first_passage_oracle(self, report):
         # independent oracle: expected jumps of the embedded Markov chain.

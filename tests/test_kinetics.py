@@ -10,8 +10,10 @@ from hypothesis import strategies as st_h
 from pumpsim import constants as cst
 from pumpsim.kinetics import (
     Beam,
+    Trajectory,
     assemble_rate_matrix,
     beam,
+    first_crossing,
     integrate_rk4,
     polarization_weights,
     prune,
@@ -353,6 +355,31 @@ class TestPumpMetrics:
         metrics = pump_metrics(traj)
         assert metrics.tau_50 is not None
         assert 0.0 < metrics.photons_to_tau50 < traj.scattered_photons[-1]
+        # interior crossing: between the samples that bracket 0.5, where the
+        # linear interpolation of the fraction reads 0.5
+        k = int(np.searchsorted(traj.times, metrics.tau_50))
+        assert traj.times[k - 1] < metrics.tau_50 <= traj.times[k]
+        f = np.interp(metrics.tau_50, traj.times, metrics.m0_fraction)
+        assert f == pytest.approx(0.5, abs=1e-12)
+
+    def test_already_polarized_start(self):
+        # first-sample crossing: the start already holds every atom in m=0
+        rm, _ = prune(assemble_rate_matrix(fig5_beams()), 1e-3)
+        traj = integrate_rk4(rm, single_sublevel(Sublevel("g", 4, 0)), DT, 0.001)
+        metrics = pump_metrics(traj)
+        assert metrics.tau_50 == 0.0
+        assert metrics.photons_to_tau50 == 0.0
+
+    def test_first_crossing_cases(self):
+        traj = Trajectory(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 43)),
+                          np.array([0.0, 10.0, 20.0, 30.0]))
+        fraction = np.array([0.1, 0.3, 0.7, 0.9])
+        assert first_crossing(traj, fraction, 0.05) == (0.0, 0.0)
+        t, photons = first_crossing(traj, fraction, 0.5)
+        assert t == pytest.approx(1.5, rel=1e-15)
+        assert photons == pytest.approx(15.0, rel=1e-15)
+        assert first_crossing(traj, fraction, 0.9) == (3.0, 30.0)
+        assert first_crossing(traj, fraction, 0.95) is None
 
 
 def test_with_depolarization_rebuilds_weights():

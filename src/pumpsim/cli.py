@@ -12,9 +12,10 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .fitting import DataError, fit_depolarization, load_observations, residual_report
+from .fitting import DataError, fit_depolarization, load_observations
 from .heating import default_geometry, heating_summary, write_heating_summary
 from .kinetics import (
+    PRUNE_THRESHOLD,
     assemble_rate_matrix,
     integrate_rk4,
     prune,
@@ -41,8 +42,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NON_CONVERGENCE = 4
 
-PRUNE_THRESHOLD = 1e-3
-
 
 def _load(args) -> ScenarioConfig:
     if args.config is None:
@@ -50,8 +49,6 @@ def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config)
     if args.out is not None:
         cfg.directory = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
     return cfg
 
 
@@ -161,7 +158,7 @@ def cmd_heat(args) -> int:
         default_geometry(),
         initial_vrms=cfg.sigma_vr,
         samples=cfg.samples,
-        seed=cfg.seed,
+        seed=cfg.seed if args.seed is None else args.seed,
         prune_threshold=PRUNE_THRESHOLD if args.prune else None,
     )
     out = cfg.directory
@@ -185,9 +182,6 @@ def cmd_fit(args) -> int:
         raise DataError("fit needs at least one observation file")
     series = [load_observations(path) for path in args.data]
     result = fit_depolarization(series, cfg.beams, fit_scale=args.fit_scale)
-    report = residual_report(
-        series, cfg.beams, result.depolarization, fit_scale=args.fit_scale
-    )
 
     out = cfg.directory
     lines = [
@@ -201,7 +195,7 @@ def cmd_fit(args) -> int:
         for path, scale in zip(args.data, result.scales):
             lines.append(f"# scale[{os.path.basename(path)}]={scale:.17g}")
     lines.append("series,time_s,residual")
-    for s, resid in zip(series, report.residuals):
+    for s, resid in zip(series, result.residuals):
         name = os.path.basename(s.source) if s.source else s.observable.label()
         for t, r in zip(s.times, resid):
             lines.append(f"{name},{t:.17g},{r:.17g}")
@@ -229,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", help="scenario file", required=False)
         p.add_argument("--out", help="output directory (overrides [output])")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides [mc])")
         p.set_defaults(func=func)
         return p
 
@@ -242,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         command(name, help_text, func).add_argument(
             "--prune", action="store_true",
             help="drop weak off-resonant transitions (reduced equation set)")
+    sub.choices["heat"].add_argument("--seed", type=int, help="RNG seed (overrides [mc])")
 
     p = command("fit", "fit the depolarization to observed series "
                "(always on the reduced equation set)", cmd_fit)
@@ -255,10 +249,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError) as exc:

@@ -105,106 +105,26 @@ def load_observations(path) -> ObservationSeries:
         raise DataError(f"{path}: {exc}") from exc
 
 
+# search range of the contamination and iteration budget of the fit
+BOUNDS = (0.0, 0.2)
+MAX_ITERATIONS = 200
+
+
 def simulate_observable(
     beams,
     depolarization: float,
     times: np.ndarray,
     observable: Sublevel = Sublevel("g", 4, 0),
-    prune_threshold: float | None = 1e-3,
 ) -> np.ndarray:
     """Model prediction of a ground-sublevel fraction at the requested times,
     starting from the uniformly populated F=4 level."""
-    traj = _simulate(beams, depolarization, float(np.max(times)), prune_threshold)
+    traj = _simulate(beams, depolarization, float(np.max(times)))
     return np.interp(times, traj.times, traj.sublevel_fraction(observable))
 
 
-def _simulate(beams, depolarization, t_end, prune_threshold):
-    matrix = assemble_rate_matrix(with_depolarization(beams, depolarization))
-    if prune_threshold is not None:
-        matrix, _ = prune(matrix, prune_threshold)
+def _simulate(beams, depolarization, t_end):
+    matrix, _ = prune(assemble_rate_matrix(with_depolarization(beams, depolarization)))
     return integrate_rk4(matrix, uniform_f4(), LIBRARY_DT, t_end, max_samples=2001)
-
-
-@dataclass
-class FitResult:
-    depolarization: float
-    sse: float
-    iterations: int
-    converged: bool
-    weakly_identified: bool
-    scales: tuple[float, ...] | None
-
-
-def _objective(series, traj_fractions, fit_scale):
-    sse = 0.0
-    scales = []
-    for s, model in zip(series, traj_fractions):
-        w = s.weight_array()
-        if fit_scale:
-            denom = float(np.sum(w * model * model))
-            scale = float(np.sum(w * s.values * model) / denom) if denom > 0 else 1.0
-        else:
-            scale = 1.0
-        scales.append(scale)
-        sse += float(np.sum(w * (s.values - scale * model) ** 2))
-    return sse, tuple(scales)
-
-
-def _model_fractions(series, beams, depolarization, prune_threshold):
-    t_end = max(float(s.times.max()) for s in series)
-    traj = _simulate(beams, depolarization, t_end, prune_threshold)
-    out = []
-    for s in series:
-        frac = traj.sublevel_fraction(s.observable)
-        out.append(np.interp(s.times, traj.times, frac))
-    return out
-
-
-def fit_depolarization(
-    series,
-    beams,
-    bounds: tuple[float, float] = (0.0, 0.2),
-    fit_scale: bool = False,
-    prune_threshold: float | None = 1e-3,
-    max_iterations: int = 200,
-) -> FitResult:
-    """Minimize the total weighted SSE over the contamination parameter.
-
-    Bounded golden-section/parabolic search with |step| tolerance 1e-4 times
-    the upper bound; the same kinetics code produces every candidate curve.
-    """
-    series = list(series)
-    if not series:
-        raise ValueError("need at least one observation series")
-    lo, hi = bounds
-    if not 0 <= lo < hi:
-        raise ValueError("bounds must satisfy 0 <= lower < upper")
-
-    def objective(depol):
-        model = _model_fractions(series, beams, depol, prune_threshold)
-        return _objective(series, model, fit_scale)[0]
-
-    xatol = 1e-4 * hi
-    result = minimize_scalar(
-        objective,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": xatol, "maxiter": max_iterations},
-    )
-    best = float(result.x)
-    # identifiability guard: the objective must move across the search range
-    probe_lo, probe_hi = objective(lo), objective(lo + 0.25 * (hi - lo))
-    weak = abs(probe_hi - probe_lo) <= 10.0 * 1e-8 * max(probe_lo, probe_hi, 1e-300)
-    model = _model_fractions(series, beams, best, prune_threshold)
-    sse, scales = _objective(series, model, fit_scale)
-    return FitResult(
-        depolarization=best,
-        sse=sse,
-        iterations=int(result.nfev),
-        converged=bool(result.success),
-        weakly_identified=bool(weak),
-        scales=scales if fit_scale else None,
-    )
 
 
 @dataclass
@@ -219,14 +139,72 @@ def residual_report(
     beams,
     depolarization: float,
     fit_scale: bool = False,
-    prune_threshold: float | None = 1e-3,
 ) -> ResidualReport:
-    """Per-point residuals (observed minus model) and the SSE the fit
-    objective would assign at this contamination value."""
+    """Per-point residuals (observed minus model) and the weighted SSE at one
+    contamination value; with fit_scale each series' model is first scaled
+    by its closed-form least-squares amplitude. The fit scores every
+    candidate with this."""
     series = list(series)
-    model = _model_fractions(series, beams, depolarization, prune_threshold)
-    sse, scales = _objective(series, model, fit_scale)
-    residuals = [
-        s.values - scale * m for s, m, scale in zip(series, model, scales)
-    ]
-    return ResidualReport(residuals, sse, scales)
+    traj = _simulate(beams, depolarization, max(float(s.times.max()) for s in series))
+    residuals, sse, scales = [], 0.0, []
+    for s in series:
+        model = np.interp(s.times, traj.times, traj.sublevel_fraction(s.observable))
+        w = s.weight_array()
+        scale = 1.0
+        if fit_scale:
+            denom = float(np.sum(w * model * model))
+            if denom > 0:
+                scale = float(np.sum(w * s.values * model) / denom)
+        resid = s.values - scale * model
+        residuals.append(resid)
+        sse += float(np.sum(w * resid**2))
+        scales.append(scale)
+    return ResidualReport(residuals, sse, tuple(scales))
+
+
+@dataclass
+class FitResult:
+    depolarization: float
+    sse: float
+    iterations: int
+    converged: bool
+    weakly_identified: bool
+    scales: tuple[float, ...] | None
+    residuals: list[np.ndarray]
+
+
+def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
+    """Minimize the total weighted SSE over the contamination parameter in
+    BOUNDS.
+
+    Bounded golden-section/parabolic search with |step| tolerance 1e-4 times
+    the upper bound; `residual_report` scores every candidate.
+    """
+    series = list(series)
+    if not series:
+        raise ValueError("need at least one observation series")
+    lo, hi = BOUNDS
+
+    def objective(depol):
+        return residual_report(series, beams, depol, fit_scale=fit_scale).sse
+
+    result = minimize_scalar(
+        objective,
+        bounds=BOUNDS,
+        method="bounded",
+        options={"xatol": 1e-4 * hi, "maxiter": MAX_ITERATIONS},
+    )
+    best = float(result.x)
+    # identifiability guard: the objective must move across the search range
+    probe_lo, probe_hi = objective(lo), objective(lo + 0.25 * (hi - lo))
+    weak = abs(probe_hi - probe_lo) <= 10.0 * 1e-8 * max(probe_lo, probe_hi, 1e-300)
+    report = residual_report(series, beams, best, fit_scale=fit_scale)
+    return FitResult(
+        depolarization=best,
+        sse=report.sse,
+        iterations=int(result.nfev),
+        converged=bool(result.success),
+        weakly_identified=bool(weak),
+        scales=report.scales if fit_scale else None,
+        residuals=report.residuals,
+    )

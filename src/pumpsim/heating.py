@@ -13,6 +13,7 @@ import numpy as np
 
 from .kinetics import (
     LIBRARY_DT,
+    PRUNE_THRESHOLD,
     assemble_rate_matrix,
     first_crossing,
     integrate_rk4,
@@ -114,7 +115,11 @@ class HeatingResult:
     projected: np.ndarray    # per-sample velocity projection, recoil velocities
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int, samples: int) -> np.random.Generator:
+    """The seeded stream of a walk over `samples` atoms; the standard error
+    of its rms needs at least two."""
+    if samples < 2:
+        raise ValueError("need at least two samples")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -125,8 +130,7 @@ def _walk(counts: np.ndarray, geometry: RecoilGeometry, rng, include_absorption=
     pb = np.asarray(geometry.pb_axis)
     det = np.asarray(geometry.detection_axis)
     velocity = np.zeros((samples, 3))
-    max_cycles = int(counts.max()) if samples else 0
-    for k in range(max_cycles):
+    for k in range(int(counts.max())):
         active = counts > k
         if include_absorption:
             if geometry.backreflected:
@@ -164,12 +168,11 @@ def recoil_walk(
 ) -> HeatingResult:
     """Random recoil walk with a fixed number of fluorescence cycles per
     atom; reproducible for a fixed seed."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
+    rng = _rng(seed, samples)
     counts = np.full(samples, int(cycles))
-    projected = _walk(counts, geometry, _rng(seed), include_absorption)
+    projected = _walk(counts, geometry, rng, include_absorption)
     return _summarize(projected, cycles, samples, seed)
 
 
@@ -188,9 +191,7 @@ def heating_summary(
     initial_vrms: float = 4.0,
     samples: int = 100_000,
     seed: int = 12345,
-    t_end: float = 0.02,
-    threshold: float = 0.95,
-    prune_threshold: float | None = 1e-3,
+    prune_threshold: float | None = PRUNE_THRESHOLD,
 ) -> HeatingSummary:
     """Compose the kinetics cycle counts with the recoil Monte Carlo.
 
@@ -199,12 +200,10 @@ def heating_summary(
     is preserved. Reports the rms velocity increase along the detection
     axis and the quadrature/additive compositions with the initial spread.
     """
+    rng = _rng(seed, samples)
     if geometry is None:
         geometry = default_geometry()
-    report = expected_cycles(
-        beams, t_end=t_end, threshold=threshold, prune_threshold=prune_threshold
-    )
-    rng = _rng(seed)
+    report = expected_cycles(beams, prune_threshold=prune_threshold)
     ms = rng.integers(-4, 5, size=samples)
     expected = np.array([report.per_sublevel[m] for m in range(-4, 5)])[ms + 4]
     base = np.floor(expected)

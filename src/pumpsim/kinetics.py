@@ -36,6 +36,9 @@ STABILITY_LIMIT = 0.1
 # integration step of the library's own runs (cycle counts, fits): 0.01/Gamma
 LIBRARY_DT = 0.01 / cst.GAMMA
 
+# relative line overlap below which `prune` drops a stimulated term
+PRUNE_THRESHOLD = 1e-3
+
 
 def polarization_weights(depolarization: float) -> tuple[float, float, float]:
     """Intensity fractions (sigma-, pi, sigma+) of a nominally pi-polarized
@@ -170,10 +173,10 @@ class RateMatrix:
     matrix: np.ndarray
     beams: tuple[Beam, ...]
     # per stimulated term: ground index, excited index, rate, line overlap
-    term_ground: np.ndarray = field(repr=False, default=None)
-    term_excited: np.ndarray = field(repr=False, default=None)
-    term_rate: np.ndarray = field(repr=False, default=None)
-    term_overlap: np.ndarray = field(repr=False, default=None)
+    term_ground: np.ndarray = field(repr=False)
+    term_excited: np.ndarray = field(repr=False)
+    term_rate: np.ndarray = field(repr=False)
+    term_overlap: np.ndarray = field(repr=False)
 
     @property
     def max_rate(self) -> float:
@@ -236,13 +239,15 @@ def assemble_rate_matrix(beams) -> RateMatrix:
     return RateMatrix(mat, beams, t_ground, t_excited, t_rate, t_overlap)
 
 
-def prune(rate_matrix: RateMatrix, threshold: float = 1e-3) -> tuple[RateMatrix, int]:
+def prune(
+    rate_matrix: RateMatrix, threshold: float = PRUNE_THRESHOLD
+) -> tuple[RateMatrix, int]:
     """Drop stimulated terms whose line overlap falls below threshold times
     the largest overlap; returns the pruned matrix and the number of
     sublevels that still take part in a stimulated coupling."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    if rate_matrix.term_rate is None or rate_matrix.term_rate.size == 0:
+    if rate_matrix.term_rate.size == 0:
         return rate_matrix, 0
     cutoff = threshold * rate_matrix.term_overlap.max()
     keep = rate_matrix.term_overlap >= cutoff
@@ -307,7 +312,7 @@ def _rk4_step_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
 
 
 def integrate_rk4(
-    rate_matrix,
+    rate_matrix: RateMatrix,
     n0: np.ndarray,
     dt: float,
     t_end: float,
@@ -318,7 +323,7 @@ def integrate_rk4(
     dt must satisfy dt * max|R| <= 0.1. Output is sampled on a uniform
     stride (at most max_samples points) plus the final step.
     """
-    rates = rate_matrix.matrix if isinstance(rate_matrix, RateMatrix) else np.asarray(rate_matrix)
+    rates = rate_matrix.matrix
     n0 = np.asarray(n0, dtype=float)
     if n0.shape != (N_STATES,):
         raise ValueError(f"initial populations must have shape ({N_STATES},)")

@@ -192,6 +192,13 @@ class TestPumpCommand:
         result = run_cli("pump")
         assert result.returncode == 2
 
+    def test_seed_flag_rejected(self, tmp_path):
+        # pump draws no random numbers; only heat takes --seed
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        result = run_cli("pump", "--seed", "1", "--config", cfg)
+        assert result.returncode == 2
+        assert "--seed" in result.stderr
+
 
 class TestSpectrumCommand:
     def test_counterpropagating_report(self, tmp_path):
@@ -278,6 +285,35 @@ class TestFitCommand:
         cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
         result = run_cli("fit", "--config", cfg)
         assert result.returncode == 3
+
+    def test_report_residuals_match_residual_report(self, tmp_path):
+        from pumpsim.fitting import load_observations, residual_report, simulate_observable
+        from pumpsim.kinetics import beam
+
+        times = np.linspace(1e-4, 4.8e-3, 40)
+        truth = simulate_observable(
+            [beam(4, 4, 0.019, -0.5), beam(3, 4, 0.023, 0.0)], 0.013, times
+        )
+        noise = np.random.Generator(np.random.Philox(4)).uniform(-0.01, 0.01, times.size)
+        data = tmp_path / "m0.csv"
+        data.write_text(
+            "# observable = g4_m0\n"
+            + "\n".join(f"{t:.12g},{v:.12g}" for t, v in zip(times, 0.95 * truth + noise))
+            + "\n"
+        )
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        result = run_cli("fit", "--config", cfg, "--fit-scale", str(data))
+        assert result.returncode == 0, result.stderr
+        lines = (tmp_path / "out" / "fit_report.txt").read_text().splitlines()
+        header = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+        rows = lines[lines.index("series,time_s,residual") + 1:]
+        written = np.array([float(row.split(",")[2]) for row in rows])
+
+        report = residual_report([load_observations(data)], load_config(cfg).beams,
+                                 float(header["alpha_hat"]), fit_scale=True)
+        assert np.array_equal(written, report.residuals[0])
+        assert float(header["sse"]) == report.sse
+        assert float(header["scale[m0.csv]"]) == report.scales[0]
 
     def test_prune_flag_rejected(self, tmp_path):
         # fit always works on the reduced equation set; it takes no --prune

@@ -128,6 +128,22 @@ class TestResidualReport:
         assert report.residuals[0].shape == TIMES.shape
         assert report.sse < 1e-9
 
+    @pytest.mark.parametrize("fit_scale", [False, True])
+    def test_fit_result_is_report_at_alpha_hat(self, truth_m0, truth_m1, fit_scale):
+        noise = np.random.Generator(np.random.Philox(9)).uniform(0.0, 0.01, (2, TIMES.size))
+        series = [
+            ObservationSeries(TIMES, 0.9 * truth_m0 + noise[0]),
+            ObservationSeries(TIMES, truth_m1 + noise[1], observable=Sublevel("g", 4, 1)),
+        ]
+        result = fit_depolarization(series, fig5_templates(), fit_scale=fit_scale)
+        report = residual_report(series, fig5_templates(), result.depolarization,
+                                 fit_scale=fit_scale)
+        assert result.sse == report.sse > 0
+        assert len(result.residuals) == 2
+        for got, want in zip(result.residuals, report.residuals):
+            assert np.array_equal(got, want)
+        assert result.scales == (report.scales if fit_scale else None)
+
 
 class TestIngestion:
     def test_round_trip(self, tmp_path, truth_m0):

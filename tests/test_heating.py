@@ -108,6 +108,8 @@ class TestRecoilWalk:
         with pytest.raises(ValueError):
             recoil_walk(5, default_geometry(), samples=0)
         with pytest.raises(ValueError):
+            recoil_walk(5, default_geometry(), samples=1)
+        with pytest.raises(ValueError):
             recoil_walk(-1, default_geometry())
 
 
@@ -197,6 +199,13 @@ class TestHeatingSummary:
         a = heating_summary(ideal_pump_beams(), samples=20_000, seed=7)
         b = heating_summary(ideal_pump_beams(), samples=20_000, seed=7)
         assert a.result.delta_vrms == b.result.delta_vrms
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        # one sample has no standard error and none has no rms: both used to
+        # come back as NaN
+        with pytest.raises(ValueError, match="at least two samples"):
+            heating_summary(ideal_pump_beams(), samples=samples)
 
     def test_export(self, tmp_path):
         summary = heating_summary(ideal_pump_beams(), samples=5_000, seed=7)

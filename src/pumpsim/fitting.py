@@ -178,15 +178,17 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
     BOUNDS.
 
     Bounded golden-section/parabolic search with |step| tolerance 1e-4 times
-    the upper bound; `residual_report` scores every candidate.
+    the upper bound; `residual_report` scores each candidate once, alpha-hat too.
     """
     series = list(series)
     if not series:
         raise ValueError("need at least one observation series")
     lo, hi = BOUNDS
+    reports = {}
 
     def objective(depol):
-        return residual_report(series, beams, depol, fit_scale=fit_scale).sse
+        reports[depol] = residual_report(series, beams, depol, fit_scale=fit_scale)
+        return reports[depol].sse
 
     result = minimize_scalar(
         objective,
@@ -198,7 +200,7 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
     # identifiability guard: the objective must move across the search range
     probe_lo, probe_hi = objective(lo), objective(lo + 0.25 * (hi - lo))
     weak = abs(probe_hi - probe_lo) <= 10.0 * 1e-8 * max(probe_lo, probe_hi, 1e-300)
-    report = residual_report(series, beams, best, fit_scale=fit_scale)
+    report = reports[best]
     return FitResult(
         depolarization=best,
         sse=report.sse,

@@ -4,12 +4,14 @@ Copropagating spectra are velocity-insensitive and read the individual
 F=4 sublevel populations through the sigma+/sigma+ ladder; counterpropagating
 spectra convolve the same composite line with the Doppler-shifted velocity
 distribution. A square two-photon pulse gives the Fourier-limited Rabi
-lineshape used for every line.
+lineshape used for every line; its fold with a Gaussian (Doppler or
+bias-field spread) is one FFT convolution on a uniform grid.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.optimize import brentq, least_squares
 
 from . import constants as cst
@@ -99,8 +101,35 @@ def lineshape_fwhm(pulse: RamanPulse) -> float:
     return 2.0 * half_width
 
 
-def _line_positions(zeeman: ZeemanParams) -> dict[int, float]:
-    return {m: raman_line_offset(m, zeeman) for m in range(-3, 4)}
+def _lines(populations: np.ndarray, zeeman: ZeemanParams) -> list[tuple[int, float, float]]:
+    """(m, Zeeman offset, population) of each populated F=4, |m|<=3 line."""
+    weights = {m: populations[state_index(Sublevel("g", 4, m))] for m in range(-3, 4)}
+    return [(m, raman_line_offset(m, zeeman), w) for m, w in weights.items() if w != 0.0]
+
+
+def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, shift: float) -> np.ndarray:
+    """Rabi line folded with a normalized Gaussian of rms sigma_hz, cut at
+    +-6 sigma, at the uniform grid - shift: one FFT convolution on nodes
+    h = step / k apart, k the smallest integer with h <= FWHM / 32, so node
+    k*i is grid point i. It works on (grid span + 12 sigma) / h nodes; h ~ 1/tau."""
+    if grid.size == 0:
+        return np.zeros(0)
+    fwhm = lineshape_fwhm(pulse)
+    steps = np.diff(grid)
+    step = (grid[-1] - grid[0]) / steps.size if steps.size else fwhm / 32.0
+    tol = 1e-9 * step + 16.0 * np.spacing(np.abs(grid).max())
+    if not (step > 0.0 and np.all(np.abs(steps - step) <= tol)):
+        raise ValueError(f"the Gaussian fold needs a uniform, increasing detuning grid; "
+                         f"its steps range from {steps.min():.17g} to {steps.max():.17g} Hz")
+    k = int(np.ceil(step / (fwhm / 32.0)))
+    h = step / k
+    half = int(6.0 * sigma_hz / h)
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
+    fine = (grid.size - 1) * k + 1
+    line = rabi_lineshape(grid[0] - shift + (np.arange(fine + 2 * half) - half) * h, pulse)
+    n = next_fast_len(line.size + kernel.size - 1, real=True)
+    folded = irfft(rfft(line, n) * rfft(kernel, n), n)
+    return folded[2 * half : 2 * half + fine : k] / kernel.sum()
 
 
 def synth_copropagating(
@@ -113,27 +142,17 @@ def synth_copropagating(
     """Velocity-insensitive spectrum: one Rabi line per F=4, |m|<=3 sublevel
     at its first-order Zeeman position, weighted by its population.
 
-    field_rms_gauss, when nonzero, smears every m != 0 line over a Gaussian
-    distribution of bias-field values; the m=0 line is untouched.
+    field_rms_gauss, when nonzero, folds every m != 0 line with the Gaussian
+    spread of its Zeeman shift (`_fold`); the m=0 line is untouched.
     """
     if pulse.geometry != "copropagating":
         raise ValueError("copropagating synthesis needs a copropagating pulse")
-    populations = np.asarray(populations, dtype=float)
     grid = np.asarray(grid, dtype=float)
     signal = np.zeros_like(grid)
-    for m, offset in _line_positions(zeeman).items():
-        weight = populations[state_index(Sublevel("g", 4, m))]
-        if weight == 0.0:
-            continue
-        if m != 0 and field_rms_gauss > 0.0:
-            sigma_hz = abs(
-                raman_line_offset(m, ZeemanParams(field_rms_gauss, zeeman.g3, zeeman.g4))
-            )
-            shifts = np.linspace(-4.0 * sigma_hz, 4.0 * sigma_hz, 81)
-            gauss = np.exp(-0.5 * (shifts / sigma_hz) ** 2)
-            gauss /= gauss.sum()
-            for shift, gw in zip(shifts, gauss):
-                signal += weight * gw * rabi_lineshape(grid - offset - shift, pulse)
+    for m, offset, weight in _lines(populations, zeeman):
+        if m != 0 and field_rms_gauss > 0.0 and pulse.rabi_frequency > 0.0:
+            sigma_hz = abs(raman_line_offset(m, replace(zeeman, bias_gauss=field_rms_gauss)))
+            signal += weight * _fold(pulse, sigma_hz, grid, offset)
         else:
             signal += weight * rabi_lineshape(grid - offset, pulse)
     return Spectrum(grid, signal)
@@ -162,49 +181,28 @@ def synth_counterpropagating(
     """Doppler-sensitive spectrum: the copropagating composite line folded
     with the velocity distribution mapped through the Doppler shift.
 
-    The velocity quadrature spans +-6 sigma with at least 201 points and is
-    refined until its spacing resolves the Fourier width of a single line,
-    otherwise a broad distribution sampled too coarsely leaves comb
-    artifacts instead of a smooth profile.
+    Lines at the same Zeeman offset share one `_fold` of the Rabi line with
+    the Doppler Gaussian, weighted by their summed populations.
     """
     if pulse.geometry != "counterpropagating":
         raise ValueError("counterpropagating synthesis needs a counterpropagating pulse")
     grid = np.asarray(grid, dtype=float)
-    populations = np.asarray(populations, dtype=float)
-    co_pulse = RamanPulse(pulse.duration, pulse.rabi_frequency, "copropagating")
-    lines = [
-        (raman_line_offset(m, zeeman), populations[state_index(Sublevel("g", 4, m))])
-        for m in range(-3, 4)
-        if populations[state_index(Sublevel("g", 4, m))] != 0.0
-    ]
+    lines = _lines(populations, zeeman)
     if not lines or pulse.rabi_frequency == 0.0:
         return Spectrum(grid, np.zeros_like(grid))
 
+    shift = doppler_shift(vdist.mean)
+    signal = np.zeros_like(grid)
     if vdist.sigma == 0.0:
-        shift = doppler_shift(vdist.mean)
-        signal = np.zeros_like(grid)
-        for offset, weight in lines:
-            signal += weight * rabi_lineshape(grid - offset - shift, co_pulse)
+        for _, offset, weight in lines:
+            signal += weight * rabi_lineshape(grid - offset - shift, pulse)
         return Spectrum(grid, signal)
 
-    span_hz = 12.0 * vdist.sigma * cst.DOPPLER_HZ_PER_RECOIL
-    fwhm = lineshape_fwhm(co_pulse)
-    npts = max(201, int(np.ceil(span_hz / (0.25 * fwhm))) + 1)
-    npts = min(npts, 60_001)
-    if npts % 2 == 0:
-        npts += 1
-    v = np.linspace(vdist.mean - 6.0 * vdist.sigma, vdist.mean + 6.0 * vdist.sigma, npts)
-    weights = np.exp(-0.5 * ((v - vdist.mean) / vdist.sigma) ** 2)
-    weights /= weights.sum()
-    shifts = v * cst.DOPPLER_HZ_PER_RECOIL
-
-    signal = np.zeros_like(grid)
-    chunk = max(1, 2_000_000 // max(1, grid.size))
-    for start in range(0, npts, chunk):
-        block = slice(start, min(start + chunk, npts))
-        for offset, weight in lines:
-            detunings = grid[:, None] - offset - shifts[None, block]
-            signal += weight * (rabi_lineshape(detunings, co_pulse) @ weights[block])
+    weights = {}
+    for _, offset, weight in lines:
+        weights[offset] = weights.get(offset, 0.0) + weight
+    for offset, weight in weights.items():
+        signal += weight * _fold(pulse, doppler_shift(vdist.sigma), grid, offset + shift)
     return Spectrum(grid, signal)
 
 

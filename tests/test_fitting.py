@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pumpsim import fitting
 from pumpsim.fitting import (
     DataError,
     FitResult,
@@ -12,7 +13,7 @@ from pumpsim.fitting import (
     residual_report,
     simulate_observable,
 )
-from pumpsim.kinetics import beam
+from pumpsim.kinetics import beam, integrate_rk4
 from pumpsim.structure import Sublevel
 
 TIMES = np.linspace(1e-4, 4.8e-3, 60)
@@ -143,6 +144,19 @@ class TestResidualReport:
         for got, want in zip(result.residuals, report.residuals):
             assert np.array_equal(got, want)
         assert result.scales == (report.scales if fit_scale else None)
+
+    def test_alpha_hat_not_simulated_again(self, truth_m0, monkeypatch):
+        # the bounded search returns one of its own candidates, so the fit
+        # integrates once per candidate and once per identifiability probe
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate_rk4(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "integrate_rk4", counting)
+        result = fit_depolarization([ObservationSeries(TIMES, truth_m0)], fig5_templates())
+        assert len(calls) == result.iterations + 2
 
 
 class TestIngestion:

@@ -1,11 +1,17 @@
 """Lineshapes, spectrum synthesis, Gaussian fits, and unit conversions."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
+import pumpsim
 from pumpsim import constants as cst
+from pumpsim.kinetics import uniform_f4
 from pumpsim.raman import (
     RamanPulse,
     Spectrum,
@@ -20,7 +26,7 @@ from pumpsim.raman import (
     velocity_resolution,
     write_spectrum_csv,
 )
-from pumpsim.structure import Sublevel, ZeemanParams, state_index
+from pumpsim.structure import Sublevel, ZeemanParams, raman_line_offset, state_index
 
 
 def polarized_populations(m: int = 0) -> np.ndarray:
@@ -226,6 +232,122 @@ class TestCounterpropagating:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             VelocityDistribution(-1.0)
+
+
+CLI_GRID = np.arange(-250e3, 250e3 + 1.0, 250.0)
+SUBSET = slice(None, None, 10)  # 201 of the 2001 CLI grid points
+
+
+def direct_counterpropagating(populations, vdist, pulse, grid, zeeman):
+    """Independent oracle: a dense velocity quadrature over +-6 sigma, one
+    Rabi line per populated sublevel and velocity."""
+    v = np.linspace(-6.0, 6.0, 20_001) * vdist.sigma + vdist.mean
+    gauss = np.exp(-0.5 * ((v - vdist.mean) / vdist.sigma) ** 2)
+    gauss /= gauss.sum()
+    detunings = grid[:, None] - doppler_shift(v)[None, :]
+    signal = np.zeros_like(grid)
+    for m in range(-3, 4):
+        weight = populations[state_index(Sublevel("g", 4, m))]
+        if weight:
+            offset = raman_line_offset(m, zeeman)
+            signal += weight * (rabi_lineshape(detunings - offset, pulse) @ gauss)
+    return signal
+
+
+class TestFold:
+    PULSE = pi_pulse(0.007, "counterpropagating")
+
+    @pytest.mark.parametrize(
+        "sigma_vr, mean_vr, bias_gauss",
+        [(0.5, 0.0, 0.0), (4.0, 0.0, 0.0), (5.2, 0.0, 0.0), (4.0, 0.0, 0.1), (1.0, 2.0, 0.0)],
+    )
+    def test_counterpropagating_matches_direct_quadrature(self, sigma_vr, mean_vr, bias_gauss):
+        vdist = VelocityDistribution(sigma_vr, mean=mean_vr)
+        zeeman = ZeemanParams(bias_gauss)
+        populations = uniform_f4()
+        got = synth_counterpropagating(populations, vdist, self.PULSE, CLI_GRID, zeeman)
+        want = direct_counterpropagating(
+            populations, vdist, self.PULSE, CLI_GRID[SUBSET], zeeman
+        )
+        assert np.max(np.abs(got.signal[SUBSET] - want)) <= 1e-6 * want.max()
+
+    @pytest.mark.parametrize("m", [-3, -1, 1, 3])
+    @pytest.mark.parametrize("rms_gauss", [5e-5, 3e-4])
+    def test_copropagating_smear_matches_direct_sum(self, m, rms_gauss):
+        # smear sigma = |m| * 0.70 MHz/G * rms: 35 Hz (m=1, 50 uG) to 630 Hz
+        # (m=3, 300 uG)
+        zeeman, pulse = ZeemanParams(0.1), pi_pulse(0.007)
+        offset = raman_line_offset(m, zeeman)
+        sigma_hz = abs(raman_line_offset(m, ZeemanParams(rms_gauss)))
+        grid = offset + np.arange(-4000.0, 4000.5, 2.0)
+        got = synth_copropagating(polarized_populations(m), zeeman, pulse, grid, rms_gauss)
+        shifts = np.linspace(-6.0 * sigma_hz, 6.0 * sigma_hz, 4001)
+        gauss = np.exp(-0.5 * (shifts / sigma_hz) ** 2)
+        gauss /= gauss.sum()
+        want = sum(gw * rabi_lineshape(grid - offset - s, pulse) for s, gw in zip(shifts, gauss))
+        assert np.max(np.abs(got.signal - want)) <= 1e-6 * want.max()
+
+    def test_copropagating_m0_line_is_not_folded(self):
+        grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
+        pulse = pi_pulse(0.007)
+        spec = synth_copropagating(
+            polarized_populations(0), ZeemanParams(0.1), pulse, grid, 300e-6
+        )
+        assert np.array_equal(spec.signal, rabi_lineshape(grid, pulse))
+
+    def test_nonuniform_grid_rejected(self):
+        grid = np.concatenate([np.arange(-5e3, 0.0, 250.0), np.arange(0.0, 5e3, 100.0)])
+        with pytest.raises(ValueError, match="uniform"):
+            synth_counterpropagating(uniform_f4(), VelocityDistribution(1.0), self.PULSE, grid)
+        with pytest.raises(ValueError, match="uniform"):
+            synth_copropagating(
+                polarized_populations(1), ZeemanParams(0.1), pi_pulse(0.007), grid, 3e-4
+            )
+
+    def test_empty_grid(self):
+        empty = np.zeros(0)
+        counter = synth_counterpropagating(
+            uniform_f4(), VelocityDistribution(4.0), self.PULSE, empty
+        )
+        co = synth_copropagating(uniform_f4(), ZeemanParams(0.1), pi_pulse(0.007), empty, 3e-4)
+        assert counter.signal.shape == co.signal.shape == (0,)
+
+    def test_one_point_grid_matches_full_grid(self):
+        full = synth_counterpropagating(
+            uniform_f4(), VelocityDistribution(4.0), self.PULSE, CLI_GRID
+        ).signal
+        for i in (0, 800, 1000):
+            one = synth_counterpropagating(
+                uniform_f4(), VelocityDistribution(4.0), self.PULSE, CLI_GRID[i : i + 1]
+            ).signal
+            assert one.shape == (1,)
+            assert one[0] == pytest.approx(full[i], abs=1e-9 * full.max())
+
+    def test_zero_spread_is_the_bare_line(self):
+        spec = synth_counterpropagating(
+            polarized_populations(0), VelocityDistribution(0.0, mean=1.0), self.PULSE, CLI_GRID
+        )
+        shift = doppler_shift(1.0)
+        assert np.array_equal(spec.signal, rabi_lineshape(CLI_GRID - 0.0 - shift, self.PULSE))
+
+    def test_zero_rabi_frequency_gives_zero_signal(self):
+        pulse = RamanPulse(0.007, 0.0, "counterpropagating")
+        spec = synth_counterpropagating(uniform_f4(), VelocityDistribution(4.0), pulse, CLI_GRID)
+        assert np.array_equal(spec.signal, np.zeros_like(CLI_GRID))
+        grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
+        co = synth_copropagating(
+            uniform_f4(), ZeemanParams(0.1), RamanPulse(0.007, 0.0), grid, 300e-6
+        )
+        assert np.array_equal(co.signal, np.zeros_like(grid))
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal adds most of a second to every process start; the fold
+        # needs scipy.fft alone
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pumpsim.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import pumpsim, sys; sys.exit('scipy.signal' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestGaussianFit:

@@ -6,14 +6,16 @@ Every fluorescence cycle kicks the atom by one recoil velocity twice: once
 along the (back-reflected, random-sign) pump beam and once in a random
 direction from spontaneous emission. The kinetics counts the expected
 cycles per initial sublevel; the Monte Carlo walk turns them into an rms
-velocity increase along the Raman detection axis, which is orthogonal to
-the pump so only the isotropic emission recoils show up there.
+velocity increase along the Raman detection axis. There an emission recoil
+projects uniformly on [-1, 1] (Archimedes' hat-box theorem) and an
+absorption recoil to +-pump_projection, the cosine between the pump and
+detection axes: 0 here, where the pump is orthogonal to the detection
+axis, so only the emission recoils show up.
 """
 
 import numpy as np
 
 from pumpsim.heating import (
-    default_geometry,
     expected_cycles,
     heating_summary,
     recoil_walk,
@@ -31,14 +33,13 @@ for m in range(-4, 5):
 print(f"sublevel average: {report.average:.2f}; uniform start: {report.uniform:.2f}")
 
 # %% the isotropic-walk closed form and the sqrt(N) scaling
-geo = default_geometry()
 for n in (4, 16, 64):
-    walk = recoil_walk(n, geo, samples=100_000, seed=11)
+    walk = recoil_walk(n, samples=100_000, seed=11)
     print(f"N={n:3d} cycles -> rms {walk.delta_vrms:.3f} v_r "
           f"(closed form sqrt(N/3) = {np.sqrt(n / 3):.3f})")
 
 # %% the composed estimate for the pumping configuration
-summary = heating_summary(beams, geo, initial_vrms=4.0, samples=100_000, seed=12345)
+summary = heating_summary(beams, initial_vrms=4.0, samples=100_000, seed=12345)
 print(f"\ncomposed: {summary.result.mean_cycles:.2f} mean cycles -> "
       f"delta v_rms = {summary.result.delta_vrms:.3f} +- "
       f"{summary.result.standard_error:.3f} v_r")

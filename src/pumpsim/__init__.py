@@ -45,8 +45,6 @@ from .raman import (
 from .heating import (
     CycleReport,
     HeatingResult,
-    RecoilGeometry,
-    default_geometry,
     expected_cycles,
     heating_summary,
     recoil_walk,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .fitting import DataError, fit_depolarization, load_observations
-from .heating import default_geometry, heating_summary, write_heating_summary
+from .heating import heating_summary, write_heating_summary
 from .kinetics import (
     PRUNE_THRESHOLD,
     assemble_rate_matrix,
@@ -155,7 +155,6 @@ def cmd_heat(args) -> int:
         raise ConfigError("heat needs at least one [beams.*] section")
     summary = heating_summary(
         cfg.beams,
-        default_geometry(),
         initial_vrms=cfg.sigma_vr,
         samples=cfg.samples,
         seed=cfg.seed if args.seed is None else args.seed,

@@ -60,7 +60,8 @@ class ObservationSeries:
 
 def load_observations(path) -> ObservationSeries:
     """Read `time_s, fraction[, weight]` rows; `#` lines are comments, and a
-    `# observable=g4_m0` comment names the observed sublevel."""
+    `# observable=g4_m0` comment (the key alone before `=`) names the
+    observed sublevel."""
     times, values, weights = [], [], []
     observable = Sublevel("g", 4, 0)
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,9 +70,8 @@ def load_observations(path) -> ObservationSeries:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.lower().startswith("observable"):
-                    _, _, value = body.partition("=")
+                key, eq, value = line.lstrip("#").partition("=")
+                if eq and key.strip().lower() == "observable":
                     try:
                         observable = parse_label(value)
                     except ValueError as exc:

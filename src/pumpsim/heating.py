@@ -1,10 +1,12 @@
 """Photon-recoil heating of the polarization process.
 
 The kinetics gives the expected number of fluorescence cycles needed to
-reach the dark state; a seeded Monte Carlo then accumulates one absorption
-recoil (random sign along the back-reflected pump axis) and one isotropic
-emission recoil per cycle and projects the final velocity on the Raman
-detection axis. Everything is in units of the recoil velocity.
+reach the dark state; a seeded Monte Carlo then walks each atom's velocity
+along the Raman detection axis, the only axis the velocimetry reads. By
+Archimedes' hat-box theorem an isotropic emission recoil projects uniformly
+on [-1, 1]; the absorption recoil along the back-reflected pump projects to
++-c, c the cosine between the pump and detection axes (0 for the paper's
+orthogonal beams). Everything is in units of the recoil velocity.
 """
 
 from dataclasses import dataclass
@@ -23,28 +25,6 @@ from .kinetics import (
 )
 from .output import atomic_write
 from .structure import Sublevel
-
-
-@dataclass(frozen=True)
-class RecoilGeometry:
-    """Beam axes for the recoil walk; both must be unit vectors."""
-
-    pb_axis: tuple[float, float, float]
-    detection_axis: tuple[float, float, float]
-    backreflected: bool = True
-
-    def __post_init__(self):
-        for name, axis in (("pb_axis", self.pb_axis), ("detection_axis", self.detection_axis)):
-            norm = float(np.linalg.norm(axis))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be unit length, |v| = {norm}")
-
-
-def default_geometry() -> RecoilGeometry:
-    """Detection (Raman) axis horizontal along the bias field; pump axis
-    orthogonal to it, at 45 degrees to the horizontal, back-reflected."""
-    s = 1.0 / np.sqrt(2.0)
-    return RecoilGeometry((0.0, s, s), (1.0, 0.0, 0.0), True)
 
 
 @dataclass
@@ -115,37 +95,27 @@ class HeatingResult:
     projected: np.ndarray    # per-sample velocity projection, recoil velocities
 
 
-def _rng(seed: int, samples: int) -> np.random.Generator:
+def _rng(seed: int, samples: int, pump_projection: float) -> np.random.Generator:
     """The seeded stream of a walk over `samples` atoms; the standard error
-    of its rms needs at least two."""
+    of its rms needs at least two, and the pump projection is a cosine."""
     if samples < 2:
         raise ValueError("need at least two samples")
+    if not abs(pump_projection) <= 1.0:
+        raise ValueError(f"pump_projection is a cosine, got {pump_projection}")
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _walk(counts: np.ndarray, geometry: RecoilGeometry, rng, include_absorption=True):
-    """Accumulate recoils for per-sample cycle counts; the draw pattern is
-    fixed per cycle so results do not depend on the count distribution."""
-    samples = counts.size
-    pb = np.asarray(geometry.pb_axis)
-    det = np.asarray(geometry.detection_axis)
-    velocity = np.zeros((samples, 3))
+def _walk(counts: np.ndarray, pump_projection: float, rng) -> np.ndarray:
+    """Velocities along the detection axis after per-sample cycle counts;
+    the draw pattern is fixed per cycle so results do not depend on the
+    count distribution."""
+    velocity = np.zeros(counts.size)
     for k in range(int(counts.max())):
-        active = counts > k
-        if include_absorption:
-            if geometry.backreflected:
-                sign = rng.integers(0, 2, size=samples) * 2.0 - 1.0
-            else:
-                sign = np.ones(samples)
-            velocity += np.where(active, sign, 0.0)[:, None] * pb
-        cos_theta = rng.uniform(-1.0, 1.0, size=samples)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-        sin_theta = np.sqrt(1.0 - cos_theta**2)
-        emission = np.stack(
-            [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1
-        )
-        velocity += np.where(active, 1.0, 0.0)[:, None] * emission
-    return velocity @ det
+        kick = rng.uniform(-1.0, 1.0, size=counts.size)
+        if pump_projection != 0.0:
+            kick += pump_projection * (rng.integers(0, 2, size=counts.size) * 2.0 - 1.0)
+        velocity += np.where(counts > k, kick, 0.0)
+    return velocity
 
 
 def _summarize(projected: np.ndarray, mean_cycles, samples, seed) -> HeatingResult:
@@ -161,18 +131,18 @@ def _summarize(projected: np.ndarray, mean_cycles, samples, seed) -> HeatingResu
 
 def recoil_walk(
     cycles: int,
-    geometry: RecoilGeometry,
+    pump_projection: float = 0.0,
     samples: int = 100_000,
     seed: int = 12345,
-    include_absorption: bool = True,
 ) -> HeatingResult:
     """Random recoil walk with a fixed number of fluorescence cycles per
-    atom; reproducible for a fixed seed."""
+    atom; `pump_projection` is the cosine between the pump and detection
+    axes. Reproducible for a fixed seed."""
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
-    rng = _rng(seed, samples)
+    rng = _rng(seed, samples, pump_projection)
     counts = np.full(samples, int(cycles))
-    projected = _walk(counts, geometry, rng, include_absorption)
+    projected = _walk(counts, pump_projection, rng)
     return _summarize(projected, cycles, samples, seed)
 
 
@@ -187,7 +157,7 @@ class HeatingSummary:
 
 def heating_summary(
     beams,
-    geometry: RecoilGeometry | None = None,
+    pump_projection: float = 0.0,
     initial_vrms: float = 4.0,
     samples: int = 100_000,
     seed: int = 12345,
@@ -199,16 +169,15 @@ def heating_summary(
     sublevel's expected count, rounded stochastically so the ensemble mean
     is preserved. Reports the rms velocity increase along the detection
     axis and the quadrature/additive compositions with the initial spread.
+    `pump_projection` is the cosine between the pump and detection axes.
     """
-    rng = _rng(seed, samples)
-    if geometry is None:
-        geometry = default_geometry()
+    rng = _rng(seed, samples, pump_projection)
     report = expected_cycles(beams, prune_threshold=prune_threshold)
     ms = rng.integers(-4, 5, size=samples)
     expected = np.array([report.per_sublevel[m] for m in range(-4, 5)])[ms + 4]
     base = np.floor(expected)
     counts = (base + (rng.random(samples) < (expected - base))).astype(np.int64)
-    projected = _walk(counts, geometry, rng)
+    projected = _walk(counts, pump_projection, rng)
     result = _summarize(projected, counts.mean(), samples, seed)
     delta = result.delta_vrms
     return HeatingSummary(

@@ -107,14 +107,15 @@ def _lines(populations: np.ndarray, zeeman: ZeemanParams) -> list[tuple[int, flo
     return [(m, raman_line_offset(m, zeeman), w) for m, w in weights.items() if w != 0.0]
 
 
-def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, shift: float) -> np.ndarray:
+def _fold(pulse: RamanPulse, fwhm: float, sigma_hz: float, grid: np.ndarray,
+          shift: float) -> np.ndarray:
     """Rabi line folded with a normalized Gaussian of rms sigma_hz, cut at
     +-6 sigma, at the uniform grid - shift: one FFT convolution on nodes
-    h = step / k apart, k the smallest integer with h <= FWHM / 32, so node
-    k*i is grid point i. It works on (grid span + 12 sigma) / h nodes; h ~ 1/tau."""
+    h = step / k apart, k the smallest integer with h <= fwhm / 32 (fwhm is
+    `lineshape_fwhm(pulse)`), so node k*i is grid point i. It works on
+    (grid span + 12 sigma) / h nodes; h ~ 1/tau."""
     if grid.size == 0:
         return np.zeros(0)
-    fwhm = lineshape_fwhm(pulse)
     steps = np.diff(grid)
     step = (grid[-1] - grid[0]) / steps.size if steps.size else fwhm / 32.0
     tol = 1e-9 * step + 16.0 * np.spacing(np.abs(grid).max())
@@ -149,10 +150,12 @@ def synth_copropagating(
         raise ValueError("copropagating synthesis needs a copropagating pulse")
     grid = np.asarray(grid, dtype=float)
     signal = np.zeros_like(grid)
+    smeared = field_rms_gauss > 0.0 and pulse.rabi_frequency > 0.0
+    fwhm = lineshape_fwhm(pulse) if smeared else None
     for m, offset, weight in _lines(populations, zeeman):
-        if m != 0 and field_rms_gauss > 0.0 and pulse.rabi_frequency > 0.0:
+        if m != 0 and smeared:
             sigma_hz = abs(raman_line_offset(m, replace(zeeman, bias_gauss=field_rms_gauss)))
-            signal += weight * _fold(pulse, sigma_hz, grid, offset)
+            signal += weight * _fold(pulse, fwhm, sigma_hz, grid, offset)
         else:
             signal += weight * rabi_lineshape(grid - offset, pulse)
     return Spectrum(grid, signal)
@@ -201,8 +204,9 @@ def synth_counterpropagating(
     weights = {}
     for _, offset, weight in lines:
         weights[offset] = weights.get(offset, 0.0) + weight
+    fwhm = lineshape_fwhm(pulse)
     for offset, weight in weights.items():
-        signal += weight * _fold(pulse, doppler_shift(vdist.sigma), grid, offset + shift)
+        signal += weight * _fold(pulse, fwhm, doppler_shift(vdist.sigma), grid, offset + shift)
     return Spectrum(grid, signal)
 
 

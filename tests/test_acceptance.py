@@ -15,7 +15,7 @@ import numpy as np
 
 from pumpsim import constants as cst
 from pumpsim.fitting import ObservationSeries, fit_depolarization, simulate_observable
-from pumpsim.heating import default_geometry, heating_summary, recoil_walk
+from pumpsim.heating import heating_summary, recoil_walk
 from pumpsim.kinetics import (
     assemble_rate_matrix,
     beam,
@@ -200,14 +200,13 @@ def test_criterion_07_velocity_resolution():
 
 def test_criterion_08_heating():
     summary = heating_summary(
-        fig5_beams(0.0), default_geometry(), initial_vrms=4.0,
-        samples=100_000, seed=12345,
+        fig5_beams(0.0), initial_vrms=4.0, samples=100_000, seed=12345,
     )
     delta = summary.result.delta_vrms
     se_rel = summary.result.standard_error / delta
 
     rms = [
-        recoil_walk(n, default_geometry(), samples=100_000, seed=11).delta_vrms
+        recoil_walk(n, samples=100_000, seed=11).delta_vrms
         for n in (4, 16, 64, 256)
     ]
     slope = float(np.polyfit(np.log([4, 16, 64, 256]), np.log(rms), 1)[0])

@@ -188,6 +188,15 @@ class TestIngestion:
         with pytest.raises(DataError):
             load_observations(path)
 
+    def test_observable_key_must_stand_alone(self, tmp_path):
+        # a comment that merely starts with the word is prose, not the key
+        path = tmp_path / "prose.csv"
+        path.write_text("# observable fraction, measured by Raman\n0.001,0.1\n")
+        assert load_observations(path).observable == Sublevel("g", 4, 0)
+        path.write_text("# observable fraction, measured by Raman\n"
+                        "# observable = g4_m1\n0.001,0.1\n")
+        assert load_observations(path).observable == Sublevel("g", 4, 1)
+
     def test_bad_observable_label(self, tmp_path):
         path = tmp_path / "label.csv"
         path.write_text("# observable = q9_m0\n0.001,0.1\n")

@@ -1,12 +1,12 @@
 """Fluorescence-cycle counting and the recoil random walk."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from pumpsim.heating import (
     CycleReport,
-    RecoilGeometry,
-    default_geometry,
     expected_cycles,
     heating_summary,
     recoil_walk,
@@ -29,88 +29,129 @@ def ideal_pump_beams():
     return [beam(4, 4, 0.019, -0.5, 0.0), beam(3, 4, 0.023, 0.0, 0.0)]
 
 
+def walk_3d(counts, pb_axis, detection_axis, rng):
+    """Reference walk in three dimensions: per cycle, a random-sign recoil
+    along the back-reflected pump axis and an isotropic emission recoil,
+    projected on the detection axis at the end."""
+    samples = counts.size
+    pb = np.asarray(pb_axis)
+    velocity = np.zeros((samples, 3))
+    for k in range(int(counts.max())):
+        active = counts > k
+        sign = rng.integers(0, 2, size=samples) * 2.0 - 1.0
+        velocity += np.where(active, sign, 0.0)[:, None] * pb
+        cos_theta = rng.uniform(-1.0, 1.0, size=samples)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+        sin_theta = np.sqrt(1.0 - cos_theta**2)
+        emission = np.stack(
+            [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1
+        )
+        velocity += np.where(active, 1.0, 0.0)[:, None] * emission
+    return velocity @ np.asarray(detection_axis)
+
+
+def rms_and_se(projected):
+    sq = projected**2
+    rms = np.sqrt(sq.mean())
+    return rms, np.std(sq, ddof=1) / np.sqrt(sq.size) / (2.0 * rms)
+
+
 class TestGeometry:
     def test_default_axes_orthogonal(self):
-        geo = default_geometry()
-        assert abs(np.dot(geo.pb_axis, geo.detection_axis)) < 1e-12
-        assert geo.backreflected
+        # the paper's pump axis is orthogonal to the detection axis
+        for fn in (recoil_walk, heating_summary):
+            assert inspect.signature(fn).parameters["pump_projection"].default == 0.0
 
     def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            RecoilGeometry((0.0, 1.0, 1.0), (1.0, 0.0, 0.0))
+        for cosine in (1.0 + 1e-9, -1.5, float("nan")):
+            with pytest.raises(ValueError, match="cosine"):
+                recoil_walk(5, cosine, samples=10)
+            with pytest.raises(ValueError, match="cosine"):
+                heating_summary(ideal_pump_beams(), cosine, samples=10)
 
 
 class TestRecoilWalk:
     def test_zero_cycles_zero_spread(self):
-        result = recoil_walk(0, default_geometry(), samples=1000, seed=3)
+        result = recoil_walk(0, samples=1000, seed=3)
         assert result.delta_vrms == 0.0
 
     def test_emission_only_isotropic_walk(self):
+        # one emission recoil projects uniformly on [-1, 1] (hat-box theorem)
+        single = recoil_walk(1, samples=100_000, seed=5).projected
+        assert np.all(np.abs(single) <= 1.0)
+        counts, _ = np.histogram(single, bins=10, range=(-1.0, 1.0))
+        assert np.all(np.abs(counts - 10_000) < 5.0 * np.sqrt(10_000))
         # closed form: rms along any axis = sqrt(N/3) recoil velocities
-        result = recoil_walk(
-            12, default_geometry(), samples=100_000, seed=5, include_absorption=False
-        )
+        result = recoil_walk(12, samples=100_000, seed=5)
         assert result.delta_vrms == pytest.approx(np.sqrt(12 / 3), rel=0.02)
 
     def test_absorption_invisible_on_orthogonal_axis(self):
         # back-reflected pump orthogonal to the detection axis adds nothing
-        result = recoil_walk(12, default_geometry(), samples=100_000, seed=5)
+        result = recoil_walk(12, 0.0, samples=100_000, seed=5)
         assert result.delta_vrms == pytest.approx(np.sqrt(12 / 3), rel=0.02)
 
     def test_absorption_visible_along_pump_axis(self):
-        s = 1.0 / np.sqrt(2.0)
-        aligned = RecoilGeometry((0.0, s, s), (0.0, s, s), True)
-        result = recoil_walk(12, aligned, samples=100_000, seed=5)
+        result = recoil_walk(12, 1.0, samples=100_000, seed=5)
         # absorption adds a full recoil variance per cycle on this axis
         assert result.delta_vrms == pytest.approx(np.sqrt(12 * (1 + 1 / 3)), rel=0.02)
 
     def test_seed_determinism(self):
-        a = recoil_walk(9, default_geometry(), samples=20_000, seed=42)
-        b = recoil_walk(9, default_geometry(), samples=20_000, seed=42)
+        a = recoil_walk(9, samples=20_000, seed=42)
+        b = recoil_walk(9, samples=20_000, seed=42)
         assert a.delta_vrms == b.delta_vrms
         assert np.array_equal(a.projected, b.projected)
-        c = recoil_walk(9, default_geometry(), samples=20_000, seed=43)
+        c = recoil_walk(9, samples=20_000, seed=43)
         assert c.delta_vrms != a.delta_vrms
 
     def test_sqrt_n_scaling(self):
         rms = [
-            recoil_walk(n, default_geometry(), samples=100_000, seed=11).delta_vrms
+            recoil_walk(n, samples=100_000, seed=11).delta_vrms
             for n in (4, 16, 64, 256)
         ]
         slope = np.polyfit(np.log([4, 16, 64, 256]), np.log(rms), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.03)
 
     def test_doubling_cycles_scales_sqrt2(self):
-        r1 = recoil_walk(8, default_geometry(), samples=100_000, seed=17)
-        r2 = recoil_walk(16, default_geometry(), samples=100_000, seed=18)
+        r1 = recoil_walk(8, samples=100_000, seed=17)
+        r2 = recoil_walk(16, samples=100_000, seed=18)
         assert r2.delta_vrms / r1.delta_vrms == pytest.approx(np.sqrt(2.0), rel=0.03)
 
     def test_isotropy_without_absorption(self):
-        axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-        values = []
-        for axis in axes:
-            geo = RecoilGeometry((0.0, 1.0, 0.0), axis, True)
-            r = recoil_walk(
-                10, geo, samples=100_000, seed=23, include_absorption=False
-            )
-            values.append((r.delta_vrms, r.standard_error))
-        spread = max(v for v, _ in values) - min(v for v, _ in values)
-        assert spread < 3.0 * max(se for _, se in values) * 2
+        # the detection-axis walk is the 3-D walk projected: the emission
+        # recoils add the same spread on any axis, and the absorption adds
+        # only through the cosine between the two axes (0, 1/2 and 1/sqrt 2)
+        s = np.sqrt(0.5)
+        axis_pairs = [
+            ((0.0, s, s), (1.0, 0.0, 0.0)),
+            ((0.5, np.sqrt(0.75), 0.0), (1.0, 0.0, 0.0)),
+            ((0.0, 1.0, 0.0), (0.0, s, s)),
+        ]
+        counts = np.full(100_000, 10)
+        for pb_axis, detection_axis in axis_pairs:
+            cosine = float(np.dot(pb_axis, detection_axis))
+            reference = walk_3d(counts, pb_axis, detection_axis,
+                                np.random.Generator(np.random.Philox(23)))
+            scalar = recoil_walk(10, cosine, samples=counts.size, seed=24).projected
+            (rms_a, se_a), (rms_b, se_b) = rms_and_se(reference), rms_and_se(scalar)
+            assert abs(rms_a - rms_b) < 3.0 * np.hypot(se_a, se_b)
+            abs_a, abs_b = np.abs(reference), np.abs(scalar)
+            se_abs = np.hypot(abs_a.std(ddof=1), abs_b.std(ddof=1)) / np.sqrt(counts.size)
+            assert abs(abs_a.mean() - abs_b.mean()) < 3.0 * se_abs
 
     def test_standard_error_scales_with_samples(self):
-        small = recoil_walk(10, default_geometry(), samples=25_000, seed=29)
-        large = recoil_walk(10, default_geometry(), samples=100_000, seed=29)
+        small = recoil_walk(10, samples=25_000, seed=29)
+        large = recoil_walk(10, samples=100_000, seed=29)
         assert large.standard_error == pytest.approx(
             small.standard_error / 2.0, rel=0.2
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            recoil_walk(5, default_geometry(), samples=0)
+            recoil_walk(5, samples=0)
         with pytest.raises(ValueError):
-            recoil_walk(5, default_geometry(), samples=1)
+            recoil_walk(5, samples=1)
         with pytest.raises(ValueError):
-            recoil_walk(-1, default_geometry())
+            recoil_walk(-1)
 
 
 @pytest.fixture(scope="module")

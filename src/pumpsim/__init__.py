@@ -1,6 +1,9 @@
 """Optical pumping of laser-cooled cesium into the magnetically insensitive
 m=0 ground sublevel: rate-equation kinetics, Raman velocimetry spectra,
-photon-recoil heating, and depolarization fitting."""
+photon-recoil heating, and depolarization fitting.
+
+Importing the package loads numpy only: the few functions that need scipy
+(the spectrum fold and fits) import it on first call."""
 
 from . import constants
 from .structure import (

@@ -9,7 +9,6 @@ and the rate-equation model, re-simulated for every candidate value.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .kinetics import (
     LIBRARY_DT,
@@ -180,6 +179,8 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
     Bounded golden-section/parabolic search with |step| tolerance 1e-4 times
     the upper bound; `residual_report` scores each candidate once, alpha-hat too.
     """
+    from scipy.optimize import minimize_scalar
+
     series = list(series)
     if not series:
         raise ValueError("need at least one observation series")

@@ -9,6 +9,7 @@ on [-1, 1]; the absorption recoil along the back-reflected pump projects to
 orthogonal beams). Everything is in units of the recoil velocity.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,19 @@ class HeatingResult:
     projected: np.ndarray    # per-sample velocity projection, recoil velocities
 
 
+def _count(name: str, value) -> int:
+    """`value` as an int; Python and numpy integers pass, a float such as
+    1e5 does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _rng(seed: int, samples: int, pump_projection: float) -> np.random.Generator:
     """The seeded stream of a walk over `samples` atoms; the standard error
     of its rms needs at least two, and the pump projection is a cosine."""
-    if samples < 2:
+    if _count("samples", samples) < 2:
         raise ValueError("need at least two samples")
     if not abs(pump_projection) <= 1.0:
         raise ValueError(f"pump_projection is a cosine, got {pump_projection}")
@@ -138,10 +148,11 @@ def recoil_walk(
     """Random recoil walk with a fixed number of fluorescence cycles per
     atom; `pump_projection` is the cosine between the pump and detection
     axes. Reproducible for a fixed seed."""
+    cycles = _count("cycles", cycles)
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
     rng = _rng(seed, samples, pump_projection)
-    counts = np.full(samples, int(cycles))
+    counts = np.full(samples, cycles)
     projected = _walk(counts, pump_projection, rng)
     return _summarize(projected, cycles, samples, seed)
 

@@ -11,8 +11,6 @@ bias-field spread) is one FFT convolution on a uniform grid.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.optimize import brentq, least_squares
 
 from . import constants as cst
 from .output import atomic_write
@@ -85,6 +83,8 @@ def rabi_lineshape(delta, pulse: RamanPulse):
 
 def lineshape_fwhm(pulse: RamanPulse) -> float:
     """Full width at half maximum of the single-line shape, in Hz."""
+    from scipy.optimize import brentq
+
     peak = rabi_lineshape(0.0, pulse)
     if peak <= 0:
         raise ValueError("lineshape has no peak; is the pulse area zero?")
@@ -114,6 +114,8 @@ def _fold(pulse: RamanPulse, fwhm: float, sigma_hz: float, grid: np.ndarray,
     h = step / k apart, k the smallest integer with h <= fwhm / 32 (fwhm is
     `lineshape_fwhm(pulse)`), so node k*i is grid point i. It works on
     (grid span + 12 sigma) / h nodes; h ~ 1/tau."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
     if grid.size == 0:
         return np.zeros(0)
     steps = np.diff(grid)
@@ -236,6 +238,8 @@ def fit_gaussian(spectrum: Spectrum, max_nfev: int = 2000) -> GaussianFit:
     Non-convergence within the evaluation budget is reported through
     converged=False with the best parameters found so far.
     """
+    from scipy.optimize import least_squares
+
     x, y = spectrum.detunings, spectrum.signal
     if x.size < 7:
         raise ValueError("need at least 7 samples to fit a Gaussian")

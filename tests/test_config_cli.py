@@ -1,5 +1,6 @@
 """Scenario parsing and the command-line surface."""
 
+import json
 import os
 import stat
 import subprocess
@@ -18,17 +19,21 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
 
 
-def run_cli(*args, env_extra=None):
+def run_python(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "pumpsim", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO,
     )
+
+
+def run_cli(*args, env_extra=None):
+    return run_python("-m", "pumpsim", *args, env_extra=env_extra)
 
 
 def write_config(tmp_path, body):
@@ -249,6 +254,40 @@ class TestHeatCommand:
         run_cli("heat", "--config", cfg, "--prune")
         second = (tmp_path / "out" / "heating.txt").read_bytes()
         assert first == second
+
+
+class TestScipyLoadedOnUse:
+    # runs the given commands in one process, then prints the scipy
+    # submodules they loaded as its last line
+    SCRIPT = (
+        "import json, sys\n"
+        "from pumpsim.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.fft') if m in sys.modules))\n"
+    )
+
+    def loaded_after(self, *runs):
+        result = run_python("-c", self.SCRIPT, json.dumps(runs))
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1].split()
+
+    def test_states_pump_heat_never_load_scipy(self, tmp_path):
+        # a module-level scipy import would add about 0.5 s to each of these
+        fig5 = os.path.join(SCENARIOS, "fig5_dynamics.ini")
+        heat = os.path.join(SCENARIOS, "heating_paper.ini")
+        loaded = self.loaded_after(
+            ["states", "--config", fig5, "--prune", "--out", str(tmp_path / "states")],
+            ["pump", "--config", fig5, "--prune", "--out", str(tmp_path / "pump")],
+            ["heat", "--config", heat, "--prune", "--out", str(tmp_path / "heat")],
+        )
+        assert loaded == []
+
+    def test_spectrum_loads_scipy_on_use(self, tmp_path):
+        fig4 = os.path.join(SCENARIOS, "fig4_velocimetry.ini")
+        loaded = self.loaded_after(["spectrum", "--config", fig4, "--out", str(tmp_path)])
+        assert loaded == ["scipy.optimize", "scipy.fft"]
 
 
 class TestFitCommand:

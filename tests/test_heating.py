@@ -153,6 +153,21 @@ class TestRecoilWalk:
         with pytest.raises(ValueError):
             recoil_walk(-1)
 
+    @pytest.mark.parametrize("bad", [1e5, 2.5])
+    def test_float_counts_rejected(self, bad):
+        # a float sample count used to crash inside numpy, and a float cycle
+        # count was truncated without a word
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            recoil_walk(4, samples=bad)
+        with pytest.raises(ValueError, match="cycles must be an integer"):
+            recoil_walk(bad, samples=10)
+
+    def test_numpy_integer_counts_accepted(self):
+        a = recoil_walk(np.int64(10), samples=np.int64(10), seed=3)
+        b = recoil_walk(10, samples=10, seed=3)
+        assert a.mean_cycles == 10.0
+        np.testing.assert_array_equal(a.projected, b.projected)
+
 
 @pytest.fixture(scope="module")
 def report() -> CycleReport:
@@ -247,6 +262,16 @@ class TestHeatingSummary:
         # come back as NaN
         with pytest.raises(ValueError, match="at least two samples"):
             heating_summary(ideal_pump_beams(), samples=samples)
+
+    @pytest.mark.parametrize("bad", [1e5, 2.5])
+    def test_float_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            heating_summary(ideal_pump_beams(), samples=bad)
+
+    def test_numpy_integer_samples_accepted(self):
+        a = heating_summary(ideal_pump_beams(), samples=np.int64(10), seed=7)
+        b = heating_summary(ideal_pump_beams(), samples=10, seed=7)
+        np.testing.assert_array_equal(a.result.projected, b.result.projected)
 
     def test_export(self, tmp_path):
         summary = heating_summary(ideal_pump_beams(), samples=5_000, seed=7)

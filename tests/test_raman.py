@@ -29,6 +29,15 @@ from pumpsim.raman import (
 from pumpsim.structure import Sublevel, ZeemanParams, raman_line_offset, state_index
 
 
+def run_with_pumpsim(code):
+    """Run `code` in a fresh interpreter that imports this checkout's pumpsim."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pumpsim.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
 def polarized_populations(m: int = 0) -> np.ndarray:
     pop = np.zeros(43)
     pop[state_index(Sublevel("g", 4, m))] = 1.0
@@ -341,13 +350,22 @@ class TestFold:
         assert np.array_equal(co.signal, np.zeros_like(grid))
 
     def test_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal adds most of a second to every process start; the fold
-        # needs scipy.fft alone
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(pumpsim.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # scipy.signal adds most of a second to every process start, and
+        # nothing in the package uses it
         code = "import pumpsim, sys; sys.exit('scipy.signal' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert run_with_pumpsim(code).returncode == 0
+
+    def test_import_loads_no_scipy_submodule(self):
+        # scipy.fft and scipy.optimize are imported inside the functions that
+        # use them, so a states, pump or heat run never pays for them
+        code = (
+            "import sys, pumpsim, pumpsim.cli\n"
+            "mods = ('scipy.fft', 'scipy.optimize', 'scipy.linalg', 'scipy.signal')\n"
+            "print(' '.join(m for m in mods if m in sys.modules))\n"
+        )
+        result = run_with_pumpsim(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
 
 
 class TestGaussianFit:

@@ -3,7 +3,7 @@ m=0 ground sublevel: rate-equation kinetics, Raman velocimetry spectra,
 photon-recoil heating, and depolarization fitting.
 
 Importing the package loads numpy only: the few functions that need scipy
-(the spectrum fold and fits) import it on first call."""
+(the spectrum fold, the line width and the fits) import it on first call."""
 
 from . import constants
 from .structure import (

@@ -23,7 +23,7 @@ from .kinetics import (
     uniform_f4,
     write_trajectory_csv,
 )
-from .output import atomic_write
+from .output import atomic_write, rows
 from .raman import (
     ZeemanParams,
     fit_gaussian,
@@ -92,9 +92,7 @@ def cmd_pump(args) -> int:
         f"# photons_to_tau50={'none' if metrics.photons_to_tau50 is None else format(metrics.photons_to_tau50, '.17g')}",
         f"# scattered_photons_final={trajectory.scattered_photons[-1]:.17g}",
         "time_s,m0_fraction",
-    ]
-    for t, f in zip(metrics.times, metrics.m0_fraction):
-        lines.append(f"{t:.17g},{f:.17g}")
+    ] + rows(metrics.times, metrics.m0_fraction)
     atomic_write(os.path.join(out, "pump_metrics.txt"), lines)
     print(f"final m0 fraction: {metrics.m0_fraction[-1]:.6f}")
     if metrics.tau_50 is None:
@@ -196,8 +194,7 @@ def cmd_fit(args) -> int:
     lines.append("series,time_s,residual")
     for s, resid in zip(series, result.residuals):
         name = os.path.basename(s.source) if s.source else s.observable.label()
-        for t, r in zip(s.times, resid):
-            lines.append(f"{name},{t:.17g},{r:.17g}")
+        lines.extend(f"{name},{row}" for row in rows(s.times, resid))
     atomic_write(os.path.join(out, "fit_report.txt"), lines)
     print(f"alpha_hat: {result.depolarization:.6g}")
     print(f"sse: {result.sse:.6g} ({result.iterations} evaluations)")

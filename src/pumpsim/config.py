@@ -8,11 +8,12 @@ command line can fail before any work starts.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import constants as cst
-from .kinetics import Beam, polarization_weights
+from .kinetics import Beam
 from .raman import GEOMETRIES
 
 
@@ -23,9 +24,12 @@ class ConfigError(ValueError):
 def _number(kind, noun):
     def parse(raw):
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
             raise ValueError(f"{raw!r} is not {noun}") from None
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{raw!r} is not finite")
+        return value
     return parse
 
 
@@ -152,8 +156,8 @@ def load_config(path) -> ScenarioConfig:
                 *values["target"],
                 values["intensity_ratio"],
                 values.get("detuning_gamma", 0.0),
+                values.get("alpha", 0.0),
                 linewidth,
-                polarization_weights(values.get("alpha", 0.0)),
             ))
         except ValueError as exc:
             raise ConfigError(f"[{section}] target: {exc}") from None

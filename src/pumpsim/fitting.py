@@ -6,7 +6,7 @@ sum of squared residuals between observed sublevel-population time series
 and the rate-equation model, re-simulated for every candidate value.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .kinetics import (
     integrate_rk4,
     prune,
     uniform_f4,
-    with_depolarization,
 )
 from .structure import Sublevel, parse_label
 
@@ -42,6 +41,8 @@ class ObservationSeries:
             raise ValueError("observation series is empty")
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have equal length")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.values).all()):
+            raise ValueError("times and fractions must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any((self.values < 0) | (self.values > 1)):
@@ -50,8 +51,8 @@ class ObservationSeries:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.times.shape:
                 raise ValueError("weights must match the number of samples")
-            if np.any(self.weights < 0):
-                raise ValueError("weights must be nonnegative")
+            if not np.isfinite(self.weights).all() or np.any(self.weights < 0):
+                raise ValueError("weights must be finite and nonnegative")
 
     def weight_array(self) -> np.ndarray:
         return self.weights if self.weights is not None else np.ones_like(self.times)
@@ -122,7 +123,8 @@ def simulate_observable(
 
 
 def _simulate(beams, depolarization, t_end):
-    matrix, _ = prune(assemble_rate_matrix(with_depolarization(beams, depolarization)))
+    beams = [replace(b, depolarization=depolarization) for b in beams]
+    matrix, _ = prune(assemble_rate_matrix(beams))
     return integrate_rk4(matrix, uniform_f4(), LIBRARY_DT, t_end, max_samples=2001)
 
 

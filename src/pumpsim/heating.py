@@ -24,7 +24,7 @@ from .kinetics import (
     single_sublevel,
     uniform_f4,
 )
-from .output import atomic_write
+from .output import atomic_write, rows
 from .structure import Sublevel
 
 
@@ -220,6 +220,4 @@ def write_heating_summary(summary: HeatingSummary, path) -> None:
     span = 5.0 * max(result.delta_vrms, 1e-9)
     counts, edges = np.histogram(result.projected, bins=51, range=(-span, span))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    for c, n in zip(centers, counts):
-        lines.append(f"{c:.17g},{int(n)}")
-    atomic_write(path, lines)
+    atomic_write(path, lines + rows(centers, counts))

@@ -12,12 +12,12 @@ to sweep parameters.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import constants as cst
-from .output import atomic_write
+from .output import atomic_write, rows
 from .structure import (
     N_STATES,
     STATES,
@@ -60,16 +60,17 @@ class Beam:
     """One light field driving a ground -> excited hyperfine transition.
 
     intensity_ratio is I/I_sat, detuning is in units of the natural
-    linewidth, linewidth is the laser linewidth in rad/s, pol_weights are
-    the (sigma-, pi, sigma+) intensity fractions.
+    linewidth, depolarization is the amplitude ratio of each circular
+    component to the pi component (see `polarization_weights`), linewidth
+    is the laser linewidth in rad/s.
     """
 
     ground_f: int
     excited_f: int
     intensity_ratio: float
     detuning: float = 0.0
+    depolarization: float = 0.0
     linewidth: float = cst.LASER_LINEWIDTH
-    pol_weights: tuple[float, float, float] = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
         _check_transition(self.ground_f, self.excited_f)
@@ -77,9 +78,7 @@ class Beam:
             raise ValueError("intensity_ratio must be nonnegative")
         if self.linewidth <= 0:
             raise ValueError("laser linewidth must be positive")
-        w = self.pol_weights
-        if len(w) != 3 or min(w) < 0 or abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError("pol_weights must be three nonnegative numbers summing to 1")
+        polarization_weights(self.depolarization)
 
 
 def _check_transition(ground_f: int, excited_f: int) -> None:
@@ -91,33 +90,7 @@ def _check_transition(ground_f: int, excited_f: int) -> None:
         raise ValueError(f"{ground_f}->{excited_f}' is not dipole-allowed")
 
 
-def beam(
-    ground_f: int,
-    excited_f: int,
-    intensity_ratio: float,
-    detuning: float = 0.0,
-    depolarization: float = 0.0,
-    linewidth: float = cst.LASER_LINEWIDTH,
-) -> Beam:
-    """Convenience constructor for a pi-polarized beam with contamination.
-
-    `depolarization` is the amplitude ratio of each circular component to
-    the pi component (see `polarization_weights`); an intensity `p` of each
-    circular component relative to pi is passed as `sqrt(p)`."""
-    return Beam(
-        ground_f,
-        excited_f,
-        intensity_ratio,
-        detuning,
-        linewidth,
-        polarization_weights(depolarization),
-    )
-
-
-def with_depolarization(beams, depolarization: float) -> list[Beam]:
-    """Copies of `beams` with the polarization contamination replaced."""
-    weights = polarization_weights(depolarization)
-    return [replace(b, pol_weights=weights) for b in beams]
+beam = Beam
 
 
 def transition_overlap(ground_f: int, excited_f: int, bm: Beam) -> float:
@@ -155,7 +128,7 @@ def stimulated_rate(ground: Sublevel, excited: Sublevel, q: int, bm: Beam) -> fl
         raise ValueError(f"polarization component q={q} does not close m={ground.m} "
                          f"to m'={excited.m}")
     a = branching_table()[state_index(excited), state_index(ground)]
-    weight = bm.pol_weights[q + 1]
+    weight = polarization_weights(bm.depolarization)[q + 1]
     if a == 0.0 or weight == 0.0:
         return 0.0
     return _rate_prefactor(bm, transition_overlap(ground.f, excited.f, bm)) * a * weight
@@ -171,7 +144,6 @@ class RateMatrix:
     """
 
     matrix: np.ndarray
-    beams: tuple[Beam, ...]
     # per stimulated term: ground index, excited index, rate, line overlap
     term_ground: np.ndarray = field(repr=False)
     term_excited: np.ndarray = field(repr=False)
@@ -209,10 +181,10 @@ def _build(ground_idx, excited_idx, rates) -> np.ndarray:
 def assemble_rate_matrix(beams) -> RateMatrix:
     """Rate matrix for a set of beams: stimulated rates in both directions,
     spontaneous feeding of the ground manifolds, and excited-state decay."""
-    beams = tuple(beams)
     table = branching_table()
     t_ground, t_excited, t_rate, t_overlap = [], [], [], []
     for bm in beams:
+        weights = polarization_weights(bm.depolarization)
         for fe in cst.EXCITED_F:
             if abs(fe - bm.ground_f) > 1:
                 continue
@@ -223,9 +195,8 @@ def assemble_rate_matrix(beams) -> RateMatrix:
                 for q in (-1, 0, 1):
                     if abs(m + q) > fe:
                         continue
-                    weight = bm.pol_weights[q + 1]
                     ei = state_index(Sublevel("e", fe, m + q))
-                    rate = base * table[ei, gi] * weight
+                    rate = base * table[ei, gi] * weights[q + 1]
                     if rate > 0.0:
                         t_ground.append(gi)
                         t_excited.append(ei)
@@ -236,7 +207,7 @@ def assemble_rate_matrix(beams) -> RateMatrix:
     t_rate = np.asarray(t_rate)
     t_overlap = np.asarray(t_overlap)
     mat = _build(t_ground, t_excited, t_rate)
-    return RateMatrix(mat, beams, t_ground, t_excited, t_rate, t_overlap)
+    return RateMatrix(mat, t_ground, t_excited, t_rate, t_overlap)
 
 
 def prune(
@@ -256,9 +227,7 @@ def prune(
     rates = rate_matrix.term_rate[keep]
     active = np.unique(np.concatenate([gi, ei])).size
     mat = _build(gi, ei, rates)
-    pruned = RateMatrix(
-        mat, rate_matrix.beams, gi, ei, rates, rate_matrix.term_overlap[keep]
-    )
+    pruned = RateMatrix(mat, gi, ei, rates, rate_matrix.term_overlap[keep])
     return pruned, int(active)
 
 
@@ -426,10 +395,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         + ",".join("n_" + lv.label() for lv in STATES)
         + ",scattered_photons"
     )
-    lines = [header]
-    for k in range(trajectory.times.size):
-        row = [f"{trajectory.times[k]:.17g}"]
-        row.extend(f"{x:.17g}" for x in trajectory.populations[k])
-        row.append(f"{trajectory.scattered_photons[k]:.17g}")
-        lines.append(",".join(row))
+    lines = [header] + rows(
+        trajectory.times, trajectory.populations, trajectory.scattered_photons
+    )
     atomic_write(path, lines)

@@ -2,6 +2,17 @@
 
 import os
 
+import numpy as np
+
+
+def rows(*columns) -> list[str]:
+    """One comma-separated line per row of the stacked `columns` (1-D
+    arrays, or 2-D arrays contributing several columns), each value at full
+    double precision: `%.17g`, the same text as `f"{x:.17g}"`."""
+    table = np.column_stack(columns)
+    fmt = ",".join(["%.17g"] * table.shape[1])
+    return [fmt % tuple(row.tolist()) for row in table]
+
 
 def atomic_write(path, lines: list[str]) -> None:
     """Write `lines`, each ending in a newline, to `path` as UTF-8 through a

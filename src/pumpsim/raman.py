@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import constants as cst
-from .output import atomic_write
+from .output import atomic_write, rows
 from .structure import Sublevel, ZeemanParams, raman_line_offset, state_index
 
 GEOMETRIES = ("copropagating", "counterpropagating")
@@ -299,9 +299,7 @@ def velocity_resolution(fwhm_hz: float) -> VelocityResolution:
 def write_spectrum_csv(spectrum: Spectrum, path, fit: GaussianFit | None = None) -> None:
     """Spectrum export; the fit report, when present, rides along as
     key=value comment lines after the data."""
-    lines = ["detuning_hz,signal"]
-    for d, s in zip(spectrum.detunings, spectrum.signal):
-        lines.append(f"{d:.17g},{s:.17g}")
+    lines = ["detuning_hz,signal"] + rows(spectrum.detunings, spectrum.signal)
     if fit is not None:
         lines.append(f"# center_hz={fit.center_hz:.17g}")
         lines.append(f"# sigma_hz={fit.sigma_hz:.17g}")

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import constants as cst
-from .output import atomic_write
+from .output import atomic_write, rows
 from .wigner import wigner_3j, wigner_6j
 
 
@@ -118,9 +118,8 @@ def write_branching_csv(path) -> None:
     table = branching_table()
     ground = [STATES[i] for i in GROUND_INDICES]
     lines = ["excited," + ",".join(lv.label() for lv in ground)]
-    for ei in EXCITED_INDICES:
-        row = ",".join(f"{table[ei, gi]:.17g}" for gi in GROUND_INDICES)
-        lines.append(f"{STATES[ei].label()},{row}")
+    values = rows(table[np.ix_(EXCITED_INDICES, GROUND_INDICES)])
+    lines += [f"{STATES[ei].label()},{row}" for ei, row in zip(EXCITED_INDICES, values)]
     atomic_write(path, lines)
 
 

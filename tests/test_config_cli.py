@@ -12,7 +12,8 @@ import pytest
 from pumpsim import config
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
-from pumpsim.output import atomic_write
+from pumpsim.kinetics import polarization_weights
+from pumpsim.output import atomic_write, rows
 from pumpsim.structure import write_branching_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -81,7 +82,7 @@ class TestConfig:
         assert (pb.ground_f, pb.excited_f) == (4, 4)
         assert pb.intensity_ratio == 0.019
         assert pb.detuning == -0.5
-        assert pb.pol_weights[1] == pytest.approx(0.999662, abs=1e-6)
+        assert polarization_weights(pb.depolarization)[1] == pytest.approx(0.999662, abs=1e-6)
 
     def test_unknown_key_named(self, tmp_path):
         bad = GOOD.format(out="out") + "\n[pulse]\nwavelength = 852\n"
@@ -112,6 +113,22 @@ class TestConfig:
                 items[key] = str(value)
                 body = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
                 with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must be"):
+                    load_config(write_config(tmp_path, body))
+
+    def test_non_finite_rejected(self, tmp_path):
+        # NaN passes every range comparison and infinity passes a lone minimum
+        floats = [(table, key) for (table, key), rule in config._KEYS.items()
+                  if rule.parse is config._FLOAT]
+        assert len(floats) >= 10
+        for table, key in floats:
+            section = "beams.pb" if table == "beams.*" else table
+            for value in ("nan", "inf", "-inf"):
+                items = {}
+                if table == "beams.*":
+                    items = {"target": "4->4", "intensity_ratio": "0.019"}
+                items[key] = value
+                body = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*not finite"):
                     load_config(write_config(tmp_path, body))
 
     def test_bad_target(self, tmp_path):
@@ -320,6 +337,15 @@ class TestFitCommand:
         assert result.returncode == 3
         assert "empty.csv" in result.stderr
 
+    def test_non_finite_data_exit_3(self, tmp_path):
+        data = tmp_path / "m0.csv"
+        data.write_text("0.001,0.1\n0.002,nan\n")
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        result = run_cli("fit", "--config", cfg, str(data))
+        assert result.returncode == 3
+        assert "m0.csv" in result.stderr and "finite" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_no_data_files_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
         result = run_cli("fit", "--config", cfg)
@@ -384,3 +410,19 @@ class TestAtomicWrite:
                      tmp_path / "out" / "pump_metrics.txt",
                      tmp_path / "branching.csv"):
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask, path
+
+
+def test_rows_match_format_spec():
+    # `%.17g` gives the text of f"{x:.17g}" on awkward doubles, and a 2-D
+    # argument contributes one column per column
+    a = np.array([0.1 + 0.2, -0.0, float("nan"), float("inf"), -float("inf"),
+                  1e-300, 5e-324, 1e16 + 2, 123456789.0, 7.0])
+    b = a[::-1].copy()
+    assert rows(a, np.column_stack([b, a])) == [
+        f"{x:.17g},{y:.17g},{x:.17g}" for x, y in zip(a, b)
+    ]
+    # integer counts beside float columns print as integers
+    centers = np.linspace(-5.0, 5.0, 51)
+    counts = np.arange(51, dtype=np.int64) * 1999
+    assert rows(centers, counts) == [f"{c:.17g},{int(n)}" for c, n in zip(centers, counts)]
+    assert rows(np.array([]), np.array([])) == []

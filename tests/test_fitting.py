@@ -182,6 +182,14 @@ class TestIngestion:
         with pytest.raises(DataError, match=r"bad\.csv:2"):
             load_observations(path)
 
+    @pytest.mark.parametrize("row", ["nan,0.2,1", "inf,0.2,1", "0.002,nan,1",
+                                     "0.002,0.2,inf", "0.002,0.2,nan"])
+    def test_non_finite_field_rejected(self, tmp_path, row):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"0.001,0.1,1\n{row}\n")
+        with pytest.raises(DataError, match=r"obs\.csv: .*finite"):
+            load_observations(path)
+
     def test_non_monotonic_times_rejected(self, tmp_path):
         path = tmp_path / "order.csv"
         path.write_text("0.002,0.1\n0.001,0.2\n")

@@ -1,6 +1,7 @@
 """Rate-matrix assembly, pruning, and the fixed-step integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from pumpsim.kinetics import (
     stimulated_rate,
     transition_overlap,
     uniform_f4,
-    with_depolarization,
 )
 from pumpsim.structure import (
     EXCITED_INDICES,
@@ -64,7 +64,7 @@ class TestPolarizationWeights:
 class TestTransitionOverlap:
     def test_on_resonance_closed_form(self):
         # on resonance the general form reduces to mu/(mu+1)
-        bm = Beam(4, 4, 0.019, 0.0, 0.2 * cst.GAMMA)
+        bm = Beam(4, 4, 0.019, 0.0, linewidth=0.2 * cst.GAMMA)
         assert transition_overlap(4, 4, bm) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_default_linewidth_on_resonance(self):
@@ -82,7 +82,7 @@ class TestTransitionOverlap:
         assert values[2] < 1e-12
 
     def test_removable_singularity_at_unit_linewidth(self):
-        bm = Beam(4, 4, 0.019, 0.0, cst.GAMMA)
+        bm = Beam(4, 4, 0.019, 0.0, linewidth=cst.GAMMA)
         assert transition_overlap(4, 4, bm) == pytest.approx(0.5, rel=1e-9)
 
     def test_neighbor_ratio_scale(self):
@@ -131,7 +131,7 @@ class TestStimulatedRate:
             * overlap
             * a
             * cst.GAMMA
-            * bm.pol_weights[1]
+            * polarization_weights(bm.depolarization)[1]
         )
         assert stimulated_rate(g, e, 0, bm) == pytest.approx(si_form, rel=1e-12)
 
@@ -383,7 +383,10 @@ class TestPumpMetrics:
 
 
 def test_with_depolarization_rebuilds_weights():
-    beams = fig5_beams(alpha=0.0)
-    rebuilt = with_depolarization(beams, 0.013)
-    assert rebuilt[0].pol_weights == polarization_weights(0.013)
-    assert rebuilt[0].intensity_ratio == beams[0].intensity_ratio
+    # a beam copied with a new contamination is the beam built with it
+    rebuilt = [replace(b, depolarization=0.013) for b in fig5_beams(alpha=0.0)]
+    assert rebuilt == fig5_beams(alpha=0.013)
+    assert np.array_equal(assemble_rate_matrix(rebuilt).matrix,
+                          assemble_rate_matrix(fig5_beams(alpha=0.013)).matrix)
+    with pytest.raises(ValueError, match="depolarization"):
+        replace(rebuilt[0], depolarization=-0.1)

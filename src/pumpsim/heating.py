@@ -17,6 +17,7 @@ import numpy as np
 from .kinetics import (
     LIBRARY_DT,
     PRUNE_THRESHOLD,
+    Trajectory,
     assemble_rate_matrix,
     first_crossing,
     integrate_rk4,
@@ -41,14 +42,6 @@ class CycleReport:
     t_end: float
 
 
-def _photons_at_threshold(matrix, n0, t_end, threshold):
-    traj = integrate_rk4(matrix, n0, LIBRARY_DT, t_end, max_samples=4001)
-    hit = first_crossing(traj, traj.sublevel_fraction(Sublevel("g", 4, 0)), threshold)
-    if hit is None:
-        return float(traj.scattered_photons[-1]), False
-    return hit[1], True
-
-
 def expected_cycles(
     beams,
     t_end: float = 0.02,
@@ -58,27 +51,34 @@ def expected_cycles(
     """Run the rate model from every single F=4 sublevel and from the uniform
     F=4 start; report the expected photons scattered by the time the
     polarized fraction reaches `threshold` (photons at t_end when it never
-    does)."""
+    does). The ten starts run as two column blocks of five."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     matrix = assemble_rate_matrix(beams)
     if prune_threshold is not None:
         matrix, _ = prune(matrix, prune_threshold)
-    per = {}
-    reached = {}
-    for m in range(-4, 5):
-        cycles, ok = _photons_at_threshold(
-            matrix, single_sublevel(Sublevel("g", 4, m)), t_end, threshold
-        )
-        per[m] = cycles
-        reached[m] = ok
-    uniform, uniform_ok = _photons_at_threshold(matrix, uniform_f4(), t_end, threshold)
+    starts = np.column_stack(
+        [single_sublevel(Sublevel("g", 4, m)) for m in range(-4, 5)] + [uniform_f4()]
+    )
+    photons, hits = [], []
+    # one block of ten would hold twice the samples at once
+    for block in (starts[:, :5], starts[:, 5:]):
+        traj = integrate_rk4(matrix, block, LIBRARY_DT, t_end, max_samples=4001)
+        for j in range(block.shape[1]):
+            column = Trajectory(
+                traj.times, traj.populations[:, :, j], traj.scattered_photons[:, j]
+            )
+            fraction = column.sublevel_fraction(Sublevel("g", 4, 0))
+            hit = first_crossing(column, fraction, threshold)
+            photons.append(hit[1] if hit else float(column.scattered_photons[-1]))
+            hits.append(hit is not None)
+        del traj, column  # free this block's samples before the next block's
     return CycleReport(
-        per_sublevel=per,
-        reached=reached,
-        average=float(np.mean(list(per.values()))),
-        uniform=uniform,
-        uniform_reached=uniform_ok,
+        per_sublevel=dict(zip(range(-4, 5), photons)),
+        reached=dict(zip(range(-4, 5), hits)),
+        average=float(np.mean(photons[:9])),
+        uniform=photons[9],
+        uniform_reached=hits[9],
         threshold=threshold,
         t_end=t_end,
     )

@@ -8,10 +8,13 @@ fixed-step classical Runge-Kutta. Because the system is linear and
 autonomous, one RK4 step is exactly the 4th-order Taylor polynomial of
 exp(dt R); the integrator applies that step matrix, raising it to integer
 powers between output samples, which is bit-deterministic and fast enough
-to sweep parameters.
+to sweep parameters. It takes one initial distribution or a block of them
+as columns, which one matrix product per sample carries together; every
+sample is written into one preallocated array.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +51,8 @@ def polarization_weights(depolarization: float) -> tuple[float, float, float]:
     `depolarization` is an amplitude ratio: a contamination given as the
     intensity `p` of each circular component relative to the pi component
     enters as `sqrt(p)`."""
-    if depolarization < 0:
-        raise ValueError("depolarization must be nonnegative")
+    if not 0.0 <= depolarization < math.inf:
+        raise ValueError("depolarization must be finite and nonnegative")
     a2 = depolarization * depolarization
     norm = 1.0 + 2.0 * a2
     return (a2 / norm, 1.0 / norm, a2 / norm)
@@ -74,10 +77,12 @@ class Beam:
 
     def __post_init__(self):
         _check_transition(self.ground_f, self.excited_f)
-        if self.intensity_ratio < 0:
-            raise ValueError("intensity_ratio must be nonnegative")
-        if self.linewidth <= 0:
-            raise ValueError("laser linewidth must be positive")
+        if not 0.0 <= self.intensity_ratio < math.inf:
+            raise ValueError("intensity_ratio must be finite and nonnegative")
+        if not abs(self.detuning) < math.inf:
+            raise ValueError("detuning must be finite")
+        if not 0.0 < self.linewidth < math.inf:
+            raise ValueError("laser linewidth must be finite and positive")
         polarization_weights(self.depolarization)
 
 
@@ -251,8 +256,8 @@ class Trajectory:
     of spontaneously scattered photons per atom."""
 
     times: np.ndarray
-    populations: np.ndarray       # shape (n_samples, 43)
-    scattered_photons: np.ndarray
+    populations: np.ndarray       # shape (n_samples, 43[, k])
+    scattered_photons: np.ndarray  # shape (n_samples[, k])
 
     def ground_fraction(self) -> np.ndarray:
         return self.populations[:, GROUND_INDICES].sum(axis=1)
@@ -289,16 +294,19 @@ def integrate_rk4(
 ) -> Trajectory:
     """Fixed-step classical RK4 evolution of dN/dt = R N.
 
-    dt must satisfy dt * max|R| <= 0.1. Output is sampled on a uniform
+    `n0` is one start of shape (43,) or a block of k starts of shape (43, k),
+    each column a distribution; the trajectory then carries a trailing axis
+    of k. dt must satisfy dt * max|R| <= 0.1. Output is sampled on a uniform
     stride (at most max_samples points) plus the final step.
     """
     rates = rate_matrix.matrix
     n0 = np.asarray(n0, dtype=float)
-    if n0.shape != (N_STATES,):
-        raise ValueError(f"initial populations must have shape ({N_STATES},)")
-    if np.any(n0 < 0):
+    if n0.shape[:1] != (N_STATES,) or n0.ndim > 2 or n0.size == 0:
+        raise ValueError(f"initial populations must have shape ({N_STATES},) "
+                         f"or ({N_STATES}, k)")
+    if not np.all(n0 >= 0):
         raise ValueError("initial populations must be nonnegative")
-    if abs(n0.sum() - 1.0) > 1e-9:
+    if not np.all(np.abs(n0.sum(axis=0) - 1.0) <= 1e-9):
         raise ValueError("initial populations must sum to one")
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -313,24 +321,21 @@ def integrate_rk4(
     stride = max(1, -(-n_steps // max(1, max_samples - 1)))  # ceil division
     n_blocks = n_steps // stride
     remainder = n_steps - n_blocks * stride
+    steps_done = list(range(0, n_blocks * stride + 1, stride))
+    if remainder:
+        steps_done.append(n_steps)
 
     step = _rk4_step_matrix(rates, dt)
     block = np.linalg.matrix_power(step, stride)
 
-    state = np.zeros(N_STATES + 1)
-    state[:N_STATES] = n0
-    samples = [state.copy()]
-    steps_done = [0]
-    for _ in range(n_blocks):
-        state = block @ state
-        samples.append(state.copy())
-        steps_done.append(steps_done[-1] + stride)
+    # row N_STATES counts photons
+    data = np.zeros((len(steps_done), N_STATES + 1) + n0.shape[1:])
+    data[0, :N_STATES] = n0
+    for i in range(n_blocks):
+        np.matmul(block, data[i], out=data[i + 1])
     if remainder:
-        state = np.linalg.matrix_power(step, remainder) @ state
-        samples.append(state.copy())
-        steps_done.append(steps_done[-1] + remainder)
+        np.matmul(np.linalg.matrix_power(step, remainder), data[-2], out=data[-1])
 
-    data = np.array(samples)
     populations = data[:, :N_STATES]
     negative = populations < 0
     if negative.any():
@@ -342,7 +347,7 @@ def integrate_rk4(
             )
         log.debug("clipped %d slightly negative populations (min %.3e)",
                   int(negative.sum()), worst)
-        populations = np.where(negative, 0.0, populations)
+        populations[negative] = 0.0
     times = dt * np.asarray(steps_done, dtype=float)
     return Trajectory(times, populations, data[:, N_STATES])
 

@@ -1,10 +1,13 @@
 """Fluorescence-cycle counting and the recoil random walk."""
 
 import inspect
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pumpsim.config import load_config
 from pumpsim.heating import (
     CycleReport,
     expected_cycles,
@@ -16,9 +19,11 @@ from pumpsim.kinetics import (
     LIBRARY_DT,
     assemble_rate_matrix,
     beam,
+    first_crossing,
     integrate_rk4,
     prune,
     single_sublevel,
+    uniform_f4,
 )
 from pumpsim.structure import STATES, Sublevel, branching_table, state_index
 
@@ -27,6 +32,12 @@ def ideal_pump_beams():
     # ideal pi polarization: the heating estimate concerns the pumping
     # transient, not the residual contamination
     return [beam(4, 4, 0.019, -0.5, 0.0), beam(3, 4, 0.023, 0.0, 0.0)]
+
+
+HEATING_PAPER = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "scenarios", "heating_paper.ini",
+)
 
 
 def walk_3d(counts, pb_axis, detection_axis, rng):
@@ -234,6 +245,44 @@ class TestExpectedCycles:
         report = expected_cycles(ideal_pump_beams(), t_end=2e-5, prune_threshold=1e-3)
         assert not report.uniform_reached
         assert report.uniform > 0.0
+
+    @pytest.mark.parametrize("t_end", [0.02, 2e-5])
+    def test_matches_per_start_oracle(self, t_end):
+        # oracle: each start in its own one-column run, read the same way
+        rm, _ = prune(assemble_rate_matrix(ideal_pump_beams()), 1e-3)
+        report = expected_cycles(ideal_pump_beams(), t_end=t_end, prune_threshold=1e-3)
+
+        def one_start(n0):
+            traj = integrate_rk4(rm, n0, LIBRARY_DT, t_end, max_samples=4001)
+            fraction = traj.sublevel_fraction(Sublevel("g", 4, 0))
+            hit = first_crossing(traj, fraction, report.threshold)
+            return (hit[1], True) if hit else (float(traj.scattered_photons[-1]), False)
+
+        singles = [one_start(single_sublevel(Sublevel("g", 4, m))) for m in range(-4, 5)]
+        for m, (photons, reached) in zip(range(-4, 5), singles):
+            assert report.per_sublevel[m] == pytest.approx(photons, rel=1e-12)
+            assert report.reached[m] == reached
+        assert report.average == pytest.approx(
+            np.mean([p for p, _ in singles]), rel=1e-12
+        )
+        photons, reached = one_start(uniform_f4())
+        assert report.uniform == pytest.approx(photons, rel=1e-12)
+        assert report.uniform_reached == reached
+        # 2e-5 s reaches the threshold from the dark start only
+        assert sum(report.reached.values()) == (9 if t_end == 0.02 else 1)
+
+    def test_block_store_memory_bound(self):
+        # two blocks of five starts hold 4001 x 44 x 5 doubles (7 MB) at a
+        # time, about 8.2 MB at peak; one block of ten peaks near 16 MB
+        beams = load_config(HEATING_PAPER).beams
+        expected_cycles(beams)  # build the cached tables outside the trace
+        tracemalloc.start()
+        try:
+            expected_cycles(beams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestHeatingSummary:

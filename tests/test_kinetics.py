@@ -1,5 +1,6 @@
 """Rate-matrix assembly, pruning, and the fixed-step integrator."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st_h
 from pumpsim import constants as cst
 from pumpsim.kinetics import (
     Beam,
+    RateMatrix,
     Trajectory,
     assemble_rate_matrix,
     beam,
@@ -59,6 +61,36 @@ class TestPolarizationWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             polarization_weights(-0.1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, alpha):
+        # nan used to come back as (nan, nan, nan), inf as (nan, 0, nan)
+        with pytest.raises(ValueError, match="depolarization"):
+            polarization_weights(alpha)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("intensity_ratio", NAN),
+        ("intensity_ratio", INF),
+        ("detuning", NAN),
+        ("detuning", INF),
+        ("detuning", -INF),
+        ("depolarization", NAN),
+        ("depolarization", INF),
+        ("linewidth", NAN),
+        ("linewidth", INF),
+    ],
+)
+def test_non_finite_beam_rejected(field_name, value):
+    # such a beam used to build, and assemble_rate_matrix then dropped all
+    # of its stimulated terms without a word
+    with pytest.raises(ValueError, match=field_name.split("_")[0]):
+        replace(Beam(4, 4, 0.019, -0.5, 0.013), **{field_name: value})
 
 
 class TestTransitionOverlap:
@@ -315,6 +347,90 @@ class TestIntegration:
             traj = integrate_rk4(rm, uniform_f4(), DT, 0.05)
             finals.append(pump_metrics(traj).m0_fraction[-1])
         assert all(a >= b for a, b in zip(finals, finals[1:]))
+
+
+def block_starts():
+    return [uniform_f4()] + [
+        single_sublevel(Sublevel("g", f, m)) for f, m in ((4, -4), (4, 2), (3, 1))
+    ]
+
+
+class TestBlockIntegration:
+    """A (43, k) start runs k columns through one integration."""
+
+    def test_single_column_bit_equal(self):
+        rm = assemble_rate_matrix(fig5_beams())
+        flat = integrate_rk4(rm, uniform_f4(), DT, 0.005)
+        column = integrate_rk4(rm, uniform_f4()[:, None], DT, 0.005)
+        assert column.populations.shape == flat.populations.shape + (1,)
+        assert np.array_equal(column.times, flat.times)
+        assert np.array_equal(column.populations[:, :, 0], flat.populations)
+        assert np.array_equal(column.scattered_photons[:, 0], flat.scattered_photons)
+
+    # the second case ends on a shorter remainder step: 1003 = 9 * 101 + 94
+    @pytest.mark.parametrize("t_end, max_samples", [(0.005, 1201), (1003 * DT, 11)])
+    def test_columns_match_single_runs(self, t_end, max_samples):
+        rm, _ = prune(assemble_rate_matrix(fig5_beams()), 1e-3)
+        starts = block_starts()
+        block = integrate_rk4(rm, np.column_stack(starts), DT, t_end, max_samples)
+        for j, n0 in enumerate(starts):
+            single = integrate_rk4(rm, n0, DT, t_end, max_samples)
+            assert np.array_equal(block.times, single.times)
+            np.testing.assert_allclose(
+                block.populations[:, :, j], single.populations, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                block.scattered_photons[:, j], single.scattered_photons, rtol=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "fault, match",
+        [("sum 0.9", "sum to one"), ("negative", "nonnegative"), ("nan", "nonnegative")],
+    )
+    def test_one_bad_column_rejected(self, fault, match):
+        bad = uniform_f4()
+        i, j = np.nonzero(bad)[0][:2]
+        if fault == "sum 0.9":
+            bad *= 0.9
+        elif fault == "negative":
+            bad[i] -= 0.12  # -0.0089, and the column still sums to one
+            bad[j] += 0.12
+        else:
+            bad[i] = float("nan")
+        starts = np.column_stack(block_starts())
+        starts[:, 2] = bad
+        with pytest.raises(ValueError, match=match):
+            integrate_rk4(assemble_rate_matrix([]), starts, DT, 0.001)
+
+    @pytest.mark.parametrize("shape", [(43, 2, 1), (43, 0), (44,), (2, 43)])
+    def test_start_shape_rejected(self, shape):
+        n0 = np.full(shape, 1.0 / 43.0)
+        with pytest.raises(ValueError, match="shape"):
+            integrate_rk4(assemble_rate_matrix([]), n0, DT, 0.001)
+
+    @staticmethod
+    def draining(rate):
+        # not a generator: state 1 loses what state 0 gains, so it goes
+        # negative by rate * t
+        rates = np.zeros((43, 43))
+        rates[0, 0], rates[1, 0] = rate, -rate
+        return RateMatrix(rates, *(np.empty(0),) * 4)
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_slight_negatives_clipped(self, k, caplog):
+        n0 = single_sublevel(_states()[0])
+        if k:
+            n0 = np.column_stack([n0] * k)
+        with caplog.at_level(logging.DEBUG, logger="pumpsim.kinetics"):
+            traj = integrate_rk4(self.draining(1e-10), n0, 1e-6, 1e-3, max_samples=11)
+        assert traj.populations.min() == 0.0
+        assert np.all(traj.populations[:, 1] == 0.0)
+        assert f"clipped {10 * (k or 1)} slightly negative populations" in caplog.text
+
+    def test_large_negative_raises(self):
+        with pytest.raises(RuntimeError, match="too coarse"):
+            integrate_rk4(self.draining(1e-6), single_sublevel(_states()[0]),
+                          1e-6, 1e-3, max_samples=11)
 
 
 class TestPumpMetrics:

@@ -6,11 +6,11 @@ spontaneous branching ratios; spontaneous emission feeds the ground
 manifolds back. The resulting linear system dN/dt = R N is integrated with
 fixed-step classical Runge-Kutta. Because the system is linear and
 autonomous, one RK4 step is exactly the 4th-order Taylor polynomial of
-exp(dt R); the integrator applies that step matrix, raising it to integer
-powers between output samples, which is bit-deterministic and fast enough
-to sweep parameters. It takes one initial distribution or a block of them
-as columns, which one matrix product per sample carries together; every
-sample is written into one preallocated array.
+exp(dt R); the integrator stacks the powers B, B^2, ..., B^32 of the step
+matrix's block B between output samples, so one matrix product fills 32
+samples, bit-deterministic at any BLAS thread count. Each power's population
+columns are reset to sum to exactly 1, which conserves population at any
+run length. One start or a block of starts as columns fills one array.
 """
 
 import logging
@@ -42,6 +42,8 @@ LIBRARY_DT = 0.01 / cst.GAMMA
 # relative line overlap below which `prune` drops a stimulated term
 PRUNE_THRESHOLD = 1e-3
 
+STACKED_POWERS = 32  # output samples that one matrix product fills
+
 
 def polarization_weights(depolarization: float) -> tuple[float, float, float]:
     """Intensity fractions (sigma-, pi, sigma+) of a nominally pi-polarized
@@ -54,8 +56,9 @@ def polarization_weights(depolarization: float) -> tuple[float, float, float]:
     if not 0.0 <= depolarization < math.inf:
         raise ValueError("depolarization must be finite and nonnegative")
     a2 = depolarization * depolarization
-    norm = 1.0 + 2.0 * a2
-    return (a2 / norm, 1.0 / norm, a2 / norm)
+    # a2 may overflow to inf, where the second form gives the limit 0.5
+    s = a2 / (1.0 + 2.0 * a2) if a2 <= 1.0 else 1.0 / (1.0 / a2 + 2.0)
+    return (s, 1.0 / (1.0 + 2.0 * a2), s)
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,23 @@ def _rk4_step_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
     return step
 
 
+def _conserving(power: np.ndarray) -> np.ndarray:
+    """Reset the population diagonal in place so each population column sums to 1."""
+    populations = power[:N_STATES, :N_STATES]
+    np.fill_diagonal(populations, 0.0)
+    np.fill_diagonal(populations, 1.0 - populations.sum(axis=0))
+    return power
+
+
+def stationary_state(rate_matrix: RateMatrix) -> np.ndarray:
+    """Kernel of R normalized to sum 1, from one least-squares solve of R
+    bordered by a row of ones: the long-time limit of `integrate_rk4` when
+    the kernel is one-dimensional."""
+    bordered = np.vstack([rate_matrix.matrix, np.ones(N_STATES)])
+    kernel = np.linalg.lstsq(bordered, np.append(np.zeros(N_STATES), 1.0), rcond=None)[0]
+    return kernel / kernel.sum()
+
+
 def integrate_rk4(
     rate_matrix: RateMatrix,
     n0: np.ndarray,
@@ -297,7 +317,8 @@ def integrate_rk4(
     `n0` is one start of shape (43,) or a block of k starts of shape (43, k),
     each column a distribution; the trajectory then carries a trailing axis
     of k. dt must satisfy dt * max|R| <= 0.1. Output is sampled on a uniform
-    stride (at most max_samples points) plus the final step.
+    stride (at most max_samples points) plus the final step; one matrix
+    product of the stacked powers B, ..., B^32 fills 32 samples.
     """
     rates = rate_matrix.matrix
     n0 = np.asarray(n0, dtype=float)
@@ -326,15 +347,21 @@ def integrate_rk4(
         steps_done.append(n_steps)
 
     step = _rk4_step_matrix(rates, dt)
-    block = np.linalg.matrix_power(step, stride)
+    # powers[j] = B^(j+1) for the block B of `stride` steps, each conserving
+    powers = np.empty((min(STACKED_POWERS, n_blocks), N_STATES + 1, N_STATES + 1))
+    powers[0] = _conserving(np.linalg.matrix_power(step, stride))
+    for j in range(1, len(powers)):
+        _conserving(np.matmul(powers[j - 1], powers[0], out=powers[j]))
 
     # row N_STATES counts photons
     data = np.zeros((len(steps_done), N_STATES + 1) + n0.shape[1:])
     data[0, :N_STATES] = n0
-    for i in range(n_blocks):
-        np.matmul(block, data[i], out=data[i + 1])
+    for i in range(0, n_blocks, len(powers)):
+        k = min(len(powers), n_blocks - i)
+        out = data[i + 1:i + 1 + k].reshape((k * (N_STATES + 1),) + n0.shape[1:])
+        np.matmul(powers[:k].reshape(-1, N_STATES + 1), data[i], out=out)
     if remainder:
-        np.matmul(np.linalg.matrix_power(step, remainder), data[-2], out=data[-1])
+        np.matmul(_conserving(np.linalg.matrix_power(step, remainder)), data[-2], out=data[-1])
 
     populations = data[:, :N_STATES]
     negative = populations < 0
@@ -368,6 +395,8 @@ def first_crossing(
     """First time the sampled `fraction` reaches `level` (linear
     interpolation between samples) and the expected photons scattered up to
     that time; None when it never does."""
+    if np.ndim(fraction) != 1 or np.ndim(trajectory.scattered_photons) != 1:
+        raise ValueError("a crossing needs a one-column trajectory, not a (43, k) block")
     hit = np.nonzero(fraction >= level)[0]
     if hit.size == 0:
         return None

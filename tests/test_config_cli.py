@@ -380,6 +380,33 @@ class TestFitCommand:
         assert float(header["sse"]) == report.sse
         assert float(header["scale[m0.csv]"]) == report.scales[0]
 
+    def test_report_identical_across_blas_threads(self, tmp_path):
+        # each candidate runs a (1408 x 44) matrix-vector product, a BLAS
+        # path the pump and heat determinism criterion does not cover
+        from pumpsim.fitting import simulate_observable
+
+        fig5 = os.path.join(SCENARIOS, "fig5_dynamics.ini")
+        times = np.linspace(1e-4, 4.8e-3, 60)
+        truth = simulate_observable(load_config(fig5).beams, 0.013, times)
+        noise = np.random.Generator(np.random.Philox(11)).normal(0.0, 0.005, times.size)
+        data = tmp_path / "m0.csv"
+        data.write_text(
+            "# observable = g4_m0\n"
+            + "\n".join(f"{t:.12g},{v:.12g}"
+                        for t, v in zip(times, np.clip(truth + noise, 0.0, 1.0)))
+            + "\n"
+        )
+        reports = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"out{threads}"
+            env = {var: threads for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            result = run_cli("fit", "--config", fig5, "--out", str(out), str(data),
+                             env_extra=env)
+            assert result.returncode == 0, result.stderr
+            reports.append((out / "fit_report.txt").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_prune_flag_rejected(self, tmp_path):
         # fit always works on the reduced equation set; it takes no --prune
         cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))

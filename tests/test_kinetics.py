@@ -11,9 +11,13 @@ from hypothesis import strategies as st_h
 
 from pumpsim import constants as cst
 from pumpsim.kinetics import (
+    LIBRARY_DT,
+    STACKED_POWERS,
     Beam,
     RateMatrix,
     Trajectory,
+    _conserving,
+    _rk4_step_matrix,
     assemble_rate_matrix,
     beam,
     first_crossing,
@@ -22,6 +26,7 @@ from pumpsim.kinetics import (
     prune,
     pump_metrics,
     single_sublevel,
+    stationary_state,
     stimulated_rate,
     transition_overlap,
     uniform_f4,
@@ -61,6 +66,18 @@ class TestPolarizationWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             polarization_weights(-0.1)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1e100, 1e154, 1e200, 1.7e308])
+    def test_huge_contamination_finite(self, alpha):
+        # a2 overflows to inf above about 1.3e154; the weights used to come
+        # back as (nan, 0, nan) and the beam was dropped
+        w = polarization_weights(alpha)
+        assert all(math.isfinite(x) and x >= 0.0 for x in w)
+        assert sum(w) == pytest.approx(1.0, abs=1e-15)
+        assert w[0] == w[2] == pytest.approx(alpha**2 / (1 + 2 * alpha**2)
+                                             if alpha < 1e100 else 0.5, rel=1e-15)
+        rm = assemble_rate_matrix([Beam(4, 4, 0.019, -0.5, alpha)])
+        assert rm.term_rate.size > 0 and np.all(np.isfinite(rm.matrix))
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, alpha):
@@ -433,6 +450,88 @@ class TestBlockIntegration:
                           1e-6, 1e-3, max_samples=11)
 
 
+def sample_by_sample(rm, n0, n_steps, stride):
+    """Reference: the corrected block applied once per output sample."""
+    step = _rk4_step_matrix(rm.matrix, DT)
+    block = _conserving(np.linalg.matrix_power(step, stride))
+    state = np.zeros((44,) + np.shape(n0)[1:])
+    state[:43] = n0
+    samples = [state]
+    for _ in range(n_steps // stride):
+        samples.append(block @ samples[-1])
+    if n_steps % stride:
+        last = _conserving(np.linalg.matrix_power(step, n_steps % stride))
+        samples.append(last @ samples[-1])
+    return np.array(samples)
+
+
+class TestStackedPowers:
+    """integrate_rk4 fills STACKED_POWERS samples per matrix product."""
+
+    # (n_steps, max_samples) -> stride, output blocks, remainder steps
+    @pytest.mark.parametrize("n_steps, max_samples, stride, n_blocks, remainder", [
+        (20, 1201, 1, 20, 0),        # fewer blocks than one stack
+        (64, 1201, 1, 64, 0),        # exactly two stacks
+        (1003, 101, 11, 91, 2),      # 91 = 2 * 32 + 27, plus a remainder
+        (1003, 2, 1003, 1, 0),       # max_samples=2: one block
+        (5000, 41, 125, 40, 0),      # one stack and a partial one
+    ])
+    @pytest.mark.parametrize("k", [None, 5])
+    def test_matches_sample_by_sample(self, n_steps, max_samples, stride, n_blocks,
+                                      remainder, k):
+        assert STACKED_POWERS == 32
+        rm, _ = prune(assemble_rate_matrix(fig5_beams()), 1e-3)
+        n0 = np.column_stack(block_starts() + [uniform_f4()]) if k else uniform_f4()
+        traj = integrate_rk4(rm, n0, DT, n_steps * DT, max_samples)
+        expected_steps = list(range(0, n_blocks * stride + 1, stride))
+        if remainder:
+            expected_steps.append(n_steps)
+        np.testing.assert_array_equal(traj.times, DT * np.array(expected_steps, float))
+        reference = sample_by_sample(rm, n0, n_steps, stride)
+        assert reference.shape[0] == traj.times.size
+        np.testing.assert_allclose(traj.populations, reference[:, :43], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.scattered_photons, reference[:, 43],
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_powers_conserve(self):
+        rm, _ = prune(assemble_rate_matrix(fig5_beams()), 1e-3)
+        power = np.linalg.matrix_power(_rk4_step_matrix(rm.matrix, DT), 997)
+        photons = power[43].copy()
+        # uncorrected, the column sums are off by about one rounding per step
+        assert np.max(np.abs(power[:43, :43].sum(axis=0) - 1.0)) > 1e-14
+        _conserving(power)
+        assert np.max(np.abs(power[:43, :43].sum(axis=0) - 1.0)) <= 4.5e-16
+        assert np.array_equal(power[43], photons)
+
+
+FIG5_ALPHAS = (0.013, 0.11402)
+
+
+class TestLongRuns:
+    """Population is conserved at any run length, and long runs reach the
+    kernel of R."""
+
+    @pytest.mark.parametrize("alpha", FIG5_ALPHAS)
+    def test_stationary_state_is_kernel(self, alpha):
+        rm, _ = prune(assemble_rate_matrix(fig5_beams(alpha)), 1e-3)
+        n = stationary_state(rm)
+        assert n.shape == (43,)
+        assert n.sum() == pytest.approx(1.0, abs=1e-15)
+        assert n.min() >= -1e-15
+        assert np.max(np.abs(rm.matrix @ n)) <= 1e-12 * rm.max_rate
+
+    @pytest.mark.parametrize("t_end", [0.05, 5.0])
+    @pytest.mark.parametrize("alpha", FIG5_ALPHAS)
+    def test_conserved_and_converged(self, alpha, t_end):
+        # without the diagonal reset the drift grows with the step count:
+        # 1.5e-8 at 50 ms and 1.5e-6 at 5 s for alpha = 0.013
+        rm, _ = prune(assemble_rate_matrix(fig5_beams(alpha)), 1e-3)
+        traj = integrate_rk4(rm, uniform_f4(), LIBRARY_DT, t_end)
+        assert np.max(np.abs(traj.populations.sum(axis=1) - 1.0)) < 1e-9
+        np.testing.assert_allclose(traj.populations[-1], stationary_state(rm),
+                                   rtol=0, atol=1e-9)
+
+
 class TestPumpMetrics:
     def test_dark_state_accumulates_monotonically(self):
         rm, _ = prune(assemble_rate_matrix(fig5_beams(alpha=0.0)), 1e-3)
@@ -496,6 +595,21 @@ class TestPumpMetrics:
         assert photons == pytest.approx(15.0, rel=1e-15)
         assert first_crossing(traj, fraction, 0.9) == (3.0, 30.0)
         assert first_crossing(traj, fraction, 0.95) is None
+
+    def test_block_trajectory_rejected(self):
+        # a (43, k) block's trajectory used to fail with an unrelated TypeError
+        rm = assemble_rate_matrix(fig5_beams())
+        traj = integrate_rk4(rm, np.column_stack([uniform_f4()] * 2), DT, 0.005)
+        with pytest.raises(ValueError, match="one-column trajectory"):
+            pump_metrics(traj)
+        fraction = traj.sublevel_fraction(Sublevel("g", 4, 0))
+        with pytest.raises(ValueError, match="one-column trajectory"):
+            first_crossing(traj, fraction, 0.5)
+        column = Trajectory(traj.times, traj.populations[:, :, 1],
+                            traj.scattered_photons[:, 1])
+        with pytest.raises(ValueError, match="one-column trajectory"):
+            first_crossing(column, fraction, 0.5)
+        assert pump_metrics(column).tau_50 is not None
 
 
 def test_with_depolarization_rebuilds_weights():

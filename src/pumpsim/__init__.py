@@ -27,9 +27,9 @@ from .kinetics import (
     prune,
     pump_metrics,
     single_sublevel,
-    stimulated_rate,
     transition_overlap,
     uniform_f4,
+    with_depolarization,
 )
 from .raman import (
     GaussianFit,

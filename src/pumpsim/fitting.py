@@ -3,10 +3,11 @@
 The polarization contamination of the pump light is the single free physics
 parameter; it is recovered by bracketed scalar minimization of the weighted
 sum of squared residuals between observed sublevel-population time series
-and the rate-equation model, re-simulated for every candidate value.
+and the rate-equation model, assembled and pruned once per fit and
+re-weighted and re-simulated for every candidate value.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .kinetics import (
     integrate_rk4,
     prune,
     uniform_f4,
+    with_depolarization,
 )
 from .structure import Sublevel, parse_label
 
@@ -118,13 +120,16 @@ def simulate_observable(
 ) -> np.ndarray:
     """Model prediction of a ground-sublevel fraction at the requested times,
     starting from the uniformly populated F=4 level."""
-    traj = _simulate(beams, depolarization, float(np.max(times)))
+    traj = _simulate(_terms(beams), depolarization, float(np.max(times)))
     return np.interp(times, traj.times, traj.sublevel_fraction(observable))
 
 
-def _simulate(beams, depolarization, t_end):
-    beams = [replace(b, depolarization=depolarization) for b in beams]
-    matrix, _ = prune(assemble_rate_matrix(beams))
+def _terms(beams):
+    return prune(assemble_rate_matrix(beams))[0]
+
+
+def _simulate(terms, depolarization, t_end):
+    matrix = with_depolarization(terms, depolarization)
     return integrate_rk4(matrix, uniform_f4(), LIBRARY_DT, t_end, max_samples=2001)
 
 
@@ -144,9 +149,12 @@ def residual_report(
     """Per-point residuals (observed minus model) and the weighted SSE at one
     contamination value; with fit_scale each series' model is first scaled
     by its closed-form least-squares amplitude. The fit scores every
-    candidate with this."""
-    series = list(series)
-    traj = _simulate(beams, depolarization, max(float(s.times.max()) for s in series))
+    candidate the same way, on terms it assembles once."""
+    return _report(list(series), _terms(beams), depolarization, fit_scale)
+
+
+def _report(series, terms, depolarization, fit_scale) -> ResidualReport:
+    traj = _simulate(terms, depolarization, max(float(s.times.max()) for s in series))
     residuals, sse, scales = [], 0.0, []
     for s in series:
         model = np.interp(s.times, traj.times, traj.sublevel_fraction(s.observable))
@@ -179,7 +187,8 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
     BOUNDS.
 
     Bounded golden-section/parabolic search with |step| tolerance 1e-4 times
-    the upper bound; `residual_report` scores each candidate once, alpha-hat too.
+    the upper bound. The pruned terms are assembled once; each candidate,
+    alpha-hat too, is scored once as `residual_report` scores it.
     """
     from scipy.optimize import minimize_scalar
 
@@ -187,10 +196,11 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
     if not series:
         raise ValueError("need at least one observation series")
     lo, hi = BOUNDS
+    terms = _terms(beams)
     reports = {}
 
     def objective(depol):
-        reports[depol] = residual_report(series, beams, depol, fit_scale=fit_scale)
+        reports[depol] = _report(series, terms, depol, fit_scale)
         return reports[depol].sse
 
     result = minimize_scalar(

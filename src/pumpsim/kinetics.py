@@ -3,14 +3,17 @@
 A set of laser beams (polarizer + repumper) couples the 16 ground sublevels
 to the 27 excited sublevels through stimulated rates proportional to the
 spontaneous branching ratios; spontaneous emission feeds the ground
-manifolds back. The resulting linear system dN/dt = R N is integrated with
-fixed-step classical Runge-Kutta. Because the system is linear and
-autonomous, one RK4 step is exactly the 4th-order Taylor polynomial of
-exp(dt R); the integrator stacks the powers B, B^2, ..., B^32 of the step
-matrix's block B between output samples, so one matrix product fills 32
-samples, bit-deterministic at any BLAS thread count. Each power's population
-columns are reset to sum to exactly 1, which conserves population at any
-run length. One start or a block of starts as columns fills one array.
+manifolds back. Each stimulated rate is a term's rate at unit polarization
+weight times the weight of its q, so pruning filters the term table and
+`with_depolarization` re-weights it. The linear system dN/dt = R N is
+integrated with fixed-step classical Runge-Kutta. Because the system is
+linear and autonomous, one RK4 step is exactly the 4th-order Taylor
+polynomial of exp(dt R); the integrator stacks the powers B, B^2, ..., B^32
+of the step matrix's block B between output samples, so one matrix product
+fills 32 samples, bit-deterministic at any BLAS thread count. Each power's
+population columns are reset to sum to exactly 1, which conserves population
+at any run length. One start or a block of starts as columns fills one
+array.
 """
 
 import logging
@@ -101,17 +104,15 @@ def _check_transition(ground_f: int, excited_f: int) -> None:
 beam = Beam
 
 
-def transition_overlap(ground_f: int, excited_f: int, bm: Beam) -> float:
-    """Relative probability that `bm` excites the ground_f -> excited_f
-    transition, given its linewidth and its offset from that line."""
-    _check_transition(ground_f, excited_f)
+def transition_overlap(excited_f: int, bm: Beam) -> float:
+    """Relative probability that `bm` excites the line from its own ground
+    level to excited_f, given its linewidth and its offset from that line."""
+    _check_transition(bm.ground_f, excited_f)
     mu = bm.linewidth / cst.GAMMA
     # line offset from the laser frequency, in half-linewidths
     offset_hz = cst.excited_level_offset(excited_f) - cst.excited_level_offset(
         bm.excited_f
     )
-    if ground_f != bm.ground_f:
-        offset_hz -= (ground_f - bm.ground_f) * cst.GROUND_SPLITTING
     delta = 4.0 * np.pi * offset_hz / cst.GAMMA - 2.0 * bm.detuning
     if abs(delta) < 1e-9 and abs(mu - 1.0) < 1e-9:
         # removable 0/0 of the general form on resonance at mu = 1
@@ -121,42 +122,25 @@ def transition_overlap(ground_f: int, excited_f: int, bm: Beam) -> float:
     return mu * (mu + 1.0) * num / den
 
 
-def _rate_prefactor(bm: Beam, overlap: float) -> float:
-    """Stimulated rate (s^-1) per unit branching ratio and polarization
-    weight on a line with the given overlap."""
-    return 0.5 * cst.GAMMA * (cst.GAMMA / bm.linewidth) * bm.intensity_ratio * overlap
-
-
-def stimulated_rate(ground: Sublevel, excited: Sublevel, q: int, bm: Beam) -> float:
-    """Stimulated rate (s^-1) between a ground and an excited sublevel for
-    polarization component q = m' - m; identical in both directions."""
-    if ground.s != "g" or excited.s != "e":
-        raise ValueError("stimulated_rate couples a ground to an excited sublevel")
-    if q not in (-1, 0, 1) or excited.m - ground.m != q:
-        raise ValueError(f"polarization component q={q} does not close m={ground.m} "
-                         f"to m'={excited.m}")
-    a = branching_table()[state_index(excited), state_index(ground)]
-    weight = polarization_weights(bm.depolarization)[q + 1]
-    if a == 0.0 or weight == 0.0:
-        return 0.0
-    return _rate_prefactor(bm, transition_overlap(ground.f, excited.f, bm)) * a * weight
-
-
 @dataclass(frozen=True)
 class RateMatrix:
     """Generator of the population rate equations, dN/dt = matrix @ N.
 
     Off-diagonal entries are nonnegative transfer rates; each column sums to
-    zero, so total population is conserved. The stimulated terms are kept
-    alongside the matrix so weak transitions can be pruned afterwards.
+    zero, so total population is conserved. The matrix is built from its
+    table of stimulated terms, kept alongside so weak transitions can be
+    pruned and the contamination changed afterwards.
     """
 
     matrix: np.ndarray
-    # per stimulated term: ground index, excited index, rate, line overlap
+    # per stimulated term: ground and excited index, q = m' - m, rate at
+    # unit polarization weight, line overlap, rate
     term_ground: np.ndarray = field(repr=False)
     term_excited: np.ndarray = field(repr=False)
-    term_rate: np.ndarray = field(repr=False)
+    term_q: np.ndarray = field(repr=False)
+    term_unit: np.ndarray = field(repr=False)
     term_overlap: np.ndarray = field(repr=False)
+    term_rate: np.ndarray = field(repr=False)
 
     @property
     def max_rate(self) -> float:
@@ -165,57 +149,58 @@ class RateMatrix:
 
 def _spontaneous_part() -> np.ndarray:
     mat = np.zeros((N_STATES, N_STATES))
-    table = branching_table()
-    for ei in EXCITED_INDICES:
-        mat[GROUND_INDICES, ei] = cst.GAMMA * table[ei, GROUND_INDICES]
+    block = np.ix_(GROUND_INDICES, EXCITED_INDICES)
+    mat[block] = cst.GAMMA * branching_table().T[block]
     return mat
 
 
-def _finish_matrix(mat: np.ndarray) -> np.ndarray:
-    # the diagonal carries the total outflow, making every column sum to zero
-    np.fill_diagonal(mat, 0.0)
-    np.fill_diagonal(mat, -mat.sum(axis=0))
-    return mat
-
-
-def _build(ground_idx, excited_idx, rates) -> np.ndarray:
+def _from_terms(ground, excited, q, unit, overlap, rate) -> RateMatrix:
+    """Spontaneous part plus each stimulated term's rate in both directions;
+    the diagonal carries the total outflow, making every column sum to zero."""
     mat = _spontaneous_part()
-    for gi, ei, w in zip(ground_idx, excited_idx, rates):
-        mat[ei, gi] += w
-        mat[gi, ei] += w
-    return _finish_matrix(mat)
+    np.add.at(mat, (excited, ground), rate)
+    np.add.at(mat, (ground, excited), rate)
+    np.fill_diagonal(mat, -mat.sum(axis=0))
+    return RateMatrix(mat, ground, excited, q, unit, overlap, rate)
 
 
 def assemble_rate_matrix(beams) -> RateMatrix:
     """Rate matrix for a set of beams: stimulated rates in both directions,
-    spontaneous feeding of the ground manifolds, and excited-state decay."""
+    spontaneous feeding of the ground manifolds, and excited-state decay. A
+    channel with a positive rate at unit polarization weight is a term even
+    where the beam's weight for its q is 0."""
     table = branching_table()
-    t_ground, t_excited, t_rate, t_overlap = [], [], [], []
+    terms = []
     for bm in beams:
         weights = polarization_weights(bm.depolarization)
         for fe in cst.EXCITED_F:
             if abs(fe - bm.ground_f) > 1:
                 continue
-            overlap = transition_overlap(bm.ground_f, fe, bm)
-            base = _rate_prefactor(bm, overlap)
+            overlap = transition_overlap(fe, bm)
+            # rate (s^-1) per unit branching ratio and polarization weight
+            base = 0.5 * cst.GAMMA * (cst.GAMMA / bm.linewidth) * bm.intensity_ratio * overlap
             for m in range(-bm.ground_f, bm.ground_f + 1):
                 gi = state_index(Sublevel("g", bm.ground_f, m))
                 for q in (-1, 0, 1):
                     if abs(m + q) > fe:
                         continue
                     ei = state_index(Sublevel("e", fe, m + q))
-                    rate = base * table[ei, gi] * weights[q + 1]
-                    if rate > 0.0:
-                        t_ground.append(gi)
-                        t_excited.append(ei)
-                        t_rate.append(rate)
-                        t_overlap.append(overlap)
-    t_ground = np.asarray(t_ground, dtype=np.intp)
-    t_excited = np.asarray(t_excited, dtype=np.intp)
-    t_rate = np.asarray(t_rate)
-    t_overlap = np.asarray(t_overlap)
-    mat = _build(t_ground, t_excited, t_rate)
-    return RateMatrix(mat, t_ground, t_excited, t_rate, t_overlap)
+                    unit = base * table[ei, gi]
+                    if unit > 0.0:
+                        terms.append((gi, ei, q, unit, overlap, unit * weights[q + 1]))
+    columns = np.array(terms, dtype=float).reshape(-1, 6).T
+    ground, excited, q = columns[:3].astype(np.intp)
+    return _from_terms(ground, excited, q, *columns[3:])
+
+
+def with_depolarization(rate_matrix: RateMatrix, depolarization: float) -> RateMatrix:
+    """The same stimulated terms with every beam's contamination set to
+    `depolarization`; the same matrix as assembling (and pruning) beams
+    built with it, bit for bit."""
+    weights = np.asarray(polarization_weights(depolarization))
+    rm = rate_matrix
+    return _from_terms(rm.term_ground, rm.term_excited, rm.term_q, rm.term_unit,
+                       rm.term_overlap, rm.term_unit * weights[rm.term_q + 1])
 
 
 def prune(
@@ -223,20 +208,20 @@ def prune(
 ) -> tuple[RateMatrix, int]:
     """Drop stimulated terms whose line overlap falls below threshold times
     the largest overlap; returns the pruned matrix and the number of
-    sublevels that still take part in a stimulated coupling."""
+    sublevels that still take part in a stimulated coupling of positive
+    rate."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    if rate_matrix.term_rate.size == 0:
-        return rate_matrix, 0
-    cutoff = threshold * rate_matrix.term_overlap.max()
-    keep = rate_matrix.term_overlap >= cutoff
-    gi = rate_matrix.term_ground[keep]
-    ei = rate_matrix.term_excited[keep]
-    rates = rate_matrix.term_rate[keep]
-    active = np.unique(np.concatenate([gi, ei])).size
-    mat = _build(gi, ei, rates)
-    pruned = RateMatrix(mat, gi, ei, rates, rate_matrix.term_overlap[keep])
-    return pruned, int(active)
+    rm = rate_matrix
+    if rm.term_rate.size == 0:
+        return rm, 0
+    keep = rm.term_overlap >= threshold * rm.term_overlap.max()
+    pruned = _from_terms(*(column[keep] for column in (
+        rm.term_ground, rm.term_excited, rm.term_q, rm.term_unit, rm.term_overlap,
+        rm.term_rate)))
+    live = pruned.term_rate > 0.0
+    active = np.unique(np.concatenate([pruned.term_ground[live], pruned.term_excited[live]]))
+    return pruned, int(active.size)
 
 
 def uniform_f4() -> np.ndarray:
@@ -329,8 +314,8 @@ def integrate_rk4(
         raise ValueError("initial populations must be nonnegative")
     if not np.all(np.abs(n0.sum(axis=0) - 1.0) <= 1e-9):
         raise ValueError("initial populations must sum to one")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise ValueError("dt and t_end must be finite and positive")
     max_rate = float(np.max(np.abs(rates)))
     if dt * max_rate > STABILITY_LIMIT * (1 + 1e-12):
         raise ValueError(

@@ -28,10 +28,10 @@ class RamanPulse:
     geometry: str = "copropagating"
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("pulse duration must be positive")
-        if self.rabi_frequency < 0:
-            raise ValueError("Rabi frequency must be nonnegative")
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError("pulse duration must be finite and positive")
+        if not 0.0 <= self.rabi_frequency < np.inf:
+            raise ValueError("rabi_frequency must be finite and nonnegative")
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
 
@@ -49,8 +49,8 @@ class VelocityDistribution:
     mean: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("velocity spread must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("velocity spread sigma must be finite and nonnegative")
 
 
 @dataclass

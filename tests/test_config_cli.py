@@ -407,6 +407,35 @@ class TestFitCommand:
             reports.append((out / "fit_report.txt").read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("fit_scale", [False, True])
+    def test_sse_bit_equal_to_residual_report(self, tmp_path, fit_scale):
+        # the fit re-weights the terms it assembled once, residual_report
+        # assembles the scenario's beams (alpha 0.013) anew: a check of
+        # sse(alpha_hat) <= sse(alpha_true) may flip unless both give the
+        # same bits
+        from pumpsim.fitting import load_observations, residual_report, simulate_observable
+
+        fig5 = os.path.join(SCENARIOS, "fig5_dynamics.ini")
+        beams = load_config(fig5).beams
+        times = np.linspace(1e-4, 4.8e-3, 60)
+        truth = simulate_observable(beams, 0.03, times)
+        noise = np.random.Generator(np.random.Philox(12)).normal(0.0, 0.005, times.size)
+        data = tmp_path / "m0.csv"
+        data.write_text(
+            "# observable = g4_m0\n"
+            + "\n".join(f"{t:.12g},{v:.12g}"
+                        for t, v in zip(times, np.clip(0.9 * truth + noise, 0.0, 1.0)))
+            + "\n"
+        )
+        out = tmp_path / "out"
+        flags = ["--fit-scale"] if fit_scale else []
+        assert main(["fit", "--config", fig5, "--out", str(out), *flags, str(data)]) == 0
+        lines = (out / "fit_report.txt").read_text().splitlines()
+        header = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+        report = residual_report([load_observations(data)], beams,
+                                 float(header["alpha_hat"]), fit_scale=fit_scale)
+        assert float(header["sse"]).hex() == report.sse.hex()
+
     def test_prune_flag_rejected(self, tmp_path):
         # fit always works on the reduced equation set; it takes no --prune
         cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))

@@ -27,9 +27,9 @@ from pumpsim.kinetics import (
     pump_metrics,
     single_sublevel,
     stationary_state,
-    stimulated_rate,
     transition_overlap,
     uniform_f4,
+    with_depolarization,
 )
 from pumpsim.structure import (
     EXCITED_INDICES,
@@ -114,17 +114,17 @@ class TestTransitionOverlap:
     def test_on_resonance_closed_form(self):
         # on resonance the general form reduces to mu/(mu+1)
         bm = Beam(4, 4, 0.019, 0.0, linewidth=0.2 * cst.GAMMA)
-        assert transition_overlap(4, 4, bm) == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert transition_overlap(4, bm) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_default_linewidth_on_resonance(self):
         bm = beam(4, 4, 0.019, 0.0)
         mu = cst.LASER_LINEWIDTH / cst.GAMMA
-        assert transition_overlap(4, 4, bm) == pytest.approx(mu / (mu + 1), rel=1e-12)
-        assert transition_overlap(4, 4, bm) == pytest.approx(0.1608, abs=5e-5)
+        assert transition_overlap(4, bm) == pytest.approx(mu / (mu + 1), rel=1e-12)
+        assert transition_overlap(4, bm) == pytest.approx(0.1608, abs=5e-5)
 
     def test_far_detuned_limit(self):
         values = [
-            transition_overlap(4, 4, beam(4, 4, 0.019, detuning))
+            transition_overlap(4, beam(4, 4, 0.019, detuning))
             for detuning in (1e3, 1e5, 1e7)
         ]
         assert values[0] > values[1] > values[2]
@@ -132,32 +132,39 @@ class TestTransitionOverlap:
 
     def test_removable_singularity_at_unit_linewidth(self):
         bm = Beam(4, 4, 0.019, 0.0, linewidth=cst.GAMMA)
-        assert transition_overlap(4, 4, bm) == pytest.approx(0.5, rel=1e-9)
+        assert transition_overlap(4, bm) == pytest.approx(0.5, rel=1e-9)
 
     def test_neighbor_ratio_scale(self):
         # off-resonant excitation is weaker by up to four orders of magnitude
         pb = beam(4, 4, 0.019, -0.5)
         rep = beam(3, 4, 0.023, 0.0)
-        overlaps = [transition_overlap(4, fe, pb) for fe in (3, 4, 5)]
-        overlaps += [transition_overlap(3, fe, rep) for fe in (3, 4)]
+        overlaps = [transition_overlap(fe, pb) for fe in (3, 4, 5)]
+        overlaps += [transition_overlap(fe, rep) for fe in (3, 4)]
         ratio = max(overlaps) / min(overlaps)
         assert 1e3 < ratio < 1e4 * 2
 
     def test_rejects_forbidden_transition(self):
         with pytest.raises(ValueError):
-            transition_overlap(3, 5, beam(3, 4, 0.023))
+            transition_overlap(5, beam(3, 4, 0.023))
+
+
+def term_rates(bm, ground, excited):
+    """Rates of the ground -> excited terms in the table of `bm` alone."""
+    rm = assemble_rate_matrix([bm])
+    hit = (rm.term_ground == state_index(ground)) & (rm.term_excited == state_index(excited))
+    return rm.term_rate[hit]
 
 
 class TestStimulatedRate:
     def test_forbidden_channel_is_zero(self):
         bm = beam(4, 4, 0.019, -0.5)
-        w = stimulated_rate(Sublevel("g", 4, 0), Sublevel("e", 4, 0), 0, bm)
-        assert w == 0.0
+        assert term_rates(bm, Sublevel("g", 4, 0), Sublevel("e", 4, 0)).size == 0
+        assert term_rates(bm, Sublevel("g", 4, 1), Sublevel("e", 4, 1)).size == 1
 
     def test_linear_in_intensity(self):
         g, e = Sublevel("g", 4, 1), Sublevel("e", 4, 1)
-        w1 = stimulated_rate(g, e, 0, beam(4, 4, 0.019, -0.5))
-        w2 = stimulated_rate(g, e, 0, beam(4, 4, 0.038, -0.5))
+        (w1,) = term_rates(beam(4, 4, 0.019, -0.5), g, e)
+        (w2,) = term_rates(beam(4, 4, 0.038, -0.5), g, e)
         assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
 
     def test_si_form_identity(self):
@@ -169,7 +176,7 @@ class TestStimulatedRate:
 
         ratio = 0.019
         intensity = ratio * cst.SATURATION_INTENSITY
-        overlap = transition_overlap(4, 4, bm)
+        overlap = transition_overlap(4, bm)
         a = branching_ratio(e, g)
         si_form = (
             1.5
@@ -182,15 +189,11 @@ class TestStimulatedRate:
             * cst.GAMMA
             * polarization_weights(bm.depolarization)[1]
         )
-        assert stimulated_rate(g, e, 0, bm) == pytest.approx(si_form, rel=1e-12)
+        (rate,) = term_rates(bm, g, e)
+        assert rate == pytest.approx(si_form, rel=1e-12)
 
     def test_saturation_intensity_value(self):
         assert cst.SATURATION_INTENSITY == pytest.approx(11.0, rel=5e-3)
-
-    def test_polarization_component_must_close(self):
-        bm = beam(4, 4, 0.019)
-        with pytest.raises(ValueError):
-            stimulated_rate(Sublevel("g", 4, 0), Sublevel("e", 4, 1), 0, bm)
 
 
 class TestAssembly:
@@ -320,6 +323,16 @@ class TestIntegration:
         with pytest.raises(ValueError, match="stability"):
             integrate_rk4(rm, uniform_f4(), 1.0 / cst.GAMMA, 0.001)
 
+    @pytest.mark.parametrize("dt, t_end", [
+        (DT, float("inf")), (DT, float("nan")), (float("nan"), 0.001),
+        (float("inf"), 0.001), (0.0, 0.001), (DT, -0.001),
+    ])
+    def test_bad_times_rejected(self, dt, t_end):
+        # an infinite t_end used to raise OverflowError, a nan one "cannot
+        # convert float NaN to integer"
+        with pytest.raises(ValueError, match="dt and t_end must be finite and positive"):
+            integrate_rk4(assemble_rate_matrix([]), uniform_f4(), dt, t_end)
+
     def test_negative_initial_rejected(self):
         rm = assemble_rate_matrix([])
         n0 = uniform_f4()
@@ -431,7 +444,7 @@ class TestBlockIntegration:
         # negative by rate * t
         rates = np.zeros((43, 43))
         rates[0, 0], rates[1, 0] = rate, -rate
-        return RateMatrix(rates, *(np.empty(0),) * 4)
+        return RateMatrix(rates, *(np.empty(0),) * 6)
 
     @pytest.mark.parametrize("k", [None, 2])
     def test_slight_negatives_clipped(self, k, caplog):
@@ -620,3 +633,36 @@ def test_with_depolarization_rebuilds_weights():
                           assemble_rate_matrix(fig5_beams(alpha=0.013)).matrix)
     with pytest.raises(ValueError, match="depolarization"):
         replace(rebuilt[0], depolarization=-0.1)
+    # re-weighting a term table, full or pruned, is assembling those beams
+    for template_alpha in (0.0, 0.013):
+        full = assemble_rate_matrix(fig5_beams(template_alpha))
+        pruned, _ = prune(full)
+        for alpha in (0.0, 1e-300, 0.013, 0.11402, 1e200):
+            fresh = assemble_rate_matrix(fig5_beams(alpha))
+            assert np.array_equal(with_depolarization(full, alpha).matrix, fresh.matrix)
+            assert np.array_equal(with_depolarization(pruned, alpha).matrix,
+                                  prune(fresh)[0].matrix)
+    with pytest.raises(ValueError, match="depolarization"):
+        with_depolarization(full, float("nan"))
+
+
+def test_prune_counts_live_terms_only():
+    # at alpha = 0 the table keeps the zero-rate sigma terms, which couple
+    # nothing; the same table counts 25 once they carry weight
+    table = assemble_rate_matrix(fig5_beams(0.0))
+    assert prune(table)[1] == 24
+    assert prune(with_depolarization(table, 0.013))[1] == 25
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 0.5])
+def test_zero_intensity_beam_adds_nothing(threshold):
+    # a dead beam has no terms, so its overlap cannot raise prune's cutoff;
+    # the broad one (overlap 0.5, against fig5's largest 0.16) would drop
+    # both driven lines at threshold 0.5
+    for alpha in (0.0, 0.013):
+        beams = fig5_beams(alpha)
+        pruned, active = prune(assemble_rate_matrix(beams), threshold)
+        for dead in (Beam(4, 5, 0.0), Beam(4, 5, 0.0, linewidth=cst.GAMMA)):
+            with_dead, dead_active = prune(assemble_rate_matrix(beams + [dead]), threshold)
+            assert np.array_equal(with_dead.matrix, pruned.matrix)
+            assert dead_active == active

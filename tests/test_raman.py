@@ -458,3 +458,27 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert np.array_equal(back[:, 0], grid)
     assert np.array_equal(back[:, 1], spec.signal)
     assert any(ln.startswith("# sigma_hz=") for ln in comments)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, field_name",
+    [
+        (lambda: RamanPulse(NAN, 1.0), "duration"),
+        (lambda: RamanPulse(INF, 1.0), "duration"),
+        (lambda: RamanPulse(0.0, 1.0), "duration"),
+        (lambda: RamanPulse(0.007, NAN), "rabi_frequency"),
+        (lambda: RamanPulse(0.007, INF), "rabi_frequency"),
+        (lambda: RamanPulse(0.007, -1.0), "rabi_frequency"),
+        (lambda: VelocityDistribution(NAN), "sigma"),
+        (lambda: VelocityDistribution(INF), "sigma"),
+        (lambda: VelocityDistribution(-1.0), "sigma"),
+    ],
+)
+def test_non_finite_raman_input_rejected(make, field_name):
+    # a nan duration used to give a nan line, a nan Rabi frequency a zero
+    # line, and a nan or infinite spread failed later inside the fold
+    with pytest.raises(ValueError, match=field_name):
+        make()

@@ -8,7 +8,6 @@ Importing the package loads numpy only: the few functions that need scipy
 from . import constants
 from .structure import (
     Sublevel,
-    ZeemanParams,
     branching_ratio,
     branching_table,
     enumerate_states,

@@ -25,7 +25,6 @@ from .kinetics import (
 )
 from .output import atomic_write, rows
 from .raman import (
-    ZeemanParams,
     fit_gaussian,
     lineshape_fwhm,
     pi_pulse,
@@ -106,8 +105,7 @@ def cmd_pump(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
-    zeeman = ZeemanParams(cfg.bias_gauss)
-    pulse = pi_pulse(cfg.tau_s, cfg.geometry)
+    pulse = pi_pulse(cfg.tau_s)
     if cfg.beams:
         trajectory = _pump_run(cfg, args.prune)
         populations = trajectory.populations[-1]
@@ -115,19 +113,19 @@ def cmd_spectrum(args) -> int:
         populations = uniform_f4()
 
     out = cfg.directory
-    fwhm_single = lineshape_fwhm(pi_pulse(cfg.tau_s))
+    fwhm_single = lineshape_fwhm(pulse)
     print(f"single-line FWHM*tau: {fwhm_single * cfg.tau_s:.4f} "
           "(measured product in the reference setup: 1.12)")
     if cfg.geometry == "copropagating":
         grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
         spectrum = synth_copropagating(
-            populations, zeeman, pulse, grid, cfg.rms_fluct_gauss
+            populations, cfg.bias_gauss, pulse, grid, cfg.rms_fluct_gauss
         )
         fit = None
     else:
         grid = np.arange(-250e3, 250e3 + 1.0, 250.0)
         spectrum = synth_counterpropagating(
-            populations, VelocityDistribution(cfg.sigma_vr), pulse, grid, zeeman
+            populations, VelocityDistribution(cfg.sigma_vr), pulse, grid, cfg.bias_gauss
         )
         fit = fit_gaussian(spectrum)
         res = velocity_resolution(fwhm_single)

@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple
 
 from . import constants as cst
 from .kinetics import Beam
-from .raman import GEOMETRIES
+
+GEOMETRIES = ("copropagating", "counterpropagating")
 
 
 class ConfigError(ValueError):

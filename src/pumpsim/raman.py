@@ -4,19 +4,19 @@ Copropagating spectra are velocity-insensitive and read the individual
 F=4 sublevel populations through the sigma+/sigma+ ladder; counterpropagating
 spectra convolve the same composite line with the Doppler-shifted velocity
 distribution. A square two-photon pulse gives the Fourier-limited Rabi
-lineshape used for every line; its fold with a Gaussian (Doppler or
-bias-field spread) is one FFT convolution on a uniform grid.
+lineshape used for every line. Both geometries go through one synthesis:
+each line sits at its Zeeman offset plus a shift and is folded with a
+Gaussian of its own width (Doppler or bias-field spread) by one FFT
+convolution on a uniform grid, or left bare where that width is zero.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants as cst
 from .output import atomic_write, rows
-from .structure import Sublevel, ZeemanParams, raman_line_offset, state_index
-
-GEOMETRIES = ("copropagating", "counterpropagating")
+from .structure import Sublevel, raman_line_offset, state_index
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,18 @@ class RamanPulse:
 
     duration: float
     rabi_frequency: float
-    geometry: str = "copropagating"
 
     def __post_init__(self):
         if not 0.0 < self.duration < np.inf:
             raise ValueError("pulse duration must be finite and positive")
         if not 0.0 <= self.rabi_frequency < np.inf:
             raise ValueError("rabi_frequency must be finite and nonnegative")
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(f"geometry must be one of {GEOMETRIES}")
 
 
-def pi_pulse(duration: float, geometry: str = "copropagating") -> RamanPulse:
+def pi_pulse(duration: float) -> RamanPulse:
     """Pulse area pi: full transfer on resonance."""
-    return RamanPulse(duration, np.pi / duration, geometry)
+    # a zero duration reaches RamanPulse's check instead of dividing by zero
+    return RamanPulse(duration, np.pi / duration if duration else 0.0)
 
 
 @dataclass(frozen=True)
@@ -51,6 +49,8 @@ class VelocityDistribution:
     def __post_init__(self):
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError("velocity spread sigma must be finite and nonnegative")
+        if not np.isfinite(self.mean):
+            raise ValueError("velocity mean must be finite")
 
 
 @dataclass
@@ -101,12 +101,6 @@ def lineshape_fwhm(pulse: RamanPulse) -> float:
     return 2.0 * half_width
 
 
-def _lines(populations: np.ndarray, zeeman: ZeemanParams) -> list[tuple[int, float, float]]:
-    """(m, Zeeman offset, population) of each populated F=4, |m|<=3 line."""
-    weights = {m: populations[state_index(Sublevel("g", 4, m))] for m in range(-3, 4)}
-    return [(m, raman_line_offset(m, zeeman), w) for m, w in weights.items() if w != 0.0]
-
-
 def _fold(pulse: RamanPulse, fwhm: float, sigma_hz: float, grid: np.ndarray,
           shift: float) -> np.ndarray:
     """Rabi line folded with a normalized Gaussian of rms sigma_hz, cut at
@@ -135,9 +129,35 @@ def _fold(pulse: RamanPulse, fwhm: float, sigma_hz: float, grid: np.ndarray,
     return folded[2 * half : 2 * half + fine : k] / kernel.sum()
 
 
+def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
+           grid: np.ndarray, shift: float, width) -> Spectrum:
+    """Sum of the populated F=4, |m|<=3 lines, line m at
+    `raman_line_offset(m, bias_gauss) + shift` and folded (`_fold`) with a
+    Gaussian of rms width(m) Hz, or bare where that width is 0. Lines with
+    the same (width, position) share one fold or evaluation, which their
+    summed population multiplies."""
+    grid = np.asarray(grid, dtype=float)
+    weights = {}
+    for m in range(-3, 4):
+        weight = populations[state_index(Sublevel("g", 4, m))]
+        if weight != 0.0:
+            key = (width(m), raman_line_offset(m, bias_gauss) + shift)
+            weights[key] = weights.get(key, 0.0) + weight
+    signal = np.zeros_like(grid)
+    if pulse.rabi_frequency == 0.0:  # no transfer, and no line width to fold on
+        return Spectrum(grid, signal)
+    fwhm = lineshape_fwhm(pulse) if any(sigma_hz > 0.0 for sigma_hz, _ in weights) else None
+    for (sigma_hz, position), weight in weights.items():
+        if sigma_hz > 0.0:
+            signal += weight * _fold(pulse, fwhm, sigma_hz, grid, position)
+        else:
+            signal += weight * rabi_lineshape(grid - position, pulse)
+    return Spectrum(grid, signal)
+
+
 def synth_copropagating(
     populations: np.ndarray,
-    zeeman: ZeemanParams,
+    bias_gauss: float,
     pulse: RamanPulse,
     grid: np.ndarray,
     field_rms_gauss: float = 0.0,
@@ -146,33 +166,18 @@ def synth_copropagating(
     at its first-order Zeeman position, weighted by its population.
 
     field_rms_gauss, when nonzero, folds every m != 0 line with the Gaussian
-    spread of its Zeeman shift (`_fold`); the m=0 line is untouched.
+    spread of its Zeeman shift; the m=0 line is untouched.
     """
-    if pulse.geometry != "copropagating":
-        raise ValueError("copropagating synthesis needs a copropagating pulse")
-    grid = np.asarray(grid, dtype=float)
-    signal = np.zeros_like(grid)
-    smeared = field_rms_gauss > 0.0 and pulse.rabi_frequency > 0.0
-    fwhm = lineshape_fwhm(pulse) if smeared else None
-    for m, offset, weight in _lines(populations, zeeman):
-        if m != 0 and smeared:
-            sigma_hz = abs(raman_line_offset(m, replace(zeeman, bias_gauss=field_rms_gauss)))
-            signal += weight * _fold(pulse, fwhm, sigma_hz, grid, offset)
-        else:
-            signal += weight * rabi_lineshape(grid - offset, pulse)
-    return Spectrum(grid, signal)
+    if not 0.0 <= field_rms_gauss < np.inf:
+        raise ValueError("field_rms_gauss must be finite and nonnegative")
+    return _synth(populations, bias_gauss, pulse, grid, 0.0,
+                  lambda m: abs(raman_line_offset(m, field_rms_gauss)))
 
 
-def doppler_shift(velocity, geometry: str = "counterpropagating"):
-    """Two-photon detuning (Hz) of an atom moving at `velocity` recoil
-    velocities: 2 v_r / lambda per v_r counterpropagating, zero copropagating."""
-    if geometry not in GEOMETRIES:
-        raise ValueError(f"geometry must be one of {GEOMETRIES}")
-    v = np.asarray(velocity, dtype=float)
-    if geometry == "copropagating":
-        out = np.zeros_like(v)
-    else:
-        out = v * cst.DOPPLER_HZ_PER_RECOIL
+def doppler_shift(velocity):
+    """Counterpropagating two-photon detuning (Hz) of an atom moving at
+    `velocity` recoil velocities: 2 v_r / lambda per v_r."""
+    out = np.asarray(velocity, dtype=float) * cst.DOPPLER_HZ_PER_RECOIL
     return float(out) if np.ndim(velocity) == 0 else out
 
 
@@ -181,35 +186,13 @@ def synth_counterpropagating(
     vdist: VelocityDistribution,
     pulse: RamanPulse,
     grid: np.ndarray,
-    zeeman: ZeemanParams = ZeemanParams(0.0),
+    bias_gauss: float = 0.0,
 ) -> Spectrum:
     """Doppler-sensitive spectrum: the copropagating composite line folded
-    with the velocity distribution mapped through the Doppler shift.
-
-    Lines at the same Zeeman offset share one `_fold` of the Rabi line with
-    the Doppler Gaussian, weighted by their summed populations.
-    """
-    if pulse.geometry != "counterpropagating":
-        raise ValueError("counterpropagating synthesis needs a counterpropagating pulse")
-    grid = np.asarray(grid, dtype=float)
-    lines = _lines(populations, zeeman)
-    if not lines or pulse.rabi_frequency == 0.0:
-        return Spectrum(grid, np.zeros_like(grid))
-
-    shift = doppler_shift(vdist.mean)
-    signal = np.zeros_like(grid)
-    if vdist.sigma == 0.0:
-        for _, offset, weight in lines:
-            signal += weight * rabi_lineshape(grid - offset - shift, pulse)
-        return Spectrum(grid, signal)
-
-    weights = {}
-    for _, offset, weight in lines:
-        weights[offset] = weights.get(offset, 0.0) + weight
-    fwhm = lineshape_fwhm(pulse)
-    for offset, weight in weights.items():
-        signal += weight * _fold(pulse, fwhm, doppler_shift(vdist.sigma), grid, offset + shift)
-    return Spectrum(grid, signal)
+    with the velocity distribution mapped through the Doppler shift."""
+    sigma_hz = doppler_shift(vdist.sigma)
+    return _synth(populations, bias_gauss, pulse, grid, doppler_shift(vdist.mean),
+                  lambda m: sigma_hz)
 
 
 @dataclass
@@ -290,8 +273,8 @@ class VelocityResolution:
 def velocity_resolution(fwhm_hz: float) -> VelocityResolution:
     """Velocity class selected by a line of the given width, expressed in
     recoil velocities and in m/s."""
-    if fwhm_hz <= 0:
-        raise ValueError("width must be positive")
+    if not 0.0 < fwhm_hz < np.inf:
+        raise ValueError("fwhm_hz must be finite and positive")
     recoil_units = fwhm_hz / cst.DOPPLER_HZ_PER_RECOIL
     return VelocityResolution(recoil_units, recoil_units * cst.RECOIL_VELOCITY)
 

@@ -123,19 +123,13 @@ def write_branching_csv(path) -> None:
     atomic_write(path, lines)
 
 
-@dataclass(frozen=True)
-class ZeemanParams:
-    """First-order Zeeman configuration of the two ground hyperfine levels."""
-
-    bias_gauss: float
-    g3: float = cst.G_F3
-    g4: float = cst.G_F4
-
-
-def raman_line_offset(m: int, params: ZeemanParams) -> float:
+def raman_line_offset(m: int, bias_gauss: float) -> float:
     """First-order Zeeman position, in Hz, of the sigma+/sigma+ Raman line
-    connecting g,F=3,m <-> g,F=4,m. The m=0 line sits at zero for any field."""
+    connecting g,F=3,m <-> g,F=4,m in a bias field of bias_gauss. The m=0
+    line sits at zero for any field."""
     if abs(m) > 3:
         raise ValueError(f"no F=3 partner for m={m}; |m| must be <= 3")
-    field_tesla = params.bias_gauss * 1e-4
-    return m * (params.g4 - params.g3) * cst.BOHR_MAGNETON * field_tesla / cst.PLANCK
+    if not np.isfinite(bias_gauss):
+        raise ValueError(f"bias_gauss must be finite, got {bias_gauss!r}")
+    field_tesla = bias_gauss * 1e-4
+    return m * (cst.G_F4 - cst.G_F3) * cst.BOHR_MAGNETON * field_tesla / cst.PLANCK

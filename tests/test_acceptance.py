@@ -144,7 +144,7 @@ def test_criterion_04_width_closure():
     for sigma_vr, measured, tol in TABLE_ROWS[:2]:
         spec = synth_counterpropagating(
             pop, VelocityDistribution(sigma_vr),
-            pi_pulse(0.007, "counterpropagating"), grid,
+            pi_pulse(0.007), grid,
         )
         fit = fit_gaussian(spec)
         dev = abs(fit.fwhm_hz - measured) / measured

@@ -246,6 +246,28 @@ class TestSpectrumCommand:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "out" / "spectrum.csv").exists()
 
+    def test_traced_run_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        # the benchmark's tracer wraps the synthesis functions by name and
+        # reads their populations and grid arguments by position
+        monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
+        import spans
+
+        def argv(out):
+            return ["spectrum", "--config", os.path.join(SCENARIOS, "table1_widths.ini"),
+                    "--out", str(tmp_path / out)]
+
+        assert main(argv("plain")) == 0
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert tracer.job("table1", main, argv("traced")) == 0
+        finally:
+            tracer.restore()
+        traced = (tmp_path / "traced" / "spectrum.csv").read_bytes()
+        assert traced == (tmp_path / "plain" / "spectrum.csv").read_bytes()
+        # seven populated lines of uniform_f4 on the 2001-point grid
+        assert tracer.counts["raman.synth_counterpropagating.line_grid_points"] == 7 * 2001
+
 
 class TestHeatCommand:
     def test_summary_and_histogram(self, tmp_path):

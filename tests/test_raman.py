@@ -26,7 +26,7 @@ from pumpsim.raman import (
     velocity_resolution,
     write_spectrum_csv,
 )
-from pumpsim.structure import Sublevel, ZeemanParams, raman_line_offset, state_index
+from pumpsim.structure import Sublevel, raman_line_offset, state_index
 
 
 def run_with_pumpsim(code):
@@ -84,15 +84,13 @@ class TestRabiLineshape:
             RamanPulse(-1.0, 1.0)
         with pytest.raises(ValueError):
             RamanPulse(0.007, -1.0)
-        with pytest.raises(ValueError):
-            RamanPulse(0.007, 1.0, "diagonal")
 
 
 class TestCopropagating:
     def test_polarized_single_line_at_zero(self):
         grid = np.arange(-2000.0, 2001.0, 1.0)
         spec = synth_copropagating(
-            polarized_populations(), ZeemanParams(0.1), pi_pulse(0.007), grid
+            polarized_populations(), 0.1, pi_pulse(0.007), grid
         )
         assert spec.signal[np.argmin(np.abs(grid))] == pytest.approx(1.0, abs=1e-9)
         # away from the line the signal falls off; no other line in range
@@ -102,10 +100,10 @@ class TestCopropagating:
         pop = np.zeros(43)
         pop[state_index(Sublevel("g", 4, 1))] = 2.0 / 3.0
         pop[state_index(Sublevel("g", 4, -1))] = 1.0 / 3.0
-        zp = ZeemanParams(0.05)
+        bias = 0.05
         offset = 0.5 * (9.2740100783e-24 / 6.62607015e-34 * 1e-4) * 0.05
         grid = np.linspace(-offset - 2e3, offset + 2e3, 40001)
-        spec = synth_copropagating(pop, zp, pi_pulse(0.007), grid)
+        spec = synth_copropagating(pop, bias, pi_pulse(0.007), grid)
         mid = grid.size // 2
         area_plus = np.trapezoid(spec.signal[mid:], grid[mid:])
         area_minus = np.trapezoid(spec.signal[:mid], grid[:mid])
@@ -119,7 +117,7 @@ class TestCopropagating:
             pop[state_index(Sublevel("g", 4, m))] = 1.0 / 7.0
         pulse = pi_pulse(0.007)
         grid = np.arange(-2000.0, 2001.0, 1.0)
-        spec = synth_copropagating(pop, ZeemanParams(0.0), pulse, grid)
+        spec = synth_copropagating(pop, 0.0, pulse, grid)
         half = 0.5 * spec.signal.max()
         above = grid[spec.signal >= half]
         width = above[-1] - above[0]
@@ -127,7 +125,7 @@ class TestCopropagating:
 
     def test_area_linearity(self):
         # mixture spectrum equals the population-weighted sum of pure spectra
-        zp = ZeemanParams(0.02)
+        bias = 0.02
         pulse = pi_pulse(0.007)
         grid = np.linspace(-20e3, 20e3, 2001)
         mix = np.zeros(43)
@@ -135,28 +133,21 @@ class TestCopropagating:
         for m, w in ((-1, 0.25), (0, 0.5), (2, 0.25)):
             mix[state_index(Sublevel("g", 4, m))] = w
             parts.append(w * synth_copropagating(
-                polarized_populations(m), zp, pulse, grid).signal)
-        combined = synth_copropagating(mix, zp, pulse, grid).signal
+                polarized_populations(m), bias, pulse, grid).signal)
+        combined = synth_copropagating(mix, bias, pulse, grid).signal
         assert np.max(np.abs(combined - sum(parts))) < 1e-6
 
     def test_field_fluctuation_smears_shifted_lines_only(self):
-        zp = ZeemanParams(0.1)
+        bias = 0.1
         pulse = pi_pulse(0.007)
         grid = np.arange(-2000.0, 2001.0, 1.0)
-        sharp = synth_copropagating(polarized_populations(0), zp, pulse, grid, 300e-6)
+        sharp = synth_copropagating(polarized_populations(0), bias, pulse, grid, 300e-6)
         assert sharp.signal[np.argmin(np.abs(grid))] == pytest.approx(1.0, abs=1e-9)
         offset = 69981.0
         grid_m1 = np.arange(offset - 2e3, offset + 2e3, 1.0)
-        smeared = synth_copropagating(polarized_populations(1), zp, pulse, grid_m1, 300e-6)
-        plain = synth_copropagating(polarized_populations(1), zp, pulse, grid_m1, 0.0)
+        smeared = synth_copropagating(polarized_populations(1), bias, pulse, grid_m1, 300e-6)
+        plain = synth_copropagating(polarized_populations(1), bias, pulse, grid_m1, 0.0)
         assert smeared.signal.max() < plain.signal.max()
-
-    def test_geometry_checked(self):
-        with pytest.raises(ValueError):
-            synth_copropagating(
-                polarized_populations(), ZeemanParams(0.1),
-                pi_pulse(0.007, "counterpropagating"), np.linspace(-1e3, 1e3, 11),
-            )
 
 
 class TestDopplerShift:
@@ -170,9 +161,6 @@ class TestDopplerShift:
         assert doppler_shift(0.0) == 0.0
         assert doppler_shift(2.5) == pytest.approx(2.5 * doppler_shift(1.0), rel=1e-12)
 
-    def test_copropagating_geometry_cancels(self):
-        assert doppler_shift(3.0, "copropagating") == 0.0
-
 
 class TestCounterpropagating:
     GRID = np.arange(-250e3, 250e3 + 1.0, 250.0)
@@ -181,7 +169,7 @@ class TestCounterpropagating:
         return synth_counterpropagating(
             polarized_populations(),
             VelocityDistribution(sigma_vr),
-            pi_pulse(0.007, "counterpropagating"),
+            pi_pulse(0.007),
             self.GRID,
         )
 
@@ -197,7 +185,7 @@ class TestCounterpropagating:
         assert fit.fwhm_hz == pytest.approx(91.3e3, rel=0.05)
 
     def test_zero_spread_recovers_fourier_width(self):
-        pulse = pi_pulse(0.007, "counterpropagating")
+        pulse = pi_pulse(0.007)
         grid = np.arange(-2000.0, 2001.0, 1.0)
         spec = synth_counterpropagating(
             polarized_populations(), VelocityDistribution(0.0), pulse, grid
@@ -209,7 +197,7 @@ class TestCounterpropagating:
         )
 
     def test_convolution_widening(self):
-        pulse = pi_pulse(0.007, "counterpropagating")
+        pulse = pi_pulse(0.007)
         grid = np.linspace(-50e3, 50e3, 4001)
         narrow = synth_counterpropagating(
             polarized_populations(), VelocityDistribution(0.0), pulse, grid
@@ -232,7 +220,7 @@ class TestCounterpropagating:
         spec = synth_counterpropagating(
             polarized_populations(),
             VelocityDistribution(1.0, mean=2.0),
-            pi_pulse(0.007, "counterpropagating"),
+            pi_pulse(0.007),
             self.GRID,
         )
         fit = fit_gaussian(spec)
@@ -247,7 +235,7 @@ CLI_GRID = np.arange(-250e3, 250e3 + 1.0, 250.0)
 SUBSET = slice(None, None, 10)  # 201 of the 2001 CLI grid points
 
 
-def direct_counterpropagating(populations, vdist, pulse, grid, zeeman):
+def direct_counterpropagating(populations, vdist, pulse, grid, bias_gauss):
     """Independent oracle: a dense velocity quadrature over +-6 sigma, one
     Rabi line per populated sublevel and velocity."""
     v = np.linspace(-6.0, 6.0, 20_001) * vdist.sigma + vdist.mean
@@ -258,13 +246,13 @@ def direct_counterpropagating(populations, vdist, pulse, grid, zeeman):
     for m in range(-3, 4):
         weight = populations[state_index(Sublevel("g", 4, m))]
         if weight:
-            offset = raman_line_offset(m, zeeman)
+            offset = raman_line_offset(m, bias_gauss)
             signal += weight * (rabi_lineshape(detunings - offset, pulse) @ gauss)
     return signal
 
 
 class TestFold:
-    PULSE = pi_pulse(0.007, "counterpropagating")
+    PULSE = pi_pulse(0.007)
 
     @pytest.mark.parametrize(
         "sigma_vr, mean_vr, bias_gauss",
@@ -272,11 +260,10 @@ class TestFold:
     )
     def test_counterpropagating_matches_direct_quadrature(self, sigma_vr, mean_vr, bias_gauss):
         vdist = VelocityDistribution(sigma_vr, mean=mean_vr)
-        zeeman = ZeemanParams(bias_gauss)
         populations = uniform_f4()
-        got = synth_counterpropagating(populations, vdist, self.PULSE, CLI_GRID, zeeman)
+        got = synth_counterpropagating(populations, vdist, self.PULSE, CLI_GRID, bias_gauss)
         want = direct_counterpropagating(
-            populations, vdist, self.PULSE, CLI_GRID[SUBSET], zeeman
+            populations, vdist, self.PULSE, CLI_GRID[SUBSET], bias_gauss
         )
         assert np.max(np.abs(got.signal[SUBSET] - want)) <= 1e-6 * want.max()
 
@@ -285,11 +272,11 @@ class TestFold:
     def test_copropagating_smear_matches_direct_sum(self, m, rms_gauss):
         # smear sigma = |m| * 0.70 MHz/G * rms: 35 Hz (m=1, 50 uG) to 630 Hz
         # (m=3, 300 uG)
-        zeeman, pulse = ZeemanParams(0.1), pi_pulse(0.007)
-        offset = raman_line_offset(m, zeeman)
-        sigma_hz = abs(raman_line_offset(m, ZeemanParams(rms_gauss)))
+        bias_gauss, pulse = 0.1, pi_pulse(0.007)
+        offset = raman_line_offset(m, bias_gauss)
+        sigma_hz = abs(raman_line_offset(m, rms_gauss))
         grid = offset + np.arange(-4000.0, 4000.5, 2.0)
-        got = synth_copropagating(polarized_populations(m), zeeman, pulse, grid, rms_gauss)
+        got = synth_copropagating(polarized_populations(m), bias_gauss, pulse, grid, rms_gauss)
         shifts = np.linspace(-6.0 * sigma_hz, 6.0 * sigma_hz, 4001)
         gauss = np.exp(-0.5 * (shifts / sigma_hz) ** 2)
         gauss /= gauss.sum()
@@ -300,9 +287,30 @@ class TestFold:
         grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
         pulse = pi_pulse(0.007)
         spec = synth_copropagating(
-            polarized_populations(0), ZeemanParams(0.1), pulse, grid, 300e-6
+            polarized_populations(0), 0.1, pulse, grid, 300e-6
         )
         assert np.array_equal(spec.signal, rabi_lineshape(grid, pulse))
+
+    def test_shared_fold_is_weighted_after_folding(self):
+        # at zero bias every line of uniform_f4 sits at one position with one
+        # width: one fold, multiplied by the populations summed in m order
+        populations = uniform_f4()
+        weight = 0.0
+        for m in range(-3, 4):
+            weight += populations[state_index(Sublevel("g", 4, m))]
+        vdist = VelocityDistribution(4.0)
+        shared = synth_counterpropagating(populations, vdist, self.PULSE, CLI_GRID)
+        single = synth_counterpropagating(polarized_populations(0), vdist, self.PULSE, CLI_GRID)
+        assert np.array_equal(shared.signal, weight * single.signal)
+
+    @pytest.mark.parametrize("bias_gauss", [0.0, 0.1])
+    def test_zero_spread_equals_unsmeared_copropagating(self, bias_gauss):
+        grid = np.arange(-250e3, 250e3 + 1.0, 50.0)
+        counter = synth_counterpropagating(
+            uniform_f4(), VelocityDistribution(0.0), self.PULSE, grid, bias_gauss
+        )
+        co = synth_copropagating(uniform_f4(), bias_gauss, self.PULSE, grid)
+        assert np.array_equal(counter.signal, co.signal)
 
     def test_nonuniform_grid_rejected(self):
         grid = np.concatenate([np.arange(-5e3, 0.0, 250.0), np.arange(0.0, 5e3, 100.0)])
@@ -310,7 +318,7 @@ class TestFold:
             synth_counterpropagating(uniform_f4(), VelocityDistribution(1.0), self.PULSE, grid)
         with pytest.raises(ValueError, match="uniform"):
             synth_copropagating(
-                polarized_populations(1), ZeemanParams(0.1), pi_pulse(0.007), grid, 3e-4
+                polarized_populations(1), 0.1, pi_pulse(0.007), grid, 3e-4
             )
 
     def test_empty_grid(self):
@@ -318,7 +326,7 @@ class TestFold:
         counter = synth_counterpropagating(
             uniform_f4(), VelocityDistribution(4.0), self.PULSE, empty
         )
-        co = synth_copropagating(uniform_f4(), ZeemanParams(0.1), pi_pulse(0.007), empty, 3e-4)
+        co = synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), empty, 3e-4)
         assert counter.signal.shape == co.signal.shape == (0,)
 
     def test_one_point_grid_matches_full_grid(self):
@@ -340,12 +348,12 @@ class TestFold:
         assert np.array_equal(spec.signal, rabi_lineshape(CLI_GRID - 0.0 - shift, self.PULSE))
 
     def test_zero_rabi_frequency_gives_zero_signal(self):
-        pulse = RamanPulse(0.007, 0.0, "counterpropagating")
+        pulse = RamanPulse(0.007, 0.0)
         spec = synth_counterpropagating(uniform_f4(), VelocityDistribution(4.0), pulse, CLI_GRID)
         assert np.array_equal(spec.signal, np.zeros_like(CLI_GRID))
         grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
         co = synth_copropagating(
-            uniform_f4(), ZeemanParams(0.1), RamanPulse(0.007, 0.0), grid, 300e-6
+            uniform_f4(), 0.1, RamanPulse(0.007, 0.0), grid, 300e-6
         )
         assert np.array_equal(co.signal, np.zeros_like(grid))
 
@@ -442,7 +450,7 @@ class TestVelocityResolution:
 def test_spectrum_csv_round_trip(tmp_path):
     grid = np.linspace(-1e3, 1e3, 11)
     spec = synth_copropagating(
-        polarized_populations(), ZeemanParams(0.1), pi_pulse(0.007), grid
+        polarized_populations(), 0.1, pi_pulse(0.007), grid
     )
     fit = fit_gaussian(
         Spectrum(grid, np.exp(-0.5 * (grid / 300.0) ** 2))
@@ -475,10 +483,29 @@ NAN, INF = float("nan"), float("inf")
         (lambda: VelocityDistribution(NAN), "sigma"),
         (lambda: VelocityDistribution(INF), "sigma"),
         (lambda: VelocityDistribution(-1.0), "sigma"),
+        (lambda: pi_pulse(0.0), "duration"),
+        (lambda: VelocityDistribution(4.0, mean=NAN), "mean"),
+        (lambda: VelocityDistribution(4.0, mean=INF), "mean"),
+        (lambda: raman_line_offset(1, NAN), "bias_gauss"),
+        (lambda: raman_line_offset(1, -INF), "bias_gauss"),
+        (lambda: synth_copropagating(uniform_f4(), NAN, pi_pulse(0.007), CLI_GRID),
+         "bias_gauss"),
+        (lambda: synth_counterpropagating(uniform_f4(), VelocityDistribution(4.0),
+                                          pi_pulse(0.007), CLI_GRID, INF), "bias_gauss"),
+        (lambda: synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), CLI_GRID, NAN),
+         "field_rms_gauss"),
+        (lambda: synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), CLI_GRID, INF),
+         "field_rms_gauss"),
+        (lambda: synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), CLI_GRID, -3e-4),
+         "field_rms_gauss"),
+        (lambda: velocity_resolution(NAN), "fwhm_hz"),
+        (lambda: velocity_resolution(INF), "fwhm_hz"),
     ],
 )
 def test_non_finite_raman_input_rejected(make, field_name):
     # a nan duration used to give a nan line, a nan Rabi frequency a zero
-    # line, and a nan or infinite spread failed later inside the fold
+    # line, and a nan or infinite spread failed later inside the fold; a
+    # nan bias dropped every m != 0 line, an infinite one gave a nan
+    # spectrum, and a nan mean velocity an all-zero one
     with pytest.raises(ValueError, match=field_name):
         make()

@@ -10,11 +10,11 @@ F=4, m=0 sublevel to F'=4, m'=0) and the closed stretched-state channel.
 
 import numpy as np
 
-from pumpsim import Sublevel, branching_ratio, branching_table, enumerate_states
-from pumpsim.structure import EXCITED_INDICES, GROUND_INDICES, write_branching_csv
+from pumpsim import Sublevel, branching_ratio, branching_table
+from pumpsim.structure import EXCITED_INDICES, GROUND_INDICES, STATES, write_branching_csv
 
 # %% the canonical enumeration
-states = enumerate_states()
+states = STATES
 print(f"{len(states)} sublevels "
       f"({len(GROUND_INDICES)} ground + {len(EXCITED_INDICES)} excited):")
 print("  ", " ".join(lv.label() for lv in states[:16]))

@@ -7,10 +7,9 @@ along the (back-reflected, random-sign) pump beam and once in a random
 direction from spontaneous emission. The kinetics counts the expected
 cycles per initial sublevel; the Monte Carlo walk turns them into an rms
 velocity increase along the Raman detection axis. There an emission recoil
-projects uniformly on [-1, 1] (Archimedes' hat-box theorem) and an
-absorption recoil to +-pump_projection, the cosine between the pump and
-detection axes: 0 here, where the pump is orthogonal to the detection
-axis, so only the emission recoils show up.
+projects uniformly on [-1, 1] (Archimedes' hat-box theorem), and an
+absorption recoil along the pump, orthogonal to the detection axis as in
+the paper, projects to 0, so only the emission recoils show up.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ from pumpsim.kinetics import beam
 beams = [beam(4, 4, 0.019, -0.5, 0.0), beam(3, 4, 0.023, 0.0, 0.0)]
 
 # %% expected fluorescence cycles until 95% of the sample is dark
-report = expected_cycles(beams, prune_threshold=1e-3)
+report = expected_cycles(beams, pruned=True)
 print("cycles per initial sublevel:")
 for m in range(-4, 5):
     print(f"  m={m:+d}: {report.per_sublevel[m]:6.2f}")

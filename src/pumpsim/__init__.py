@@ -10,7 +10,6 @@ from .structure import (
     Sublevel,
     branching_ratio,
     branching_table,
-    enumerate_states,
     parse_label,
     raman_line_offset,
     state_index,

@@ -23,7 +23,7 @@ from .kinetics import (
     uniform_f4,
     write_trajectory_csv,
 )
-from .output import atomic_write, rows
+from .output import atomic_write, header, rows
 from .raman import (
     fit_gaussian,
     lineshape_fwhm,
@@ -42,10 +42,13 @@ EXIT_DATA = 3
 EXIT_NON_CONVERGENCE = 4
 
 
-def _load(args) -> ScenarioConfig:
+def _load(args, beams_for: str = "") -> ScenarioConfig:
+    """The --config scenario; a nonempty `beams_for` names what needs a beam."""
     if args.config is None:
         raise ConfigError("this command needs --config")
     cfg = load_config(args.config)
+    if beams_for and not cfg.beams:
+        raise ConfigError(f"{beams_for} needs at least one [beams.*] section")
     if args.out is not None:
         cfg.directory = args.out
     return cfg
@@ -57,10 +60,7 @@ def cmd_states(args) -> int:
         print(f"{i},{level.label()}")
     print(f"# total={len(STATES)}")
     if args.prune:
-        cfg = _load(args)
-        if not cfg.beams:
-            raise ConfigError("--prune needs at least one [beams.*] section")
-        matrix = assemble_rate_matrix(cfg.beams)
+        matrix = assemble_rate_matrix(_load(args, "--prune").beams)
         _, active = prune(matrix, PRUNE_THRESHOLD)
         print(f"# active_after_prune={active}")
     return EXIT_OK
@@ -74,24 +74,21 @@ def _pump_run(cfg: ScenarioConfig, pruned: bool):
 
 
 def cmd_pump(args) -> int:
-    cfg = _load(args)
-    if not cfg.beams:
-        raise ConfigError("pump needs at least one [beams.*] section")
+    cfg = _load(args, "pump")
     trajectory = _pump_run(cfg, args.prune)
     metrics = pump_metrics(trajectory)
 
     out = cfg.directory
     write_trajectory_csv(trajectory, os.path.join(out, "trajectory.csv"))
-    lines = [
-        f"# t_end_s={cfg.t_end_s:.17g}",
-        f"# dt_gamma={cfg.dt_gamma:.17g}",
-        f"# pruned={str(bool(args.prune)).lower()}",
-        f"# m0_fraction_final={metrics.m0_fraction[-1]:.17g}",
-        f"# tau_50_s={'none' if metrics.tau_50 is None else format(metrics.tau_50, '.17g')}",
-        f"# photons_to_tau50={'none' if metrics.photons_to_tau50 is None else format(metrics.photons_to_tau50, '.17g')}",
-        f"# scattered_photons_final={trajectory.scattered_photons[-1]:.17g}",
-        "time_s,m0_fraction",
-    ] + rows(metrics.times, metrics.m0_fraction)
+    lines = header({
+        "t_end_s": cfg.t_end_s,
+        "dt_gamma": cfg.dt_gamma,
+        "pruned": args.prune,
+        "m0_fraction_final": metrics.m0_fraction[-1],
+        "tau_50_s": metrics.tau_50,
+        "photons_to_tau50": metrics.photons_to_tau50,
+        "scattered_photons_final": trajectory.scattered_photons[-1],
+    }) + ["time_s,m0_fraction"] + rows(metrics.times, metrics.m0_fraction)
     atomic_write(os.path.join(out, "pump_metrics.txt"), lines)
     print(f"final m0 fraction: {metrics.m0_fraction[-1]:.6f}")
     if metrics.tau_50 is None:
@@ -106,11 +103,7 @@ def cmd_pump(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
     pulse = pi_pulse(cfg.tau_s)
-    if cfg.beams:
-        trajectory = _pump_run(cfg, args.prune)
-        populations = trajectory.populations[-1]
-    else:
-        populations = uniform_f4()
+    populations = _pump_run(cfg, args.prune).populations[-1] if cfg.beams else uniform_f4()
 
     out = cfg.directory
     fwhm_single = lineshape_fwhm(pulse)
@@ -146,15 +139,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    cfg = _load(args)
-    if not cfg.beams:
-        raise ConfigError("heat needs at least one [beams.*] section")
+    cfg = _load(args, "heat")
     summary = heating_summary(
         cfg.beams,
         initial_vrms=cfg.sigma_vr,
         samples=cfg.samples,
         seed=cfg.seed if args.seed is None else args.seed,
-        prune_threshold=PRUNE_THRESHOLD if args.prune else None,
+        pruned=args.prune,
     )
     out = cfg.directory
     write_heating_summary(summary, os.path.join(out, "heating.txt"))
@@ -170,25 +161,23 @@ def cmd_heat(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _load(args)
-    if not cfg.beams:
-        raise ConfigError("fit needs at least one [beams.*] section")
+    cfg = _load(args, "fit")
     if not args.data:
         raise DataError("fit needs at least one observation file")
     series = [load_observations(path) for path in args.data]
     result = fit_depolarization(series, cfg.beams, fit_scale=args.fit_scale)
 
     out = cfg.directory
-    lines = [
-        f"# alpha_hat={result.depolarization:.17g}",
-        f"# sse={result.sse:.17g}",
-        f"# iterations={result.iterations}",
-        f"# converged={str(result.converged).lower()}",
-        f"# weakly_identified={str(result.weakly_identified).lower()}",
-    ]
-    if result.scales is not None:
-        for path, scale in zip(args.data, result.scales):
-            lines.append(f"# scale[{os.path.basename(path)}]={scale:.17g}")
+    lines = header({
+        "alpha_hat": result.depolarization,
+        "sse": result.sse,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "weakly_identified": result.weakly_identified,
+    })
+    for path, scale in zip(args.data, result.scales or ()):
+        # one line per file, even where two files share a name
+        lines += header({f"scale[{os.path.basename(path)}]": scale})
     lines.append("series,time_s,residual")
     for s, resid in zip(series, result.residuals):
         name = os.path.basename(s.source) if s.source else s.observable.label()

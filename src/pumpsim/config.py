@@ -149,6 +149,9 @@ def load_config(path) -> ScenarioConfig:
         else:
             for key, value in values.items():
                 setattr(cfg, key, value)
+    if cfg.rms_fluct_gauss and cfg.geometry == "counterpropagating":
+        raise ConfigError("[field] rms_fluct_gauss: counterpropagating spectra take no "
+                          f"field spread, got {cfg.rms_fluct_gauss}")
 
     linewidth = 2.0 * 3.141592653589793 * cfg.laser_linewidth_hz
     for section, values in beam_specs:

@@ -12,7 +12,6 @@ PLANCK = 6.62607015e-34        # J s
 SPEED_OF_LIGHT = 299792458.0   # m/s
 BOLTZMANN = 1.380649e-23       # J/K
 
-HBAR = PLANCK / (2.0 * math.pi)
 BOHR_MAGNETON = 9.2740100783e-24   # J/T (CODATA 2018)
 CS_MASS = 2.20694650e-25           # kg, Cs-133
 
@@ -28,9 +27,7 @@ J_EXCITED = 1.5    # 6P3/2
 GROUND_F = (3, 4)
 EXCITED_F = (3, 4, 5)
 
-# hyperfine intervals
-GROUND_SPLITTING = 9.192631770e9   # Hz, F=3 <-> F=4 (SI second)
-# 6P3/2 intervals in Hz, keyed by the adjacent (lower F', upper F') pair
+# 6P3/2 hyperfine intervals in Hz, keyed by the adjacent (lower F', upper F') pair
 EXCITED_SPLITTING = {(2, 3): 151.2e6, (3, 4): 201.2e6, (4, 5): 251.0e6}
 
 # first-order Lande factors of the two ground hyperfine levels

@@ -4,9 +4,9 @@ The kinetics gives the expected number of fluorescence cycles needed to
 reach the dark state; a seeded Monte Carlo then walks each atom's velocity
 along the Raman detection axis, the only axis the velocimetry reads. By
 Archimedes' hat-box theorem an isotropic emission recoil projects uniformly
-on [-1, 1]; the absorption recoil along the back-reflected pump projects to
-+-c, c the cosine between the pump and detection axes (0 for the paper's
-orthogonal beams). Everything is in units of the recoil velocity.
+on [-1, 1]; the absorption recoil along the back-reflected pump, orthogonal
+to the detection axis as in the paper, projects to 0. Everything is in
+units of the recoil velocity.
 """
 
 import operator
@@ -16,7 +16,6 @@ import numpy as np
 
 from .kinetics import (
     LIBRARY_DT,
-    PRUNE_THRESHOLD,
     Trajectory,
     assemble_rate_matrix,
     first_crossing,
@@ -25,7 +24,7 @@ from .kinetics import (
     single_sublevel,
     uniform_f4,
 )
-from .output import atomic_write, rows
+from .output import atomic_write, header, rows
 from .structure import Sublevel
 
 
@@ -46,17 +45,18 @@ def expected_cycles(
     beams,
     t_end: float = 0.02,
     threshold: float = 0.95,
-    prune_threshold: float | None = None,
+    pruned: bool = False,
 ) -> CycleReport:
     """Run the rate model from every single F=4 sublevel and from the uniform
     F=4 start; report the expected photons scattered by the time the
     polarized fraction reaches `threshold` (photons at t_end when it never
-    does). The ten starts run as two column blocks of five."""
+    does), on the pruned matrix when `pruned`. The ten starts run as two
+    column blocks of five."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     matrix = assemble_rate_matrix(beams)
-    if prune_threshold is not None:
-        matrix, _ = prune(matrix, prune_threshold)
+    if pruned:
+        matrix, _ = prune(matrix)
     starts = np.column_stack(
         [single_sublevel(Sublevel("g", 4, m)) for m in range(-4, 5)] + [uniform_f4()]
     )
@@ -105,25 +105,21 @@ def _count(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _rng(seed: int, samples: int, pump_projection: float) -> np.random.Generator:
+def _rng(seed: int, samples: int) -> np.random.Generator:
     """The seeded stream of a walk over `samples` atoms; the standard error
-    of its rms needs at least two, and the pump projection is a cosine."""
+    of its rms needs at least two."""
     if _count("samples", samples) < 2:
         raise ValueError("need at least two samples")
-    if not abs(pump_projection) <= 1.0:
-        raise ValueError(f"pump_projection is a cosine, got {pump_projection}")
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _walk(counts: np.ndarray, pump_projection: float, rng) -> np.ndarray:
+def _walk(counts: np.ndarray, rng) -> np.ndarray:
     """Velocities along the detection axis after per-sample cycle counts;
     the draw pattern is fixed per cycle so results do not depend on the
     count distribution."""
     velocity = np.zeros(counts.size)
     for k in range(int(counts.max())):
         kick = rng.uniform(-1.0, 1.0, size=counts.size)
-        if pump_projection != 0.0:
-            kick += pump_projection * (rng.integers(0, 2, size=counts.size) * 2.0 - 1.0)
         velocity += np.where(counts > k, kick, 0.0)
     return velocity
 
@@ -139,21 +135,14 @@ def _summarize(projected: np.ndarray, mean_cycles, samples, seed) -> HeatingResu
     return HeatingResult(float(mean_cycles), rms, se, samples, seed, projected)
 
 
-def recoil_walk(
-    cycles: int,
-    pump_projection: float = 0.0,
-    samples: int = 100_000,
-    seed: int = 12345,
-) -> HeatingResult:
+def recoil_walk(cycles: int, samples: int = 100_000, seed: int = 12345) -> HeatingResult:
     """Random recoil walk with a fixed number of fluorescence cycles per
-    atom; `pump_projection` is the cosine between the pump and detection
-    axes. Reproducible for a fixed seed."""
+    atom. Reproducible for a fixed seed."""
     cycles = _count("cycles", cycles)
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
-    rng = _rng(seed, samples, pump_projection)
-    counts = np.full(samples, cycles)
-    projected = _walk(counts, pump_projection, rng)
+    rng = _rng(seed, samples)
+    projected = _walk(np.full(samples, cycles), rng)
     return _summarize(projected, cycles, samples, seed)
 
 
@@ -168,11 +157,10 @@ class HeatingSummary:
 
 def heating_summary(
     beams,
-    pump_projection: float = 0.0,
     initial_vrms: float = 4.0,
     samples: int = 100_000,
     seed: int = 12345,
-    prune_threshold: float | None = PRUNE_THRESHOLD,
+    pruned: bool = True,
 ) -> HeatingSummary:
     """Compose the kinetics cycle counts with the recoil Monte Carlo.
 
@@ -180,15 +168,14 @@ def heating_summary(
     sublevel's expected count, rounded stochastically so the ensemble mean
     is preserved. Reports the rms velocity increase along the detection
     axis and the quadrature/additive compositions with the initial spread.
-    `pump_projection` is the cosine between the pump and detection axes.
     """
-    rng = _rng(seed, samples, pump_projection)
-    report = expected_cycles(beams, prune_threshold=prune_threshold)
+    rng = _rng(seed, samples)
+    report = expected_cycles(beams, pruned=pruned)
     ms = rng.integers(-4, 5, size=samples)
     expected = np.array([report.per_sublevel[m] for m in range(-4, 5)])[ms + 4]
     base = np.floor(expected)
     counts = (base + (rng.random(samples) < (expected - base))).astype(np.int64)
-    projected = _walk(counts, pump_projection, rng)
+    projected = _walk(counts, rng)
     result = _summarize(projected, counts.mean(), samples, seed)
     delta = result.delta_vrms
     return HeatingSummary(
@@ -202,21 +189,20 @@ def heating_summary(
 
 def write_heating_summary(summary: HeatingSummary, path) -> None:
     """Key=value block plus a 51-bin histogram of the projected velocities."""
-    result = summary.result
-    lines = [
-        f"# mean_cycles={result.mean_cycles:.17g}",
-        f"# cycles_uniform_start={summary.cycle_report.uniform:.17g}",
-        f"# cycles_sublevel_average={summary.cycle_report.average:.17g}",
-        f"# pump_threshold={summary.cycle_report.threshold:.17g}",
-        f"# delta_vrms_vr={result.delta_vrms:.17g}",
-        f"# delta_vrms_standard_error_vr={result.standard_error:.17g}",
-        f"# initial_vrms_vr={summary.initial_vrms:.17g}",
-        f"# final_vrms_quadrature_vr={summary.final_vrms_quadrature:.17g}",
-        f"# final_vrms_additive_vr={summary.final_vrms_additive:.17g}",
-        f"# samples={result.samples}",
-        f"# seed={result.seed}",
-        "v_over_vr,count",
-    ]
+    result, report = summary.result, summary.cycle_report
+    lines = header({
+        "mean_cycles": result.mean_cycles,
+        "cycles_uniform_start": report.uniform,
+        "cycles_sublevel_average": report.average,
+        "pump_threshold": report.threshold,
+        "delta_vrms_vr": result.delta_vrms,
+        "delta_vrms_standard_error_vr": result.standard_error,
+        "initial_vrms_vr": summary.initial_vrms,
+        "final_vrms_quadrature_vr": summary.final_vrms_quadrature,
+        "final_vrms_additive_vr": summary.final_vrms_additive,
+        "samples": result.samples,
+        "seed": result.seed,
+    }) + ["v_over_vr,count"]
     span = 5.0 * max(result.delta_vrms, 1e-9)
     counts, edges = np.histogram(result.projected, bins=51, range=(-span, span))
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -247,12 +247,9 @@ class Trajectory:
     populations: np.ndarray       # shape (n_samples, 43[, k])
     scattered_photons: np.ndarray  # shape (n_samples[, k])
 
-    def ground_fraction(self) -> np.ndarray:
-        return self.populations[:, GROUND_INDICES].sum(axis=1)
-
     def sublevel_fraction(self, level: Sublevel) -> np.ndarray:
         """Population of one sublevel as a fraction of all ground atoms."""
-        ground = self.ground_fraction()
+        ground = self.populations[:, GROUND_INDICES].sum(axis=1)
         return self.populations[:, state_index(level)] / ground
 
 
@@ -305,7 +302,6 @@ def integrate_rk4(
     stride (at most max_samples points) plus the final step; one matrix
     product of the stacked powers B, ..., B^32 fills 32 samples.
     """
-    rates = rate_matrix.matrix
     n0 = np.asarray(n0, dtype=float)
     if n0.shape[:1] != (N_STATES,) or n0.ndim > 2 or n0.size == 0:
         raise ValueError(f"initial populations must have shape ({N_STATES},) "
@@ -316,10 +312,9 @@ def integrate_rk4(
         raise ValueError("initial populations must sum to one")
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValueError("dt and t_end must be finite and positive")
-    max_rate = float(np.max(np.abs(rates)))
-    if dt * max_rate > STABILITY_LIMIT * (1 + 1e-12):
+    if dt * rate_matrix.max_rate > STABILITY_LIMIT * (1 + 1e-12):
         raise ValueError(
-            f"dt*max|R| = {dt * max_rate:.3g} exceeds the stability limit "
+            f"dt*max|R| = {dt * rate_matrix.max_rate:.3g} exceeds the stability limit "
             f"{STABILITY_LIMIT}; reduce dt"
         )
 
@@ -331,7 +326,7 @@ def integrate_rk4(
     if remainder:
         steps_done.append(n_steps)
 
-    step = _rk4_step_matrix(rates, dt)
+    step = _rk4_step_matrix(rate_matrix.matrix, dt)
     # powers[j] = B^(j+1) for the block B of `stride` steps, each conserving
     powers = np.empty((min(STACKED_POWERS, n_blocks), N_STATES + 1, N_STATES + 1))
     powers[0] = _conserving(np.linalg.matrix_power(step, stride))

@@ -14,6 +14,20 @@ def rows(*columns) -> list[str]:
     return [fmt % tuple(row.tolist()) for row in table]
 
 
+def header(fields: dict) -> list[str]:
+    """One `# key=value` line per field: a float at `%.17g`, a bool as
+    true/false, an int as is, None as none."""
+    return [f"# {key}={_text(value)}" for key, value in fields.items()]
+
+
+def _text(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, (int, np.integer)) else f"{value:.17g}"
+
+
 def atomic_write(path, lines: list[str]) -> None:
     """Write `lines`, each ending in a newline, to `path` as UTF-8 through a
     temporary file in the same directory and a rename, so `path` holds

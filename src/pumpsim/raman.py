@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as cst
-from .output import atomic_write, rows
+from .output import atomic_write, header, rows
 from .structure import Sublevel, raman_line_offset, state_index
 
 
@@ -284,13 +284,7 @@ def write_spectrum_csv(spectrum: Spectrum, path, fit: GaussianFit | None = None)
     key=value comment lines after the data."""
     lines = ["detuning_hz,signal"] + rows(spectrum.detunings, spectrum.signal)
     if fit is not None:
-        lines.append(f"# center_hz={fit.center_hz:.17g}")
-        lines.append(f"# sigma_hz={fit.sigma_hz:.17g}")
-        lines.append(f"# fwhm_hz={fit.fwhm_hz:.17g}")
-        lines.append(f"# amplitude={fit.amplitude:.17g}")
-        lines.append(f"# rms_residual={fit.rms_residual:.17g}")
-        lines.append(f"# sigma_vr={fit.sigma_vr:.17g}")
-        lines.append(f"# sigma_mps={fit.sigma_mps:.17g}")
-        lines.append(f"# temperature_K={fit.temperature_K:.17g}")
-        lines.append(f"# converged={str(fit.converged).lower()}")
+        lines += header({name: getattr(fit, name) for name in (
+            "center_hz", "sigma_hz", "fwhm_hz", "amplitude", "rms_residual",
+            "sigma_vr", "sigma_mps", "temperature_K", "converged")})
     atomic_write(path, lines)

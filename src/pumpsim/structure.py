@@ -59,16 +59,12 @@ def _build_states() -> tuple[Sublevel, ...]:
     return tuple(states)
 
 
+# canonical ordering used by every vector and matrix in the package
 STATES: tuple[Sublevel, ...] = _build_states()
 N_STATES = len(STATES)  # 43
 _INDEX = {level: i for i, level in enumerate(STATES)}
 GROUND_INDICES = np.array([i for i, lv in enumerate(STATES) if lv.is_ground])
 EXCITED_INDICES = np.array([i for i, lv in enumerate(STATES) if not lv.is_ground])
-
-
-def enumerate_states() -> tuple[Sublevel, ...]:
-    """Canonical ordering used by every vector and matrix in the package."""
-    return STATES
 
 
 def state_index(level: Sublevel) -> int:

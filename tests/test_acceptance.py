@@ -34,7 +34,7 @@ from pumpsim.raman import (
     synth_counterpropagating,
     velocity_resolution,
 )
-from pumpsim.structure import Sublevel, enumerate_states, state_index
+from pumpsim.structure import STATES, Sublevel, state_index
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DT = 0.01 / cst.GAMMA
@@ -52,7 +52,7 @@ def report(number, label, ok, detail):
 
 
 def test_criterion_01_state_space_counts():
-    n_states = len(enumerate_states())
+    n_states = len(STATES)
     _, active = prune(assemble_rate_matrix(fig5_beams(0.013)), 1e-3)
     ok = n_states == 43 and active == 23
     line = report(1, "state-space counts", ok,

@@ -13,7 +13,7 @@ from pumpsim import config
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
 from pumpsim.kinetics import polarization_weights
-from pumpsim.output import atomic_write, rows
+from pumpsim.output import atomic_write, header, rows
 from pumpsim.structure import write_branching_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -144,6 +144,18 @@ class TestConfig:
             load_config("/nonexistent/path.ini")
 
 
+@pytest.mark.parametrize("argv, needs", [
+    (["states", "--prune"], "--prune"), (["pump"], "pump"), (["heat"], "heat"),
+    (["fit"], "fit"),
+], ids=["states", "pump", "heat", "fit"])
+def test_beamless_scenario_rejected(tmp_path, capsys, argv, needs):
+    table1 = os.path.join(SCENARIOS, "table1_widths.ini")
+    assert main(argv + ["--config", table1, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {needs} needs at least one [beams.*] section\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestStatesCommand:
     def test_lists_43_rows(self):
         result = run_cli("states")
@@ -267,6 +279,19 @@ class TestSpectrumCommand:
         assert traced == (tmp_path / "plain" / "spectrum.csv").read_bytes()
         # seven populated lines of uniform_f4 on the 2001-point grid
         assert tracer.counts["raman.synth_counterpropagating.line_grid_points"] == 7 * 2001
+
+
+    def test_counterpropagating_field_spread_rejected(self, tmp_path):
+        # the field spread smears copropagating lines only; a
+        # counterpropagating run used to ignore it without a word
+        with open(os.path.join(SCENARIOS, "table1_widths.ini")) as fh:
+            body = fh.read().replace("bias_gauss = 0.0",
+                                     "bias_gauss = 0.0\nrms_fluct_gauss = 1e-3")
+        cfg = write_config(tmp_path, body)
+        result = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "[field] rms_fluct_gauss" in result.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestHeatCommand:
@@ -504,3 +529,15 @@ def test_rows_match_format_spec():
     counts = np.arange(51, dtype=np.int64) * 1999
     assert rows(centers, counts) == [f"{c:.17g},{int(n)}" for c, n in zip(centers, counts)]
     assert rows(np.array([]), np.array([])) == []
+
+
+def test_header_matches_format_spec():
+    # the text each writer used to spell out: floats (numpy too) as
+    # f"{x:.17g}", integers as is, booleans in lower case, None as none
+    for x in (0.1, 0.1 + 0.2, 1e-300, 5e-324, -0.0, 1e16 + 2, 7.0):
+        assert header({"x": x, "y": np.float64(x)}) == [f"# x={x:.17g}", f"# y={x:.17g}"]
+    assert header({"n": 100000, "seed": np.int64(12345)}) == ["# n=100000", "# seed=12345"]
+    assert header({"a": True, "b": False, "c": np.bool_(True), "d": np.bool_(False)}) == [
+        "# a=true", "# b=false", "# c=true", "# d=false"]
+    assert header({"tau_50_s": None}) == ["# tau_50_s=none"]
+    assert header({}) == []

@@ -146,8 +146,9 @@ class TestResidualReport:
         assert result.scales == (report.scales if fit_scale else None)
 
     def test_alpha_hat_not_simulated_again(self, truth_m0, monkeypatch):
-        # the bounded search returns one of its own candidates, so the fit
-        # integrates once per candidate and once per identifiability probe
+        # the bounded search returns one of its own candidates, and the
+        # identifiability guard reads the scored candidates, so the fit
+        # integrates once per candidate
         calls = []
 
         def counting(*args, **kwargs):
@@ -156,7 +157,13 @@ class TestResidualReport:
 
         monkeypatch.setattr(fitting, "integrate_rk4", counting)
         result = fit_depolarization([ObservationSeries(TIMES, truth_m0)], fig5_templates())
-        assert len(calls) == result.iterations + 2
+        assert len(calls) == result.iterations
+
+    def test_flat_objective_weakly_identified(self, truth_m0):
+        # beams at zero intensity leave every candidate the same SSE
+        dark = [beam(4, 4, 0.0, -0.5), beam(3, 4, 0.0, 0.0)]
+        result = fit_depolarization([ObservationSeries(TIMES, truth_m0)], dark)
+        assert result.weakly_identified
 
 
 class TestIngestion:
@@ -194,6 +201,16 @@ class TestIngestion:
         path = tmp_path / "order.csv"
         path.write_text("0.002,0.1\n0.001,0.2\n")
         with pytest.raises(DataError):
+            load_observations(path)
+
+    @pytest.mark.parametrize("rows", ["0,0.11\n", "-0.001,0.11\n0.001,0.2\n"],
+                             ids=["only_t0", "negative"])
+    def test_times_before_or_only_at_zero_rejected(self, tmp_path, rows):
+        # the model starts at t = 0: a lone row there leaves nothing to
+        # integrate, and an earlier row would be scored against the start
+        path = tmp_path / "early.csv"
+        path.write_text(rows)
+        with pytest.raises(DataError, match=r"early\.csv: times must be nonnegative"):
             load_observations(path)
 
     def test_observable_key_must_stand_alone(self, tmp_path):

@@ -8,10 +8,10 @@ from pumpsim.structure import (
     EXCITED_INDICES,
     GROUND_INDICES,
     N_STATES,
+    STATES,
     Sublevel,
     branching_ratio,
     branching_table,
-    enumerate_states,
     parse_label,
     raman_line_offset,
     state_index,
@@ -21,22 +21,22 @@ from pumpsim.structure import (
 
 class TestEnumeration:
     def test_counts(self):
-        states = enumerate_states()
+        states = STATES
         assert len(states) == 43
         assert sum(1 for s in states if s.is_ground) == 16      # 7 + 9
         assert sum(1 for s in states if not s.is_ground) == 27  # 7 + 9 + 11
 
     def test_index_round_trip(self):
-        for i, level in enumerate(enumerate_states()):
+        for i, level in enumerate(STATES):
             assert state_index(level) == i
 
     def test_stable_ordering(self):
-        a = [s.label() for s in enumerate_states()]
-        b = [s.label() for s in enumerate_states()]
+        a = [s.label() for s in STATES]
+        b = [s.label() for s in STATES]
         assert a == b
 
     def test_label_round_trip(self):
-        for level in enumerate_states():
+        for level in STATES:
             assert parse_label(level.label()) == level
 
     def test_invalid_levels_rejected(self):
@@ -62,7 +62,7 @@ class TestBranching:
         assert table.max() <= 1.0
 
     def test_selection_rules(self):
-        states = enumerate_states()
+        states = STATES
         table = branching_table()
         for ei in EXCITED_INDICES:
             for gi in GROUND_INDICES:
@@ -82,7 +82,7 @@ class TestBranching:
         )
 
     def test_reflection_symmetry(self):
-        states = enumerate_states()
+        states = STATES
         table = branching_table()
         for ei in EXCITED_INDICES:
             for gi in GROUND_INDICES:

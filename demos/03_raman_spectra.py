@@ -16,10 +16,10 @@ import numpy as np
 from pumpsim import constants as cst
 from pumpsim.kinetics import assemble_rate_matrix, beam, integrate_rk4, prune, uniform_f4
 from pumpsim.raman import (
+    RamanPulse,
     VelocityDistribution,
     fit_gaussian,
     lineshape_fwhm,
-    pi_pulse,
     synth_copropagating,
     synth_counterpropagating,
     velocity_resolution,
@@ -33,7 +33,7 @@ pumped = integrate_rk4(matrix, uniform_f4(), 0.01 / cst.GAMMA, 0.005).population
 
 # %% copropagating: polarized vs unpolarized, 100 mG bias
 bias_gauss = 0.100
-pulse = pi_pulse(0.007)
+pulse = RamanPulse(0.007)
 print(f"single-line Fourier width: {lineshape_fwhm(pulse):.1f} Hz "
       f"(FWHM x tau = {lineshape_fwhm(pulse) * 0.007:.4f})")
 grid_wide = np.arange(-300e3, 300e3 + 1, 50.0)

@@ -3,7 +3,7 @@ m=0 ground sublevel: rate-equation kinetics, Raman velocimetry spectra,
 photon-recoil heating, and depolarization fitting.
 
 Importing the package loads numpy only: the few functions that need scipy
-(the spectrum fold, the line width and the fits) import it on first call."""
+(the spectrum fold and the fits) import it on first call."""
 
 from . import constants
 from .structure import (
@@ -37,7 +37,6 @@ from .raman import (
     doppler_shift,
     fit_gaussian,
     lineshape_fwhm,
-    pi_pulse,
     rabi_lineshape,
     synth_copropagating,
     synth_counterpropagating,

@@ -27,11 +27,11 @@ from .output import atomic_write, header, rows
 from .raman import (
     fit_gaussian,
     lineshape_fwhm,
-    pi_pulse,
     synth_copropagating,
     synth_counterpropagating,
     velocity_resolution,
     write_spectrum_csv,
+    RamanPulse,
     VelocityDistribution,
 )
 from .structure import STATES
@@ -101,8 +101,8 @@ def cmd_pump(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _load(args)
-    pulse = pi_pulse(cfg.tau_s)
+    cfg = _load(args, "--prune" if args.prune else "")
+    pulse = RamanPulse(cfg.tau_s)
     populations = _pump_run(cfg, args.prune).populations[-1] if cfg.beams else uniform_f4()
 
     out = cfg.directory
@@ -140,6 +140,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_heat(args) -> int:
     cfg = _load(args, "heat")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be at least 0, got {args.seed}")
     summary = heating_summary(
         cfg.beams,
         initial_vrms=cfg.sigma_vr,
@@ -164,6 +166,11 @@ def cmd_fit(args) -> int:
     cfg = _load(args, "fit")
     if not args.data:
         raise DataError("fit needs at least one observation file")
+    # the report labels each series by its file name
+    names = [os.path.basename(path) for path in args.data]
+    for name in names:
+        if names.count(name) > 1:
+            raise DataError(f"two observation files share the name {name!r}")
     series = [load_observations(path) for path in args.data]
     result = fit_depolarization(series, cfg.beams, fit_scale=args.fit_scale)
 
@@ -175,12 +182,10 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "weakly_identified": result.weakly_identified,
     })
-    for path, scale in zip(args.data, result.scales or ()):
-        # one line per file, even where two files share a name
-        lines += header({f"scale[{os.path.basename(path)}]": scale})
+    lines += header({f"scale[{name}]": scale
+                     for name, scale in zip(names, result.scales or ())})
     lines.append("series,time_s,residual")
-    for s, resid in zip(series, result.residuals):
-        name = os.path.basename(s.source) if s.source else s.observable.label()
+    for name, s, resid in zip(names, series, result.residuals):
         lines.extend(f"{name},{row}" for row in rows(s.times, resid))
     atomic_write(os.path.join(out, "fit_report.txt"), lines)
     print(f"alpha_hat: {result.depolarization:.6g}")

@@ -154,6 +154,9 @@ def load_config(path) -> ScenarioConfig:
                           f"field spread, got {cfg.rms_fluct_gauss}")
 
     linewidth = 2.0 * 3.141592653589793 * cfg.laser_linewidth_hz
+    if not math.isfinite(linewidth):
+        raise ConfigError("[constants] laser_linewidth_hz: 2 pi times "
+                          f"{cfg.laser_linewidth_hz} Hz overflows")
     for section, values in beam_specs:
         try:
             cfg.beams.append(Beam(

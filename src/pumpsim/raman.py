@@ -3,7 +3,7 @@
 Copropagating spectra are velocity-insensitive and read the individual
 F=4 sublevel populations through the sigma+/sigma+ ladder; counterpropagating
 spectra convolve the same composite line with the Doppler-shifted velocity
-distribution. A square two-photon pulse gives the Fourier-limited Rabi
+distribution. A square two-photon pi pulse gives the Fourier-limited Rabi
 lineshape used for every line. Both geometries go through one synthesis:
 each line sits at its Zeeman offset plus a shift and is folded with a
 Gaussian of its own width (Doppler or bias-field spread) by one FFT
@@ -19,24 +19,21 @@ from .output import atomic_write, header, rows
 from .structure import Sublevel, raman_line_offset, state_index
 
 
+# FWHM x tau of the pi-pulse line: 2u, where u solves
+# sin^2((pi/2) sqrt(1 + 4u^2)) / (1 + 4u^2) = 1/2
+FWHM_TAU = 0.79868535528470095
+
+
 @dataclass(frozen=True)
 class RamanPulse:
-    """Square two-photon pulse: duration (s), Rabi frequency (rad/s)."""
+    """Square two-photon pi pulse of the given duration (s): full transfer
+    on resonance, Rabi frequency pi / duration."""
 
     duration: float
-    rabi_frequency: float
 
     def __post_init__(self):
         if not 0.0 < self.duration < np.inf:
             raise ValueError("pulse duration must be finite and positive")
-        if not 0.0 <= self.rabi_frequency < np.inf:
-            raise ValueError("rabi_frequency must be finite and nonnegative")
-
-
-def pi_pulse(duration: float) -> RamanPulse:
-    """Pulse area pi: full transfer on resonance."""
-    # a zero duration reaches RamanPulse's check instead of dividing by zero
-    return RamanPulse(duration, np.pi / duration if duration else 0.0)
 
 
 @dataclass(frozen=True)
@@ -68,40 +65,22 @@ class Spectrum:
 
 
 def rabi_lineshape(delta, pulse: RamanPulse):
-    """Transfer probability of a square pulse at two-photon detuning delta
-    (Hz, scalar or array): P = (W0/W)^2 sin^2(W tau / 2), W^2 = W0^2 + d^2."""
+    """Transfer probability of a square pi pulse at two-photon detuning delta
+    (Hz, scalar or array): P = (W0/W)^2 sin^2(W tau / 2), W^2 = W0^2 + d^2,
+    W0 = pi / tau, so P = 1 on resonance."""
     d = 2.0 * np.pi * np.asarray(delta, dtype=float)
-    w0 = pulse.rabi_frequency
+    w0 = np.pi / pulse.duration
     w = np.hypot(w0, d)
-    out = np.zeros_like(w)
-    nz = w > 0
-    out[nz] = (w0 / w[nz]) ** 2 * np.sin(0.5 * w[nz] * pulse.duration) ** 2
-    if np.ndim(delta) == 0:
-        return float(out)
-    return out
+    out = (w0 / w) ** 2 * np.sin(0.5 * w * pulse.duration) ** 2
+    return float(out) if np.ndim(delta) == 0 else out
 
 
 def lineshape_fwhm(pulse: RamanPulse) -> float:
     """Full width at half maximum of the single-line shape, in Hz."""
-    from scipy.optimize import brentq
-
-    peak = rabi_lineshape(0.0, pulse)
-    if peak <= 0:
-        raise ValueError("lineshape has no peak; is the pulse area zero?")
-
-    def half(d):
-        return rabi_lineshape(d, pulse) - 0.5 * peak
-
-    hi = 0.25 / pulse.duration
-    while half(hi) > 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("could not bracket the half maximum")
-    half_width = brentq(half, 0.0, hi, xtol=1e-9 / pulse.duration, rtol=1e-14)
-    return 2.0 * half_width
+    return FWHM_TAU / pulse.duration
 
 
-def _fold(pulse: RamanPulse, fwhm: float, sigma_hz: float, grid: np.ndarray,
+def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
           shift: float) -> np.ndarray:
     """Rabi line folded with a normalized Gaussian of rms sigma_hz, cut at
     +-6 sigma, at the uniform grid - shift: one FFT convolution on nodes
@@ -112,6 +91,7 @@ def _fold(pulse: RamanPulse, fwhm: float, sigma_hz: float, grid: np.ndarray,
 
     if grid.size == 0:
         return np.zeros(0)
+    fwhm = lineshape_fwhm(pulse)
     steps = np.diff(grid)
     step = (grid[-1] - grid[0]) / steps.size if steps.size else fwhm / 32.0
     tol = 1e-9 * step + 16.0 * np.spacing(np.abs(grid).max())
@@ -144,12 +124,9 @@ def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
             key = (width(m), raman_line_offset(m, bias_gauss) + shift)
             weights[key] = weights.get(key, 0.0) + weight
     signal = np.zeros_like(grid)
-    if pulse.rabi_frequency == 0.0:  # no transfer, and no line width to fold on
-        return Spectrum(grid, signal)
-    fwhm = lineshape_fwhm(pulse) if any(sigma_hz > 0.0 for sigma_hz, _ in weights) else None
     for (sigma_hz, position), weight in weights.items():
         if sigma_hz > 0.0:
-            signal += weight * _fold(pulse, fwhm, sigma_hz, grid, position)
+            signal += weight * _fold(pulse, sigma_hz, grid, position)
         else:
             signal += weight * rabi_lineshape(grid - position, pulse)
     return Spectrum(grid, signal)

@@ -26,11 +26,11 @@ from pumpsim.kinetics import (
     uniform_f4,
 )
 from pumpsim.raman import (
+    RamanPulse,
     Spectrum,
     VelocityDistribution,
     fit_gaussian,
     lineshape_fwhm,
-    pi_pulse,
     synth_counterpropagating,
     velocity_resolution,
 )
@@ -144,7 +144,7 @@ def test_criterion_04_width_closure():
     for sigma_vr, measured, tol in TABLE_ROWS[:2]:
         spec = synth_counterpropagating(
             pop, VelocityDistribution(sigma_vr),
-            pi_pulse(0.007), grid,
+            RamanPulse(0.007), grid,
         )
         fit = fit_gaussian(spec)
         dev = abs(fit.fwhm_hz - measured) / measured
@@ -173,7 +173,7 @@ def test_criterion_06_fourier_limited_line():
     ok = True
     details = []
     for tau in (0.001, 0.007, 0.020):
-        product = lineshape_fwhm(pi_pulse(tau)) * tau
+        product = lineshape_fwhm(RamanPulse(tau)) * tau
         ok &= abs(product - 0.799) <= 0.01
         details.append(f"tau={tau * 1e3:g}ms: {product:.4f}")
     details.append("measured product for comparison: 1.12")

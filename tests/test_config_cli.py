@@ -146,8 +146,8 @@ class TestConfig:
 
 @pytest.mark.parametrize("argv, needs", [
     (["states", "--prune"], "--prune"), (["pump"], "pump"), (["heat"], "heat"),
-    (["fit"], "fit"),
-], ids=["states", "pump", "heat", "fit"])
+    (["fit"], "fit"), (["spectrum", "--prune"], "--prune"),
+], ids=["states", "pump", "heat", "fit", "spectrum"])
 def test_beamless_scenario_rejected(tmp_path, capsys, argv, needs):
     table1 = os.path.join(SCENARIOS, "table1_widths.ini")
     assert main(argv + ["--config", table1, "--out", str(tmp_path / "out")]) == 2
@@ -225,6 +225,15 @@ class TestPumpCommand:
     def test_missing_config(self):
         result = run_cli("pump")
         assert result.returncode == 2
+
+    def test_overflowing_linewidth_named(self, tmp_path, capsys):
+        # 2 pi x 1e308 Hz is infinite; the beam check used to take the blame
+        body = (GOOD.format(out=str(tmp_path / "out"))
+                + "\n[constants]\nlaser_linewidth_hz = 1e308\n")
+        assert main(["pump", "--config", write_config(tmp_path, body)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: [constants] laser_linewidth_hz: ")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_rejected(self, tmp_path):
         # pump draws no random numbers; only heat takes --seed
@@ -307,6 +316,13 @@ class TestHeatCommand:
         assert "# delta_vrms_vr=" in text
         assert "v_over_vr,count" in text
 
+    def test_negative_seed_named(self, tmp_path, capsys):
+        # the same rule as [mc] seed, in a message that names the flag
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        assert main(["heat", "--config", cfg, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: --seed: must be at least 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_seeded_byte_identical(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -352,6 +368,13 @@ class TestScipyLoadedOnUse:
         fig4 = os.path.join(SCENARIOS, "fig4_velocimetry.ini")
         loaded = self.loaded_after(["spectrum", "--config", fig4, "--out", str(tmp_path)])
         assert loaded == ["scipy.optimize", "scipy.fft"]
+
+    def test_copropagating_spectrum_loads_fft_only(self, tmp_path):
+        # the line width is a constant over tau; only the fit needs scipy.optimize
+        fig3 = os.path.join(SCENARIOS, "fig3_polarized.ini")
+        loaded = self.loaded_after(
+            ["spectrum", "--config", fig3, "--prune", "--out", str(tmp_path)])
+        assert loaded == ["scipy.fft"]
 
 
 class TestFitCommand:
@@ -482,6 +505,21 @@ class TestFitCommand:
         report = residual_report([load_observations(data)], beams,
                                  float(header["alpha_hat"]), fit_scale=fit_scale)
         assert float(header["sse"]).hex() == report.sse.hex()
+
+    def test_shared_file_name_rejected(self, tmp_path, capsys):
+        # the report labels each series by its file name; two files of one
+        # name used to give two scale lines and rows of one label
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        paths = []
+        for d in ("d1", "d2"):
+            (tmp_path / d).mkdir()
+            path = tmp_path / d / "obs.csv"
+            path.write_text("# observable = g4_m0\n0.001,0.5\n0.002,0.6\n")
+            paths.append(str(path))
+        assert main(["fit", "--config", cfg, "--fit-scale", *paths]) == 3
+        assert capsys.readouterr().err == (
+            "data error: two observation files share the name 'obs.csv'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_prune_flag_rejected(self, tmp_path):
         # fit always works on the reduced equation set; it takes no --prune

@@ -13,13 +13,13 @@ import pumpsim
 from pumpsim import constants as cst
 from pumpsim.kinetics import uniform_f4
 from pumpsim.raman import (
+    FWHM_TAU,
     RamanPulse,
     Spectrum,
     VelocityDistribution,
     doppler_shift,
     fit_gaussian,
     lineshape_fwhm,
-    pi_pulse,
     rabi_lineshape,
     synth_copropagating,
     synth_counterpropagating,
@@ -46,25 +46,25 @@ def polarized_populations(m: int = 0) -> np.ndarray:
 
 class TestRabiLineshape:
     def test_pi_pulse_full_transfer(self):
-        assert rabi_lineshape(0.0, pi_pulse(0.007)) == pytest.approx(1.0, abs=1e-12)
+        assert rabi_lineshape(0.0, RamanPulse(0.007)) == pytest.approx(1.0, abs=1e-12)
 
     @given(st_h.floats(min_value=-5e4, max_value=5e4, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_even_and_bounded(self, delta):
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         p = rabi_lineshape(delta, pulse)
         assert 0.0 <= p <= 1.0
         assert p == pytest.approx(rabi_lineshape(-delta, pulse), abs=1e-15)
 
     def test_fwhm_times_tau(self):
         for tau in (0.001, 0.007, 0.020):
-            product = lineshape_fwhm(pi_pulse(tau)) * tau
+            product = lineshape_fwhm(RamanPulse(tau)) * tau
             assert product == pytest.approx(0.799, abs=0.005)
 
     def test_fwhm_against_grid_scan(self):
         # independent oracle: dense scan + linear interpolation of the
         # half-maximum crossing
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         grid = np.linspace(0.0, 400.0, 400_001)
         values = rabi_lineshape(grid, pulse)
         below = np.nonzero(values < 0.5)[0][0]
@@ -73,24 +73,23 @@ class TestRabiLineshape:
         half = x0 + (0.5 - y0) / (y1 - y0) * (x1 - x0)
         assert lineshape_fwhm(pulse) == pytest.approx(2 * half, rel=1e-6)
 
-    def test_zero_area_pulse(self):
-        pulse = RamanPulse(0.007, 0.0)
-        assert rabi_lineshape(0.0, pulse) == 0.0
-        with pytest.raises(ValueError):
-            lineshape_fwhm(pulse)
+    def test_fwhm_tau_is_the_half_maximum(self):
+        # half a width from the center the line reads half its peak of 1,
+        # to the last bit or two, at every duration
+        for tau in (1e-5, 1e-3, 0.007, 0.02, 1.0, 7.3):
+            p = rabi_lineshape(FWHM_TAU / (2 * tau), RamanPulse(tau))
+            assert abs(p - 0.5) <= 2e-16, tau
 
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
-            RamanPulse(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            RamanPulse(0.007, -1.0)
+            RamanPulse(-1.0)
 
 
 class TestCopropagating:
     def test_polarized_single_line_at_zero(self):
         grid = np.arange(-2000.0, 2001.0, 1.0)
         spec = synth_copropagating(
-            polarized_populations(), 0.1, pi_pulse(0.007), grid
+            polarized_populations(), 0.1, RamanPulse(0.007), grid
         )
         assert spec.signal[np.argmin(np.abs(grid))] == pytest.approx(1.0, abs=1e-9)
         # away from the line the signal falls off; no other line in range
@@ -103,7 +102,7 @@ class TestCopropagating:
         bias = 0.05
         offset = 0.5 * (9.2740100783e-24 / 6.62607015e-34 * 1e-4) * 0.05
         grid = np.linspace(-offset - 2e3, offset + 2e3, 40001)
-        spec = synth_copropagating(pop, bias, pi_pulse(0.007), grid)
+        spec = synth_copropagating(pop, bias, RamanPulse(0.007), grid)
         mid = grid.size // 2
         area_plus = np.trapezoid(spec.signal[mid:], grid[mid:])
         area_minus = np.trapezoid(spec.signal[:mid], grid[:mid])
@@ -115,7 +114,7 @@ class TestCopropagating:
         pop = np.zeros(43)
         for m in range(-3, 4):
             pop[state_index(Sublevel("g", 4, m))] = 1.0 / 7.0
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         grid = np.arange(-2000.0, 2001.0, 1.0)
         spec = synth_copropagating(pop, 0.0, pulse, grid)
         half = 0.5 * spec.signal.max()
@@ -126,7 +125,7 @@ class TestCopropagating:
     def test_area_linearity(self):
         # mixture spectrum equals the population-weighted sum of pure spectra
         bias = 0.02
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         grid = np.linspace(-20e3, 20e3, 2001)
         mix = np.zeros(43)
         parts = []
@@ -139,7 +138,7 @@ class TestCopropagating:
 
     def test_field_fluctuation_smears_shifted_lines_only(self):
         bias = 0.1
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         grid = np.arange(-2000.0, 2001.0, 1.0)
         sharp = synth_copropagating(polarized_populations(0), bias, pulse, grid, 300e-6)
         assert sharp.signal[np.argmin(np.abs(grid))] == pytest.approx(1.0, abs=1e-9)
@@ -169,7 +168,7 @@ class TestCounterpropagating:
         return synth_counterpropagating(
             polarized_populations(),
             VelocityDistribution(sigma_vr),
-            pi_pulse(0.007),
+            RamanPulse(0.007),
             self.GRID,
         )
 
@@ -185,7 +184,7 @@ class TestCounterpropagating:
         assert fit.fwhm_hz == pytest.approx(91.3e3, rel=0.05)
 
     def test_zero_spread_recovers_fourier_width(self):
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         grid = np.arange(-2000.0, 2001.0, 1.0)
         spec = synth_counterpropagating(
             polarized_populations(), VelocityDistribution(0.0), pulse, grid
@@ -193,11 +192,11 @@ class TestCounterpropagating:
         half = 0.5 * spec.signal.max()
         above = grid[spec.signal >= half]
         assert above[-1] - above[0] == pytest.approx(
-            lineshape_fwhm(pi_pulse(0.007)), abs=2.0
+            lineshape_fwhm(RamanPulse(0.007)), abs=2.0
         )
 
     def test_convolution_widening(self):
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         grid = np.linspace(-50e3, 50e3, 4001)
         narrow = synth_counterpropagating(
             polarized_populations(), VelocityDistribution(0.0), pulse, grid
@@ -220,7 +219,7 @@ class TestCounterpropagating:
         spec = synth_counterpropagating(
             polarized_populations(),
             VelocityDistribution(1.0, mean=2.0),
-            pi_pulse(0.007),
+            RamanPulse(0.007),
             self.GRID,
         )
         fit = fit_gaussian(spec)
@@ -252,7 +251,7 @@ def direct_counterpropagating(populations, vdist, pulse, grid, bias_gauss):
 
 
 class TestFold:
-    PULSE = pi_pulse(0.007)
+    PULSE = RamanPulse(0.007)
 
     @pytest.mark.parametrize(
         "sigma_vr, mean_vr, bias_gauss",
@@ -272,7 +271,7 @@ class TestFold:
     def test_copropagating_smear_matches_direct_sum(self, m, rms_gauss):
         # smear sigma = |m| * 0.70 MHz/G * rms: 35 Hz (m=1, 50 uG) to 630 Hz
         # (m=3, 300 uG)
-        bias_gauss, pulse = 0.1, pi_pulse(0.007)
+        bias_gauss, pulse = 0.1, RamanPulse(0.007)
         offset = raman_line_offset(m, bias_gauss)
         sigma_hz = abs(raman_line_offset(m, rms_gauss))
         grid = offset + np.arange(-4000.0, 4000.5, 2.0)
@@ -285,7 +284,7 @@ class TestFold:
 
     def test_copropagating_m0_line_is_not_folded(self):
         grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
-        pulse = pi_pulse(0.007)
+        pulse = RamanPulse(0.007)
         spec = synth_copropagating(
             polarized_populations(0), 0.1, pulse, grid, 300e-6
         )
@@ -318,7 +317,7 @@ class TestFold:
             synth_counterpropagating(uniform_f4(), VelocityDistribution(1.0), self.PULSE, grid)
         with pytest.raises(ValueError, match="uniform"):
             synth_copropagating(
-                polarized_populations(1), 0.1, pi_pulse(0.007), grid, 3e-4
+                polarized_populations(1), 0.1, RamanPulse(0.007), grid, 3e-4
             )
 
     def test_empty_grid(self):
@@ -326,7 +325,7 @@ class TestFold:
         counter = synth_counterpropagating(
             uniform_f4(), VelocityDistribution(4.0), self.PULSE, empty
         )
-        co = synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), empty, 3e-4)
+        co = synth_copropagating(uniform_f4(), 0.1, RamanPulse(0.007), empty, 3e-4)
         assert counter.signal.shape == co.signal.shape == (0,)
 
     def test_one_point_grid_matches_full_grid(self):
@@ -346,16 +345,6 @@ class TestFold:
         )
         shift = doppler_shift(1.0)
         assert np.array_equal(spec.signal, rabi_lineshape(CLI_GRID - 0.0 - shift, self.PULSE))
-
-    def test_zero_rabi_frequency_gives_zero_signal(self):
-        pulse = RamanPulse(0.007, 0.0)
-        spec = synth_counterpropagating(uniform_f4(), VelocityDistribution(4.0), pulse, CLI_GRID)
-        assert np.array_equal(spec.signal, np.zeros_like(CLI_GRID))
-        grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
-        co = synth_copropagating(
-            uniform_f4(), 0.1, RamanPulse(0.007, 0.0), grid, 300e-6
-        )
-        assert np.array_equal(co.signal, np.zeros_like(grid))
 
     def test_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal adds most of a second to every process start, and
@@ -450,7 +439,7 @@ class TestVelocityResolution:
 def test_spectrum_csv_round_trip(tmp_path):
     grid = np.linspace(-1e3, 1e3, 11)
     spec = synth_copropagating(
-        polarized_populations(), 0.1, pi_pulse(0.007), grid
+        polarized_populations(), 0.1, RamanPulse(0.007), grid
     )
     fit = fit_gaussian(
         Spectrum(grid, np.exp(-0.5 * (grid / 300.0) ** 2))
@@ -474,37 +463,33 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "make, field_name",
     [
-        (lambda: RamanPulse(NAN, 1.0), "duration"),
-        (lambda: RamanPulse(INF, 1.0), "duration"),
-        (lambda: RamanPulse(0.0, 1.0), "duration"),
-        (lambda: RamanPulse(0.007, NAN), "rabi_frequency"),
-        (lambda: RamanPulse(0.007, INF), "rabi_frequency"),
-        (lambda: RamanPulse(0.007, -1.0), "rabi_frequency"),
+        (lambda: RamanPulse(NAN), "duration"),
+        (lambda: RamanPulse(INF), "duration"),
+        (lambda: RamanPulse(0.0), "duration"),
         (lambda: VelocityDistribution(NAN), "sigma"),
         (lambda: VelocityDistribution(INF), "sigma"),
         (lambda: VelocityDistribution(-1.0), "sigma"),
-        (lambda: pi_pulse(0.0), "duration"),
         (lambda: VelocityDistribution(4.0, mean=NAN), "mean"),
         (lambda: VelocityDistribution(4.0, mean=INF), "mean"),
         (lambda: raman_line_offset(1, NAN), "bias_gauss"),
         (lambda: raman_line_offset(1, -INF), "bias_gauss"),
-        (lambda: synth_copropagating(uniform_f4(), NAN, pi_pulse(0.007), CLI_GRID),
+        (lambda: synth_copropagating(uniform_f4(), NAN, RamanPulse(0.007), CLI_GRID),
          "bias_gauss"),
         (lambda: synth_counterpropagating(uniform_f4(), VelocityDistribution(4.0),
-                                          pi_pulse(0.007), CLI_GRID, INF), "bias_gauss"),
-        (lambda: synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), CLI_GRID, NAN),
+                                          RamanPulse(0.007), CLI_GRID, INF), "bias_gauss"),
+        (lambda: synth_copropagating(uniform_f4(), 0.1, RamanPulse(0.007), CLI_GRID, NAN),
          "field_rms_gauss"),
-        (lambda: synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), CLI_GRID, INF),
+        (lambda: synth_copropagating(uniform_f4(), 0.1, RamanPulse(0.007), CLI_GRID, INF),
          "field_rms_gauss"),
-        (lambda: synth_copropagating(uniform_f4(), 0.1, pi_pulse(0.007), CLI_GRID, -3e-4),
+        (lambda: synth_copropagating(uniform_f4(), 0.1, RamanPulse(0.007), CLI_GRID, -3e-4),
          "field_rms_gauss"),
         (lambda: velocity_resolution(NAN), "fwhm_hz"),
         (lambda: velocity_resolution(INF), "fwhm_hz"),
     ],
 )
 def test_non_finite_raman_input_rejected(make, field_name):
-    # a nan duration used to give a nan line, a nan Rabi frequency a zero
-    # line, and a nan or infinite spread failed later inside the fold; a
+    # a nan duration used to give a nan line, and a nan or infinite
+    # spread failed later inside the fold; a
     # nan bias dropped every m != 0 line, an infinite one gave a nan
     # spectrum, and a nan mean velocity an all-zero one
     with pytest.raises(ValueError, match=field_name):

@@ -66,11 +66,11 @@ def cmd_states(args) -> int:
     return EXIT_OK
 
 
-def _pump_run(cfg: ScenarioConfig, pruned: bool):
+def _pump_run(cfg: ScenarioConfig, pruned: bool, at=None):
     matrix = assemble_rate_matrix(cfg.beams)
     if pruned:
         matrix, _ = prune(matrix, PRUNE_THRESHOLD)
-    return integrate_rk4(matrix, uniform_f4(), cfg.dt_seconds, cfg.t_end_s)
+    return integrate_rk4(matrix, uniform_f4(), cfg.dt_seconds, cfg.t_end_s, at=at)
 
 
 def cmd_pump(args) -> int:
@@ -103,7 +103,8 @@ def cmd_pump(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _load(args, "--prune" if args.prune else "")
     pulse = RamanPulse(cfg.tau_s)
-    populations = _pump_run(cfg, args.prune).populations[-1] if cfg.beams else uniform_f4()
+    populations = (_pump_run(cfg, args.prune, at=[cfg.t_end_s]).populations[-1]
+                   if cfg.beams else uniform_f4())
 
     out = cfg.directory
     fwhm_single = lineshape_fwhm(pulse)

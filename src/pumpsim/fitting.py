@@ -4,7 +4,9 @@ The polarization contamination of the pump light is the single free physics
 parameter; it is recovered by bracketed scalar minimization of the weighted
 sum of squared residuals between observed sublevel-population time series
 and the rate-equation model, assembled and pruned once per fit and
-re-weighted and re-simulated for every candidate value.
+re-weighted and re-simulated for every candidate value. A candidate's
+simulation computes only the trajectory samples that bracket the observation
+times, the only ones the interpolation onto them reads.
 """
 
 from dataclasses import dataclass
@@ -122,7 +124,7 @@ def simulate_observable(
 ) -> np.ndarray:
     """Model prediction of a ground-sublevel fraction at the requested times,
     starting from the uniformly populated F=4 level."""
-    traj = _simulate(_terms(beams), depolarization, float(np.max(times)))
+    traj = _simulate(_terms(beams), depolarization, times)
     return np.interp(times, traj.times, traj.sublevel_fraction(observable))
 
 
@@ -130,9 +132,11 @@ def _terms(beams):
     return prune(assemble_rate_matrix(beams))[0]
 
 
-def _simulate(terms, depolarization, t_end):
+def _simulate(terms, depolarization, times):
+    """The trajectory rows that interpolation at `times` reads."""
     matrix = with_depolarization(terms, depolarization)
-    return integrate_rk4(matrix, uniform_f4(), LIBRARY_DT, t_end, max_samples=2001)
+    return integrate_rk4(matrix, uniform_f4(), LIBRARY_DT, float(np.max(times)),
+                         max_samples=2001, at=times)
 
 
 @dataclass
@@ -156,7 +160,7 @@ def residual_report(
 
 
 def _report(series, terms, depolarization, fit_scale) -> ResidualReport:
-    traj = _simulate(terms, depolarization, max(float(s.times.max()) for s in series))
+    traj = _simulate(terms, depolarization, np.concatenate([s.times for s in series]))
     residuals, sse, scales = [], 0.0, []
     for s in series:
         model = np.interp(s.times, traj.times, traj.sublevel_fraction(s.observable))

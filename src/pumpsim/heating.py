@@ -120,7 +120,8 @@ def _walk(counts: np.ndarray, rng) -> np.ndarray:
     velocity = np.zeros(counts.size)
     for k in range(int(counts.max())):
         kick = rng.uniform(-1.0, 1.0, size=counts.size)
-        velocity += np.where(counts > k, kick, 0.0)
+        kick *= counts > k
+        velocity += kick
     return velocity
 
 

@@ -13,7 +13,9 @@ of the step matrix's block B between output samples, so one matrix product
 fills 32 samples, bit-deterministic at any BLAS thread count. Each power's
 population columns are reset to sum to exactly 1, which conserves population
 at any run length. One start or a block of starts as columns fills one
-array.
+array. Given the times a caller reads, the integrator computes only the
+samples that bracket them, each from its chunk's start with the bits the
+full run gives it.
 """
 
 import logging
@@ -241,7 +243,9 @@ def single_sublevel(level: Sublevel) -> np.ndarray:
 @dataclass
 class Trajectory:
     """Sampled populations of the 43 sublevels plus the running expectation
-    of spontaneously scattered photons per atom."""
+    of spontaneously scattered photons per atom. n_samples counts the
+    returned rows: the whole output grid, or the rows that bracket the
+    times `integrate_rk4` was given in `at`."""
 
     times: np.ndarray
     populations: np.ndarray       # shape (n_samples, 43[, k])
@@ -270,11 +274,14 @@ def _rk4_step_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
     return step
 
 
+# flat index of the population diagonal in a (44, 44) step power
+_DIAGONAL = np.arange(N_STATES) * (N_STATES + 2)
+
+
 def _conserving(power: np.ndarray) -> np.ndarray:
     """Reset the population diagonal in place so each population column sums to 1."""
-    populations = power[:N_STATES, :N_STATES]
-    np.fill_diagonal(populations, 0.0)
-    np.fill_diagonal(populations, 1.0 - populations.sum(axis=0))
+    power.put(_DIAGONAL, 0.0)
+    power.put(_DIAGONAL, 1.0 - power[:N_STATES, :N_STATES].sum(axis=0))
     return power
 
 
@@ -293,6 +300,8 @@ def integrate_rk4(
     dt: float,
     t_end: float,
     max_samples: int = 1201,
+    *,
+    at=None,
 ) -> Trajectory:
     """Fixed-step classical RK4 evolution of dN/dt = R N.
 
@@ -300,7 +309,15 @@ def integrate_rk4(
     each column a distribution; the trajectory then carries a trailing axis
     of k. dt must satisfy dt * max|R| <= 0.1. Output is sampled on a uniform
     stride (at most max_samples points) plus the final step; one matrix
-    product of the stacked powers B, ..., B^32 fills 32 samples.
+    product of the stacked powers B, ..., B^32 fills a chunk of 32 samples.
+
+    With a sequence of times `at`, the run computes only row 0, the two grid
+    samples that bracket each time (clamped at the ends), each chunk's start
+    and the last grid sample, and returns row 0 and the bracketing samples:
+    the rows `np.interp` reads at `at`, with the same bits as the full run,
+    on the same grid. n_samples then counts the returned rows. The
+    negative-population check and clip cover every computed row; rows never
+    computed are not checked.
     """
     n0 = np.asarray(n0, dtype=float)
     if n0.shape[:1] != (N_STATES,) or n0.ndim > 2 or n0.size == 0:
@@ -322,24 +339,41 @@ def integrate_rk4(
     stride = max(1, -(-n_steps // max(1, max_samples - 1)))  # ceil division
     n_blocks = n_steps // stride
     remainder = n_steps - n_blocks * stride
-    steps_done = list(range(0, n_blocks * stride + 1, stride))
+    times = dt * np.arange(0, n_blocks * stride + 1, stride)
     if remainder:
-        steps_done.append(n_steps)
+        times = np.append(times, dt * n_steps)
 
     step = _rk4_step_matrix(rate_matrix.matrix, dt)
     # powers[j] = B^(j+1) for the block B of `stride` steps, each conserving
-    powers = np.empty((min(STACKED_POWERS, n_blocks), N_STATES + 1, N_STATES + 1))
+    chunk = min(STACKED_POWERS, n_blocks)
+    powers = np.empty((chunk, N_STATES + 1, N_STATES + 1))
     powers[0] = _conserving(np.linalg.matrix_power(step, stride))
-    for j in range(1, len(powers)):
+    for j in range(1, chunk):
         _conserving(np.matmul(powers[j - 1], powers[0], out=powers[j]))
 
-    # row N_STATES counts photons
-    data = np.zeros((len(steps_done), N_STATES + 1) + n0.shape[1:])
+    rows = keep = slice(None)  # the returned rows of `times` and of `data`
+    grid = range(len(times))  # the grid rows this run computes
+    if at is not None:
+        hi = np.clip(np.searchsorted(times, at, side="right"), 1, len(times) - 1)
+        mask = np.zeros(len(times), dtype=bool)
+        mask[0] = mask[hi - 1] = mask[hi] = True
+        rows = np.flatnonzero(mask)
+        mask[:n_blocks:chunk] = mask[n_blocks:] = True  # chunk starts and the last rows
+        grid = np.flatnonzero(mask)
+        keep = np.searchsorted(grid, rows)
+    # data[s] holds the s-th computed row; its row N_STATES counts photons
+    data = np.zeros((len(grid), N_STATES + 1) + n0.shape[1:])
     data[0, :N_STATES] = n0
-    for i in range(0, n_blocks, len(powers)):
-        k = min(len(powers), n_blocks - i)
-        out = data[i + 1:i + 1 + k].reshape((k * (N_STATES + 1),) + n0.shape[1:])
-        np.matmul(powers[:k].reshape(-1, N_STATES + 1), data[i], out=out)
+    if at is None:
+        for i in range(0, n_blocks, chunk):
+            k = min(chunk, n_blocks - i)
+            out = data[i + 1:i + 1 + k].reshape((k * (N_STATES + 1),) + n0.shape[1:])
+            np.matmul(powers[:k].reshape(-1, N_STATES + 1), data[i], out=out)
+    else:  # grid row r from its chunk's start c, as the stacked product does
+        slot = {r: s for s, r in enumerate(grid.tolist())}
+        for s, r in enumerate(grid[1:slot[n_blocks] + 1].tolist(), 1):
+            c = (r - 1) // chunk * chunk
+            np.matmul(powers[r - 1 - c], data[slot[c]], out=data[s])
     if remainder:
         np.matmul(_conserving(np.linalg.matrix_power(step, remainder)), data[-2], out=data[-1])
 
@@ -355,8 +389,7 @@ def integrate_rk4(
         log.debug("clipped %d slightly negative populations (min %.3e)",
                   int(negative.sum()), worst)
         populations[negative] = 0.0
-    times = dt * np.asarray(steps_done, dtype=float)
-    return Trajectory(times, populations, data[:, N_STATES])
+    return Trajectory(times[rows], populations[keep], data[keep, N_STATES])
 
 
 @dataclass

@@ -290,6 +290,25 @@ class TestSpectrumCommand:
         assert tracer.counts["raman.synth_counterpropagating.line_grid_points"] == 7 * 2001
 
 
+    def test_final_row_alone_writes_the_full_run_bytes(self, tmp_path, monkeypatch):
+        # spectrum integrates only the final row it reads; the last row of a
+        # full trajectory gives the same files
+        from pumpsim import cli
+
+        def argv(out):
+            return ["spectrum", "--config", os.path.join(SCENARIOS, "fig3_polarized.ini"),
+                    "--prune", "--out", str(tmp_path / out)]
+
+        assert main(argv("final")) == 0
+        full_run = cli.integrate_rk4
+        monkeypatch.setattr(cli, "integrate_rk4",
+                            lambda *args, at=None, **kwargs: full_run(*args, **kwargs))
+        assert main(argv("full")) == 0
+        names = sorted(os.listdir(tmp_path / "full"))
+        assert names == sorted(os.listdir(tmp_path / "final")) and names
+        for name in names:
+            assert (tmp_path / "final" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
     def test_counterpropagating_field_spread_rejected(self, tmp_path):
         # the field spread smears copropagating lines only; a
         # counterpropagating run used to ignore it without a word
@@ -451,8 +470,9 @@ class TestFitCommand:
         assert float(header["scale[m0.csv]"]) == report.scales[0]
 
     def test_report_identical_across_blas_threads(self, tmp_path):
-        # each candidate runs a (1408 x 44) matrix-vector product, a BLAS
-        # path the pump and heat determinism criterion does not cover
+        # each candidate runs (44 x 44) matrix-vector products from every
+        # chunk's start, a BLAS path the pump and heat determinism criterion
+        # does not cover
         from pumpsim.fitting import simulate_observable
 
         fig5 = os.path.join(SCENARIOS, "fig5_dynamics.ini")

@@ -166,6 +166,36 @@ class TestResidualReport:
         assert result.weakly_identified
 
 
+@pytest.mark.parametrize("n_series", [1, 2])
+@pytest.mark.parametrize("fit_scale", [False, True])
+def test_sampled_rows_match_full_runs(truth_m0, truth_m1, n_series, fit_scale, monkeypatch):
+    # the fit integrates only the rows its interpolation reads; every
+    # number it reports keeps the bits of full trajectories
+    noise = np.random.Generator(np.random.Philox(3)).uniform(-0.01, 0.01, TIMES.size)
+    series = [
+        ObservationSeries(TIMES, np.clip(truth_m0 + noise, 0.0, 1.0)),
+        ObservationSeries(TIMES[3::2], truth_m1[3::2], observable=Sublevel("g", 4, 1)),
+    ][:n_series]
+
+    def outcomes():
+        fit = fit_depolarization(series, fig5_templates(), fit_scale=fit_scale)
+        report = residual_report(series, fig5_templates(), 0.017, fit_scale=fit_scale)
+        model = simulate_observable(fig5_templates(), 0.017, TIMES[::-3])
+        return fit, report, model
+
+    sampled = outcomes()
+    monkeypatch.setattr(fitting, "integrate_rk4",
+                        lambda *args, at=None, **kwargs: integrate_rk4(*args, **kwargs))
+    (fit, report, model), (fit_f, report_f, model_f) = sampled, outcomes()
+    assert (fit.depolarization, fit.sse, fit.iterations, fit.scales) == (
+        fit_f.depolarization, fit_f.sse, fit_f.iterations, fit_f.scales)
+    assert (report.sse, report.scales) == (report_f.sse, report_f.scales)
+    for got, want in zip(fit.residuals + report.residuals,
+                         fit_f.residuals + report_f.residuals):
+        assert np.array_equal(got, want)
+    assert np.array_equal(model, model_f)
+
+
 class TestIngestion:
     def test_round_trip(self, tmp_path, truth_m0):
         path = tmp_path / "obs.csv"

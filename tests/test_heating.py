@@ -9,6 +9,7 @@ import pytest
 from pumpsim.config import load_config
 from pumpsim.heating import (
     CycleReport,
+    _walk,
     expected_cycles,
     heating_summary,
     recoil_walk,
@@ -157,6 +158,19 @@ class TestRecoilWalk:
         b = recoil_walk(10, samples=10, seed=3)
         assert a.mean_cycles == 10.0
         np.testing.assert_array_equal(a.projected, b.projected)
+
+
+def test_walk_matches_masked_kicks():
+    # kicks past a sample's count are zeroed in place; the velocities keep
+    # the bits, and the sign of zero, of adding np.where(counts > k, kick, 0)
+    counts = np.tile([0, 3, 1, 0, 7, 2, 5, 0, 1, 4], 50)
+    rng = np.random.Generator(np.random.Philox(9))
+    velocity = np.zeros(counts.size)
+    for k in range(int(counts.max())):
+        velocity += np.where(counts > k, rng.uniform(-1.0, 1.0, size=counts.size), 0.0)
+    walked = _walk(counts, np.random.Generator(np.random.Philox(9)))
+    assert np.array_equal(walked, velocity)
+    assert np.array_equal(np.signbit(walked), np.signbit(velocity))
 
 
 @pytest.fixture(scope="module")

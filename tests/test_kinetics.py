@@ -463,6 +463,58 @@ class TestBlockIntegration:
                           1e-6, 1e-3, max_samples=11)
 
 
+class TestSampledRows:
+    """With `at`, integrate_rk4 computes only the rows interpolation reads."""
+
+    # 3,280,000 steps fill 2000 strides of 1640; 4.8 ms ends on a 7022-step remainder
+    @pytest.mark.parametrize("t_end", [3_280_000 * DT, 4.8e-3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.013, 0.2])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_rows_bit_equal_to_full_run(self, t_end, alpha, block):
+        rm = with_depolarization(prune(assemble_rate_matrix(fig5_beams()))[0], alpha)
+        n0 = uniform_f4()
+        if block:
+            n0 = np.column_stack(block_starts() + [single_sublevel(Sublevel("g", 4, 0))])
+        full = integrate_rk4(rm, n0, DT, t_end, max_samples=2001)
+        # at 0, on grid points, duplicated, unsorted and beyond t_end
+        at = np.concatenate([[0.0, full.times[7], full.times[7], full.times[-1], 2 * t_end],
+                             np.linspace(t_end, 1e-5, 25)])
+        part = integrate_rk4(rm, n0, DT, t_end, max_samples=2001, at=at)
+
+        hi = np.clip(np.searchsorted(full.times, at, side="right"), 1, len(full.times) - 1)
+        rows = np.unique(np.r_[0, hi - 1, hi])
+        assert np.array_equal(part.times, full.times[rows])
+        assert np.array_equal(part.populations, full.populations[rows])
+        assert np.array_equal(part.scattered_photons, full.scattered_photons[rows])
+        if not block:
+            level = Sublevel("g", 4, 0)
+            assert np.array_equal(np.interp(at, part.times, part.sublevel_fraction(level)),
+                                  np.interp(at, full.times, full.sublevel_fraction(level)))
+            assert np.array_equal(np.interp(at, part.times, part.scattered_photons),
+                                  np.interp(at, full.times, full.scattered_photons))
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_slight_negatives_clipped(self, k, caplog):
+        n0 = single_sublevel(_states()[0])
+        if k:
+            n0 = np.column_stack([n0] * k)
+        with caplog.at_level(logging.DEBUG, logger="pumpsim.kinetics"):
+            traj = integrate_rk4(TestBlockIntegration.draining(1e-10), n0, 1e-6, 1e-3,
+                                 max_samples=11, at=[4.5e-4])
+        assert np.allclose(traj.times, [0.0, 4e-4, 5e-4], rtol=1e-12, atol=0)
+        assert traj.populations.min() == 0.0
+        assert np.all(traj.populations[:, 1] == 0.0)
+        # rows 4 and 5 bracket the time; the last row, 10, is computed too
+        assert f"clipped {3 * (k or 1)} slightly negative populations" in caplog.text
+
+    def test_large_negative_in_unreturned_row_raises(self):
+        # row 1 (-5e-13) is returned and within tolerance; row 10 (-5e-12)
+        # is computed but not returned, and it is checked all the same
+        with pytest.raises(RuntimeError, match="too coarse"):
+            integrate_rk4(TestBlockIntegration.draining(5e-9), single_sublevel(_states()[0]),
+                          1e-6, 1e-3, max_samples=11, at=[0.5e-4])
+
+
 def sample_by_sample(rm, n0, n_steps, stride):
     """Reference: the corrected block applied once per output sample."""
     step = _rk4_step_matrix(rm.matrix, DT)

@@ -12,8 +12,8 @@ equation set obtained by dropping the far-off-resonant hyperfine lines.
 
 from pumpsim import constants as cst
 from pumpsim.kinetics import (
+    Beam,
     assemble_rate_matrix,
-    beam,
     integrate_rk4,
     prune,
     pump_metrics,
@@ -27,16 +27,16 @@ T_END = 0.005               # 5 ms of pumping
 
 def beams(alpha):
     # polarizer on 4 -> 4' at -0.5 linewidths, repumper on 3 -> 4'
-    return [beam(4, 4, 0.019, -0.5, alpha), beam(3, 4, 0.023, 0.0, alpha)]
+    return [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
 
 
 # %% how much does pruning remove?
 full = assemble_rate_matrix(beams(0.013))
 reduced, active = prune(full, 1e-3)
-print(f"stimulated terms: {full.term_rate.size} -> {reduced.term_rate.size} "
+print(f"stimulated terms: {full.terms.size} -> {reduced.terms.size} "
       f"after pruning; {active} sublevels stay coupled")
-print(f"line-overlap ratio across transitions: "
-      f"{full.term_overlap.max() / full.term_overlap.min():.0f}")
+overlap = full.terms["overlap"]
+print(f"line-overlap ratio across transitions: {overlap.max() / overlap.min():.0f}")
 
 # %% dynamics with and without contamination
 curves = {}

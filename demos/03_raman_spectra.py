@@ -14,7 +14,7 @@ velocity and temperature.
 import numpy as np
 
 from pumpsim import constants as cst
-from pumpsim.kinetics import assemble_rate_matrix, beam, integrate_rk4, prune, uniform_f4
+from pumpsim.kinetics import Beam, assemble_rate_matrix, integrate_rk4, prune, uniform_f4
 from pumpsim.raman import (
     RamanPulse,
     VelocityDistribution,
@@ -27,7 +27,7 @@ from pumpsim.raman import (
 )
 
 # %% pump the sample first (5 ms, fitted contamination)
-beams = [beam(4, 4, 0.019, -0.5, 0.013), beam(3, 4, 0.023, 0.0, 0.013)]
+beams = [Beam(4, 4, 0.019, -0.5, 0.013), Beam(3, 4, 0.023, 0.0, 0.013)]
 matrix, _ = prune(assemble_rate_matrix(beams), 1e-3)
 pumped = integrate_rk4(matrix, uniform_f4(), 0.01 / cst.GAMMA, 0.005).populations[-1]
 

@@ -20,9 +20,9 @@ from pumpsim.heating import (
     recoil_walk,
     write_heating_summary,
 )
-from pumpsim.kinetics import beam
+from pumpsim.kinetics import Beam
 
-beams = [beam(4, 4, 0.019, -0.5, 0.0), beam(3, 4, 0.023, 0.0, 0.0)]
+beams = [Beam(4, 4, 0.019, -0.5, 0.0), Beam(3, 4, 0.023, 0.0, 0.0)]
 
 # %% expected fluorescence cycles until 95% of the sample is dark
 report = expected_cycles(beams, pruned=True)

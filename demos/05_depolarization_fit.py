@@ -17,10 +17,10 @@ from pumpsim.fitting import (
     residual_report,
     simulate_observable,
 )
-from pumpsim.kinetics import beam
+from pumpsim.kinetics import Beam
 from pumpsim.structure import Sublevel
 
-templates = [beam(4, 4, 0.019, -0.5), beam(3, 4, 0.023, 0.0)]
+templates = [Beam(4, 4, 0.019, -0.5), Beam(3, 4, 0.023, 0.0)]
 times = np.linspace(1e-4, 4.8e-3, 80)
 TRUTH = 0.013
 

@@ -19,7 +19,6 @@ from .kinetics import (
     RateMatrix,
     Trajectory,
     assemble_rate_matrix,
-    beam,
     integrate_rk4,
     polarization_weights,
     prune,

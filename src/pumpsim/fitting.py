@@ -36,7 +36,6 @@ class ObservationSeries:
     values: np.ndarray
     weights: np.ndarray | None = None
     observable: Sublevel = Sublevel("g", 4, 0)
-    source: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -105,7 +104,6 @@ def load_observations(path) -> ObservationSeries:
             np.array(values),
             np.array(weights) if weights else None,
             observable,
-            source=str(path),
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -3,9 +3,10 @@
 A set of laser beams (polarizer + repumper) couples the 16 ground sublevels
 to the 27 excited sublevels through stimulated rates proportional to the
 spontaneous branching ratios; spontaneous emission feeds the ground
-manifolds back. Each stimulated rate is a term's rate at unit polarization
-weight times the weight of its q, so pruning filters the term table and
-`with_depolarization` re-weights it. The linear system dN/dt = R N is
+manifolds back. The stimulated terms form one record array of dtype `TERM`;
+each term's rate is its rate at unit polarization weight times the weight of
+its q, so pruning filters that array with one mask and `with_depolarization`
+rewrites the rate field of a copy. The linear system dN/dt = R N is
 integrated with fixed-step classical Runge-Kutta. Because the system is
 linear and autonomous, one RK4 step is exactly the 4th-order Taylor
 polynomial of exp(dt R); the integrator stacks the powers B, B^2, ..., B^32
@@ -103,6 +104,7 @@ def _check_transition(ground_f: int, excited_f: int) -> None:
         raise ValueError(f"{ground_f}->{excited_f}' is not dipole-allowed")
 
 
+# `perfbench/probe.py` is the only caller of this alias
 beam = Beam
 
 
@@ -124,46 +126,41 @@ def transition_overlap(excited_f: int, bm: Beam) -> float:
     return mu * (mu + 1.0) * num / den
 
 
+# one stimulated term: ground and excited index, q = m' - m, rate at unit
+# polarization weight, line overlap, rate
+TERM = np.dtype([("ground", np.intp), ("excited", np.intp), ("q", np.intp),
+                 ("unit", float), ("overlap", float), ("rate", float)])
+
+
 @dataclass(frozen=True)
 class RateMatrix:
     """Generator of the population rate equations, dN/dt = matrix @ N.
 
     Off-diagonal entries are nonnegative transfer rates; each column sums to
-    zero, so total population is conserved. The matrix is built from its
-    table of stimulated terms, kept alongside so weak transitions can be
-    pruned and the contamination changed afterwards.
+    zero, so total population is conserved. The matrix is built from `terms`,
+    its record array of stimulated terms (dtype `TERM`), kept alongside so
+    weak transitions can be pruned and the contamination changed afterwards.
     """
 
     matrix: np.ndarray
-    # per stimulated term: ground and excited index, q = m' - m, rate at
-    # unit polarization weight, line overlap, rate
-    term_ground: np.ndarray = field(repr=False)
-    term_excited: np.ndarray = field(repr=False)
-    term_q: np.ndarray = field(repr=False)
-    term_unit: np.ndarray = field(repr=False)
-    term_overlap: np.ndarray = field(repr=False)
-    term_rate: np.ndarray = field(repr=False)
+    terms: np.ndarray = field(repr=False)
 
     @property
     def max_rate(self) -> float:
         return float(np.max(np.abs(self.matrix)))
 
 
-def _spontaneous_part() -> np.ndarray:
+def _from_terms(terms: np.ndarray) -> RateMatrix:
+    """Spontaneous part plus each stimulated term's rate in both directions;
+    the diagonal carries the total outflow, making every column sum to zero."""
     mat = np.zeros((N_STATES, N_STATES))
     block = np.ix_(GROUND_INDICES, EXCITED_INDICES)
     mat[block] = cst.GAMMA * branching_table().T[block]
-    return mat
-
-
-def _from_terms(ground, excited, q, unit, overlap, rate) -> RateMatrix:
-    """Spontaneous part plus each stimulated term's rate in both directions;
-    the diagonal carries the total outflow, making every column sum to zero."""
-    mat = _spontaneous_part()
+    ground, excited, rate = terms["ground"], terms["excited"], terms["rate"]
     np.add.at(mat, (excited, ground), rate)
     np.add.at(mat, (ground, excited), rate)
     np.fill_diagonal(mat, -mat.sum(axis=0))
-    return RateMatrix(mat, ground, excited, q, unit, overlap, rate)
+    return RateMatrix(mat, terms)
 
 
 def assemble_rate_matrix(beams) -> RateMatrix:
@@ -190,19 +187,17 @@ def assemble_rate_matrix(beams) -> RateMatrix:
                     unit = base * table[ei, gi]
                     if unit > 0.0:
                         terms.append((gi, ei, q, unit, overlap, unit * weights[q + 1]))
-    columns = np.array(terms, dtype=float).reshape(-1, 6).T
-    ground, excited, q = columns[:3].astype(np.intp)
-    return _from_terms(ground, excited, q, *columns[3:])
+    return _from_terms(np.array(terms, dtype=TERM))
 
 
 def with_depolarization(rate_matrix: RateMatrix, depolarization: float) -> RateMatrix:
     """The same stimulated terms with every beam's contamination set to
     `depolarization`; the same matrix as assembling (and pruning) beams
-    built with it, bit for bit."""
+    built with it, bit for bit. The input's terms are left as they were."""
     weights = np.asarray(polarization_weights(depolarization))
-    rm = rate_matrix
-    return _from_terms(rm.term_ground, rm.term_excited, rm.term_q, rm.term_unit,
-                       rm.term_overlap, rm.term_unit * weights[rm.term_q + 1])
+    terms = rate_matrix.terms.copy()
+    terms["rate"] = terms["unit"] * weights[terms["q"] + 1]
+    return _from_terms(terms)
 
 
 def prune(
@@ -214,16 +209,10 @@ def prune(
     rate."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    rm = rate_matrix
-    if rm.term_rate.size == 0:
-        return rm, 0
-    keep = rm.term_overlap >= threshold * rm.term_overlap.max()
-    pruned = _from_terms(*(column[keep] for column in (
-        rm.term_ground, rm.term_excited, rm.term_q, rm.term_unit, rm.term_overlap,
-        rm.term_rate)))
-    live = pruned.term_rate > 0.0
-    active = np.unique(np.concatenate([pruned.term_ground[live], pruned.term_excited[live]]))
-    return pruned, int(active.size)
+    overlap = rate_matrix.terms["overlap"]
+    pruned = _from_terms(rate_matrix.terms[overlap >= threshold * overlap.max(initial=0.0)])
+    live = pruned.terms[pruned.terms["rate"] > 0.0]
+    return pruned, int(np.unique(np.concatenate([live["ground"], live["excited"]])).size)
 
 
 def uniform_f4() -> np.ndarray:

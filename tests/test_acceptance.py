@@ -17,8 +17,8 @@ from pumpsim import constants as cst
 from pumpsim.fitting import ObservationSeries, fit_depolarization, simulate_observable
 from pumpsim.heating import heating_summary, recoil_walk
 from pumpsim.kinetics import (
+    Beam,
     assemble_rate_matrix,
-    beam,
     integrate_rk4,
     prune,
     pump_metrics,
@@ -42,7 +42,7 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 def fig5_beams(alpha):
-    return [beam(4, 4, 0.019, -0.5, alpha), beam(3, 4, 0.023, 0.0, alpha)]
+    return [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
 
 
 def report(number, label, ok, detail):
@@ -81,7 +81,7 @@ def test_criterion_02_conservation_and_decay_oracle():
 
 # Unit of the fitted 1.3 % contamination: a working hypothesis, not taken
 # from the paper text (PAPER.md holds only the abstract). It is read here as
-# the intensity of each circular component relative to pi; `beam` takes the
+# the intensity of each circular component relative to pi; `Beam` takes the
 # amplitude ratio, so it enters as sqrt(0.013). The evidence is this
 # criterion's own pairing of the fitted value with a measured asymptote near
 # 0.75 (clause d): at 50 ms the model gives m0 = 0.994 for an amplitude of
@@ -226,7 +226,7 @@ def test_criterion_08_heating():
 
 
 def test_criterion_09_depolarization_round_trip():
-    templates = [beam(4, 4, 0.019, -0.5), beam(3, 4, 0.023, 0.0)]
+    templates = [Beam(4, 4, 0.019, -0.5), Beam(3, 4, 0.023, 0.0)]
     times = np.linspace(1e-4, 4.8e-3, 120)
     truth = simulate_observable(templates, 0.013, times)
 

@@ -399,11 +399,11 @@ class TestScipyLoadedOnUse:
 class TestFitCommand:
     def test_round_trip_through_files(self, tmp_path):
         from pumpsim.fitting import simulate_observable
-        from pumpsim.kinetics import beam
+        from pumpsim.kinetics import Beam
 
         times = np.linspace(1e-4, 4.8e-3, 50)
         truth = simulate_observable(
-            [beam(4, 4, 0.019, -0.5), beam(3, 4, 0.023, 0.0)], 0.013, times
+            [Beam(4, 4, 0.019, -0.5), Beam(3, 4, 0.023, 0.0)], 0.013, times
         )
         data = tmp_path / "m0.csv"
         data.write_text(
@@ -442,11 +442,11 @@ class TestFitCommand:
 
     def test_report_residuals_match_residual_report(self, tmp_path):
         from pumpsim.fitting import load_observations, residual_report, simulate_observable
-        from pumpsim.kinetics import beam
+        from pumpsim.kinetics import Beam
 
         times = np.linspace(1e-4, 4.8e-3, 40)
         truth = simulate_observable(
-            [beam(4, 4, 0.019, -0.5), beam(3, 4, 0.023, 0.0)], 0.013, times
+            [Beam(4, 4, 0.019, -0.5), Beam(3, 4, 0.023, 0.0)], 0.013, times
         )
         noise = np.random.Generator(np.random.Philox(4)).uniform(-0.01, 0.01, times.size)
         data = tmp_path / "m0.csv"

@@ -13,14 +13,14 @@ from pumpsim.fitting import (
     residual_report,
     simulate_observable,
 )
-from pumpsim.kinetics import beam, integrate_rk4
+from pumpsim.kinetics import Beam, integrate_rk4
 from pumpsim.structure import Sublevel
 
 TIMES = np.linspace(1e-4, 4.8e-3, 60)
 
 
 def fig5_templates():
-    return [beam(4, 4, 0.019, -0.5), beam(3, 4, 0.023, 0.0)]
+    return [Beam(4, 4, 0.019, -0.5), Beam(3, 4, 0.023, 0.0)]
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ class TestResidualReport:
 
     def test_flat_objective_weakly_identified(self, truth_m0):
         # beams at zero intensity leave every candidate the same SSE
-        dark = [beam(4, 4, 0.0, -0.5), beam(3, 4, 0.0, 0.0)]
+        dark = [Beam(4, 4, 0.0, -0.5), Beam(3, 4, 0.0, 0.0)]
         result = fit_depolarization([ObservationSeries(TIMES, truth_m0)], dark)
         assert result.weakly_identified
 

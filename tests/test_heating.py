@@ -16,9 +16,9 @@ from pumpsim.heating import (
     write_heating_summary,
 )
 from pumpsim.kinetics import (
+    Beam,
     LIBRARY_DT,
     assemble_rate_matrix,
-    beam,
     first_crossing,
     integrate_rk4,
     prune,
@@ -31,7 +31,7 @@ from pumpsim.structure import STATES, Sublevel, branching_table, state_index
 def ideal_pump_beams():
     # ideal pi polarization: the heating estimate concerns the pumping
     # transient, not the residual contamination
-    return [beam(4, 4, 0.019, -0.5, 0.0), beam(3, 4, 0.023, 0.0, 0.0)]
+    return [Beam(4, 4, 0.019, -0.5, 0.0), Beam(3, 4, 0.023, 0.0, 0.0)]
 
 
 HEATING_PAPER = os.path.join(

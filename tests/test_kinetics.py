@@ -13,13 +13,13 @@ from pumpsim import constants as cst
 from pumpsim.kinetics import (
     LIBRARY_DT,
     STACKED_POWERS,
+    TERM,
     Beam,
     RateMatrix,
     Trajectory,
     _conserving,
     _rk4_step_matrix,
     assemble_rate_matrix,
-    beam,
     first_crossing,
     integrate_rk4,
     polarization_weights,
@@ -42,7 +42,7 @@ DT = 0.01 / cst.GAMMA
 
 
 def fig5_beams(alpha=0.013):
-    return [beam(4, 4, 0.019, -0.5, alpha), beam(3, 4, 0.023, 0.0, alpha)]
+    return [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
 
 
 class TestPolarizationWeights:
@@ -77,7 +77,7 @@ class TestPolarizationWeights:
         assert w[0] == w[2] == pytest.approx(alpha**2 / (1 + 2 * alpha**2)
                                              if alpha < 1e100 else 0.5, rel=1e-15)
         rm = assemble_rate_matrix([Beam(4, 4, 0.019, -0.5, alpha)])
-        assert rm.term_rate.size > 0 and np.all(np.isfinite(rm.matrix))
+        assert rm.terms.size > 0 and np.all(np.isfinite(rm.matrix))
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, alpha):
@@ -117,14 +117,14 @@ class TestTransitionOverlap:
         assert transition_overlap(4, bm) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_default_linewidth_on_resonance(self):
-        bm = beam(4, 4, 0.019, 0.0)
+        bm = Beam(4, 4, 0.019, 0.0)
         mu = cst.LASER_LINEWIDTH / cst.GAMMA
         assert transition_overlap(4, bm) == pytest.approx(mu / (mu + 1), rel=1e-12)
         assert transition_overlap(4, bm) == pytest.approx(0.1608, abs=5e-5)
 
     def test_far_detuned_limit(self):
         values = [
-            transition_overlap(4, beam(4, 4, 0.019, detuning))
+            transition_overlap(4, Beam(4, 4, 0.019, detuning))
             for detuning in (1e3, 1e5, 1e7)
         ]
         assert values[0] > values[1] > values[2]
@@ -136,8 +136,8 @@ class TestTransitionOverlap:
 
     def test_neighbor_ratio_scale(self):
         # off-resonant excitation is weaker by up to four orders of magnitude
-        pb = beam(4, 4, 0.019, -0.5)
-        rep = beam(3, 4, 0.023, 0.0)
+        pb = Beam(4, 4, 0.019, -0.5)
+        rep = Beam(3, 4, 0.023, 0.0)
         overlaps = [transition_overlap(fe, pb) for fe in (3, 4, 5)]
         overlaps += [transition_overlap(fe, rep) for fe in (3, 4)]
         ratio = max(overlaps) / min(overlaps)
@@ -145,33 +145,33 @@ class TestTransitionOverlap:
 
     def test_rejects_forbidden_transition(self):
         with pytest.raises(ValueError):
-            transition_overlap(5, beam(3, 4, 0.023))
+            transition_overlap(5, Beam(3, 4, 0.023))
 
 
-def term_rates(bm, ground, excited):
+def stimulated_rates(bm, ground, excited):
     """Rates of the ground -> excited terms in the table of `bm` alone."""
-    rm = assemble_rate_matrix([bm])
-    hit = (rm.term_ground == state_index(ground)) & (rm.term_excited == state_index(excited))
-    return rm.term_rate[hit]
+    terms = assemble_rate_matrix([bm]).terms
+    hit = (terms["ground"] == state_index(ground)) & (terms["excited"] == state_index(excited))
+    return terms["rate"][hit]
 
 
 class TestStimulatedRate:
     def test_forbidden_channel_is_zero(self):
-        bm = beam(4, 4, 0.019, -0.5)
-        assert term_rates(bm, Sublevel("g", 4, 0), Sublevel("e", 4, 0)).size == 0
-        assert term_rates(bm, Sublevel("g", 4, 1), Sublevel("e", 4, 1)).size == 1
+        bm = Beam(4, 4, 0.019, -0.5)
+        assert stimulated_rates(bm, Sublevel("g", 4, 0), Sublevel("e", 4, 0)).size == 0
+        assert stimulated_rates(bm, Sublevel("g", 4, 1), Sublevel("e", 4, 1)).size == 1
 
     def test_linear_in_intensity(self):
         g, e = Sublevel("g", 4, 1), Sublevel("e", 4, 1)
-        (w1,) = term_rates(beam(4, 4, 0.019, -0.5), g, e)
-        (w2,) = term_rates(beam(4, 4, 0.038, -0.5), g, e)
+        (w1,) = stimulated_rates(Beam(4, 4, 0.019, -0.5), g, e)
+        (w2,) = stimulated_rates(Beam(4, 4, 0.038, -0.5), g, e)
         assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
 
     def test_si_form_identity(self):
         # the saturation-intensity form equals the SI form with
         # I = ratio * pi h c Gamma / (3 lambda^3), to 1e-12 relative
         g, e = Sublevel("g", 4, 2), Sublevel("e", 4, 2)
-        bm = beam(4, 4, 0.019, -0.5)
+        bm = Beam(4, 4, 0.019, -0.5)
         from pumpsim.structure import branching_ratio
 
         ratio = 0.019
@@ -189,7 +189,7 @@ class TestStimulatedRate:
             * cst.GAMMA
             * polarization_weights(bm.depolarization)[1]
         )
-        (rate,) = term_rates(bm, g, e)
+        (rate,) = stimulated_rates(bm, g, e)
         assert rate == pytest.approx(si_form, rel=1e-12)
 
     def test_saturation_intensity_value(self):
@@ -224,14 +224,14 @@ class TestAssembly:
         # orders of magnitude below the pumping rates
         full = assemble_rate_matrix(fig5_beams(alpha=0.0))
         leak = -full.matrix[dark, dark]
-        assert 0.0 < leak < 1e-3 * full.term_rate.max()
+        assert 0.0 < leak < 1e-3 * full.terms["rate"].max()
 
     def test_stimulated_symmetry(self):
         # absorption and stimulated emission enter with the same rate
         rm = assemble_rate_matrix(fig5_beams())
         stim = np.zeros_like(rm.matrix)
-        np.add.at(stim, (rm.term_excited, rm.term_ground), rm.term_rate)
-        np.add.at(stim, (rm.term_ground, rm.term_excited), rm.term_rate)
+        np.add.at(stim, (rm.terms["excited"], rm.terms["ground"]), rm.terms["rate"])
+        np.add.at(stim, (rm.terms["ground"], rm.terms["excited"]), rm.terms["rate"])
         assert np.array_equal(stim, stim.T)
         # and the assembled matrix carries exactly spontaneous + stimulated
         spont = assemble_rate_matrix([]).matrix
@@ -259,7 +259,7 @@ class TestPrune:
         rm = assemble_rate_matrix(fig5_beams())
         pruned, active = prune(rm, 1e-3)
         assert active == 25
-        kept_fs = {_states()[i].f for i in np.unique(pruned.term_excited)}
+        kept_fs = {_states()[i].f for i in np.unique(pruned.terms["excited"])}
         assert kept_fs == {4}
 
     def test_pruned_dynamics_close_to_full(self):
@@ -444,7 +444,7 @@ class TestBlockIntegration:
         # negative by rate * t
         rates = np.zeros((43, 43))
         rates[0, 0], rates[1, 0] = rate, -rate
-        return RateMatrix(rates, *(np.empty(0),) * 6)
+        return RateMatrix(rates, np.empty(0, TERM))
 
     @pytest.mark.parametrize("k", [None, 2])
     def test_slight_negatives_clipped(self, k, caplog):
@@ -607,7 +607,7 @@ class TestPumpMetrics:
 
     def test_no_light_no_milestone(self):
         rm = assemble_rate_matrix(
-            [beam(4, 4, 0.0, -0.5), beam(3, 4, 0.0, 0.0)]
+            [Beam(4, 4, 0.0, -0.5), Beam(3, 4, 0.0, 0.0)]
         )
         traj = integrate_rk4(rm, uniform_f4(), DT, 0.001)
         metrics = pump_metrics(traj)
@@ -618,8 +618,8 @@ class TestPumpMetrics:
     def test_doubling_intensity_speeds_pumping(self):
         base = fig5_beams(alpha=0.0)
         doubled = [
-            beam(4, 4, 0.038, -0.5, 0.0),
-            beam(3, 4, 0.046, 0.0, 0.0),
+            Beam(4, 4, 0.038, -0.5, 0.0),
+            Beam(3, 4, 0.046, 0.0, 0.0),
         ]
         t1 = pump_metrics(
             integrate_rk4(assemble_rate_matrix(base), uniform_f4(), DT, 0.005)
@@ -696,6 +696,25 @@ def test_with_depolarization_rebuilds_weights():
                                   prune(fresh)[0].matrix)
     with pytest.raises(ValueError, match="depolarization"):
         with_depolarization(full, float("nan"))
+
+
+def test_with_depolarization_leaves_input_unchanged():
+    # each fit candidate re-weights its own copy of the one shared table
+    full = assemble_rate_matrix(fig5_beams(0.0))
+    for table in (full, prune(full)[0]):
+        terms, matrix = table.terms.copy(), table.matrix.copy()
+        reweighted = with_depolarization(table, 0.013)
+        assert not np.shares_memory(reweighted.terms, table.terms)
+        assert not np.array_equal(reweighted.terms["rate"], terms["rate"])
+        assert np.array_equal(table.terms, terms)
+        assert np.array_equal(table.matrix, matrix)
+
+
+def test_prune_of_empty_table_is_spontaneous_only():
+    spontaneous = assemble_rate_matrix([])
+    pruned, active = prune(spontaneous)
+    assert pruned.terms.size == 0 and active == 0
+    assert np.array_equal(pruned.matrix, spontaneous.matrix)
 
 
 def test_prune_counts_live_terms_only():

@@ -160,6 +160,14 @@ def cmd_heat(args) -> int:
           f"{summary.final_vrms_quadrature:.3f} v_r, additive "
           f"{summary.final_vrms_additive:.3f} v_r")
     print(f"wrote {out}/heating.txt")
+    report = summary.cycle_report
+    unreached = [f"m={m}" for m, hit in report.reached.items() if not hit]
+    if not report.uniform_reached:
+        unreached.append("uniform F=4")
+    if unreached:
+        print(f"warning: the F=4, m=0 fraction never reaches {report.threshold:g} by "
+              f"t_end={report.t_end:g} s from the start(s) {', '.join(unreached)}; "
+              "their cycle counts are the photons scattered by t_end", file=sys.stderr)
     return EXIT_OK
 
 

@@ -51,7 +51,9 @@ def expected_cycles(
     F=4 start; report the expected photons scattered by the time the
     polarized fraction reaches `threshold` (photons at t_end when it never
     does), on the pruned matrix when `pruned`. The ten starts run as two
-    column blocks of five."""
+    column blocks of five, and each block's run stops once all its starts
+    have reached `threshold`: a block with a start that never does runs the
+    whole window to t_end."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     matrix = assemble_rate_matrix(beams)
@@ -61,9 +63,11 @@ def expected_cycles(
         [single_sublevel(Sublevel("g", 4, m)) for m in range(-4, 5)] + [uniform_f4()]
     )
     photons, hits = [], []
-    # one block of ten would hold twice the samples at once
+    # not one block of ten: the stacked products of ten columns round
+    # differently from those of five, which would move every count's bits
     for block in (starts[:, :5], starts[:, 5:]):
-        traj = integrate_rk4(matrix, block, LIBRARY_DT, t_end, max_samples=4001)
+        traj = integrate_rk4(matrix, block, LIBRARY_DT, t_end, max_samples=4001,
+                             until=threshold)
         for j in range(block.shape[1]):
             column = Trajectory(
                 traj.times, traj.populations[:, :, j], traj.scattered_photons[:, j]

@@ -16,12 +16,14 @@ population columns are reset to sum to exactly 1, which conserves population
 at any run length. One start or a block of starts as columns fills one
 array. Given the times a caller reads, the integrator computes only the
 samples that bracket them, each from its chunk's start with the bits the
-full run gives it.
+full run gives it; given a level of the polarized fraction, a full run stops
+after the first chunk that ends with every column at or above it.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,12 +152,21 @@ class RateMatrix:
         return float(np.max(np.abs(self.matrix)))
 
 
-def _from_terms(terms: np.ndarray) -> RateMatrix:
-    """Spontaneous part plus each stimulated term's rate in both directions;
-    the diagonal carries the total outflow, making every column sum to zero."""
+@lru_cache(maxsize=1)
+def _spontaneous_part() -> np.ndarray:
+    """Read-only: the spontaneous feeding of each ground sublevel by each
+    excited one, the part of every rate matrix that no beam changes."""
     mat = np.zeros((N_STATES, N_STATES))
     block = np.ix_(GROUND_INDICES, EXCITED_INDICES)
     mat[block] = cst.GAMMA * branching_table().T[block]
+    mat.setflags(write=False)
+    return mat
+
+
+def _from_terms(terms: np.ndarray) -> RateMatrix:
+    """Spontaneous part plus each stimulated term's rate in both directions;
+    the diagonal carries the total outflow, making every column sum to zero."""
+    mat = _spontaneous_part().copy()
     ground, excited, rate = terms["ground"], terms["excited"], terms["rate"]
     np.add.at(mat, (excited, ground), rate)
     np.add.at(mat, (ground, excited), rate)
@@ -283,6 +294,17 @@ def stationary_state(rate_matrix: RateMatrix) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _reached(tail: np.ndarray, level: float) -> bool:
+    """Whether the g,F=4,m=0 fraction of the last of two computed rows `tail`
+    reaches `level` in every column, with the bits a reader of the returned
+    rows gets: clipped as the run clips them and through
+    `Trajectory.sublevel_fraction`. Two rows, because numpy sums the ground
+    populations of a lone one-column row in another order."""
+    populations = np.where(tail[:, :N_STATES] < 0, 0.0, tail[:, :N_STATES])
+    fraction = Trajectory(None, populations, None).sublevel_fraction(Sublevel("g", 4, 0))
+    return bool(np.all(fraction[-1] >= level))
+
+
 def integrate_rk4(
     rate_matrix: RateMatrix,
     n0: np.ndarray,
@@ -291,6 +313,7 @@ def integrate_rk4(
     max_samples: int = 1201,
     *,
     at=None,
+    until=None,
 ) -> Trajectory:
     """Fixed-step classical RK4 evolution of dN/dt = R N.
 
@@ -304,10 +327,21 @@ def integrate_rk4(
     samples that bracket each time (clamped at the ends), each chunk's start
     and the last grid sample, and returns row 0 and the bracketing samples:
     the rows `np.interp` reads at `at`, with the same bits as the full run,
-    on the same grid. n_samples then counts the returned rows. The
-    negative-population check and clip cover every computed row; rows never
-    computed are not checked.
+    on the same grid. n_samples then counts the returned rows.
+
+    With a level `until`, the run stops after the first chunk whose last row
+    has a g,F=4,m=0 fraction (of the ground atoms, clipped, as
+    `Trajectory.sublevel_fraction` reads it) of at least `until` in every
+    column, and returns the rows up to that one: every column's first
+    crossing of `until` lies among them, with the bits of the full run. A run
+    that never gets there goes on to t_end. `at` and `until` exclude each
+    other.
+
+    The negative-population check and clip cover every computed row; rows
+    never computed are not checked.
     """
+    if at is not None and until is not None:
+        raise ValueError("integrate_rk4 takes `at` or `until`, not both")
     n0 = np.asarray(n0, dtype=float)
     if n0.shape[:1] != (N_STATES,) or n0.ndim > 2 or n0.size == 0:
         raise ValueError(f"initial populations must have shape ({N_STATES},) "
@@ -350,14 +384,21 @@ def integrate_rk4(
         mask[:n_blocks:chunk] = mask[n_blocks:] = True  # chunk starts and the last rows
         grid = np.flatnonzero(mask)
         keep = np.searchsorted(grid, rows)
-    # data[s] holds the s-th computed row; its row N_STATES counts photons
-    data = np.zeros((len(grid), N_STATES + 1) + n0.shape[1:])
+    # data[s] holds the s-th computed row; its row N_STATES counts photons.
+    # Every row is written before it is read, so rows a stopped run never
+    # computes are never touched.
+    data = np.empty((len(grid), N_STATES + 1) + n0.shape[1:])
     data[0, :N_STATES] = n0
+    data[0, N_STATES] = 0.0
     if at is None:
         for i in range(0, n_blocks, chunk):
             k = min(chunk, n_blocks - i)
             out = data[i + 1:i + 1 + k].reshape((k * (N_STATES + 1),) + n0.shape[1:])
             np.matmul(powers[:k].reshape(-1, N_STATES + 1), data[i], out=out)
+            if until is not None and _reached(data[i + k - 1:i + k + 1], until):
+                # the computed prefix, with no remainder row
+                times, data, remainder = times[:i + k + 1], data[:i + k + 1], 0
+                break
     else:  # grid row r from its chunk's start c, as the stacked product does
         slot = {r: s for s, r in enumerate(grid.tolist())}
         for s, r in enumerate(grid[1:slot[n_blocks] + 1].tolist(), 1):

@@ -12,9 +12,15 @@ import pytest
 from pumpsim import config
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
-from pumpsim.kinetics import polarization_weights
+from pumpsim.kinetics import (
+    Beam,
+    assemble_rate_matrix,
+    polarization_weights,
+    prune,
+    stationary_state,
+)
 from pumpsim.output import atomic_write, header, rows
-from pumpsim.structure import write_branching_csv
+from pumpsim.structure import GROUND_INDICES, Sublevel, state_index, write_branching_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -353,6 +359,34 @@ class TestHeatCommand:
         run_cli("heat", "--config", cfg, "--prune")
         second = (tmp_path / "out" / "heating.txt").read_bytes()
         assert first == second
+
+
+    def test_unreached_threshold_warns(self, tmp_path, capsys):
+        # heating_paper.ini with both beams at alpha = 0.05, on a small sample
+        with open(os.path.join(SCENARIOS, "heating_paper.ini")) as f:
+            text = f.read().replace("alpha = 0.0", "alpha = 0.05")
+        cfg = write_config(tmp_path, text.replace("samples = 100000", "samples = 2000"))
+        assert main(["heat", "--config", cfg, "--prune", "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: the F=4, m=0 fraction never reaches 0.95 by t_end=0.02 s "
+                       "from the start(s) m=-4, m=-3, m=-2, m=-1, m=1, m=2, m=3, m=4, "
+                       "uniform F=4; their cycle counts are the photons scattered by t_end\n")
+        assert "warning" not in (tmp_path / "heating.txt").read_text()
+
+    def test_unreachable_at_alpha_005(self):
+        # the warning is not a matter of the window: pruned at alpha = 0.05
+        # the long-run m0 fraction itself stays below 0.95
+        alpha = 0.05
+        beams = [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
+        state = stationary_state(prune(assemble_rate_matrix(beams))[0])
+        m0 = state[state_index(Sublevel("g", 4, 0))] / state[GROUND_INDICES].sum()
+        assert 0.92 < m0 < 0.95
+
+    @pytest.mark.parametrize("flags", [[], ["--prune"]])
+    def test_shipped_scenario_does_not_warn(self, tmp_path, capsys, flags):
+        cfg = os.path.join(SCENARIOS, "heating_paper.ini")
+        assert main(["heat", "--config", cfg, "--out", str(tmp_path), *flags]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestScipyLoadedOnUse:

@@ -18,6 +18,7 @@ from pumpsim.heating import (
 from pumpsim.kinetics import (
     Beam,
     LIBRARY_DT,
+    Trajectory,
     assemble_rate_matrix,
     first_crossing,
     integrate_rk4,
@@ -264,9 +265,57 @@ class TestExpectedCycles:
         # 2e-5 s reaches the threshold from the dark start only
         assert sum(report.reached.values()) == (9 if t_end == 0.02 else 1)
 
+    @pytest.mark.parametrize("alpha, pruned", [
+        (0.0, False),
+        (0.035, False),  # stationary m0 fraction 0.952: a late crossing
+        (0.05, True),    # stationary m0 fraction 0.922: never reached
+    ])
+    def test_bit_equal_to_full_window(self, alpha, pruned):
+        # reference: full 4,001-row blocks of five, each column read by
+        # first_crossing, photons at t_end where it finds none
+        beams = [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
+        report = expected_cycles(beams, pruned=pruned)
+        rm = assemble_rate_matrix(beams)
+        if pruned:
+            rm, _ = prune(rm)
+        starts = np.column_stack(
+            [single_sublevel(Sublevel("g", 4, m)) for m in range(-4, 5)] + [uniform_f4()])
+        photons, hits = [], []
+        for block in (starts[:, :5], starts[:, 5:]):
+            traj = integrate_rk4(rm, block, LIBRARY_DT, report.t_end, max_samples=4001)
+            assert traj.times.size == 4001
+            for j in range(5):
+                column = Trajectory(traj.times, traj.populations[:, :, j],
+                                    traj.scattered_photons[:, j])
+                hit = first_crossing(column, column.sublevel_fraction(Sublevel("g", 4, 0)),
+                                     report.threshold)
+                photons.append(hit[1] if hit else float(column.scattered_photons[-1]))
+                hits.append(hit is not None)
+        assert [*report.per_sublevel.values(), report.uniform] == photons
+        assert [*report.reached.values(), report.uniform_reached] == hits
+        assert all(hits) == (alpha < 0.05)
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_heating_paper_blocks_stop_early(self, pruned, monkeypatch):
+        # every heating_paper start reaches 0.95 about 2 ms into the 20 ms
+        # window, so each block stops long before its 4,001 rows
+        returned = []
+
+        def integrate(*args, **kwargs):
+            traj = integrate_rk4(*args, **kwargs)
+            returned.append(traj.times.size)
+            return traj
+
+        monkeypatch.setattr("pumpsim.heating.integrate_rk4", integrate)
+        report = expected_cycles(load_config(HEATING_PAPER).beams, pruned=pruned)
+        assert all(report.reached.values()) and report.uniform_reached
+        assert len(returned) == 2 and max(returned) < 500
+
     def test_block_store_memory_bound(self):
-        # two blocks of five starts hold 4001 x 44 x 5 doubles (7 MB) at a
-        # time, about 8.2 MB at peak; one block of ten peaks near 16 MB
+        # each block of five starts allocates 4001 x 44 x 5 doubles (7 MB),
+        # of which a stopped run writes only its first rows; the peak is
+        # about 7.8 MB. The blocks hold five starts for their bits, not for
+        # memory (see expected_cycles).
         beams = load_config(HEATING_PAPER).beams
         expected_cycles(beams)  # build the cached tables outside the trace
         tracemalloc.start()

@@ -19,6 +19,7 @@ from pumpsim.kinetics import (
     Trajectory,
     _conserving,
     _rk4_step_matrix,
+    _spontaneous_part,
     assemble_rate_matrix,
     first_crossing,
     integrate_rk4,
@@ -35,6 +36,7 @@ from pumpsim.structure import (
     EXCITED_INDICES,
     GROUND_INDICES,
     Sublevel,
+    branching_table,
     state_index,
 )
 
@@ -515,6 +517,97 @@ class TestSampledRows:
                           1e-6, 1e-3, max_samples=11, at=[0.5e-4])
 
 
+class TestStopAtLevel:
+    """With `until`, a full run stops once every column reaches the level."""
+
+    M0 = Sublevel("g", 4, 0)
+
+    @staticmethod
+    def run(n0, alpha=0.0, pruned=False, t_end=0.02, **kwargs):
+        rm = assemble_rate_matrix(fig5_beams(alpha))
+        if pruned:
+            rm, _ = prune(rm)
+        return integrate_rk4(rm, n0, LIBRARY_DT, t_end, max_samples=4001, **kwargs)
+
+    @staticmethod
+    def starts(block):
+        if not block:
+            return single_sublevel(Sublevel("g", 4, 3))
+        return np.column_stack([single_sublevel(Sublevel("g", 4, m)) for m in range(-4, 1)])
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_first_rows_of_full_run(self, block, pruned):
+        n0 = self.starts(block)
+        full = self.run(n0, pruned=pruned)
+        part = self.run(n0, until=0.95, pruned=pruned)
+        n = part.times.size
+        # the crossing lies about 2 ms into the 20 ms window
+        assert STACKED_POWERS < n < 500 and full.times.size == 4001
+        assert np.array_equal(part.times, full.times[:n])
+        assert np.array_equal(part.populations, full.populations[:n])
+        assert np.array_equal(part.scattered_photons, full.scattered_photons[:n])
+        # the chunk before the last one had not reached the level in every column
+        fraction = part.sublevel_fraction(self.M0).reshape(n, -1)
+        assert np.all(fraction[-1] >= 0.95)
+        assert np.any(fraction[n - 1 - STACKED_POWERS] < 0.95)
+
+    @pytest.mark.parametrize("alpha, pruned, t_end", [(0.05, True, 0.02), (0.0, False, 2e-5)])
+    def test_unreached_level_runs_to_t_end(self, alpha, pruned, t_end):
+        # pruned at alpha = 0.05 the stationary m0 fraction is 0.922; 2e-5 s
+        # is too short, and ends on a remainder step
+        n0 = self.starts(True)
+        full = self.run(n0, alpha=alpha, pruned=pruned, t_end=t_end)
+        part = self.run(n0, until=0.95, alpha=alpha, pruned=pruned, t_end=t_end)
+        assert full.times[-1] == pytest.approx(t_end, rel=1e-4)
+        assert np.array_equal(part.times, full.times)
+        assert np.array_equal(part.populations, full.populations)
+        assert np.array_equal(part.scattered_photons, full.scattered_photons)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_stop_reads_the_returned_bits(self, block):
+        # a level equal to the smallest fraction a reader gets at a chunk's
+        # last row stops the run there; one ulp above it does not
+        n0 = self.starts(block)
+        full = self.run(n0)
+        populations = full.populations.reshape(full.times.size, 43, -1)
+        # a reader of a block's rows takes one column at a time
+        fraction = np.column_stack([
+            Trajectory(full.times, populations[:, :, j], None).sublevel_fraction(self.M0)
+            for j in range(populations.shape[2])
+        ]).min(axis=1)
+        stops = 0
+        for r in range(STACKED_POWERS, 600, STACKED_POWERS):
+            if fraction[r] > fraction[:r].max():
+                assert self.run(n0, until=fraction[r]).times.size == r + 1
+                assert self.run(n0, until=np.nextafter(fraction[r], 1.0)).times.size > r + 1
+                stops += 1
+        assert stops > 10
+
+    def test_stop_reads_clipped_rows(self):
+        # g4 m0 gains what g4 m1 loses, so m1 goes slightly negative; read
+        # unclipped, the m0 fraction would exceed 1 and stop the run at once
+        m0, m1 = state_index(self.M0), state_index(Sublevel("g", 4, 1))
+        rates = np.zeros((43, 43))
+        rates[m0, m0], rates[m1, m0] = 1e-10, -1e-10
+        traj = integrate_rk4(RateMatrix(rates, np.empty(0, TERM)), single_sublevel(self.M0),
+                             1e-6, 1e-3, max_samples=101, until=np.nextafter(1.0, 2.0))
+        assert traj.times.size == 101
+        assert traj.populations[-1, m1] == 0.0
+
+    @pytest.mark.parametrize("kwargs", [{}, {"until": 0.95}, {"at": [1e-3]}])
+    def test_row_zero_counts_no_photons(self, kwargs):
+        # rows come from an uninitialized array: row 0's photon entry is set
+        np.full((41, 44, 5), np.nan)  # leave a dirty block of the run's size
+        traj = self.run(self.starts(True), t_end=40 * LIBRARY_DT, **kwargs)
+        assert np.all(traj.scattered_photons[0] == 0.0)
+        assert np.array_equal(traj.populations[0], self.starts(True))
+
+    def test_at_and_until_exclusive(self):
+        with pytest.raises(ValueError, match="`at` or `until`"):
+            self.run(uniform_f4(), until=0.95, t_end=1e-5, at=[1e-6])
+
+
 def sample_by_sample(rm, n0, n_steps, stride):
     """Reference: the corrected block applied once per output sample."""
     step = _rk4_step_matrix(rm.matrix, DT)
@@ -708,6 +801,26 @@ def test_with_depolarization_leaves_input_unchanged():
         assert not np.array_equal(reweighted.terms["rate"], terms["rate"])
         assert np.array_equal(table.terms, terms)
         assert np.array_equal(table.matrix, matrix)
+
+
+def test_cached_spontaneous_part_keeps_every_matrix():
+    # reference: the spontaneous part built afresh for each matrix
+    def rebuilt(terms):
+        mat = np.zeros((43, 43))
+        block = np.ix_(GROUND_INDICES, EXCITED_INDICES)
+        mat[block] = cst.GAMMA * branching_table().T[block]
+        np.add.at(mat, (terms["excited"], terms["ground"]), terms["rate"])
+        np.add.at(mat, (terms["ground"], terms["excited"]), terms["rate"])
+        np.fill_diagonal(mat, -mat.sum(axis=0))
+        return mat
+
+    full = assemble_rate_matrix(fig5_beams(0.0))
+    tables = [assemble_rate_matrix([]), full, prune(full)[0],
+              with_depolarization(full, 0.013), with_depolarization(prune(full)[0], 0.2)]
+    for table in tables:
+        assert np.array_equal(table.matrix, rebuilt(table.terms))
+        assert table.matrix.flags.writeable
+    assert not _spontaneous_part().flags.writeable
 
 
 def test_prune_of_empty_table_is_spontaneous_only():

@@ -2,8 +2,8 @@
 m=0 ground sublevel: rate-equation kinetics, Raman velocimetry spectra,
 photon-recoil heating, and depolarization fitting.
 
-Importing the package loads numpy only: the few functions that need scipy
-(the spectrum fold and the fits) import it on first call."""
+Importing the package loads numpy only: the two fits, the only code that
+needs scipy, import it on first call."""
 
 from . import constants
 from .structure import (

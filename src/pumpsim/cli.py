@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .fitting import DataError, fit_depolarization, load_observations
+from .fitting import BOUNDS, XATOL, DataError, fit_depolarization, load_observations
 from .heating import heating_summary, write_heating_summary
 from .kinetics import (
     PRUNE_THRESHOLD,
@@ -202,6 +202,10 @@ def cmd_fit(args) -> int:
     if result.weakly_identified:
         print("warning: objective is weakly identified over the search range")
     print(f"wrote {out}/fit_report.txt")
+    if BOUNDS[1] - result.depolarization <= XATOL:
+        print(f"warning: alpha_hat={result.depolarization:.6g} lies within the search "
+              f"tolerance {XATOL:g} of the upper bound {BOUNDS[1]:g}; the data may call "
+              "for a larger contamination than the search range holds", file=sys.stderr)
     if not result.converged:
         print("fit did not converge within the iteration budget", file=sys.stderr)
         return EXIT_NON_CONVERGENCE

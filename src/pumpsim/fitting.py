@@ -109,8 +109,10 @@ def load_observations(path) -> ObservationSeries:
         raise DataError(f"{path}: {exc}") from exc
 
 
-# search range of the contamination and iteration budget of the fit
+# search range of the contamination, its |step| tolerance and the
+# iteration budget of the fit
 BOUNDS = (0.0, 0.2)
+XATOL = 1e-4 * BOUNDS[1]
 MAX_ITERATIONS = 200
 
 
@@ -211,7 +213,7 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
         objective,
         bounds=BOUNDS,
         method="bounded",
-        options={"xatol": 1e-4 * BOUNDS[1], "maxiter": MAX_ITERATIONS},
+        options={"xatol": XATOL, "maxiter": MAX_ITERATIONS},
     )
     best = float(result.x)
     sse = [r.sse for r in reports.values()]

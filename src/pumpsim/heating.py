@@ -7,9 +7,16 @@ Archimedes' hat-box theorem an isotropic emission recoil projects uniformly
 on [-1, 1]; the absorption recoil along the back-reflected pump, orthogonal
 to the detection axis as in the paper, projects to 0. Everything is in
 units of the recoil velocity.
+
+The walk's kicks come from one counter-based Philox stream, in which any
+draw can be reached from its index. The atoms are walked in contiguous
+parts at once, one thread per CPU, each part on its own Philox positioned
+at its draws; the velocities have the bits of one sequential walk.
 """
 
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,15 +124,102 @@ def _rng(seed: int, samples: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _walk(counts: np.ndarray, rng) -> np.ndarray:
-    """Velocities along the detection axis after per-sample cycle counts;
-    the draw pattern is fixed per cycle so results do not depend on the
-    count distribution."""
-    velocity = np.zeros(counts.size)
-    for k in range(int(counts.max())):
-        kick = rng.uniform(-1.0, 1.0, size=counts.size)
-        kick *= counts > k
+# below this many samples a part's thread costs more than it saves
+_MIN_PART = 16_384
+
+
+def _parts(samples: int) -> int:
+    """Number of contiguous parts a walk over `samples` atoms is split into:
+    one per CPU this process may use, each of at least _MIN_PART samples."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, samples // _MIN_PART))
+
+
+def _seek(bit_generator, state: dict, draws: int) -> None:
+    """Put the Philox `bit_generator` where one that starts at `state` stands
+    after `draws` more raw draws, buffer included. Philox block c holds the
+    raw draws 4c..4c+3 and the state's counter names the block its buffer
+    holds, so this computes one block instead of drawing `draws` values."""
+    counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
+    last = 4 * counter + state["buffer_pos"] + draws - 1   # index of the last draw
+    block = (last // 4 - 1) % 2**256                       # the block before it
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(block >> (64 * i)) & (2**64 - 1) for i in range(4)],
+                                dtype=np.uint64),
+            "key": state["state"]["key"],
+        },
+        "buffer": state["buffer"],
+        "buffer_pos": 4,
+        "has_uint32": state["has_uint32"],
+        "uinteger": state["uinteger"],
+    }
+    bit_generator.random_raw(last % 4 + 1, output=False)
+
+
+def _walk_part(bit_generator, start: dict, offset: int, stride: int,
+               counts, kick, active, velocity) -> None:
+    """Walk one part's samples: in cycle k its kicks are the raw draws
+    k * stride + offset on from `start`. Writes only into the given views."""
+    draw = np.random.Generator(bit_generator).random
+    for k in range(int(counts.max(initial=0))):
+        _seek(bit_generator, start, k * stride + offset)
+        draw(out=kick)
+        kick *= 2.0     # with the next line, the bits of uniform(-1, 1)
+        kick += -1.0
+        np.greater(counts, k, out=active)
+        kick *= active
         velocity += kick
+
+
+def _walk(counts: np.ndarray, rng) -> np.ndarray:
+    """Velocities along the detection axis after per-sample cycle counts.
+
+    Sample i's kick in cycle k is raw draw k * n + i of the Philox `rng`,
+    uniform on [-1, 1), whatever the counts; kicks past a sample's count
+    are zeroed. The samples are walked in contiguous parts at once, each on
+    its own Philox positioned at its draws, so the bits do not depend on
+    the number of parts; `rng` ends where one sequential walk leaves it."""
+    n = counts.size
+    velocity = np.zeros(n)
+    cycles = int(counts.max())
+    if cycles == 0:
+        return velocity
+    start = rng.bit_generator.state
+    kick = np.empty(n)
+    active = np.empty(n, dtype=bool)
+    parts = _parts(n)
+    bounds = [n * j // parts for j in range(parts + 1)]
+    jobs = [
+        (np.random.Philox(key=start["state"]["key"]), start, lo, n,
+         counts[lo:hi], kick[lo:hi], active[lo:hi], velocity[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    failures = []
+
+    def guarded(*job):
+        try:
+            _walk_part(*job)
+        except Exception as exc:  # re-raised in the caller once all parts end
+            failures.append(exc)
+
+    threads = []
+    try:
+        for job in jobs[1:]:
+            thread = threading.Thread(target=guarded, args=job)
+            thread.start()
+            threads.append(thread)
+        _walk_part(*jobs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    _seek(rng.bit_generator, start, cycles * n)
     return velocity
 
 

@@ -80,6 +80,21 @@ def lineshape_fwhm(pulse: RamanPulse) -> float:
     return FWHM_TAU / pulse.duration
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the real-transform sizes pocketfft
+    handles fastest; equal to scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two that takes p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
           shift: float) -> np.ndarray:
     """Rabi line folded with a normalized Gaussian of rms sigma_hz, cut at
@@ -87,8 +102,6 @@ def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
     h = step / k apart, k the smallest integer with h <= fwhm / 32 (fwhm is
     `lineshape_fwhm(pulse)`), so node k*i is grid point i. It works on
     (grid span + 12 sigma) / h nodes; h ~ 1/tau."""
-    from scipy.fft import irfft, next_fast_len, rfft
-
     if grid.size == 0:
         return np.zeros(0)
     fwhm = lineshape_fwhm(pulse)
@@ -104,8 +117,8 @@ def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
     fine = (grid.size - 1) * k + 1
     line = rabi_lineshape(grid[0] - shift + (np.arange(fine + 2 * half) - half) * h, pulse)
-    n = next_fast_len(line.size + kernel.size - 1, real=True)
-    folded = irfft(rfft(line, n) * rfft(kernel, n), n)
+    n = _next_fast_len(line.size + kernel.size - 1)
+    folded = np.fft.irfft(np.fft.rfft(line, n) * np.fft.rfft(kernel, n), n)
     return folded[2 * half : 2 * half + fine : k] / kernel.sum()
 
 

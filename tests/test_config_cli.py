@@ -388,6 +388,24 @@ class TestHeatCommand:
         assert main(["heat", "--config", cfg, "--out", str(tmp_path), *flags]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    @pytest.mark.parametrize("flags", [[], ["--prune"]])
+    def test_one_cpu_run_writes_the_same_bytes(self, tmp_path, flags):
+        # on one CPU the recoil walk runs as one part, here as one per CPU;
+        # the bits must not depend on the number of parts
+        one_cpu = ("import os, sys\n"
+                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                   "from pumpsim.cli import main\n"
+                   "sys.exit(main(sys.argv[1:]))\n")
+        cfg = os.path.join(SCENARIOS, "heating_paper.ini")
+        result = run_python("-c", one_cpu, "heat", "--config", cfg,
+                            "--out", str(tmp_path / "one"), *flags)
+        assert result.returncode == 0, result.stderr
+        assert main(["heat", "--config", cfg, "--out", str(tmp_path / "all"), *flags]) == 0
+        assert ((tmp_path / "one" / "heating.txt").read_bytes()
+                == (tmp_path / "all" / "heating.txt").read_bytes())
+
 
 class TestScipyLoadedOnUse:
     # runs the given commands in one process, then prints the scipy
@@ -418,16 +436,19 @@ class TestScipyLoadedOnUse:
         assert loaded == []
 
     def test_spectrum_loads_scipy_on_use(self, tmp_path):
+        # the folds run on numpy.fft and only the Gaussian fit needs scipy;
+        # scipy.optimize imports scipy.fft itself
         fig4 = os.path.join(SCENARIOS, "fig4_velocimetry.ini")
         loaded = self.loaded_after(["spectrum", "--config", fig4, "--out", str(tmp_path)])
         assert loaded == ["scipy.optimize", "scipy.fft"]
 
-    def test_copropagating_spectrum_loads_fft_only(self, tmp_path):
-        # the line width is a constant over tau; only the fit needs scipy.optimize
+    def test_copropagating_spectrum_loads_no_scipy(self, tmp_path):
+        # the line width is a constant over tau and the folds run on
+        # numpy.fft; only the counterpropagating fit needs scipy
         fig3 = os.path.join(SCENARIOS, "fig3_polarized.ini")
         loaded = self.loaded_after(
             ["spectrum", "--config", fig3, "--prune", "--out", str(tmp_path)])
-        assert loaded == ["scipy.fft"]
+        assert loaded == []
 
 
 class TestFitCommand:
@@ -451,6 +472,31 @@ class TestFitCommand:
         report = (tmp_path / "out" / "fit_report.txt").read_text()
         alpha_line = [ln for ln in report.splitlines() if ln.startswith("# alpha_hat=")][0]
         assert abs(float(alpha_line.split("=")[1]) - 0.013) < 1e-4
+
+    @pytest.mark.parametrize("truth, warns", [(0.35, True), (0.19, False)])
+    def test_alpha_hat_at_upper_bound_warns(self, tmp_path, capsys, truth, warns):
+        # observations beyond the search range fit to the upper bound 0.2;
+        # the fit still converges and exits 0, so only stderr can say so
+        from pumpsim.fitting import simulate_observable
+
+        beams = load_config(os.path.join(SCENARIOS, "fig5_dynamics.ini")).beams
+        times = np.linspace(4e-3 / 25, 4e-3, 25)
+        truth_m0 = simulate_observable(beams, truth, times)
+        data = tmp_path / "m0.csv"
+        data.write_text("# observable = g4_m0\n" + "".join(
+            f"{t:.12g},{v:.12g}\n" for t, v in zip(times, truth_m0)))
+        cfg = os.path.join(SCENARIOS, "fig5_dynamics.ini")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out"), str(data)]) == 0
+        err = capsys.readouterr().err
+        report = (tmp_path / "out" / "fit_report.txt").read_text()
+        assert "# converged=true" in report and "warning" not in report
+        if warns:
+            assert err == ("warning: alpha_hat=0.199987 lies within the search tolerance "
+                           "2e-05 of the upper bound 0.2; the data may call for a larger "
+                           "contamination than the search range holds\n")
+        else:
+            assert err == ""
+            assert "# alpha_hat=0.18999" in report
 
     def test_empty_data_file_exit_3(self, tmp_path):
         data = tmp_path / "empty.csv"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pumpsim import heating
 from pumpsim.config import load_config
 from pumpsim.heating import (
     CycleReport,
@@ -161,17 +162,86 @@ class TestRecoilWalk:
         np.testing.assert_array_equal(a.projected, b.projected)
 
 
+def masked_kicks(counts, rng):
+    """The sequential reference walk: one uniform(-1, 1) kick per sample
+    and cycle, added where the sample's count exceeds the cycle."""
+    velocity = np.zeros(counts.size)
+    for k in range(int(counts.max())):
+        velocity += np.where(counts > k, rng.uniform(-1.0, 1.0, size=counts.size), 0.0)
+    return velocity
+
+
 def test_walk_matches_masked_kicks():
     # kicks past a sample's count are zeroed in place; the velocities keep
     # the bits, and the sign of zero, of adding np.where(counts > k, kick, 0)
     counts = np.tile([0, 3, 1, 0, 7, 2, 5, 0, 1, 4], 50)
-    rng = np.random.Generator(np.random.Philox(9))
-    velocity = np.zeros(counts.size)
-    for k in range(int(counts.max())):
-        velocity += np.where(counts > k, rng.uniform(-1.0, 1.0, size=counts.size), 0.0)
+    velocity = masked_kicks(counts, np.random.Generator(np.random.Philox(9)))
     walked = _walk(counts, np.random.Generator(np.random.Philox(9)))
     assert np.array_equal(walked, velocity)
     assert np.array_equal(np.signbit(walked), np.signbit(velocity))
+
+
+# ways to leave a Philox stream before the walk: fresh, or partway
+# through a 4-draw block, or holding a buffered 32-bit half
+STARTS = {
+    "fresh": lambda rng: None,
+    "odd_integers": lambda rng: rng.integers(-4, 5, size=7),
+    "raw_3": lambda rng: rng.bit_generator.random_raw(3),
+    "raw_4": lambda rng: rng.bit_generator.random_raw(4),
+    "uint32": lambda rng: rng.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
+}
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_walk_in_parts_matches_masked_kicks(monkeypatch, parts, start):
+    # 503 samples split unevenly; every part's draws are positioned in the
+    # one stream, so the bits and the generator's end state are those of
+    # the sequential walk whatever the number of parts
+    monkeypatch.setattr(heating, "_parts", lambda samples: parts)
+    counts = np.resize([0, 3, 1, 0, 7, 2, 5, 0, 1, 4, 6], 503)
+    reference, walked = (np.random.Generator(np.random.Philox(9)) for _ in range(2))
+    STARTS[start](reference)
+    STARTS[start](walked)
+    velocity = masked_kicks(counts, reference)
+    result = _walk(counts, walked)
+    assert np.array_equal(result, velocity)
+    assert np.array_equal(np.signbit(result), np.signbit(velocity))
+    after, expected = walked.bit_generator.state, reference.bit_generator.state
+    assert after["has_uint32"] == expected["has_uint32"]
+    assert after["uinteger"] == expected["uinteger"]
+    assert np.array_equal(walked.bit_generator.random_raw(9),
+                          reference.bit_generator.random_raw(9))
+    assert np.array_equal(walked.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
+                          reference.integers(0, 2**32 - 1, size=3, dtype=np.uint32))
+
+
+def test_walk_part_failure_reaches_caller(monkeypatch):
+    # a part walked on another thread fails; the walk raises its error once
+    # every part has ended, and leaves the generator where it was
+    seek = heating._seek
+
+    def failing(bit_generator, state, draws):
+        if draws % 10 == 5:
+            raise RuntimeError("part 1 failed")
+        seek(bit_generator, state, draws)
+
+    monkeypatch.setattr(heating, "_parts", lambda samples: 2)
+    monkeypatch.setattr(heating, "_seek", failing)
+    rng = np.random.Generator(np.random.Philox(9))
+    before = rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="part 1 failed"):
+        _walk(np.full(10, 3), rng)
+    assert str(rng.bit_generator.state) == str(before)
+
+
+def test_part_count_follows_cpus_and_samples():
+    # one part per usable CPU, none smaller than _MIN_PART samples
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert heating._parts(2) == 1
+    assert heating._parts(10**9) == cpus
+    for n in (heating._MIN_PART - 1, 40_000, 100_000):
+        assert n // heating._parts(n) >= min(n, heating._MIN_PART)
 
 
 @pytest.fixture(scope="module")

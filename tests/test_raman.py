@@ -14,6 +14,7 @@ from pumpsim import constants as cst
 from pumpsim.kinetics import uniform_f4
 from pumpsim.raman import (
     FWHM_TAU,
+    _next_fast_len,
     RamanPulse,
     Spectrum,
     VelocityDistribution,
@@ -346,6 +347,15 @@ class TestFold:
         shift = doppler_shift(1.0)
         assert np.array_equal(spec.signal, rabi_lineshape(CLI_GRID - 0.0 - shift, self.PULSE))
 
+    def test_next_fast_len_matches_scipy(self):
+        # the fold's transform sizes are the ones scipy.fft would pick
+        from scipy.fft import next_fast_len
+
+        sizes = list(range(1, 5000))
+        sizes += np.random.default_rng(7).integers(5000, 10**7, 3000).tolist()
+        assert [_next_fast_len(n) for n in sizes] == [next_fast_len(n, real=True)
+                                                       for n in sizes]
+
     def test_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal adds most of a second to every process start, and
         # nothing in the package uses it
@@ -353,8 +363,8 @@ class TestFold:
         assert run_with_pumpsim(code).returncode == 0
 
     def test_import_loads_no_scipy_submodule(self):
-        # scipy.fft and scipy.optimize are imported inside the functions that
-        # use them, so a states, pump or heat run never pays for them
+        # scipy.optimize is imported inside the fits that use it, so a states,
+        # pump or heat run never pays for it
         code = (
             "import sys, pumpsim, pumpsim.cli\n"
             "mods = ('scipy.fft', 'scipy.optimize', 'scipy.linalg', 'scipy.signal')\n"

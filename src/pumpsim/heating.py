@@ -10,13 +10,14 @@ units of the recoil velocity.
 
 The walk's kicks come from one counter-based Philox stream, in which any
 draw can be reached from its index. The atoms are walked in contiguous
-parts at once, one thread per CPU, each part on its own Philox positioned
-at its draws; the velocities have the bits of one sequential walk.
+parts at once, one per CPU: the calling thread walks the first and a
+thread pool the rest, each part on its own Philox positioned at its draws.
+The velocities have the bits of one sequential walk.
 """
 
 import operator
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ def _rng(seed: int, samples: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-# below this many samples a part's thread costs more than it saves
+# below this many samples a part's pooled task costs more than it saves
 _MIN_PART = 16_384
 
 
@@ -161,29 +162,16 @@ def _seek(bit_generator, state: dict, draws: int) -> None:
     bit_generator.random_raw(last % 4 + 1, output=False)
 
 
-def _walk_part(bit_generator, start: dict, offset: int, stride: int,
-               counts, kick, active, velocity) -> None:
-    """Walk one part's samples: in cycle k its kicks are the raw draws
-    k * stride + offset on from `start`. Writes only into the given views."""
-    draw = np.random.Generator(bit_generator).random
-    for k in range(int(counts.max(initial=0))):
-        _seek(bit_generator, start, k * stride + offset)
-        draw(out=kick)
-        kick *= 2.0     # with the next line, the bits of uniform(-1, 1)
-        kick += -1.0
-        np.greater(counts, k, out=active)
-        kick *= active
-        velocity += kick
-
-
 def _walk(counts: np.ndarray, rng) -> np.ndarray:
     """Velocities along the detection axis after per-sample cycle counts.
 
     Sample i's kick in cycle k is raw draw k * n + i of the Philox `rng`,
     uniform on [-1, 1), whatever the counts; kicks past a sample's count
-    are zeroed. The samples are walked in contiguous parts at once, each on
-    its own Philox positioned at its draws, so the bits do not depend on
-    the number of parts; `rng` ends where one sequential walk leaves it."""
+    are zeroed. The samples are walked in contiguous parts, each on its own
+    Philox positioned at its draws: parts 1.. on a thread pool while the
+    calling thread walks part 0, so the bits do not depend on the number of
+    parts. An exception in any part is raised once every part has ended;
+    `rng` ends where one sequential walk leaves it."""
     n = counts.size
     velocity = np.zeros(n)
     cycles = int(counts.max())
@@ -192,33 +180,30 @@ def _walk(counts: np.ndarray, rng) -> np.ndarray:
     start = rng.bit_generator.state
     kick = np.empty(n)
     active = np.empty(n, dtype=bool)
+
+    def walk_part(lo: int, hi: int) -> None:
+        # in cycle k the part's kicks are the raw draws k * n + lo on from
+        # `start`; it writes only into its own slices of the caller's buffers
+        bit_generator = np.random.Philox(key=start["state"]["key"])
+        draw = np.random.Generator(bit_generator).random
+        part_counts, part_kick, part_active = counts[lo:hi], kick[lo:hi], active[lo:hi]
+        part_velocity = velocity[lo:hi]
+        for k in range(int(part_counts.max(initial=0))):
+            _seek(bit_generator, start, k * n + lo)
+            draw(out=part_kick)
+            part_kick *= 2.0     # with the next line, the bits of uniform(-1, 1)
+            part_kick += -1.0
+            np.greater(part_counts, k, out=part_active)
+            part_kick *= part_active
+            part_velocity += part_kick
+
     parts = _parts(n)
     bounds = [n * j // parts for j in range(parts + 1)]
-    jobs = [
-        (np.random.Philox(key=start["state"]["key"]), start, lo, n,
-         counts[lo:hi], kick[lo:hi], active[lo:hi], velocity[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    failures = []
-
-    def guarded(*job):
-        try:
-            _walk_part(*job)
-        except Exception as exc:  # re-raised in the caller once all parts end
-            failures.append(exc)
-
-    threads = []
-    try:
-        for job in jobs[1:]:
-            thread = threading.Thread(target=guarded, args=job)
-            thread.start()
-            threads.append(thread)
-        _walk_part(*jobs[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
+        pooled = [pool.submit(walk_part, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+        walk_part(0, bounds[1])
+        for future in pooled:
+            future.result()
     _seek(rng.bit_generator, start, cycles * n)
     return velocity
 

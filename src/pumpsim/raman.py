@@ -95,13 +95,20 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+# FFT length bound of one fold: 19x the largest at the Table 1 widths
+# (4.37e5 nodes at 5.2 v_r, 7 ms); at about 35 bytes a node its arrays
+# stay under 0.3 GB
+_MAX_FOLD = 2**23
+
+
 def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
           shift: float) -> np.ndarray:
     """Rabi line folded with a normalized Gaussian of rms sigma_hz, cut at
     +-6 sigma, at the uniform grid - shift: one FFT convolution on nodes
     h = step / k apart, k the smallest integer with h <= fwhm / 32 (fwhm is
     `lineshape_fwhm(pulse)`), so node k*i is grid point i. It works on
-    (grid span + 12 sigma) / h nodes; h ~ 1/tau."""
+    (grid span + 12 sigma) / h nodes, h ~ 1/tau, and raises ValueError
+    before allocating when its FFT would be longer than _MAX_FOLD."""
     if grid.size == 0:
         return np.zeros(0)
     fwhm = lineshape_fwhm(pulse)
@@ -114,10 +121,13 @@ def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
     k = int(np.ceil(step / (fwhm / 32.0)))
     h = step / k
     half = int(6.0 * sigma_hz / h)
-    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
     fine = (grid.size - 1) * k + 1
+    n = _next_fast_len(fine + 4 * half)   # line and kernel sizes, less one
+    if n > _MAX_FOLD:
+        raise ValueError(f"the Gaussian fold needs {n} nodes, over the {_MAX_FOLD} allowed, "
+                         f"for sigma = {sigma_hz:.6g} Hz and tau = {pulse.duration:.6g} s")
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
     line = rabi_lineshape(grid[0] - shift + (np.arange(fine + 2 * half) - half) * h, pulse)
-    n = _next_fast_len(line.size + kernel.size - 1)
     folded = np.fft.irfft(np.fft.rfft(line, n) * np.fft.rfft(kernel, n), n)
     return folded[2 * half : 2 * half + fine : k] / kernel.sum()
 

@@ -327,6 +327,17 @@ class TestSpectrumCommand:
         assert "[field] rms_fluct_gauss" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_fold_exit_2(self, tmp_path):
+        # a fold too long to allocate is a config error, raised before any
+        # array exists and before any file is written
+        with open(os.path.join(SCENARIOS, "table1_widths.ini")) as fh:
+            body = fh.read().replace("sigma_vr = 4.0", "sigma_vr = 1e10")
+        cfg = write_config(tmp_path, body)
+        result = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "fold needs" in result.stderr and "tau = 0.007 s" in result.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestHeatCommand:
     def test_summary_and_histogram(self, tmp_path):

@@ -1,6 +1,8 @@
 """Fluorescence-cycle counting and the recoil random walk."""
 
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -233,6 +235,68 @@ def test_walk_part_failure_reaches_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="part 1 failed"):
         _walk(np.full(10, 3), rng)
     assert str(rng.bit_generator.state) == str(before)
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_walk_with_an_empty_part_matches_masked_kicks(monkeypatch, empty):
+    # a part whose counts are all 0 walks no cycle and leaves its zeros
+    monkeypatch.setattr(heating, "_parts", lambda samples: 3)
+    counts = np.resize([0, 3, 1, 0, 7, 2, 5, 0, 1, 4, 6], 33)
+    counts[11 * empty : 11 * (empty + 1)] = 0
+    reference, walked = (np.random.Generator(np.random.Philox(9)) for _ in range(2))
+    velocity = masked_kicks(counts, reference)
+    result = _walk(counts, walked)
+    assert np.array_equal(result, velocity)
+    assert np.array_equal(np.signbit(result), np.signbit(velocity))
+    assert np.array_equal(walked.bit_generator.random_raw(9),
+                          reference.bit_generator.random_raw(9))
+
+
+def test_walk_caller_part_failure_waits_for_pooled_parts(monkeypatch):
+    # part 0, walked on the calling thread, fails at once; its error is
+    # raised only after the slower pooled part has walked all its cycles
+    seek, pooled = heating._seek, []
+
+    def failing(bit_generator, state, draws):
+        if draws % 10 == 0:
+            raise RuntimeError("part 0 failed")
+        time.sleep(0.02)
+        seek(bit_generator, state, draws)
+        pooled.append(draws)
+
+    monkeypatch.setattr(heating, "_parts", lambda samples: 2)
+    monkeypatch.setattr(heating, "_seek", failing)
+    rng = np.random.Generator(np.random.Philox(9))
+    before = rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="part 0 failed"):
+        _walk(np.full(10, 3), rng)
+    assert sorted(pooled) == [5, 15, 25]
+    assert str(rng.bit_generator.state) == str(before)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_walk_leaves_no_thread_running(monkeypatch, fails):
+    # every thread a walk starts has ended when it returns or raises
+    seek, walkers = heating._seek, set()
+
+    def recording(bit_generator, state, draws):
+        walkers.add(threading.current_thread())
+        if fails and draws % 30 == 10:
+            raise RuntimeError("part 1 failed")
+        seek(bit_generator, state, draws)
+
+    monkeypatch.setattr(heating, "_parts", lambda samples: 3)
+    monkeypatch.setattr(heating, "_seek", recording)
+    before = set(threading.enumerate())
+    rng = np.random.Generator(np.random.Philox(9))
+    if fails:
+        with pytest.raises(RuntimeError, match="part 1 failed"):
+            _walk(np.full(30, 3), rng)
+    else:
+        _walk(np.full(30, 3), rng)
+    started = walkers - {threading.current_thread()}
+    assert started and not any(thread.is_alive() for thread in started)
+    assert set(threading.enumerate()) <= before
 
 
 def test_part_count_follows_cpus_and_samples():

@@ -347,6 +347,14 @@ class TestFold:
         shift = doppler_shift(1.0)
         assert np.array_equal(spec.signal, rabi_lineshape(CLI_GRID - 0.0 - shift, self.PULSE))
 
+    def test_oversized_fold_rejected_before_allocating(self):
+        # at 1e10 v_r the fold would need about 5.6e14 nodes; the bound
+        # refuses it before any array is allocated
+        with pytest.raises(ValueError, match=r"fold needs \d+ nodes, over the 8388608"):
+            synth_counterpropagating(
+                uniform_f4(), VelocityDistribution(1e10), self.PULSE, CLI_GRID
+            )
+
     def test_next_fast_len_matches_scipy(self):
         # the fold's transform sizes are the ones scipy.fft would pick
         from scipy.fft import next_fast_len

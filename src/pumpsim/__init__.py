@@ -2,8 +2,10 @@
 m=0 ground sublevel: rate-equation kinetics, Raman velocimetry spectra,
 photon-recoil heating, and depolarization fitting.
 
-Importing the package loads numpy only: the two fits, the only code that
-needs scipy, import it on first call."""
+The package runs on numpy alone: the Gaussian fit of a spectrum is an
+in-package Levenberg-Marquardt and the depolarization fit an in-package
+bounded Brent search. Importing it leaves numpy.random unloaded until the
+recoil walk's first call."""
 
 from . import constants
 from .structure import (

@@ -9,6 +9,7 @@ simulation computes only the trajectory samples that bracket the observation
 times, the only ones the interpolation onto them reads.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,13 +193,13 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
     """Minimize the total weighted SSE over the contamination parameter in
     BOUNDS.
 
-    Bounded golden-section/parabolic search with |step| tolerance 1e-4 times
-    the upper bound. The pruned terms are assembled once; each candidate,
-    alpha-hat too, is scored once as `residual_report` scores it. The fit is
-    weakly identified when the candidates' SSEs agree to 1e-7 of the largest.
+    Bounded golden-section/parabolic search (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5) with |step| tolerance
+    1e-4 times the upper bound. The pruned terms are assembled once; each
+    candidate, alpha-hat too, is scored once as `residual_report` scores it.
+    The fit is weakly identified when the candidates' SSEs agree to 1e-7 of
+    the largest.
     """
-    from scipy.optimize import minimize_scalar
-
     series = list(series)
     if not series:
         raise ValueError("need at least one observation series")
@@ -209,21 +210,66 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
         reports[depol] = _report(series, terms, depol, fit_scale)
         return reports[depol].sse
 
-    result = minimize_scalar(
-        objective,
-        bounds=BOUNDS,
-        method="bounded",
-        options={"xatol": XATOL, "maxiter": MAX_ITERATIONS},
-    )
-    best = float(result.x)
+    best, evaluations, converged = _bounded_minimum(objective, BOUNDS, XATOL, MAX_ITERATIONS)
     sse = [r.sse for r in reports.values()]
     report = reports[best]
     return FitResult(
         depolarization=best,
         sse=report.sse,
-        iterations=int(result.nfev),
-        converged=bool(result.success),
+        iterations=evaluations,
+        converged=converged,
         weakly_identified=max(sse) - min(sse) <= 1e-7 * max(sse),
         scales=report.scales if fit_scale else None,
         residuals=report.residuals,
     )
+
+
+def _bounded_minimum(func, bounds, xatol, maxfun):
+    """(x, evaluations, converged) of Brent's bounded search for a minimum
+    of func, step for step the search of scipy's `fminbound`: a golden-mean
+    start, then parabolic steps through the three best points where they
+    fall inside the bracket and shrink fast enough, golden-section steps
+    otherwise, until the bracket is within 2 tol1 of the best point or
+    `maxfun` evaluations are spent. A NaN at the end is no convergence."""
+    sqrt_eps, golden = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = bounds
+    # xf, nfc and fulc: the best point, the second best and the one before
+    # it (Brent's x, w and v), with their values fx, fnfc and ffulc
+    xf = nfc = fulc = a + golden * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    num, rat, e, fu, converged = 1, 0.0, 0.0, math.inf, True
+    xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q, r, e = abs(q), e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                parabolic, rat = True, p / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:
+            e = (a if xf >= xm else b) - xf
+            rat = golden * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+        if num >= maxfun:
+            converged = False
+            break
+    return xf, num, converged and not any(map(math.isnan, (xf, fx, fu)))

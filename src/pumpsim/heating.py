@@ -117,7 +117,7 @@ def _count(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _rng(seed: int, samples: int) -> np.random.Generator:
+def _rng(seed: int, samples: int) -> "np.random.Generator":
     """The seeded stream of a walk over `samples` atoms; the standard error
     of its rms needs at least two."""
     if _count("samples", samples) < 2:

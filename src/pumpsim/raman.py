@@ -118,14 +118,17 @@ def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
     if not (step > 0.0 and np.all(np.abs(steps - step) <= tol)):
         raise ValueError(f"the Gaussian fold needs a uniform, increasing detuning grid; "
                          f"its steps range from {steps.min():.17g} to {steps.max():.17g} Hz")
-    k = int(np.ceil(step / (fwhm / 32.0)))
-    h = step / k
-    half = int(6.0 * sigma_hz / h)
-    fine = (grid.size - 1) * k + 1
-    n = _next_fast_len(fine + 4 * half)   # line and kernel sizes, less one
-    if n > _MAX_FOLD:
-        raise ValueError(f"the Gaussian fold needs {n} nodes, over the {_MAX_FOLD} allowed, "
+    with np.errstate(over="ignore", divide="ignore"):   # sized in floats, up to inf
+        k = np.ceil(step / (fwhm / 32.0))
+        h = step / k
+        half = np.floor(6.0 * sigma_hz / h)
+        fine = (grid.size - 1) * k + 1
+        nodes = fine + 4 * half   # line and kernel sizes, less one
+    n = _next_fast_len(int(nodes)) if nodes <= _MAX_FOLD else nodes
+    if not n <= _MAX_FOLD:
+        raise ValueError(f"the Gaussian fold needs {n:.0f} nodes, over the {_MAX_FOLD} allowed, "
                          f"for sigma = {sigma_hz:.6g} Hz and tau = {pulse.duration:.6g} s")
+    k, half, fine = int(k), int(half), int(fine)
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
     line = rabi_lineshape(grid[0] - shift + (np.arange(fine + 2 * half) - half) * h, pulse)
     folded = np.fft.irfft(np.fft.rfft(line, n) * np.fft.rfft(kernel, n), n)
@@ -177,8 +180,9 @@ def synth_copropagating(
 def doppler_shift(velocity):
     """Counterpropagating two-photon detuning (Hz) of an atom moving at
     `velocity` recoil velocities: 2 v_r / lambda per v_r."""
-    out = np.asarray(velocity, dtype=float) * cst.DOPPLER_HZ_PER_RECOIL
-    return float(out) if np.ndim(velocity) == 0 else out
+    if np.ndim(velocity) == 0:   # a float product reaches inf without a warning
+        return float(velocity) * cst.DOPPLER_HZ_PER_RECOIL
+    return np.asarray(velocity, dtype=float) * cst.DOPPLER_HZ_PER_RECOIL
 
 
 def synth_counterpropagating(
@@ -218,11 +222,14 @@ class GaussianFit:
 def fit_gaussian(spectrum: Spectrum, max_nfev: int = 2000) -> GaussianFit:
     """Fit A exp(-(x-c)^2 / 2 sigma^2) by nonlinear least squares.
 
-    Non-convergence within the evaluation budget is reported through
-    converged=False with the best parameters found so far.
+    Levenberg-Marquardt with the analytic Jacobian and Marquardt's diagonal
+    damping (Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
+    Squares Problems*, DTU 2004, algorithm 3.16). It stops on the gradient
+    (gtol), on the relative cost drop of a well-predicted step (ftol) or on
+    the step length relative to the parameters (xtol), the tests of scipy's
+    `least_squares`. Non-convergence within max_nfev residual evaluations is
+    reported through converged=False with the best parameters found so far.
     """
-    from scipy.optimize import least_squares
-
     x, y = spectrum.detunings, spectrum.signal
     if x.size < 7:
         raise ValueError("need at least 7 samples to fit a Gaussian")
@@ -238,16 +245,38 @@ def fit_gaussian(spectrum: Spectrum, max_nfev: int = 2000) -> GaussianFit:
         s0 = 0.1 * (x[-1] - x[0])
 
     def residuals(p):
+        """Residuals at p and their Jacobian, one column per parameter."""
         a, c, s = p
-        return a * np.exp(-0.5 * ((x - c) / s) ** 2) - y
+        u = (x - c) / s
+        g = np.exp(-0.5 * u * u)
+        return a * g - y, np.column_stack([g, a * g * u / s, a * g * u * u / s])
 
-    result = least_squares(
-        residuals, x0=[a0, c0, s0], xtol=1e-8, ftol=1e-12, gtol=1e-12,
-        max_nfev=max_nfev,
-    )
-    a, c, s = result.x
+    xtol, ftol, gtol = 1e-8, 1e-12, 1e-12
+    p = np.array([a0, c0, s0])
+    r, jac = residuals(p)
+    nfev, mu, nu, converged = 1, 1e-3, 2.0, False
+    while True:
+        grad = jac.T @ r
+        converged = converged or np.abs(grad).max() < gtol
+        if converged or nfev >= max_nfev:
+            break
+        hess = jac.T @ jac
+        damping = mu * np.diag(np.diag(hess))
+        step = np.linalg.solve(hess + damping, -grad)
+        r_new, jac_new = residuals(p + step)
+        nfev += 1
+        cost, drop = 0.5 * (r @ r), 0.5 * (r @ r - r_new @ r_new)
+        rho = drop / (0.5 * step @ (damping @ step - grad))
+        converged = (drop < ftol * cost and rho > 0.25
+                     or np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(p)))
+        if drop > 0:
+            p, r, jac = p + step, r_new, jac_new
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+    a, c, s = p
     s = abs(float(s))
-    rms = float(np.sqrt(np.mean(result.fun**2)))
+    rms = float(np.sqrt(np.mean(r**2)))
     sigma_vr = s / cst.DOPPLER_HZ_PER_RECOIL
     sigma_mps = sigma_vr * cst.RECOIL_VELOCITY
     temperature = cst.CS_MASS * sigma_mps**2 / cst.BOLTZMANN
@@ -256,8 +285,8 @@ def fit_gaussian(spectrum: Spectrum, max_nfev: int = 2000) -> GaussianFit:
         sigma_hz=s,
         amplitude=float(a),
         rms_residual=rms,
-        converged=bool(result.status > 0),
-        iterations=int(result.nfev),
+        converged=bool(converged),
+        iterations=nfev,
         sigma_vr=sigma_vr,
         sigma_mps=sigma_mps,
         temperature_K=float(temperature),

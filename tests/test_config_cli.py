@@ -338,6 +338,20 @@ class TestSpectrumCommand:
         assert "fold needs" in result.stderr and "tau = 0.007 s" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new", [("sigma_vr = 4.0", "sigma_vr = 1e305"),
+                                          ("tau_s = 0.007", "tau_s = 1e306")])
+    def test_overflowing_fold_exit_2(self, tmp_path, old, new):
+        # a fold size past the largest float is sized as inf, not turned
+        # into an int, so it is refused like any other oversized fold
+        with open(os.path.join(SCENARIOS, "table1_widths.ini")) as fh:
+            body = fh.read().replace(old, new)
+        cfg = write_config(tmp_path, body)
+        result = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert result.returncode == 2, result.stderr
+        assert "config error: the Gaussian fold needs inf nodes" in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestHeatCommand:
     def test_summary_and_histogram(self, tmp_path):
@@ -420,14 +434,15 @@ class TestHeatCommand:
 
 class TestScipyLoadedOnUse:
     # runs the given commands in one process, then prints the scipy
-    # submodules they loaded as its last line
+    # modules they loaded as its last line; the package runs on numpy
+    # alone, so every command should print none
     SCRIPT = (
         "import json, sys\n"
         "from pumpsim.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    if main(argv) != 0:\n"
         "        sys.exit(f'{argv[0]} failed')\n"
-        "print(' '.join(m for m in ('scipy.optimize', 'scipy.fft') if m in sys.modules))\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
 
     def loaded_after(self, *runs):
@@ -446,16 +461,29 @@ class TestScipyLoadedOnUse:
         )
         assert loaded == []
 
-    def test_spectrum_loads_scipy_on_use(self, tmp_path):
-        # the folds run on numpy.fft and only the Gaussian fit needs scipy;
-        # scipy.optimize imports scipy.fft itself
+    def test_counterpropagating_spectrum_loads_no_scipy(self, tmp_path):
+        # the folds run on numpy.fft and the Gaussian fit is the package's
+        # own Levenberg-Marquardt
         fig4 = os.path.join(SCENARIOS, "fig4_velocimetry.ini")
         loaded = self.loaded_after(["spectrum", "--config", fig4, "--out", str(tmp_path)])
-        assert loaded == ["scipy.optimize", "scipy.fft"]
+        assert loaded == []
+
+    def test_fit_loads_no_scipy(self, tmp_path):
+        # the depolarization search is the package's own bounded Brent search
+        from pumpsim.fitting import simulate_observable
+
+        fig5 = os.path.join(SCENARIOS, "fig5_dynamics.ini")
+        times = np.linspace(2e-4, 4e-3, 20)
+        truth = simulate_observable(load_config(fig5).beams, 0.013, times)
+        data = tmp_path / "m0.csv"
+        data.write_text("".join(f"{t:.12g},{v:.12g}\n" for t, v in zip(times, truth)))
+        loaded = self.loaded_after(
+            ["fit", "--config", fig5, "--out", str(tmp_path / "fit"), str(data)])
+        assert loaded == []
 
     def test_copropagating_spectrum_loads_no_scipy(self, tmp_path):
         # the line width is a constant over tau and the folds run on
-        # numpy.fft; only the counterpropagating fit needs scipy
+        # numpy.fft
         fig3 = os.path.join(SCENARIOS, "fig3_polarized.ini")
         loaded = self.loaded_after(
             ["spectrum", "--config", fig3, "--prune", "--out", str(tmp_path)])

@@ -1,5 +1,7 @@
 """Depolarization estimation: round trips, residuals, ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,83 @@ def test_sampled_rows_match_full_runs(truth_m0, truth_m1, n_series, fit_scale, m
                          fit_f.residuals + report_f.residuals):
         assert np.array_equal(got, want)
     assert np.array_equal(model, model_f)
+
+
+def recording(objective):
+    """A list and `objective` wrapped to append each alpha it is called at."""
+    alphas = []
+
+    def recorded(alpha):
+        alphas.append(alpha)
+        return objective(alpha)
+
+    return alphas, recorded
+
+
+def scipy_search(objective, maxiter=fitting.MAX_ITERATIONS):
+    """The alphas scipy's bounded search evaluates on `objective`, in order,
+    and its result."""
+    from scipy.optimize import minimize_scalar
+
+    alphas, recorded = recording(objective)
+    result = minimize_scalar(recorded, bounds=fitting.BOUNDS, method="bounded",
+                             options={"xatol": fitting.XATOL, "maxiter": maxiter})
+    return alphas, result
+
+
+class TestSearchMatchesScipy:
+    # the in-package search takes scipy's fminbound steps, so it evaluates
+    # the same alphas in the same order and stops at the same one
+
+    def fit_and_scipy(self, monkeypatch, series, beams, fit_scale=False):
+        report, alphas = fitting._report, []
+
+        def recorded(series, terms, alpha, fit_scale):
+            alphas.append(alpha)
+            return report(series, terms, alpha, fit_scale)
+
+        monkeypatch.setattr(fitting, "_report", recorded)
+        fit = fit_depolarization(series, beams, fit_scale=fit_scale)
+        terms = fitting._terms(beams)
+        want, result = scipy_search(lambda a: report(series, terms, a, fit_scale).sse,
+                                    fitting.MAX_ITERATIONS)
+        assert alphas == want
+        assert (fit.depolarization, fit.iterations, fit.converged) == (
+            result.x, result.nfev, result.success)
+        return fit
+
+    @pytest.mark.parametrize("fit_scale", [False, True])
+    def test_fig5_objective(self, truth_m0, truth_m1, monkeypatch, fit_scale):
+        noise = np.random.Generator(np.random.Philox(9)).uniform(0.0, 0.01, (2, TIMES.size))
+        series = [
+            ObservationSeries(TIMES, 0.9 * truth_m0 + noise[0]),
+            ObservationSeries(TIMES, truth_m1 + noise[1], observable=Sublevel("g", 4, 1)),
+        ]
+        assert self.fit_and_scipy(monkeypatch, series, fig5_templates(), fit_scale).converged
+
+    def test_flat_objective(self, truth_m0, monkeypatch):
+        dark = [Beam(4, 4, 0.0, -0.5), Beam(3, 4, 0.0, 0.0)]
+        fit = self.fit_and_scipy(monkeypatch, [ObservationSeries(TIMES, truth_m0)], dark)
+        assert fit.weakly_identified
+
+    def test_iteration_budget(self, truth_m0, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 3)
+        fit = self.fit_and_scipy(monkeypatch, [ObservationSeries(TIMES, truth_m0)],
+                                 fig5_templates())
+        assert fit.iterations == 3 and not fit.converged
+
+    @pytest.mark.parametrize("objective", [
+        lambda a: math.nan,
+        lambda a: math.nan if a > 0.1 else (a - 0.05) ** 2,
+        lambda a: math.nan if a < 0.05 else (a - 0.013) ** 2,
+    ], ids=["nan", "nan_above", "nan_below"])
+    def test_nan_objective(self, objective):
+        alphas, recorded = recording(objective)
+        got = fitting._bounded_minimum(recorded, fitting.BOUNDS, fitting.XATOL,
+                                       fitting.MAX_ITERATIONS)
+        want, result = scipy_search(objective)
+        assert alphas == want
+        assert got == (result.x, result.nfev, result.success)
 
 
 class TestIngestion:

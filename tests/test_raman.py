@@ -45,6 +45,15 @@ def polarized_populations(m: int = 0) -> np.ndarray:
     return pop
 
 
+def noisy_gaussian(seed: int) -> Spectrum:
+    """A unit Gaussian of rms 20 kHz with seeded uniform noise of +-0.01,
+    clipped at zero."""
+    x = np.linspace(-1e5, 1e5, 801)
+    rng = np.random.Generator(np.random.Philox(seed))
+    noisy = np.exp(-0.5 * (x / 20e3) ** 2) + rng.uniform(-0.01, 0.01, x.size)
+    return Spectrum(x, np.clip(noisy, 0.0, None))
+
+
 class TestRabiLineshape:
     def test_pi_pulse_full_transfer(self):
         assert rabi_lineshape(0.0, RamanPulse(0.007)) == pytest.approx(1.0, abs=1e-12)
@@ -355,6 +364,16 @@ class TestFold:
                 uniform_f4(), VelocityDistribution(1e10), self.PULSE, CLI_GRID
             )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_vr, tau_s", [(1e305, 0.007), (4.8, 1e306)])
+    def test_overflowing_fold_rejected(self, sigma_vr, tau_s):
+        # the kernel half-width or the node count overflows a float; the
+        # fold is sized in floats and refused as inf, without a warning
+        with pytest.raises(ValueError, match=r"fold needs inf nodes, over the 8388608"):
+            synth_counterpropagating(
+                uniform_f4(), VelocityDistribution(sigma_vr), RamanPulse(tau_s), CLI_GRID
+            )
+
     def test_next_fast_len_matches_scipy(self):
         # the fold's transform sizes are the ones scipy.fft would pick
         from scipy.fft import next_fast_len
@@ -371,8 +390,7 @@ class TestFold:
         assert run_with_pumpsim(code).returncode == 0
 
     def test_import_loads_no_scipy_submodule(self):
-        # scipy.optimize is imported inside the fits that use it, so a states,
-        # pump or heat run never pays for it
+        # the package imports no scipy, so no process pays for it
         code = (
             "import sys, pumpsim, pumpsim.cli\n"
             "mods = ('scipy.fft', 'scipy.optimize', 'scipy.linalg', 'scipy.signal')\n"
@@ -404,19 +422,37 @@ class TestGaussianFit:
             assert fit.temperature_K == pytest.approx(temp, rel=0.03)
 
     def test_noise_robustness_hundred_seeds(self):
-        x = np.linspace(-1e5, 1e5, 801)
-        truth = np.exp(-0.5 * (x / 20e3) ** 2)
-        sigmas = []
-        for seed in range(100):
-            rng = np.random.Generator(np.random.Philox(seed))
-            noisy = np.clip(truth + rng.uniform(-0.01, 0.01, x.size), 0.0, None)
-            sigmas.append(fit_gaussian(Spectrum(x, noisy)).sigma_hz)
+        sigmas = [fit_gaussian(noisy_gaussian(seed)).sigma_hz for seed in range(100)]
         assert np.median(np.abs(np.array(sigmas) - 20e3)) / 20e3 < 0.02
 
     def test_too_few_samples_rejected(self):
         x = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(ValueError):
             fit_gaussian(Spectrum(x, np.exp(-x**2)))
+
+    # least_squares stops on its own tolerances, up to about 1e-8 of sigma
+    # short of the minimum on the noisy spectra; both fits must agree to that
+    @pytest.mark.parametrize("spectrum", [
+        *(synth_counterpropagating(uniform_f4(), VelocityDistribution(sigma_vr),
+                                   RamanPulse(0.007), CLI_GRID)
+          for sigma_vr in (4.8, 4.0, 5.2)),   # fig4, table1 and the 5.2 v_r row
+        *(noisy_gaussian(seed) for seed in range(20)),
+    ], ids=["fig4", "table1", "5.2vr", *(f"seed{seed}" for seed in range(20))])
+    def test_matches_least_squares(self, spectrum):
+        from scipy.optimize import least_squares
+
+        x, y = spectrum.detunings, spectrum.signal
+        c0 = x[np.argmax(y)]
+        start = [y.max(), c0, np.sqrt(np.sum(y * (x - c0) ** 2) / np.sum(y))]
+        want = least_squares(lambda p: p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2) - y,
+                             x0=start, xtol=1e-8, ftol=1e-12, gtol=1e-12, max_nfev=2000)
+        assert want.status > 0
+        a, c, sigma = want.x[0], want.x[1], abs(want.x[2])
+        fit = fit_gaussian(spectrum)
+        assert fit.converged
+        assert fit.sigma_hz == pytest.approx(sigma, rel=1e-8, abs=0)
+        assert fit.amplitude == pytest.approx(a, rel=1e-8, abs=0)
+        assert abs(fit.center_hz - c) <= 1e-6 * sigma
 
     def test_nonconvergence_reported_not_raised(self):
         x = np.linspace(-1e5, 1e5, 801)

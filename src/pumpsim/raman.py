@@ -195,8 +195,11 @@ def synth_counterpropagating(
     """Doppler-sensitive spectrum: the copropagating composite line folded
     with the velocity distribution mapped through the Doppler shift."""
     sigma_hz = doppler_shift(vdist.sigma)
-    return _synth(populations, bias_gauss, pulse, grid, doppler_shift(vdist.mean),
-                  lambda m: sigma_hz)
+    shift = doppler_shift(vdist.mean)
+    if not np.isfinite(shift):
+        raise ValueError(f"the Doppler shift of the mean velocity {vdist.mean:.6g} v_r "
+                         "is not finite")
+    return _synth(populations, bias_gauss, pulse, grid, shift, lambda m: sigma_hz)
 
 
 @dataclass

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_h
 
 from pumpsim import config
 from pumpsim.cli import main
@@ -692,6 +694,39 @@ class TestAtomicWrite:
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask, path
 
 
+def _oracle(*columns):
+    # the text of every value as Python's own format spec writes it
+    return [",".join(f"{x:.17g}" for x in row) for row in np.column_stack(columns).tolist()]
+
+
+def _reference_rows(*columns):
+    # the reference writer: each row through one `%.17g` format string
+    table = np.column_stack(columns)
+    fmt = ",".join(["%.17g"] * table.shape[1])
+    return [fmt % tuple(row.tolist()) for row in table]
+
+
+def _kernel_table(values, ncols=3):
+    # `values` repeated into a table of at least 600 values, so that `rows`
+    # takes its numpy kernel rather than the per-value path of small tables
+    values = np.asarray(values, dtype=float)
+    return np.resize(values, (-(-max(values.size, 600) // ncols), ncols))
+
+
+def _awkward_doubles():
+    values = [2.0 ** -25, -2.0 ** -25,       # exact ties at the 17th digit,
+              3 * 2.0 ** -25, -3 * 2.0 ** -25,  # rounded to even down and up
+              9.9999999999999995e-05,        # rounds up across the notation change
+              5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, -0.0, 0.0, float("nan"), float("inf"),
+              -float("inf"), 0.1 + 0.2, 1e16 + 2, 123456789.0, 7.0]
+    values += [s * 1.2345678901234567 * 10.0 ** p for p in (279, 285, 295, 305) for s in (1, -1)]
+    values += [s * 1.2345678901234567 * 10.0 ** -p for p in (279, 285, 295, 305) for s in (1, -1)]
+    for v in [1e-4, 1e16, 1e17, 1e-280, 1e280] + [float(f"1e{p}") for p in range(-40, 41)]:
+        values += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    return np.array(values)
+
+
 def test_rows_match_format_spec():
     # `%.17g` gives the text of f"{x:.17g}" on awkward doubles, and a 2-D
     # argument contributes one column per column
@@ -706,6 +741,79 @@ def test_rows_match_format_spec():
     counts = np.arange(51, dtype=np.int64) * 1999
     assert rows(centers, counts) == [f"{c:.17g},{int(n)}" for c, n in zip(centers, counts)]
     assert rows(np.array([]), np.array([])) == []
+
+    # the same text from the kernel that formats tables of 512 values and
+    # more: ties, powers of ten and their neighbours, subnormals, signed
+    # zeros and non-finite values, in every column position
+    edges = _awkward_doubles()
+    for shift in range(3):
+        table = _kernel_table(np.roll(edges, shift))
+        assert rows(table) == _oracle(table)
+    # int64 count columns, alone and beside floats
+    centers = np.linspace(-5.0, 5.0, 701)
+    counts = np.arange(701, dtype=np.int64) * 1999 - 2 ** 62
+    assert rows(centers, counts) == _oracle(centers, counts)
+    assert rows(counts) == _oracle(counts)
+    # one row, one column, and either side of the kernel's size threshold
+    line = _kernel_table(edges, ncols=1).ravel()
+    assert rows(line[None, :]) == _oracle(line[None, :])
+    assert rows(line) == _oracle(line)
+    for n in (511, 512):
+        assert rows(line[:n]) == _oracle(line[:n])
+    # a non-contiguous slice of a table
+    wide = _kernel_table(edges * 0.37, ncols=9)
+    assert rows(wide[::2, 1::3]) == _oracle(wide[::2, 1::3])
+    # a table with no columns gives empty lines, as the format spec does
+    assert rows(np.empty((3, 0))) == ["", "", ""]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st_h.lists(st_h.floats(), min_size=1, max_size=40),
+       st_h.lists(st_h.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_rows_match_format_spec_on_any_double(floats, patterns):
+    # any double, from hypothesis's floats and from raw 64-bit patterns,
+    # through the kernel
+    bits = np.array(patterns, dtype=np.uint64).view(np.float64)
+    table = _kernel_table(np.concatenate([np.array(floats), bits]), ncols=4)
+    assert rows(table) == _oracle(table)
+
+
+def _write_both(writer, module):
+    # a writer that also writes `path`.reference through the reference rows
+    def write(obj, path, *args, **kwargs):
+        writer(obj, path, *args, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "rows", _reference_rows)
+            writer(obj, path + ".reference", *args, **kwargs)
+    return write
+
+
+@pytest.mark.parametrize("t_end", ["0.005", "0.05"])
+@pytest.mark.parametrize("flags", [[], ["--prune"]], ids=["full", "prune"])
+def test_trajectory_bytes_match_reference_rows(tmp_path, monkeypatch, t_end, flags):
+    from pumpsim import cli, kinetics
+
+    with open(os.path.join(SCENARIOS, "fig5_dynamics.ini")) as fh:
+        body = fh.read().replace("t_end_s = 0.005", f"t_end_s = {t_end}")
+    cfg = write_config(tmp_path, body)
+    monkeypatch.setattr(cli, "write_trajectory_csv",
+                        _write_both(kinetics.write_trajectory_csv, kinetics))
+    assert main(["pump", "--config", cfg, "--out", str(tmp_path), *flags]) == 0
+    written = (tmp_path / "trajectory.csv").read_bytes()
+    assert written.count(b"\n") == 1202
+    assert written == (tmp_path / "trajectory.csv.reference").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["fig3_polarized", "fig4_velocimetry"])
+def test_spectrum_bytes_match_reference_rows(tmp_path, monkeypatch, scenario):
+    from pumpsim import cli, raman
+
+    monkeypatch.setattr(cli, "write_spectrum_csv",
+                        _write_both(raman.write_spectrum_csv, raman))
+    cfg = os.path.join(SCENARIOS, scenario + ".ini")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "spectrum.csv").read_bytes()
+    assert written == (tmp_path / "spectrum.csv.reference").read_bytes()
 
 
 def test_header_matches_format_spec():

@@ -374,6 +374,15 @@ class TestFold:
                 uniform_f4(), VelocityDistribution(sigma_vr), RamanPulse(tau_s), CLI_GRID
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_doppler_position_rejected(self):
+        # a finite mean of 1e305 v_r shifts the line by inf Hz, which would
+        # turn every value of the spectrum into NaN
+        with pytest.raises(ValueError, match="mean velocity 1e[+]305 v_r is not finite"):
+            synth_counterpropagating(
+                uniform_f4(), VelocityDistribution(5.2, 1e305), self.PULSE, CLI_GRID
+            )
+
     def test_next_fast_len_matches_scipy(self):
         # the fold's transform sizes are the ones scipy.fft would pick
         from scipy.fft import next_fast_len

@@ -10,8 +10,15 @@ F=4, m=0 sublevel to F'=4, m'=0) and the closed stretched-state channel.
 
 import numpy as np
 
-from pumpsim import Sublevel, branching_ratio, branching_table
-from pumpsim.structure import EXCITED_INDICES, GROUND_INDICES, STATES, write_branching_csv
+from pumpsim.structure import (
+    EXCITED_INDICES,
+    GROUND_INDICES,
+    STATES,
+    Sublevel,
+    branching_ratio,
+    branching_table,
+    write_branching_csv,
+)
 
 # %% the canonical enumeration
 states = STATES

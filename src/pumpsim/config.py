@@ -75,7 +75,7 @@ _KEYS = {
     ("velocity", "sigma_vr"): _Key(_FLOAT, 0.0),
     ("integration", "dt_gamma"): _Key(_FLOAT, 0.0, 0.1, strict_min=True),
     ("integration", "t_end_s"): _Key(_FLOAT, 0.0, strict_min=True),
-    ("mc", "samples"): _Key(_INT, 2),
+    ("mc", "samples"): _Key(_INT, 2, 10**7),
     ("mc", "seed"): _Key(_INT, 0),
     ("output", "directory"): _Key(str.strip),
     ("beams.*", "target"): _Key(_target),

@@ -230,8 +230,9 @@ def fit_gaussian(spectrum: Spectrum, max_nfev: int = 2000) -> GaussianFit:
     Squares Problems*, DTU 2004, algorithm 3.16). It stops on the gradient
     (gtol), on the relative cost drop of a well-predicted step (ftol) or on
     the step length relative to the parameters (xtol), the tests of scipy's
-    `least_squares`. Non-convergence within max_nfev residual evaluations is
-    reported through converged=False with the best parameters found so far.
+    `least_squares`. Non-convergence within max_nfev residual evaluations,
+    or a center off the detuning grid, is reported through converged=False
+    with the best parameters found so far.
     """
     x, y = spectrum.detunings, spectrum.signal
     if x.size < 7:
@@ -288,7 +289,7 @@ def fit_gaussian(spectrum: Spectrum, max_nfev: int = 2000) -> GaussianFit:
         sigma_hz=s,
         amplitude=float(a),
         rms_residual=rms,
-        converged=bool(converged),
+        converged=bool(converged and x[0] <= c <= x[-1]),
         iterations=nfev,
         sigma_vr=sigma_vr,
         sigma_mps=sigma_mps,

@@ -375,6 +375,15 @@ class TestHeatCommand:
         assert capsys.readouterr().err == "config error: --seed: must be at least 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_sample_count_exit_2(self, tmp_path, capsys):
+        # rejected at load, before the walk allocates its per-sample arrays
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out"))
+                           + "\n[mc]\nsamples = 10000000000000\n")
+        assert main(["heat", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("config error: [mc] samples: must be at most "
+                                           "10000000, got 10000000000000\n")
+        assert not (tmp_path / "out").exists()
+
     def test_seeded_byte_identical(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -35,14 +35,34 @@ def test_no_scipy_import(path):
     assert "scipy" not in set(imported_roots(path))
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # numpy loads numpy.random on first attribute access; the recoil walk
-    # reaches it on its first call, not at import
-    code = ("import sys, pumpsim, pumpsim.cli\n"
-            "sys.exit('numpy.random' in sys.modules)\n")
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports this copy of pumpsim."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(PACKAGE), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first attribute access; the recoil walk
+    # reaches it on its first call, not at import
+    result = run_python("import sys, pumpsim, pumpsim.cli\n"
+                        "sys.exit('numpy.random' in sys.modules)\n")
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("imports, unloaded", [
+    # the package root re-exports nothing, so it loads no submodule
+    ("pumpsim", ("pumpsim.",)),
+    # a rate-model client loads neither the spectrum, heating and fit
+    # modules nor their imports
+    ("pumpsim.kinetics, pumpsim.structure",
+     ("pumpsim.raman", "pumpsim.heating", "pumpsim.fitting", "pumpsim.config",
+      "pumpsim.cli", "concurrent.futures", "numpy.random")),
+], ids=["root", "kinetics"])
+def test_import_loads_only_what_it_names(imports, unloaded):
+    result = run_python(f"import sys, {imports}\n"
+                        f"print([m for m in sys.modules if m.startswith({unloaded!r})])\n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -463,6 +463,18 @@ class TestGaussianFit:
         assert fit.amplitude == pytest.approx(a, rel=1e-8, abs=0)
         assert abs(fit.center_hz - c) <= 1e-6 * sigma
 
+    @pytest.mark.parametrize("mean_vr, on_grid", [(20.0, True), (100.0, False)])
+    def test_center_off_grid_not_converged(self, mean_vr, on_grid):
+        # 20 v_r puts the line at 165 kHz, inside the +-250 kHz grid; 100 v_r
+        # puts it at 827 kHz, where only the far tail of the line is sampled
+        spectrum = synth_counterpropagating(uniform_f4(), VelocityDistribution(5.2, mean_vr),
+                                            RamanPulse(0.007), CLI_GRID)
+        fit = fit_gaussian(spectrum)
+        assert bool(CLI_GRID[0] <= fit.center_hz <= CLI_GRID[-1]) is on_grid
+        assert fit.converged is on_grid
+        if on_grid:
+            assert fit.center_hz == pytest.approx(mean_vr * cst.DOPPLER_HZ_PER_RECOIL, rel=1e-2)
+
     def test_nonconvergence_reported_not_raised(self):
         x = np.linspace(-1e5, 1e5, 801)
         y = np.exp(-0.5 * (x / 20e3) ** 2)

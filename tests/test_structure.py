@@ -1,9 +1,14 @@
 """State enumeration, branching ratios, and Zeeman line positions."""
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from pumpsim import constants as cst
+from pumpsim.config import load_config
+from pumpsim.raman import RamanPulse, lineshape_fwhm
 from pumpsim.structure import (
     EXCITED_INDICES,
     GROUND_INDICES,
@@ -149,6 +154,35 @@ class TestRamanLineOffset:
             raman_line_offset(4, 0.1)
         with pytest.raises(ValueError):
             raman_line_offset(-4, 0.1)
+
+
+def breit_rabi_offset(m, bias_gauss):
+    """Exact offset from the hyperfine frequency, in Hz, of the
+    g,F=3,m <-> g,F=4,m line: nu_hfs (sqrt(1 + m x/2 + x^2) - 1) for
+    J = 1/2, I = 7/2, with g_J = 2 and g_I neglected as in the model."""
+    nu_hfs = 9_192_631_770.0                                   # Hz, the SI second
+    x = 2.0 * 9.2740100783e-24 / 6.62607015e-34 * bias_gauss * 1e-4 / nu_hfs
+    e = m * x / 2.0 + x * x
+    return nu_hfs * e / (np.sqrt(1.0 + e) + 1.0)                # sqrt(1 + e) - 1
+
+
+class TestBreitRabiOracle:
+    @pytest.mark.parametrize("m", range(-3, 4))
+    def test_first_order_is_the_zero_field_slope(self, m):
+        bias = 1e-9
+        unit = raman_line_offset(1, 1.0)
+        assert breit_rabi_offset(m, bias) / bias == pytest.approx(
+            raman_line_offset(m, 1.0), rel=1e-9, abs=1e-9 * unit)
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+        os.path.dirname(__file__), "..", "scenarios", "*.ini"))), ids=os.path.basename)
+    def test_neglected_shift_within_the_fourier_width(self, path):
+        # the m = 0 line is the worst: 4.26 Hz of 114.1 Hz at fig3's 0.1 G, 7 ms
+        cfg = load_config(path)
+        fwhm = lineshape_fwhm(RamanPulse(cfg.tau_s))
+        for m in range(-3, 4):
+            shift = breit_rabi_offset(m, cfg.bias_gauss) - raman_line_offset(m, cfg.bias_gauss)
+            assert abs(shift) < 0.05 * fwhm
 
 
 def test_physical_scales():

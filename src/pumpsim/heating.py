@@ -11,8 +11,9 @@ units of the recoil velocity.
 The walk's kicks come from one counter-based Philox stream, in which any
 draw can be reached from its index. The atoms are walked in contiguous
 parts at once, one per CPU: the calling thread walks the first and a
-thread pool the rest, each part on its own Philox positioned at its draws.
-The velocities have the bits of one sequential walk.
+thread pool the rest, each part's draws on a Philox made at their block
+counter. The velocities have the bits of one sequential walk, and the
+caller's generator is not moved.
 """
 
 import operator
@@ -49,21 +50,18 @@ class CycleReport:
     t_end: float
 
 
-def expected_cycles(
-    beams,
-    t_end: float = 0.02,
-    threshold: float = 0.95,
-    pruned: bool = False,
-) -> CycleReport:
+# polarized fraction at which a sample counts as pumped dark
+PUMP_THRESHOLD = 0.95
+
+
+def expected_cycles(beams, t_end: float = 0.02, pruned: bool = False) -> CycleReport:
     """Run the rate model from every single F=4 sublevel and from the uniform
     F=4 start; report the expected photons scattered by the time the
-    polarized fraction reaches `threshold` (photons at t_end when it never
-    does), on the pruned matrix when `pruned`. The ten starts run as two
-    column blocks of five, and each block's run stops once all its starts
-    have reached `threshold`: a block with a start that never does runs the
-    whole window to t_end."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie in (0, 1)")
+    polarized fraction reaches PUMP_THRESHOLD (photons at t_end when it
+    never does), on the pruned matrix when `pruned`. The ten starts run as
+    two column blocks of five, and each block's run stops once all its
+    starts have reached the threshold: a block with a start that never does
+    runs the whole window to t_end."""
     matrix = assemble_rate_matrix(beams)
     if pruned:
         matrix, _ = prune(matrix)
@@ -75,13 +73,13 @@ def expected_cycles(
     # differently from those of five, which would move every count's bits
     for block in (starts[:, :5], starts[:, 5:]):
         traj = integrate_rk4(matrix, block, LIBRARY_DT, t_end, max_samples=4001,
-                             until=threshold)
+                             until=PUMP_THRESHOLD)
         for j in range(block.shape[1]):
             column = Trajectory(
                 traj.times, traj.populations[:, :, j], traj.scattered_photons[:, j]
             )
             fraction = column.sublevel_fraction(Sublevel("g", 4, 0))
-            hit = first_crossing(column, fraction, threshold)
+            hit = first_crossing(column, fraction, PUMP_THRESHOLD)
             photons.append(hit[1] if hit else float(column.scattered_photons[-1]))
             hits.append(hit is not None)
         del traj, column  # free this block's samples before the next block's
@@ -91,7 +89,7 @@ def expected_cycles(
         average=float(np.mean(photons[:9])),
         uniform=photons[9],
         uniform_reached=hits[9],
-        threshold=threshold,
+        threshold=PUMP_THRESHOLD,
         t_end=t_end,
     )
 
@@ -139,63 +137,45 @@ def _parts(samples: int) -> int:
     return max(1, min(cpus, samples // _MIN_PART))
 
 
-def _seek(bit_generator, state: dict, draws: int) -> None:
-    """Put the Philox `bit_generator` where one that starts at `state` stands
-    after `draws` more raw draws, buffer included. Philox block c holds the
-    raw draws 4c..4c+3 and the state's counter names the block its buffer
-    holds, so this computes one block instead of drawing `draws` values."""
-    counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
-    last = 4 * counter + state["buffer_pos"] + draws - 1   # index of the last draw
-    block = (last // 4 - 1) % 2**256                       # the block before it
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([(block >> (64 * i)) & (2**64 - 1) for i in range(4)],
-                                dtype=np.uint64),
-            "key": state["state"]["key"],
-        },
-        "buffer": state["buffer"],
-        "buffer_pos": 4,
-        "has_uint32": state["has_uint32"],
-        "uinteger": state["uinteger"],
-    }
-    bit_generator.random_raw(last % 4 + 1, output=False)
+def _philox_at(key, draw: int) -> "np.random.Philox":
+    """A Philox with `key` whose next raw draw is draw `draw` of its stream.
+    Block c holds the draws 4c..4c+3, and the counter names the block
+    before the first one the generator computes."""
+    bit_generator = np.random.Philox(key=key, counter=(draw // 4 - 1) % 2**256)
+    bit_generator.random_raw(draw % 4, output=False)
+    return bit_generator
 
 
 def _walk(counts: np.ndarray, rng) -> np.ndarray:
     """Velocities along the detection axis after per-sample cycle counts.
 
-    Sample i's kick in cycle k is raw draw k * n + i of the Philox `rng`,
-    uniform on [-1, 1), whatever the counts; kicks past a sample's count
-    are zeroed. The samples are walked in contiguous parts, each on its own
-    Philox positioned at its draws: parts 1.. on a thread pool while the
-    calling thread walks part 0, so the bits do not depend on the number of
-    parts. An exception in any part is raised once every part has ended;
-    `rng` ends where one sequential walk leaves it."""
+    Sample i's kick in cycle k is raw draw k * n + i on from the next draw
+    of the Philox `rng`, uniform on [-1, 1), whatever the counts; kicks past
+    a sample's count are zeroed. The samples are walked in contiguous parts,
+    each cycle of a part on a Philox made at its block counter: parts 1.. on
+    a thread pool while the calling thread walks part 0, so the bits do not
+    depend on the number of parts. An exception in any part is raised once
+    every part has ended. `rng` is read, not drawn from, and is left where
+    it stands."""
     n = counts.size
     velocity = np.zeros(n)
-    cycles = int(counts.max())
-    if cycles == 0:
-        return velocity
-    start = rng.bit_generator.state
-    kick = np.empty(n)
-    active = np.empty(n, dtype=bool)
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
+    counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
+    first = 4 * counter + state["buffer_pos"]   # index of rng's next raw draw
 
     def walk_part(lo: int, hi: int) -> None:
-        # in cycle k the part's kicks are the raw draws k * n + lo on from
-        # `start`; it writes only into its own slices of the caller's buffers
-        bit_generator = np.random.Philox(key=start["state"]["key"])
-        draw = np.random.Generator(bit_generator).random
-        part_counts, part_kick, part_active = counts[lo:hi], kick[lo:hi], active[lo:hi]
-        part_velocity = velocity[lo:hi]
+        # in cycle k the part's kicks are the raw draws first + k * n + lo on;
+        # it writes only into its own slice of `velocity`
+        part_counts, part_velocity = counts[lo:hi], velocity[lo:hi]
+        kick, active = np.empty(hi - lo), np.empty(hi - lo, dtype=bool)
         for k in range(int(part_counts.max(initial=0))):
-            _seek(bit_generator, start, k * n + lo)
-            draw(out=part_kick)
-            part_kick *= 2.0     # with the next line, the bits of uniform(-1, 1)
-            part_kick += -1.0
-            np.greater(part_counts, k, out=part_active)
-            part_kick *= part_active
-            part_velocity += part_kick
+            np.random.Generator(_philox_at(key, first + k * n + lo)).random(out=kick)
+            kick *= 2.0     # with the next line, the bits of uniform(-1, 1)
+            kick += -1.0
+            np.greater(part_counts, k, out=active)
+            kick *= active
+            part_velocity += kick
 
     parts = _parts(n)
     bounds = [n * j // parts for j in range(parts + 1)]
@@ -204,7 +184,6 @@ def _walk(counts: np.ndarray, rng) -> np.ndarray:
         walk_part(0, bounds[1])
         for future in pooled:
             future.result()
-    _seek(rng.bit_generator, start, cycles * n)
     return velocity
 
 

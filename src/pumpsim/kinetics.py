@@ -358,11 +358,15 @@ def integrate_rk4(
             f"{STABILITY_LIMIT}; reduce dt"
         )
 
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
+    steps = np.ceil(t_end / dt - 1e-9)
+    if not steps < 2**53:  # past 2**53, float step counts and times skip steps
+        raise ValueError(f"t_end = {t_end:g} s at dt = {dt:g} s takes {steps:g} steps; "
+                         "it must take fewer than 2**53")
+    n_steps = max(1, int(steps))
     stride = max(1, -(-n_steps // max(1, max_samples - 1)))  # ceil division
     n_blocks = n_steps // stride
     remainder = n_steps - n_blocks * stride
-    times = dt * np.arange(0, n_blocks * stride + 1, stride)
+    times = dt * (stride * np.arange(n_blocks + 1))
     if remainder:
         times = np.append(times, dt * n_steps)
 

@@ -251,6 +251,31 @@ class TestPumpCommand:
         assert "--seed" in result.stderr
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("pump", "t_end_s = 0.005", "t_end_s = 1e300"),
+    ("pump", "t_end_s = 0.005", "t_end_s = 1e7"),
+    ("pump", "t_end_s = 0.005", "t_end_s = 1e8"),
+    ("pump", "dt_gamma = 0.01", "dt_gamma = 1e-12"),
+    ("pump", "dt_gamma = 0.01", "dt_gamma = 1e-300"),
+    ("fit", "", ""),
+], ids=["t_end_1e300", "t_end_1e7", "t_end_1e8", "dt_1e-12", "dt_1e-300", "fit_1e300"])
+def test_oversized_integration_window_exit_2(tmp_path, capsys, command, old, new):
+    # a window of 2**53 steps or more used to end in an OverflowError, a
+    # negative population or a reshape error; it is a config error now
+    with open(os.path.join(SCENARIOS, "fig5_dynamics.ini")) as fh:
+        body = fh.read().replace(old, new).replace("out/fig5_dynamics", str(tmp_path / "out"))
+    argv = [command, "--config", write_config(tmp_path, body)]
+    if command == "fit":  # an observation at 1e300 s, integrated at 0.01/Gamma
+        data = tmp_path / "obs.csv"
+        data.write_text("# observable = g4_m0\n0.001,0.5\n1e300,0.9\n")
+        argv.append(str(data))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_end = "), err
+    assert err.endswith("steps; it must take fewer than 2**53\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestSpectrumCommand:
     def test_counterpropagating_report(self, tmp_path):
         result = run_cli(

@@ -14,11 +14,15 @@ PACKAGE = os.path.dirname(os.path.abspath(pumpsim.__file__))
 SOURCES = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
 
 
+def nodes(path):
+    """Every node of the syntax tree of `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return ast.walk(ast.parse(fh.read(), filename=path))
+
+
 def imported_roots(path):
     """Top-level names of every module `path` imports, at any depth."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    for node in ast.walk(tree):
+    for node in nodes(path):
         if isinstance(node, ast.Import):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -33,6 +37,15 @@ def test_sources_found():
 def test_no_scipy_import(path):
     # scipy serves the tests as an oracle; the package runs on numpy alone
     assert "scipy" not in set(imported_roots(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_state_assignment(path):
+    # a generator is placed through numpy's documented Philox constructor,
+    # never by writing a state dict into its `.state`
+    stored = {node.attr for node in nodes(path)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert "state" not in stored
 
 
 def run_python(code):

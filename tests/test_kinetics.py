@@ -335,6 +335,23 @@ class TestIntegration:
         with pytest.raises(ValueError, match="dt and t_end must be finite and positive"):
             integrate_rk4(assemble_rate_matrix([]), uniform_f4(), dt, t_end)
 
+    @pytest.mark.parametrize("steps", [2**53 - 1, 2**53])
+    def test_step_count_bound(self, steps):
+        # t_end / dt is exact at dt = 2**-30 s; below 2**53 steps every grid
+        # time is dt times an exact step index, and at 2**53 the run is
+        # refused before a float step count skips steps
+        dt, t_end = 2.0**-30, steps * 2.0**-30
+        if steps == 2**53:
+            with pytest.raises(ValueError, match=r"takes 9.0072e\+15 steps; it must take "
+                                                 r"fewer than 2\*\*53"):
+                integrate_rk4(assemble_rate_matrix([]), uniform_f4(), dt, t_end)
+            return
+        traj = integrate_rk4(assemble_rate_matrix([]), uniform_f4(), dt, t_end)
+        stride = -(-steps // 1200)
+        grid = np.arange(steps // stride + 1) * stride
+        assert np.array_equal(traj.times, dt * np.append(grid, steps))
+        assert traj.times[-1] == t_end and np.all(np.diff(traj.times) > 0)
+
     def test_negative_initial_rejected(self):
         rm = assemble_rate_matrix([])
         n0 = uniform_f4()

@@ -34,7 +34,7 @@ from .raman import (
     RamanPulse,
     VelocityDistribution,
 )
-from .structure import STATES
+from .structure import STATES, clock_line_shift
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,6 +108,11 @@ def cmd_spectrum(args) -> int:
 
     out = cfg.directory
     fwhm_single = lineshape_fwhm(pulse)
+    shift = clock_line_shift(cfg.bias_gauss)
+    if shift > 0.1 * fwhm_single:
+        print(f"warning: at {cfg.bias_gauss:g} G the m=0 line's second-order Zeeman shift, "
+              f"{shift:.3g} Hz, exceeds 10% of the {fwhm_single:.4g} Hz line width; "
+              "line positions are first order in the field", file=sys.stderr)
     print(f"single-line FWHM*tau: {fwhm_single * cfg.tau_s:.4f} "
           "(measured product in the reference setup: 1.12)")
     if cfg.geometry == "copropagating":

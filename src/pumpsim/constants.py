@@ -30,6 +30,8 @@ EXCITED_F = (3, 4, 5)
 # 6P3/2 hyperfine intervals in Hz, keyed by the adjacent (lower F', upper F') pair
 EXCITED_SPLITTING = {(2, 3): 151.2e6, (3, 4): 201.2e6, (4, 5): 251.0e6}
 
+HYPERFINE_HZ = 9_192_631_770.0  # ground hyperfine frequency, Hz (exact: the SI second)
+
 # first-order Lande factors of the two ground hyperfine levels
 G_F3 = -0.25
 G_F4 = +0.25

@@ -226,12 +226,14 @@ def prune(
     return pruned, int(np.unique(np.concatenate([live["ground"], live["excited"]])).size)
 
 
+_UNIFORM_F4 = np.zeros(N_STATES)
+_UNIFORM_F4[[state_index(Sublevel("g", 4, m)) for m in range(-4, 5)]] = 1.0 / 9.0
+_UNIFORM_F4.setflags(write=False)
+
+
 def uniform_f4() -> np.ndarray:
-    """Default initial condition: the F=4 ground level equally populated."""
-    n0 = np.zeros(N_STATES)
-    for m in range(-4, 5):
-        n0[state_index(Sublevel("g", 4, m))] = 1.0 / 9.0
-    return n0
+    """Default initial condition: the F=4 ground level equally populated (a fresh array)."""
+    return _UNIFORM_F4.copy()
 
 
 def single_sublevel(level: Sublevel) -> np.ndarray:
@@ -263,26 +265,42 @@ def _rk4_step_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
     The 44th row integrates Gamma * sum(excited populations), i.e. the
     expected number of fluorescence photons, with the same quadrature.
     """
-    n = N_STATES + 1
-    gen = np.zeros((n, n))
+    gen = np.zeros((N_STATES + 1, N_STATES + 1))
     gen[:N_STATES, :N_STATES] = rates
     gen[N_STATES, EXCITED_INDICES] = cst.GAMMA
     hr = dt * gen
-    step = np.eye(n) + hr @ (
-        np.eye(n) + hr @ (np.eye(n) / 2.0 + hr @ (np.eye(n) / 6.0 + hr / 24.0))
-    )
-    return step
+    return _EYE + hr @ (_EYE + hr @ (_EYE_2 + hr @ (_EYE_6 + hr / 24.0)))
 
 
-# flat index of the population diagonal in a (44, 44) step power
-_DIAGONAL = np.arange(N_STATES) * (N_STATES + 2)
+# the identity terms I, I/2 and I/6 of the RK4 polynomial, read-only
+_EYE, _EYE_2, _EYE_6 = (np.eye(N_STATES + 1) / d for d in (1.0, 2.0, 6.0))
+for _term in (_EYE, _EYE_2, _EYE_6):
+    _term.setflags(write=False)
 
 
 def _conserving(power: np.ndarray) -> np.ndarray:
     """Reset the population diagonal in place so each population column sums to 1."""
-    power.put(_DIAGONAL, 0.0)
-    power.put(_DIAGONAL, 1.0 - power[:N_STATES, :N_STATES].sum(axis=0))
+    diagonal = power.reshape(-1)[:N_STATES * (N_STATES + 2):N_STATES + 2]
+    diagonal.fill(0.0)
+    np.subtract(1.0, np.add.reduce(power[:N_STATES, :N_STATES], axis=0), out=diagonal)
     return power
+
+
+def _step_powers(step: np.ndarray, exponents) -> list[np.ndarray]:
+    """step**n for each n of `exponents` (None for n = 0), none of them step
+    itself, by the products of `np.linalg.matrix_power`: the squares step,
+    step^2, step^4, ... multiplied in from the lowest set bit, and its own
+    (step @ step) @ step for n = 3; one run of squarings serves every n."""
+    squares, powers = [step], []
+    for n in exponents:
+        power = None
+        for bit in range(n.bit_length()):
+            if bit == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if n >> bit & 1 and n != 3:
+                power = squares[bit] if power is None else power @ squares[bit]
+        powers.append(step.copy() if n == 1 else squares[1] @ step if n == 3 else power)
+    return powers
 
 
 def stationary_state(rate_matrix: RateMatrix) -> np.ndarray:
@@ -337,6 +355,10 @@ def integrate_rk4(
     that never gets there goes on to t_end. `at` and `until` exclude each
     other.
 
+    It computes the products and reductions of `np.linalg.matrix_power`, a
+    `.sum(axis=0)` reset and one `np.matmul` per row, in their order and with
+    their bits, through fewer numpy calls: shared squarings, views made once.
+
     The negative-population check and clip cover every computed row; rows
     never computed are not checked.
     """
@@ -370,13 +392,14 @@ def integrate_rk4(
     if remainder:
         times = np.append(times, dt * n_steps)
 
-    step = _rk4_step_matrix(rate_matrix.matrix, dt)
+    block, last = _step_powers(_rk4_step_matrix(rate_matrix.matrix, dt), (stride, remainder))
     # powers[j] = B^(j+1) for the block B of `stride` steps, each conserving
     chunk = min(STACKED_POWERS, n_blocks)
     powers = np.empty((chunk, N_STATES + 1, N_STATES + 1))
-    powers[0] = _conserving(np.linalg.matrix_power(step, stride))
+    views = list(powers)
+    powers[0] = _conserving(block)
     for j in range(1, chunk):
-        _conserving(np.matmul(powers[j - 1], powers[0], out=powers[j]))
+        _conserving(views[j - 1].dot(views[0], views[j]))
 
     rows = keep = slice(None)  # the returned rows of `times` and of `data`
     grid = range(len(times))  # the grid rows this run computes
@@ -403,13 +426,14 @@ def integrate_rk4(
                 # the computed prefix, with no remainder row
                 times, data, remainder = times[:i + k + 1], data[:i + k + 1], 0
                 break
-    else:  # grid row r from its chunk's start c, as the stacked product does
-        slot = {r: s for s, r in enumerate(grid.tolist())}
-        for s, r in enumerate(grid[1:slot[n_blocks] + 1].tolist(), 1):
-            c = (r - 1) // chunk * chunk
-            np.matmul(powers[r - 1 - c], data[slot[c]], out=data[s])
+    else:  # grid row r + 1 is power j = r % chunk times its chunk's start, row r - j
+        r = grid[1:np.searchsorted(grid, n_blocks) + 1] - 1
+        starts = np.searchsorted(grid, r - r % chunk).tolist()
+        samples = list(data)
+        for s, (j, c) in enumerate(zip((r % chunk).tolist(), starts), 1):
+            views[j].dot(samples[c], samples[s])
     if remainder:
-        np.matmul(_conserving(np.linalg.matrix_power(step, remainder)), data[-2], out=data[-1])
+        np.matmul(_conserving(last), data[-2], out=data[-1])
 
     populations = data[:, :N_STATES]
     negative = populations < 0

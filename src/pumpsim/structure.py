@@ -129,3 +129,11 @@ def raman_line_offset(m: int, bias_gauss: float) -> float:
         raise ValueError(f"bias_gauss must be finite, got {bias_gauss!r}")
     field_tesla = bias_gauss * 1e-4
     return m * (cst.G_F4 - cst.G_F3) * cst.BOHR_MAGNETON * field_tesla / cst.PLANCK
+
+
+def clock_line_shift(bias_gauss: float) -> float:
+    """Second-order Zeeman shift, in Hz, of the m=0 line that
+    `raman_line_offset` leaves out: nu_hfs x^2 / 2 of the Breit-Rabi formula,
+    x = g_J mu_B B / (h nu_hfs), with g_J = 2."""
+    x = 2.0 * cst.BOHR_MAGNETON * bias_gauss * 1e-4 / (cst.PLANCK * cst.HYPERFINE_HZ)
+    return cst.HYPERFINE_HZ * x * x / 2.0

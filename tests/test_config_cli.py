@@ -342,6 +342,28 @@ class TestSpectrumCommand:
         for name in names:
             assert (tmp_path / "final" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
+    @pytest.mark.parametrize("scenario, bias, warns", [
+        ("fig3_polarized.ini", None, False),       # 0.1 G: a 4.3 Hz shift of 114.1 Hz
+        ("fig3_polarized.ini", "0.200", True),     # 0.2 G: 17 Hz
+        ("fig3_polarized.ini", "-0.200", True),
+        ("fig4_velocimetry.ini", None, False),     # bias 0
+        ("table1_widths.ini", None, False),        # bias 0
+    ])
+    def test_clock_line_shift_warning(self, tmp_path, capsys, scenario, bias, warns):
+        # one stderr line once the m = 0 line's neglected second-order shift
+        # passes 10% of the Fourier line width, about 0.16 G at 7 ms
+        with open(os.path.join(SCENARIOS, scenario)) as fh:
+            body = fh.read()
+        if bias:
+            body = body.replace("bias_gauss = 0.100", f"bias_gauss = {bias}")
+        cfg = write_config(tmp_path, body)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([f"warning: at {float(bias):g} G the m=0 line's second-order Zeeman "
+                        "shift, 17 Hz, exceeds 10% of the 114.1 Hz line width; line "
+                        "positions are first order in the field"] if warns else [])
+        assert (tmp_path / "out" / "spectrum.csv").exists()
+
     def test_counterpropagating_field_spread_rejected(self, tmp_path):
         # the field spread smears copropagating lines only; a
         # counterpropagating run used to ignore it without a word

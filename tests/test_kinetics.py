@@ -20,6 +20,7 @@ from pumpsim.kinetics import (
     _conserving,
     _rk4_step_matrix,
     _spontaneous_part,
+    _step_powers,
     assemble_rate_matrix,
     first_crossing,
     integrate_rk4,
@@ -677,6 +678,115 @@ class TestStackedPowers:
         _conserving(power)
         assert np.max(np.abs(power[:43, :43].sum(axis=0) - 1.0)) <= 4.5e-16
         assert np.array_equal(power[43], photons)
+
+
+def reference_rows(rm, n0, dt, t_end, max_samples):
+    """Times and every grid row of a run by the integrator's defining calls:
+    `np.linalg.matrix_power`, a `put` and `.sum(axis=0)` reset, and one
+    `np.matmul` of the (k*44, 44) power stack per chunk; clipped at the end."""
+    def reset(power):
+        power.put(np.arange(43) * 45, 0.0)
+        power.put(np.arange(43) * 45, 1.0 - power[:43, :43].sum(axis=0))
+        return power
+    n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
+    stride = -(-n_steps // (max_samples - 1))
+    n_blocks, remainder = divmod(n_steps, stride)
+    step = _rk4_step_matrix(rm.matrix, dt)
+    powers = [reset(np.linalg.matrix_power(step, stride))]
+    while len(powers) < min(STACKED_POWERS, n_blocks):
+        powers.append(reset(np.matmul(powers[-1], powers[0])))
+    stack = np.array(powers).reshape(-1, 44)
+    data = np.zeros((n_blocks + 1 + (remainder > 0), 44) + n0.shape[1:])
+    data[0, :43] = n0
+    for i in range(0, n_blocks, len(powers)):
+        k = min(len(powers), n_blocks - i)
+        data[i + 1:i + 1 + k] = np.matmul(stack[:k * 44], data[i]).reshape(data[i + 1:i + 1 + k].shape)
+    if remainder:
+        data[-1] = np.matmul(reset(np.linalg.matrix_power(step, remainder)), data[-2])
+    data[:, :43][data[:, :43] < 0] = 0.0
+    times = dt * (stride * np.arange(n_blocks + 1))
+    return (np.append(times, dt * n_steps) if remainder else times), data
+
+
+class TestReferenceBits:
+    """Full, `at` and `until` runs return the reference integrator's bits."""
+
+    # the fit's own times: two series of 60 observation times, concatenated
+    FIT_AT = np.concatenate([np.round(np.linspace(1e-4, 4.8e-3, 60), 7)] * 2)
+
+    @staticmethod
+    def assert_same_bits(rm, n0, dt, t_end, max_samples, at):
+        times, data = reference_rows(rm, n0, dt, t_end, max_samples)
+        hi = np.clip(np.searchsorted(times, at, side="right"), 1, len(times) - 1)
+        until = integrate_rk4(rm, n0, dt, t_end, max_samples, until=0.95)
+        for traj, rows in [(integrate_rk4(rm, n0, dt, t_end, max_samples), slice(None)),
+                           (integrate_rk4(rm, n0, dt, t_end, max_samples, at=at),
+                            np.unique(np.r_[0, hi - 1, hi])),
+                           (until, slice(until.times.size))]:
+            assert np.array_equal(traj.times, times[rows])
+            assert np.array_equal(traj.populations, data[rows, :43])
+            assert np.array_equal(traj.scattered_photons, data[rows, 43])
+
+    @staticmethod
+    def starts(columns):
+        if columns == 1:
+            return uniform_f4()
+        return np.column_stack(block_starts() + [single_sublevel(Sublevel("g", 4, 0))])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.013, 0.05, 0.2])
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize("columns", [1, 5])
+    def test_fit_window(self, alpha, pruned, columns):
+        # 4.8 ms at LIBRARY_DT: 2000 strides of 7872 steps and a 7022-step remainder
+        rm = assemble_rate_matrix(fig5_beams(alpha))
+        if pruned:
+            rm, _ = prune(rm)
+        self.assert_same_bits(rm, self.starts(columns), LIBRARY_DT, 4.8e-3, 2001, self.FIT_AT)
+
+    # (n_steps, max_samples) -> (stride, remainder): (1, 0), (2, 1), (3, 2),
+    # (4, 3) and (11, 2), where matrix_power special-cases exponents <= 3
+    @pytest.mark.parametrize("n_steps, max_samples",
+                             [(40, 101), (41, 31), (98, 34), (131, 34), (1003, 101)])
+    @pytest.mark.parametrize("columns", [1, 5])
+    def test_small_powers(self, n_steps, max_samples, columns):
+        rm, _ = prune(assemble_rate_matrix(fig5_beams()))
+        at = n_steps * DT * np.array([0.0, 0.31, 0.5, 0.97, 1.0, 2.0])
+        self.assert_same_bits(rm, self.starts(columns), DT, n_steps * DT, max_samples, at)
+
+
+class TestStepPowers:
+    STEP = _rk4_step_matrix(prune(assemble_rate_matrix(fig5_beams()))[0].matrix, DT)
+
+    def test_matrix_power_bits(self):
+        for n in range(1, 70):
+            for r in sorted({0, 1, 2, 3, n // 2, n - 1} - {n}):
+                block, last = _step_powers(self.STEP, (n, r))
+                assert np.array_equal(block, np.linalg.matrix_power(self.STEP, n))
+                if r:
+                    assert np.array_equal(last, np.linalg.matrix_power(self.STEP, r))
+                else:
+                    assert last is None
+
+    @pytest.mark.parametrize("exponents", [(1, 0), (2, 1), (3, 1), (4, 1), (8, 3), (5, 4)])
+    def test_step_left_alone(self, exponents):
+        # matrix_power returns its argument itself for an exponent of 1
+        step = self.STEP.copy()
+        for power in _step_powers(step, exponents):
+            if power is not None:
+                _conserving(power)
+                assert not np.shares_memory(power, step)
+        assert np.array_equal(step, self.STEP)
+
+
+def test_uniform_f4_is_fresh():
+    expected = np.zeros(43)
+    for m in range(-4, 5):
+        expected[state_index(Sublevel("g", 4, m))] = 1.0 / 9.0
+    first = uniform_f4()
+    first[:] = 7.0
+    second = uniform_f4()
+    assert second.flags.writeable and not np.shares_memory(first, second)
+    assert np.array_equal(second, expected)
 
 
 FIG5_ALPHAS = (0.013, 0.11402)

@@ -17,6 +17,7 @@ from pumpsim.structure import (
     Sublevel,
     branching_ratio,
     branching_table,
+    clock_line_shift,
     parse_label,
     raman_line_offset,
     state_index,
@@ -183,6 +184,14 @@ class TestBreitRabiOracle:
         for m in range(-3, 4):
             shift = breit_rabi_offset(m, cfg.bias_gauss) - raman_line_offset(m, cfg.bias_gauss)
             assert abs(shift) < 0.05 * fwhm
+
+
+def test_clock_line_shift_is_the_breit_rabi_m0_offset():
+    # 426 Hz/G^2 with g_J = 2; x^2 corrections are below 1e-7 at 1 G
+    for bias in (-1.0, 0.1, 0.2, 0.5, 1.0):
+        assert clock_line_shift(bias) == pytest.approx(breit_rabi_offset(0, bias), rel=1e-7)
+    assert clock_line_shift(1.0) == pytest.approx(426.2, abs=0.1)
+    assert clock_line_shift(0.0) == 0.0
 
 
 def test_physical_scales():

@@ -15,6 +15,7 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .fitting import BOUNDS, XATOL, DataError, fit_depolarization, load_observations
 from .heating import heating_summary, write_heating_summary
 from .kinetics import (
+    LIBRARY_DT,
     PRUNE_THRESHOLD,
     assemble_rate_matrix,
     integrate_rk4,
@@ -40,6 +41,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NON_CONVERGENCE = 4
+# what heat and fit integrate at LIBRARY_DT, whatever [integration] holds
+_WINDOWS = {"heat": "a 20 ms window", "fit": "up to the last observation time"}
 
 
 def _load(args, beams_for: str = "") -> ScenarioConfig:
@@ -49,6 +52,9 @@ def _load(args, beams_for: str = "") -> ScenarioConfig:
     cfg = load_config(args.config)
     if beams_for and not cfg.beams:
         raise ConfigError(f"{beams_for} needs at least one [beams.*] section")
+    if beams_for in _WINDOWS and cfg.dt_seconds != LIBRARY_DT:
+        print(f"note: {beams_for} integrates {_WINDOWS[beams_for]} at dt_gamma = 0.01; it "
+              f"ignores [integration] dt_gamma = {cfg.dt_gamma:g}", file=sys.stderr)
     if args.out is not None:
         cfg.directory = args.out
     return cfg

@@ -6,8 +6,10 @@ spectra convolve the same composite line with the Doppler-shifted velocity
 distribution. A square two-photon pi pulse gives the Fourier-limited Rabi
 lineshape used for every line. Both geometries go through one synthesis:
 each line sits at its Zeeman offset plus a shift and is folded with a
-Gaussian of its own width (Doppler or bias-field spread) by one FFT
-convolution on a uniform grid, or left bare where that width is zero.
+Gaussian of its own width (Doppler or bias-field spread) on a uniform grid,
+or left bare where that width is zero. A fold is one FFT convolution or,
+for a Doppler width where that is less work, a quadrature of the line's
+Fourier transform, which vanishes beyond the pulse duration.
 """
 
 from dataclasses import dataclass
@@ -95,66 +97,109 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-# FFT length bound of one fold: 19x the largest at the Table 1 widths
-# (4.37e5 nodes at 5.2 v_r, 7 ms); at about 35 bytes a node its arrays
-# stay under 0.3 GB
+# Size bound of one fold on either route: `_fold`'s FFT length (19x the
+# 4.37e5 at 5.2 v_r, 7 ms; about 35 bytes a node) or `_fourier`'s
+# n_t (n_t + 384), which keeps its n_t x n_t node matrix under 64 MB
 _MAX_FOLD = 2**23
 
 
-def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray,
-          shift: float) -> np.ndarray:
-    """Rabi line folded with a normalized Gaussian of rms sigma_hz, cut at
-    +-6 sigma, at the uniform grid - shift: one FFT convolution on nodes
-    h = step / k apart, k the smallest integer with h <= fwhm / 32 (fwhm is
-    `lineshape_fwhm(pulse)`), so node k*i is grid point i. It works on
-    (grid span + 12 sigma) / h nodes, h ~ 1/tau, and raises ValueError
-    before allocating when its FFT would be longer than _MAX_FOLD."""
-    if grid.size == 0:
-        return np.zeros(0)
+def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, positions, cut, pad):
+    """Yields its FFT length, (grid span + pad cut sigma) / h rounded up
+    and sized in floats up to inf, then the Rabi lines at `positions`
+    folded with a normalized Gaussian of rms sigma_hz cut at +-cut sigma,
+    each by one FFT convolution on nodes h = step / k apart, k the smallest
+    integer with h <= fwhm / 32 (`lineshape_fwhm`), so node k*i is grid
+    point i. A linear convolution needs pad = 2."""
     fwhm = lineshape_fwhm(pulse)
-    steps = np.diff(grid)
-    step = (grid[-1] - grid[0]) / steps.size if steps.size else fwhm / 32.0
-    tol = 1e-9 * step + 16.0 * np.spacing(np.abs(grid).max())
-    if not (step > 0.0 and np.all(np.abs(steps - step) <= tol)):
-        raise ValueError(f"the Gaussian fold needs a uniform, increasing detuning grid; "
-                         f"its steps range from {steps.min():.17g} to {steps.max():.17g} Hz")
+    step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else fwhm / 32.0
     with np.errstate(over="ignore", divide="ignore"):   # sized in floats, up to inf
         k = np.ceil(step / (fwhm / 32.0))
         h = step / k
-        half = np.floor(6.0 * sigma_hz / h)
+        half = np.floor(cut * sigma_hz / h)
         fine = (grid.size - 1) * k + 1
-        nodes = fine + 4 * half   # line and kernel sizes, less one
-    n = _next_fast_len(int(nodes)) if nodes <= _MAX_FOLD else nodes
-    if not n <= _MAX_FOLD:
-        raise ValueError(f"the Gaussian fold needs {n:.0f} nodes, over the {_MAX_FOLD} allowed, "
-                         f"for sigma = {sigma_hz:.6g} Hz and tau = {pulse.duration:.6g} s")
+        nodes = fine + pad * half
+    yield (n := _next_fast_len(int(nodes)) if nodes <= _MAX_FOLD else nodes)
     k, half, fine = int(k), int(half), int(fine)
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
-    line = rabi_lineshape(grid[0] - shift + (np.arange(fine + 2 * half) - half) * h, pulse)
-    folded = np.fft.irfft(np.fft.rfft(line, n) * np.fft.rfft(kernel, n), n)
-    return folded[2 * half : 2 * half + fine : k] / kernel.sum()
+    kernel_ft = np.fft.rfft(kernel, n)
+    for s0 in positions:
+        line = rabi_lineshape(grid[0] - s0 + (np.arange(fine + 2 * half) - half) * h, pulse)
+        folded = np.fft.irfft(np.fft.rfft(line, n) * kernel_ft, n)
+        yield folded[2 * half : 2 * half + fine : k] / kernel.sum()
+
+
+def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, positions):
+    """Yields its size, then the same lines through the line's transform
+    F(t) = (W0^2/4) int_|t|^tau J0(W0 sqrt(s^2 - t^2)) ds, zero for
+    |t| > tau (Gradshteyn & Ryzhik 3.876.1), W0 = pi / tau: a line at s0 is
+    2 int_0^T exp(-2 pi^2 sigma^2 t^2) F(t) cos(2 pi (x - s0) t) dt, T =
+    min(tau, sqrt(80) / (2 pi sigma)) where the Gaussian is e^-40, on
+    n_t = ceil(2 max|x - s0| T) + 48 Gauss-Legendre nodes. F, found once,
+    takes 16 s nodes and J0 the 48-point midpoint rule on [0, pi]. The size
+    n_t (n_t + 384) counts the n_t x n_t matrix whose eigenvalues are the
+    nodes and the n_t x 16 x 24 cosines of J0, the bulk of the work: the
+    grid costs some 2 sqrt(grid) complex exponentials a node."""
+    tau = pulse.duration
+    with np.errstate(over="ignore"):
+        t_max = min(tau, np.sqrt(80.0) / (2.0 * np.pi * sigma_hz))
+        n_t = np.ceil(2.0 * t_max * max(np.abs(grid[[0, -1]] - s0).max() for s0 in positions)) + 48
+    yield n_t * (n_t + 384.0)
+    # W0 tau = pi, so F(t) = (pi^2 / 4 tau) f(t / tau); the terms that count
+    # stay normal floats while this scale stays above tiny / eps
+    scale = np.pi**2 / (4.0 * tau) * t_max
+    if not scale >= np.finfo(float).tiny / np.finfo(float).eps:
+        raise ValueError(f"the transform of the tau = {tau:.6g} s line underflows to "
+                         f"{scale:.6g} for sigma = {sigma_hz:.6g} Hz")
+    from numpy.polynomial.legendre import leggauss   # 3-5 ms to import, so not at the top
+    (y, w), (ys, ws) = leggauss(int(n_t)), leggauss(16)
+    t = 0.5 * t_max * (y + 1.0)
+    u, omega = t / tau, 2.0 * np.pi * t
+    d = np.multiply.outer(0.5 * (1.0 - u), ys + 1.0)   # s / tau - u at the s nodes
+    a = np.sin(np.pi * (np.arange(24) + 0.5) / 48.0)   # 24 of 48 midpoints; the rest mirror them
+    j0 = np.cos(np.multiply.outer(np.pi * np.sqrt(d * (d + 2.0 * u[:, None])), a)).mean(axis=-1)
+    coef = scale * w * 0.5 * (1.0 - u) * (j0 @ ws) * np.exp(-2.0 * (np.pi * sigma_hz * t) ** 2)
+    # grid point b i + j takes e^(i omega (x0 - s0 + b i step)) e^(i omega j step)
+    step, b = (grid[-1] - grid[0]) / max(grid.size - 1, 1), int(np.sqrt(grid.size)) + 1
+    inner = np.exp(1j * np.multiply.outer(omega, step * np.arange(b)))
+    for s0 in positions:
+        outer = np.multiply.outer(grid[0] - s0 + b * step * np.arange(-(-grid.size // b)), omega)
+        yield ((np.exp(1j * outer) * coef) @ inner).real.reshape(-1)[: grid.size]
 
 
 def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
-           grid: np.ndarray, shift: float, width) -> Spectrum:
+           grid: np.ndarray, shift: float, width, routes) -> Spectrum:
     """Sum of the populated F=4, |m|<=3 lines, line m at
-    `raman_line_offset(m, bias_gauss) + shift` and folded (`_fold`) with a
-    Gaussian of rms width(m) Hz, or bare where that width is 0. Lines with
-    the same (width, position) share one fold or evaluation, which their
-    summed population multiplies."""
+    `raman_line_offset(m, bias_gauss) + shift` and folded with a Gaussian of
+    rms width(m) Hz by the smallest plan of `routes(pulse, width, grid,
+    positions)`, or bare where that width is 0. Lines with the same (width,
+    position) share one fold or evaluation, times their summed population."""
     grid = np.asarray(grid, dtype=float)
-    weights = {}
+    if not grid.size:
+        return Spectrum(grid, np.zeros(0))
+    weights, plans = {}, {}
     for m in range(-3, 4):
         weight = populations[state_index(Sublevel("g", 4, m))]
         if weight != 0.0:
             key = (width(m), raman_line_offset(m, bias_gauss) + shift)
             weights[key] = weights.get(key, 0.0) + weight
+    steps = np.diff(grid)
+    step = (grid[-1] - grid[0]) / max(steps.size, 1)
+    if steps.size and any(key[0] > 0.0 for key in weights) and not (step > 0.0 and np.all(
+            np.abs(steps - step) <= 1e-9 * step + 16.0 * np.spacing(np.abs(grid).max()))):
+        raise ValueError(f"the Gaussian fold needs a uniform, increasing detuning grid; "
+                         f"its steps range from {steps.min():.17g} to {steps.max():.17g} Hz")
     signal = np.zeros_like(grid)
     for (sigma_hz, position), weight in weights.items():
-        if sigma_hz > 0.0:
-            signal += weight * _fold(pulse, sigma_hz, grid, position)
-        else:
-            signal += weight * rabi_lineshape(grid - position, pulse)
+        if sigma_hz > 0.0 and sigma_hz not in plans:   # one plan yields each line of a width
+            routed = routes(pulse, sigma_hz, grid, [p for s, p in weights if s == sigma_hz])
+            size = min(sizes := [next(plan) for plan in routed])
+            if not size <= _MAX_FOLD:   # refused before allocating
+                raise ValueError(f"the Gaussian fold needs {size:.0f} nodes, over the {_MAX_FOLD} "
+                                 f"allowed, for sigma = {sigma_hz:.6g} Hz and "
+                                 f"tau = {pulse.duration:.6g} s")
+            plans[sigma_hz] = routed[sizes.index(size)]
+        signal += weight * (next(plans[sigma_hz]) if sigma_hz > 0.0
+                            else rabi_lineshape(grid - position, pulse))
     return Spectrum(grid, signal)
 
 
@@ -174,7 +219,8 @@ def synth_copropagating(
     if not 0.0 <= field_rms_gauss < np.inf:
         raise ValueError("field_rms_gauss must be finite and nonnegative")
     return _synth(populations, bias_gauss, pulse, grid, 0.0,
-                  lambda m: abs(raman_line_offset(m, field_rms_gauss)))
+                  lambda m: abs(raman_line_offset(m, field_rms_gauss)),
+                  lambda *plan: [_fold(*plan, 6.0, 4)])
 
 
 def doppler_shift(velocity):
@@ -196,10 +242,12 @@ def synth_counterpropagating(
     with the velocity distribution mapped through the Doppler shift."""
     sigma_hz = doppler_shift(vdist.sigma)
     shift = doppler_shift(vdist.mean)
-    if not np.isfinite(shift):
-        raise ValueError(f"the Doppler shift of the mean velocity {vdist.mean:.6g} v_r "
-                         "is not finite")
-    return _synth(populations, bias_gauss, pulse, grid, shift, lambda m: sigma_hz)
+    for name, v, hz in (("width of the velocity spread", vdist.sigma, sigma_hz),
+                        ("shift of the mean velocity", vdist.mean, shift)):
+        if not np.isfinite(hz):
+            raise ValueError(f"the Doppler {name} {v:.6g} v_r is not finite")
+    return _synth(populations, bias_gauss, pulse, grid, shift, lambda m: sigma_hz,
+                  lambda *plan: [_fold(*plan, np.sqrt(80.0), 2), _fourier(*plan)])
 
 
 @dataclass

@@ -377,32 +377,91 @@ class TestSpectrumCommand:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_fold_exit_2(self, tmp_path):
-        # a fold too long to allocate is a config error, raised before any
-        # array exists and before any file is written
+        # a fold too large on both routes (1e-6 v_r under a 10 s pulse) is
+        # a config error, raised before any array exists and before any
+        # file is written
         with open(os.path.join(SCENARIOS, "table1_widths.ini")) as fh:
-            body = fh.read().replace("sigma_vr = 4.0", "sigma_vr = 1e10")
+            body = (fh.read().replace("sigma_vr = 4.0", "sigma_vr = 1e-6")
+                    .replace("tau_s = 0.007", "tau_s = 10"))
         cfg = write_config(tmp_path, body)
         result = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "out"))
         assert result.returncode == 2
-        assert "fold needs" in result.stderr and "tau = 0.007 s" in result.stderr
+        assert "fold needs" in result.stderr and "tau = 10 s" in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new", [("sigma_vr = 4.0", "sigma_vr = 1e305"),
                                           ("tau_s = 0.007", "tau_s = 1e306")])
     def test_overflowing_fold_exit_2(self, tmp_path, old, new):
-        # a fold size past the largest float is sized as inf, not turned
-        # into an int, so it is refused like any other oversized fold
+        # an infinite Doppler width, or a transform that underflows, is
+        # refused before any array exists, without a warning
+        message = {"sigma_vr = 1e305": "the Doppler width of the velocity spread 1e+305 v_r "
+                                       "is not finite",
+                   "tau_s = 1e306": "the transform of the tau = 1e+306 s line underflows"}[new]
         with open(os.path.join(SCENARIOS, "table1_widths.ini")) as fh:
             body = fh.read().replace(old, new)
         cfg = write_config(tmp_path, body)
         result = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "out"))
         assert result.returncode == 2, result.stderr
-        assert "config error: the Gaussian fold needs inf nodes" in result.stderr
+        assert f"config error: {message}" in result.stderr
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_huge_doppler_width_exit_4(self, tmp_path):
+        # at 1e10 v_r the spectrum is flat on the grid, computed and
+        # written; only the Gaussian fit fails, so the run exits 4
+        with open(os.path.join(SCENARIOS, "table1_widths.ini")) as fh:
+            body = fh.read().replace("sigma_vr = 4.0", "sigma_vr = 1e10")
+        cfg = write_config(tmp_path, body)
+        result = run_cli("spectrum", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert result.returncode == 4, result.stderr
+        assert result.stderr == "gaussian fit did not converge\n"
+        text = (tmp_path / "out" / "spectrum.csv").read_text()
+        assert "# converged=false" in text
+        signal = np.loadtxt(text.splitlines()[1:2002], delimiter=",")[:, 1]
+        assert np.ptp(signal) <= 1e-12 * signal.max() and signal.min() > 0.0
+
+    def test_counterpropagating_bytes_identical_across_blas_threads(self, tmp_path):
+        # the Fourier route ends in a BLAS matrix product, where the FFT
+        # fold ended in pocketfft; a biased fig4 spectrum runs it at seven
+        # line positions
+        with open(os.path.join(SCENARIOS, "fig4_velocimetry.ini")) as fh:
+            body = fh.read().replace("bias_gauss = 0.0", "bias_gauss = 0.1")
+        cfg = write_config(tmp_path, body)
+        spectra = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"out{threads}"
+            env = {var: threads for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            result = run_cli("spectrum", "--config", cfg, "--out", str(out), env_extra=env)
+            assert result.returncode == 0, result.stderr
+            spectra.append((out / "spectrum.csv").read_bytes())
+        assert spectra[0] == spectra[1]
+
 
 class TestHeatCommand:
+    @pytest.mark.parametrize("integration, notes", [
+        ("", False),                                              # the shipped file
+        ("[integration]\ndt_gamma = 0.01\nt_end_s = 1e-6\n", False),   # the window is fixed
+        ("[integration]\ndt_gamma = 0.05\nt_end_s = 1e-6\n", True),
+    ])
+    def test_integration_step_note(self, tmp_path, capsys, integration, notes):
+        # heat integrates a 20 ms window at dt_gamma = 0.01 whatever
+        # [integration] holds: a different step gets one stderr note, and
+        # heating.txt keeps the shipped scenario's bytes
+        with open(os.path.join(SCENARIOS, "heating_paper.ini")) as fh:
+            body = fh.read().replace("samples = 100000", "samples = 20000")
+        outputs, errs = [], []
+        edited = body.replace("[mc]", integration + "\n[mc]")
+        for name, text in (("shipped", body), ("edited", edited)):
+            cfg = write_config(tmp_path, text)
+            assert main(["heat", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "heating.txt").read_bytes())
+            errs.append(capsys.readouterr().err)
+        assert outputs[0] == outputs[1]
+        assert errs == ["", "note: heat integrates a 20 ms window at dt_gamma = 0.01; it ignores "
+                       "[integration] dt_gamma = 0.05\n" if notes else ""]
+
     def test_summary_and_histogram(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -520,7 +579,7 @@ class TestScipyLoadedOnUse:
         assert loaded == []
 
     def test_counterpropagating_spectrum_loads_no_scipy(self, tmp_path):
-        # the folds run on numpy.fft and the Gaussian fit is the package's
+        # the folds run on numpy.fft and numpy.polynomial, and the Gaussian fit is the package's
         # own Levenberg-Marquardt
         fig4 = os.path.join(SCENARIOS, "fig4_velocimetry.ini")
         loaded = self.loaded_after(["spectrum", "--config", fig4, "--out", str(tmp_path)])
@@ -594,6 +653,30 @@ class TestFitCommand:
         else:
             assert err == ""
             assert "# alpha_hat=0.18999" in report
+
+    @pytest.mark.parametrize("dt_gamma, notes", [("0.01", False), ("0.02", True)])
+    def test_integration_step_note(self, tmp_path, capsys, dt_gamma, notes):
+        # fit integrates up to its last observation at dt_gamma = 0.01:
+        # fig5's t_end_s = 0.005 stays quiet, a different step gets one
+        # stderr note and the report keeps its bytes
+        from pumpsim.fitting import simulate_observable
+
+        fig5 = os.path.join(SCENARIOS, "fig5_dynamics.ini")
+        times = np.linspace(2e-4, 4e-3, 20)
+        truth = simulate_observable(load_config(fig5).beams, 0.013, times)
+        data = tmp_path / "m0.csv"
+        data.write_text("".join(f"{t:.12g},{v:.12g}\n" for t, v in zip(times, truth)))
+        with open(fig5) as fh:
+            body = fh.read().replace("dt_gamma = 0.01", f"dt_gamma = {dt_gamma}")
+        cfg = write_config(tmp_path, body)
+        reports = []
+        for path, out in ((fig5, "shipped"), (cfg, "edited")):
+            assert main(["fit", "--config", path, "--out", str(tmp_path / out), str(data)]) == 0
+            reports.append((tmp_path / out / "fit_report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        assert capsys.readouterr().err == (
+            f"note: fit integrates up to the last observation time at dt_gamma = 0.01; it "
+            f"ignores [integration] dt_gamma = {dt_gamma}\n" if notes else "")
 
     def test_empty_data_file_exit_3(self, tmp_path):
         data = tmp_path / "empty.csv"

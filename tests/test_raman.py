@@ -11,9 +11,13 @@ from hypothesis import strategies as st_h
 
 import pumpsim
 from pumpsim import constants as cst
+from pumpsim import raman
 from pumpsim.kinetics import uniform_f4
 from pumpsim.raman import (
     FWHM_TAU,
+    _MAX_FOLD,
+    _fold,
+    _fourier,
     _next_fast_len,
     RamanPulse,
     Spectrum,
@@ -260,6 +264,25 @@ def direct_counterpropagating(populations, vdist, pulse, grid, bias_gauss):
     return signal
 
 
+def untruncated_counterpropagating(populations, vdist, pulse, grid, bias_gauss):
+    """Independent oracle without the +-6 sigma cut: a rectangle rule over
+    +-12 sigma of the velocity distribution, at most 20 Hz of Doppler shift
+    apart (the line is 114 Hz wide at 7 ms), normalized by the Gaussian's
+    integral. Lines at one offset are evaluated once, with their summed
+    population."""
+    step = min(20.0, doppler_shift(vdist.sigma) / 100.0)
+    v = np.arange(-12.0 * vdist.sigma, 12.0 * vdist.sigma, step / cst.DOPPLER_HZ_PER_RECOIL)
+    gauss = np.exp(-0.5 * (v / vdist.sigma) ** 2) * step
+    gauss /= np.sqrt(2.0 * np.pi) * doppler_shift(vdist.sigma)
+    detunings = grid[:, None] - doppler_shift(v + vdist.mean)[None, :]
+    weights = {}
+    for m in range(-3, 4):
+        offset = raman_line_offset(m, bias_gauss)
+        weights[offset] = weights.get(offset, 0.0) + populations[state_index(Sublevel("g", 4, m))]
+    return sum(weight * (rabi_lineshape(detunings - offset, pulse) @ gauss)
+               for offset, weight in weights.items() if weight)
+
+
 class TestFold:
     PULSE = RamanPulse(0.007)
 
@@ -275,6 +298,57 @@ class TestFold:
             populations, vdist, self.PULSE, CLI_GRID[SUBSET], bias_gauss
         )
         assert np.max(np.abs(got.signal[SUBSET] - want)) <= 1e-6 * want.max()
+
+    @pytest.mark.parametrize("sigma_vr, bias_gauss", [
+        (4.0, 0.0), (4.0, 0.1), (4.8, 0.0), (4.8, 0.1), (5.2, 0.0), (5.2, 0.1),
+        (0.5, 0.0), (0.1, 0.0), (0.1, 0.1),
+    ])
+    def test_counterpropagating_matches_untruncated_quadrature(self, sigma_vr, bias_gauss):
+        # both routes cut the Gaussian where it falls to e^-40, so they hold
+        # 1e-10 of the peak everywhere, the grid's end points included
+        vdist = VelocityDistribution(sigma_vr)
+        grid = CLI_GRID[::100]   # 21 points, -250 and +250 kHz among them
+        got = synth_counterpropagating(uniform_f4(), vdist, self.PULSE, CLI_GRID, bias_gauss)
+        want = untruncated_counterpropagating(uniform_f4(), vdist, self.PULSE, grid, bias_gauss)
+        assert np.max(np.abs(got.signal[::100] - want)) <= 1e-10 * want.max()
+
+    @pytest.mark.parametrize("sigma_vr, route", [(0.1, "fold"), (0.3, "fold"),
+                                                 (0.5, "fourier"), (4.0, "fourier")])
+    def test_route_has_the_smaller_size(self, monkeypatch, sigma_vr, route):
+        # the FFT fold serves narrow Doppler widths, where F needs many
+        # nodes, and the transform wide ones; on the CLI grid at 7 ms the
+        # switch lies near 0.43 v_r
+        sigma_hz = doppler_shift(sigma_vr)
+        fold = next(_fold(self.PULSE, sigma_hz, CLI_GRID, [0.0], np.sqrt(80.0), 2))
+        fourier = next(_fourier(self.PULSE, sigma_hz, CLI_GRID, [0.0]))
+        assert (fold < fourier) == (route == "fold")
+        used = []
+
+        def spy(name, plan):
+            def wrapped(*args):
+                lines = plan(*args)
+                yield next(lines)
+                used.append(name)   # reached only by the route that folds
+                yield from lines
+            return wrapped
+
+        monkeypatch.setattr(raman, "_fold", spy("fold", _fold))
+        monkeypatch.setattr(raman, "_fourier", spy("fourier", _fourier))
+        synth_counterpropagating(polarized_populations(), VelocityDistribution(sigma_vr),
+                                 self.PULSE, CLI_GRID)
+        assert used == [route]
+
+    @pytest.mark.parametrize("sigma_vr", [0.1, 1.0, 4.8])
+    def test_routes_agree(self, sigma_vr):
+        # both routes, whichever of them a width takes, agree to the
+        # rounding of their sums
+        sigma_hz, positions = doppler_shift(sigma_vr), [0.0, 70e3]
+        plans = [_fold(self.PULSE, sigma_hz, CLI_GRID, positions, np.sqrt(80.0), 2),
+                 _fourier(self.PULSE, sigma_hz, CLI_GRID, positions)]
+        for plan in plans:
+            next(plan)
+        fold, fourier = (np.array(list(plan)) for plan in plans)
+        assert np.max(np.abs(fold - fourier)) <= 1e-11 * fold.max()
 
     @pytest.mark.parametrize("m", [-3, -1, 1, 3])
     @pytest.mark.parametrize("rms_gauss", [5e-5, 3e-4])
@@ -357,22 +431,44 @@ class TestFold:
         assert np.array_equal(spec.signal, rabi_lineshape(CLI_GRID - 0.0 - shift, self.PULSE))
 
     def test_oversized_fold_rejected_before_allocating(self):
-        # at 1e10 v_r the fold would need about 5.6e14 nodes; the bound
-        # refuses it before any array is allocated
-        with pytest.raises(ValueError, match=r"fold needs \d+ nodes, over the 8388608"):
-            synth_counterpropagating(
-                uniform_f4(), VelocityDistribution(1e10), self.PULSE, CLI_GRID
-            )
+        # a width of 1e-6 v_r under a 10 s pulse overruns the bound on both
+        # routes, 2.0e8 FFT nodes or n_t = 5e6 Fourier nodes; the cheaper
+        # route is refused before any array is allocated
+        vdist, pulse = VelocityDistribution(1e-6), RamanPulse(10.0)
+        sigma_hz = doppler_shift(vdist.sigma)
+        sizes = [next(_fold(pulse, sigma_hz, CLI_GRID, [0.0], np.sqrt(80.0), 2)),
+                 next(_fourier(pulse, sigma_hz, CLI_GRID, [0.0]))]
+        assert min(sizes) > _MAX_FOLD
+        message = rf"fold needs {min(sizes):.0f} nodes, over the 8388608"
+        with pytest.raises(ValueError, match=message):
+            synth_counterpropagating(uniform_f4(), vdist, pulse, CLI_GRID)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma_vr, tau_s", [(1e305, 0.007), (4.8, 1e306)])
     def test_overflowing_fold_rejected(self, sigma_vr, tau_s):
-        # the kernel half-width or the node count overflows a float; the
-        # fold is sized in floats and refused as inf, without a warning
-        with pytest.raises(ValueError, match=r"fold needs inf nodes, over the 8388608"):
+        # 1e305 v_r is an infinite Doppler width, and at tau = 1e306 s the
+        # transform's terms fall below the normal floats: both are refused
+        # before any array exists, without a warning
+        message = {1e305: r"the Doppler width of the velocity spread 1e\+305 v_r is not finite",
+                   4.8: r"the transform of the tau = 1e\+306 s line underflows"}[sigma_vr]
+        with pytest.raises(ValueError, match=message):
             synth_counterpropagating(
                 uniform_f4(), VelocityDistribution(sigma_vr), RamanPulse(tau_s), CLI_GRID
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_doppler_width_is_flat(self):
+        # at 1e10 v_r the fold takes the Fourier route on 49 nodes and gives
+        # the line's area spread over the Gaussian, flat on the grid: the
+        # area is F(0) = (W0 / 4) int_0^pi J0, W0 = pi / tau
+        from scipy.integrate import quad
+        from scipy.special import j0
+
+        vdist = VelocityDistribution(1e10)
+        got = synth_counterpropagating(uniform_f4(), vdist, self.PULSE, CLI_GRID).signal
+        area = np.pi / (4.0 * self.PULSE.duration) * quad(j0, 0.0, np.pi, epsabs=0.0)[0]
+        want = 7.0 / 9.0 * area / (np.sqrt(2.0 * np.pi) * doppler_shift(vdist.sigma))
+        assert np.max(np.abs(got - want)) <= 1e-12 * want
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_doppler_position_rejected(self):

@@ -5,11 +5,11 @@ F=4 sublevel populations through the sigma+/sigma+ ladder; counterpropagating
 spectra convolve the same composite line with the Doppler-shifted velocity
 distribution. A square two-photon pi pulse gives the Fourier-limited Rabi
 lineshape used for every line. Both geometries go through one synthesis:
-each line sits at its Zeeman offset plus a shift and is folded with a
-Gaussian of its own width (Doppler or bias-field spread) on a uniform grid,
-or left bare where that width is zero. A fold is one FFT convolution or,
-for a Doppler width where that is less work, a quadrature of the line's
-Fourier transform, which vanishes beyond the pulse duration.
+each line sits at its Zeeman offset plus a shift, and the lines of one width
+(Doppler or bias-field spread) are folded once, summed by population, with a
+Gaussian of that width on a uniform grid, or left bare where it is zero. A
+fold is one FFT convolution or, for a Doppler width where that is less work,
+a quadrature of the line's transform, which vanishes beyond the pulse length.
 """
 
 from dataclasses import dataclass
@@ -103,13 +103,13 @@ def _next_fast_len(n: int) -> int:
 _MAX_FOLD = 2**23
 
 
-def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, positions, cut, pad):
+def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines, cut, pad):
     """Yields its FFT length, (grid span + pad cut sigma) / h rounded up
-    and sized in floats up to inf, then the Rabi lines at `positions`
-    folded with a normalized Gaussian of rms sigma_hz cut at +-cut sigma,
-    each by one FFT convolution on nodes h = step / k apart, k the smallest
-    integer with h <= fwhm / 32 (`lineshape_fwhm`), so node k*i is grid
-    point i. A linear convolution needs pad = 2."""
+    and sized in floats up to inf, then sum w P(x - s0) over the Rabi lines
+    P of `lines`, {position s0: weight w}, folded with a normalized Gaussian
+    of rms sigma_hz cut at +-cut sigma by one FFT convolution on nodes
+    h = step / k apart, k the smallest integer with h <= fwhm / 32, so node
+    k*i is grid point i. A linear convolution needs pad = 2."""
     fwhm = lineshape_fwhm(pulse)
     step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else fwhm / 32.0
     with np.errstate(over="ignore", divide="ignore"):   # sized in floats, up to inf
@@ -121,19 +121,18 @@ def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, positions, cut, 
     yield (n := _next_fast_len(int(nodes)) if nodes <= _MAX_FOLD else nodes)
     k, half, fine = int(k), int(half), int(fine)
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
-    kernel_ft = np.fft.rfft(kernel, n)
-    for s0 in positions:
-        line = rabi_lineshape(grid[0] - s0 + (np.arange(fine + 2 * half) - half) * h, pulse)
-        folded = np.fft.irfft(np.fft.rfft(line, n) * kernel_ft, n)
-        yield folded[2 * half : 2 * half + fine : k] / kernel.sum()
+    x = (np.arange(fine + 2 * half) - half) * h
+    line = sum(weight * rabi_lineshape(grid[0] - s0 + x, pulse) for s0, weight in lines.items())
+    folded = np.fft.irfft(np.fft.rfft(line, n) * np.fft.rfft(kernel, n), n)
+    yield folded[2 * half : 2 * half + fine : k] / kernel.sum()
 
 
-def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, positions):
-    """Yields its size, then the same lines through the line's transform
+def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines):
+    """Yields its size, then the same folded sum through the line's transform
     F(t) = (W0^2/4) int_|t|^tau J0(W0 sqrt(s^2 - t^2)) ds, zero for
-    |t| > tau (Gradshteyn & Ryzhik 3.876.1), W0 = pi / tau: a line at s0 is
-    2 int_0^T exp(-2 pi^2 sigma^2 t^2) F(t) cos(2 pi (x - s0) t) dt, T =
-    min(tau, sqrt(80) / (2 pi sigma)) where the Gaussian is e^-40, on
+    |t| > tau (Gradshteyn & Ryzhik 3.876.1), W0 = pi / tau: the sum is
+    2 int_0^T exp(-2 pi^2 sigma^2 t^2) F(t) Re(sum_s0 w e^(2 pi i (x - s0) t)) dt,
+    T = min(tau, sqrt(80) / (2 pi sigma)) where the Gaussian is e^-40, on
     n_t = ceil(2 max|x - s0| T) + 48 Gauss-Legendre nodes. F, found once,
     takes 16 s nodes and J0 the 48-point midpoint rule on [0, pi]. The size
     n_t (n_t + 384) counts the n_t x n_t matrix whose eigenvalues are the
@@ -142,7 +141,7 @@ def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, positions):
     tau = pulse.duration
     with np.errstate(over="ignore"):
         t_max = min(tau, np.sqrt(80.0) / (2.0 * np.pi * sigma_hz))
-        n_t = np.ceil(2.0 * t_max * max(np.abs(grid[[0, -1]] - s0).max() for s0 in positions)) + 48
+        n_t = np.ceil(2.0 * t_max * max(np.abs(grid[[0, -1]] - s0).max() for s0 in lines)) + 48
     yield n_t * (n_t + 384.0)
     # W0 tau = pi, so F(t) = (pi^2 / 4 tau) f(t / tau); the terms that count
     # stay normal floats while this scale stays above tiny / eps
@@ -158,48 +157,48 @@ def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, positions):
     a = np.sin(np.pi * (np.arange(24) + 0.5) / 48.0)   # 24 of 48 midpoints; the rest mirror them
     j0 = np.cos(np.multiply.outer(np.pi * np.sqrt(d * (d + 2.0 * u[:, None])), a)).mean(axis=-1)
     coef = scale * w * 0.5 * (1.0 - u) * (j0 @ ws) * np.exp(-2.0 * (np.pi * sigma_hz * t) ** 2)
-    # grid point b i + j takes e^(i omega (x0 - s0 + b i step)) e^(i omega j step)
+    coef = coef * sum(weight * np.exp(-1j * omega * s0) for s0, weight in lines.items())
+    # grid point b i + j takes e^(i omega (x0 + b i step)) e^(i omega j step)
     step, b = (grid[-1] - grid[0]) / max(grid.size - 1, 1), int(np.sqrt(grid.size)) + 1
     inner = np.exp(1j * np.multiply.outer(omega, step * np.arange(b)))
-    for s0 in positions:
-        outer = np.multiply.outer(grid[0] - s0 + b * step * np.arange(-(-grid.size // b)), omega)
-        yield ((np.exp(1j * outer) * coef) @ inner).real.reshape(-1)[: grid.size]
+    outer = np.multiply.outer(grid[0] + b * step * np.arange(-(-grid.size // b)), omega)
+    yield ((np.exp(1j * outer) * coef) @ inner).real.reshape(-1)[: grid.size]
 
 
 def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
            grid: np.ndarray, shift: float, width, routes) -> Spectrum:
     """Sum of the populated F=4, |m|<=3 lines, line m at
-    `raman_line_offset(m, bias_gauss) + shift` and folded with a Gaussian of
-    rms width(m) Hz by the smallest plan of `routes(pulse, width, grid,
-    positions)`, or bare where that width is 0. Lines with the same (width,
-    position) share one fold or evaluation, times their summed population."""
+    `raman_line_offset(m, bias_gauss) + shift`, bare where width(m) is 0.
+    The lines of a width w > 0, as {position: summed population}, are folded
+    once with a Gaussian of rms w Hz by the plan of `routes` of least size;
+    the first plan, the FFT fold, counts its size once per line position."""
     grid = np.asarray(grid, dtype=float)
     if not grid.size:
         return Spectrum(grid, np.zeros(0))
-    weights, plans = {}, {}
+    widths = {}
     for m in range(-3, 4):
         weight = populations[state_index(Sublevel("g", 4, m))]
         if weight != 0.0:
-            key = (width(m), raman_line_offset(m, bias_gauss) + shift)
-            weights[key] = weights.get(key, 0.0) + weight
+            lines, s0 = widths.setdefault(width(m), {}), raman_line_offset(m, bias_gauss) + shift
+            lines[s0] = lines.get(s0, 0.0) + weight
     steps = np.diff(grid)
     step = (grid[-1] - grid[0]) / max(steps.size, 1)
-    if steps.size and any(key[0] > 0.0 for key in weights) and not (step > 0.0 and np.all(
+    if steps.size and any(sigma_hz > 0.0 for sigma_hz in widths) and not (step > 0.0 and np.all(
             np.abs(steps - step) <= 1e-9 * step + 16.0 * np.spacing(np.abs(grid).max()))):
         raise ValueError(f"the Gaussian fold needs a uniform, increasing detuning grid; "
                          f"its steps range from {steps.min():.17g} to {steps.max():.17g} Hz")
     signal = np.zeros_like(grid)
-    for (sigma_hz, position), weight in weights.items():
-        if sigma_hz > 0.0 and sigma_hz not in plans:   # one plan yields each line of a width
-            routed = routes(pulse, sigma_hz, grid, [p for s, p in weights if s == sigma_hz])
-            size = min(sizes := [next(plan) for plan in routed])
-            if not size <= _MAX_FOLD:   # refused before allocating
-                raise ValueError(f"the Gaussian fold needs {size:.0f} nodes, over the {_MAX_FOLD} "
-                                 f"allowed, for sigma = {sigma_hz:.6g} Hz and "
-                                 f"tau = {pulse.duration:.6g} s")
-            plans[sigma_hz] = routed[sizes.index(size)]
-        signal += weight * (next(plans[sigma_hz]) if sigma_hz > 0.0
-                            else rabi_lineshape(grid - position, pulse))
+    for position, weight in widths.pop(0.0, {}).items():   # bare lines, in m order
+        signal += weight * rabi_lineshape(grid - position, pulse)
+    for sigma_hz, lines in widths.items():
+        plans = routes(pulse, sigma_hz, grid, lines)   # refused before allocating
+        if not min(sizes := [next(plan) for plan in plans]) <= _MAX_FOLD:
+            raise ValueError(f"the Gaussian fold needs {min(sizes):.0f} nodes, over the "
+                             f"{_MAX_FOLD} allowed, for sigma = {sigma_hz:.6g} Hz and "
+                             f"tau = {pulse.duration:.6g} s")
+        _, best = min((size * (len(lines) if i == 0 else 1), i)
+                      for i, size in enumerate(sizes) if size <= _MAX_FOLD)
+        signal += next(plans[best])
     return Spectrum(grid, signal)
 
 

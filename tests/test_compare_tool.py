@@ -1,0 +1,107 @@
+"""The pure parts of tools/compare.py: run parsing, summaries, masking and
+byte moves. Nothing here starts a process."""
+
+import importlib.util
+import json
+import os
+import statistics
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "compare.py")
+_spec = importlib.util.spec_from_file_location("compare_tool", _PATH)
+compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare)
+
+
+def run_stdout(wall, rss, setup, sha="ab12", failed=0):
+    result = {"correct": True, "attempted": 16, "failed": failed,
+              "metrics": {"setup_s": {"value": setup, "unit": "s"},
+                          "wall_s": {"value": wall, "unit": "s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return "\n".join([
+        "workload=spectrum_mix seed=1 seconds=10 trace=0",
+        "environment: nproc=2 python=3.11.7",
+        f"outputs_sha256={sha}",
+        f"round 0: 16 jobs, wall 0.4 s, peak rss {rss} MB, outputs_sha256={sha}",
+        f"round 1: 16 jobs, wall 0.3 s, peak rss {rss} MB, outputs_sha256={sha}",
+        "check_fail_frac = 0.0 1",
+        f"wall_s = {wall} s",
+        json.dumps(result),
+    ])
+
+
+def test_parse_run_keeps_environment_rounds_and_result():
+    run = compare.parse_run(run_stdout(0.2, 65.0, 0.12))
+    assert run["environment"] == "environment: nproc=2 python=3.11.7"
+    assert [r.split(":")[0] for r in run["rounds"]] == ["round 0", "round 1"]
+    assert run["check_fail_frac"] == "check_fail_frac = 0.0 1"
+    assert run["result"]["metrics"]["wall_s"]["value"] == 0.2
+
+
+def test_describe_uses_inclusive_quartiles():
+    values = [5.0, 1.0, 4.0, 2.0, 3.0]
+    got = compare.describe(values)
+    assert got == {"n": 5, "median": 3.0, "q1": 2.0, "q3": 4.0, "min": 1.0, "max": 5.0}
+    q1, _, q3 = statistics.quantiles([1.0, 2.0, 3.0, 4.0], n=4, method="inclusive")
+    assert compare.describe([4.0, 3.0, 2.0, 1.0])["q1"] == q1 == 1.75
+    assert compare.describe([4.0, 3.0, 2.0, 1.0])["q3"] == q3 == 3.25
+
+
+def test_summarize_pairs_by_index_and_counts_change_wins():
+    walls = {"parent": [0.30, 0.20, 0.25], "change": [0.21, 0.22, 0.24]}
+    runs = []
+    for pair in range(3):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            sha = "aa" if side == "parent" else ("bb" if pair else "cc")
+            runs.append(compare.parse_run(run_stdout(walls[side][pair], 60.0 + pair, 0.1,
+                                                     sha, failed=side == "change"))
+                        | {"workload": "spectrum_mix", "seed": 1, "pair": pair,
+                           "side": side, "first": order[0]})
+    (entry,) = compare.summarize(runs)
+    assert (entry["workload"], entry["seed"], entry["pairs"]) == ("spectrum_mix", 1, 3)
+    assert entry["wall_s"]["parent"]["median"] == 0.25
+    assert entry["wall_s"]["change"]["median"] == 0.22
+    # pair 0: 0.21 < 0.30, pair 1: 0.22 > 0.20, pair 2: 0.24 < 0.25
+    assert entry["wall_s"]["change_wins"] == 2
+    # equal values are not a win
+    assert entry["peak_rss_mb"]["change_wins"] == 0
+    assert entry["failed"] == {"parent": 0, "change": 3}
+    assert entry["attempted"] == {"parent": 48, "change": 48}
+    assert entry["correct"] == {"parent": True, "change": True}
+    assert entry["outputs_sha256"] == {"parent": ["aa"], "change": ["bb", "cc"]}
+    assert entry["check_fail_frac"]["change"] == ["check_fail_frac = 0.0 1"]
+
+
+def test_mask_replaces_the_longest_path_first():
+    text = "wrote /tmp/w/parent/case/spectrum.csv from /tmp/w/parent/x.ini"
+    got = compare.mask(text, ["/tmp/w/parent/case", "/tmp/w/parent"])
+    assert got == "wrote <path0>/spectrum.csv from <path1>/x.ini"
+    assert compare.mask(text, []) == text
+
+
+def test_moves_reads_data_against_the_column_peak_and_lists_headers():
+    old = b"detuning_hz,signal\n-1,0.5\n0,2.0\n1,0.25\n# center_hz=1e-13\n# converged=True\n"
+    new = b"detuning_hz,signal\n-1,0.5\n0,2.0\n1,0.2500001\n# center_hz=-2e-13\n# converged=True\n"
+    got = compare.moves(old, new)
+    assert got["lines"] == 6 and got["differing"] == 2
+    assert got["data_move"] == pytest.approx(1e-7 / 2.0)
+    assert got["header"] == {"center_hz": ["1e-13", "-2e-13"]}
+
+
+def test_moves_of_equal_or_reshaped_files():
+    same = compare.moves(b"a,b\n1,2\n", b"a,b\n1,2\n")
+    assert (same["differing"], same["data_move"], same["header"]) == (0, None, {})
+    longer = compare.moves(b"a,b\n1,2\n", b"a,b\n1,2\n3,4\n")
+    assert longer["differing"] == 1 and longer["data_move"] is None
+
+
+def test_matrix_cases_are_named_uniquely():
+    cases = compare.matrix_cases()
+    assert len(cases) == 5 * 13 + 4
+    assert len({name for name, *_ in cases}) == len(cases)
+    biased = [(bias, flags) for _, scenario, bias, flags in cases if bias is not None]
+    assert biased == [("0.2", ("spectrum",)), ("0.2", ("spectrum", "--prune")),
+                      ("0.5", ("spectrum",)), ("0.5", ("spectrum", "--prune"))]

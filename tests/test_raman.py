@@ -312,43 +312,88 @@ class TestFold:
         want = untruncated_counterpropagating(uniform_f4(), vdist, self.PULSE, grid, bias_gauss)
         assert np.max(np.abs(got.signal[::100] - want)) <= 1e-10 * want.max()
 
-    @pytest.mark.parametrize("sigma_vr, route", [(0.1, "fold"), (0.3, "fold"),
-                                                 (0.5, "fourier"), (4.0, "fourier")])
-    def test_route_has_the_smaller_size(self, monkeypatch, sigma_vr, route):
+    @pytest.mark.parametrize("sigma_vr, bias_gauss, route", [
+        (0.1, 0.0, "fold"), (0.3, 0.0, "fold"), (0.5, 0.0, "fourier"), (4.0, 0.0, "fourier"),
+        (0.1, 0.1, "fold"), (0.3, 0.1, "fourier"), (0.5, 0.1, "fourier"),
+    ], ids=["0.1-fold", "0.3-fold", "0.5-fourier", "4.0-fourier",
+            "0.1-0.1G-fold", "0.3-0.1G-fourier", "0.5-0.1G-fourier"])
+    def test_route_has_the_smaller_size(self, monkeypatch, sigma_vr, bias_gauss, route):
         # the FFT fold serves narrow Doppler widths, where F needs many
         # nodes, and the transform wide ones; on the CLI grid at 7 ms the
-        # switch lies near 0.43 v_r
+        # switch lies near 0.43 v_r for one line position. The FFT fold
+        # evaluates each position's line on its nodes, so at 0.1 G, with
+        # seven positions, its length counts seven times and the switch
+        # falls to about 0.2 v_r
         sigma_hz = doppler_shift(sigma_vr)
-        fold = next(_fold(self.PULSE, sigma_hz, CLI_GRID, [0.0], np.sqrt(80.0), 2))
-        fourier = next(_fourier(self.PULSE, sigma_hz, CLI_GRID, [0.0]))
-        assert (fold < fourier) == (route == "fold")
+        lines = {raman_line_offset(m, bias_gauss): 1.0 for m in range(-3, 4)}
+        fold = next(_fold(self.PULSE, sigma_hz, CLI_GRID, lines, np.sqrt(80.0), 2))
+        fourier = next(_fourier(self.PULSE, sigma_hz, CLI_GRID, lines))
+        assert (fold * len(lines) <= fourier) == (route == "fold")
         used = []
 
         def spy(name, plan):
             def wrapped(*args):
-                lines = plan(*args)
-                yield next(lines)
+                folded = plan(*args)
+                yield next(folded)
                 used.append(name)   # reached only by the route that folds
-                yield from lines
+                yield from folded
             return wrapped
 
         monkeypatch.setattr(raman, "_fold", spy("fold", _fold))
         monkeypatch.setattr(raman, "_fourier", spy("fourier", _fourier))
-        synth_counterpropagating(polarized_populations(), VelocityDistribution(sigma_vr),
-                                 self.PULSE, CLI_GRID)
+        synth_counterpropagating(uniform_f4(), VelocityDistribution(sigma_vr),
+                                 self.PULSE, CLI_GRID, bias_gauss)
         assert used == [route]
+
+    @pytest.mark.parametrize("synth, plans", [
+        # the smear widths |m| * 0.70 MHz/G * 300 uG: three widths, m and -m
+        # in each of them
+        (lambda pulse: synth_copropagating(uniform_f4(), 0.1, pulse, CLI_GRID, 3e-4),
+         {"fold": [2, 2, 2]}),
+        # one Doppler width over seven positions: one plan on each route,
+        # and the Fourier route folds
+        (lambda pulse: synth_counterpropagating(uniform_f4(), VelocityDistribution(4.8), pulse,
+                                                CLI_GRID, 0.1),
+         {"fold": [1], "fourier": [2]}),
+    ], ids=["copropagating", "counterpropagating"])
+    def test_one_plan_per_folded_width(self, monkeypatch, synth, plans):
+        # a plan yields its size and then, if chosen, the folded sum of all
+        # the lines of its width, whatever their number of positions
+        opened = {}
+
+        def spy(name, plan):
+            def wrapped(*args):
+                opened.setdefault(name, []).append(0)
+                for out in plan(*args):
+                    opened[name][-1] += 1
+                    yield out
+            return wrapped
+
+        monkeypatch.setattr(raman, "_fold", spy("fold", _fold))
+        monkeypatch.setattr(raman, "_fourier", spy("fourier", _fourier))
+        assert np.all(np.isfinite(synth(self.PULSE).signal))
+        assert opened == plans
 
     @pytest.mark.parametrize("sigma_vr", [0.1, 1.0, 4.8])
     def test_routes_agree(self, sigma_vr):
         # both routes, whichever of them a width takes, agree to the
-        # rounding of their sums
-        sigma_hz, positions = doppler_shift(sigma_vr), [0.0, 70e3]
-        plans = [_fold(self.PULSE, sigma_hz, CLI_GRID, positions, np.sqrt(80.0), 2),
-                 _fourier(self.PULSE, sigma_hz, CLI_GRID, positions)]
-        for plan in plans:
-            next(plan)
-        fold, fourier = (np.array(list(plan)) for plan in plans)
+        # rounding of their sums, here of two lines of unequal weights, and
+        # each route's sum is the weighted sum of its single lines
+        sigma_hz, lines = doppler_shift(sigma_vr), {0.0: 0.3, 70e3: 1.7}
+
+        def folded(lines):
+            plans = [_fold(self.PULSE, sigma_hz, CLI_GRID, lines, np.sqrt(80.0), 2),
+                     _fourier(self.PULSE, sigma_hz, CLI_GRID, lines)]
+            for plan in plans:
+                next(plan)
+            return [next(plan) for plan in plans]
+
+        fold, fourier = folded(lines)
         assert np.max(np.abs(fold - fourier)) <= 1e-11 * fold.max()
+        singles = [folded({s0: 1.0}) for s0 in lines]
+        for i, route in enumerate((fold, fourier)):
+            want = sum(w * single[i] for w, single in zip(lines.values(), singles))
+            assert np.max(np.abs(route - want)) <= 1e-13 * fold.max()
 
     @pytest.mark.parametrize("m", [-3, -1, 1, 3])
     @pytest.mark.parametrize("rms_gauss", [5e-5, 3e-4])
@@ -376,7 +421,8 @@ class TestFold:
 
     def test_shared_fold_is_weighted_after_folding(self):
         # at zero bias every line of uniform_f4 sits at one position with one
-        # width: one fold, multiplied by the populations summed in m order
+        # width: one fold of the weighted line, which is the single line's
+        # fold times the summed population up to the rounding of the fold
         populations = uniform_f4()
         weight = 0.0
         for m in range(-3, 4):
@@ -384,7 +430,7 @@ class TestFold:
         vdist = VelocityDistribution(4.0)
         shared = synth_counterpropagating(populations, vdist, self.PULSE, CLI_GRID)
         single = synth_counterpropagating(polarized_populations(0), vdist, self.PULSE, CLI_GRID)
-        assert np.array_equal(shared.signal, weight * single.signal)
+        assert np.max(np.abs(shared.signal - weight * single.signal)) <= 1e-14 * shared.signal.max()
 
     @pytest.mark.parametrize("bias_gauss", [0.0, 0.1])
     def test_zero_spread_equals_unsmeared_copropagating(self, bias_gauss):

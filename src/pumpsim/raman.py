@@ -170,8 +170,8 @@ def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
     """Sum of the populated F=4, |m|<=3 lines, line m at
     `raman_line_offset(m, bias_gauss) + shift`, bare where width(m) is 0.
     The lines of a width w > 0, as {position: summed population}, are folded
-    once with a Gaussian of rms w Hz by the plan of `routes` of least size;
-    the first plan, the FFT fold, counts its size once per line position."""
+    once with a Gaussian of rms w Hz by the plan of least size among
+    `routes(pulse, w, grid, lines)`."""
     grid = np.asarray(grid, dtype=float)
     if not grid.size:
         return Spectrum(grid, np.zeros(0))
@@ -191,14 +191,13 @@ def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
     for position, weight in widths.pop(0.0, {}).items():   # bare lines, in m order
         signal += weight * rabi_lineshape(grid - position, pulse)
     for sigma_hz, lines in widths.items():
-        plans = routes(pulse, sigma_hz, grid, lines)   # refused before allocating
-        if not min(sizes := [next(plan) for plan in plans]) <= _MAX_FOLD:
-            raise ValueError(f"the Gaussian fold needs {min(sizes):.0f} nodes, over the "
-                             f"{_MAX_FOLD} allowed, for sigma = {sigma_hz:.6g} Hz and "
+        plans = routes(pulse, sigma_hz, grid, lines)
+        size = min(sizes := [next(plan) for plan in plans])
+        if not size <= _MAX_FOLD:   # refused before allocating
+            raise ValueError(f"the Gaussian fold needs {size:.0f} nodes, over the {_MAX_FOLD} "
+                             f"allowed, for sigma = {sigma_hz:.6g} Hz and "
                              f"tau = {pulse.duration:.6g} s")
-        _, best = min((size * (len(lines) if i == 0 else 1), i)
-                      for i, size in enumerate(sizes) if size <= _MAX_FOLD)
-        signal += next(plans[best])
+        signal += next(plans[sizes.index(size)])
     return Spectrum(grid, signal)
 
 

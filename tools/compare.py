@@ -12,8 +12,9 @@ With --pairs > 0, `perfbench/run.py --workload <w> --seed <s> --seconds
 parent runs first in even pairs and the change in odd ones. Each metric
 gets medians and statistics.quantiles(n=4, method='inclusive') per side and
 `change_wins`, the pairs where the change reads better. --bench writes the
-summary and every run's environment, round, check_fail_frac and last-line
-JSON lines in the layout of BENCH_26.json.
+protocol (`what`), the summary and every run's environment, round,
+check_fail_frac and last-line JSON lines, in the layout of BENCH_26.json;
+the record's `parent`, `change` and `claim` are left to its author.
 
 With --matrix, both trees run the CLI output matrix: `states`, `pump` and
 `spectrum` with and without --prune, `heat` plain, --prune, --seed 0,
@@ -242,8 +243,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--pairs", type=int, default=0)
     parser.add_argument("--bench", help="write the pairs' summary and runs to this JSON file")
-    parser.add_argument("--parent-label", help="the parent's name in --bench, such as a commit")
-    parser.add_argument("--change-label", help="the change's name in --bench")
     parser.add_argument("--matrix", action="store_true", help="compare the CLI output matrix")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -266,7 +265,6 @@ def main(argv=None) -> int:
                         "pairs; quartiles from statistics.quantiles(n=4, "
                         "method='inclusive'); change_wins counts pairs where the change "
                         "reads lower",
-                "parent": args.parent_label, "change": args.change_label, "claim": None,
                 "summary": summary, "runs": runs}
             with open(args.bench, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1)

@@ -1,7 +1,7 @@
-"""The numpy kernel behind `output.rows` for all but small tables: the text
-of `'%.17g' % x` for a whole table at once, byte for byte. See
-`output.rows` for why its digits are exact. The module is imported on the
-first call that needs it, and builds its tables then."""
+"""The numpy kernel behind `output.blocks` for all but small tables: the text
+of `'%.17g' % x` for a whole table, byte for byte, in blocks of whole lines.
+See `output.blocks` for why its digits are exact. The module is imported on
+the first call that needs it, and builds its tables then."""
 
 import numpy as np
 
@@ -14,10 +14,11 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _S_MIN, _S_MAX = 16 - 281, 16 + 282
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into 26+27 bits
 # A scaled value whose fraction lies closer than this to one half goes to
-# Python: the kernel's error is below 1e-14 (see output.rows).
+# Python: the kernel's error is below 1e-14 (see output.blocks).
 _TIE_MARGIN = 2.0 ** -20
 # Values per block: the largest temporary, 32 bytes a value, stays below the
-# 128 KiB from which malloc maps fresh pages on every call.
+# 128 KiB from which malloc maps fresh pages on every call. Each block's
+# compacted text is one write to the file.
 _BLOCK = 4000
 # The text of a value, one row per byte, NUL in the rows it leaves unused:
 # the sign, the "0.000" of fixed notation below 1, and 18 rows for the 17
@@ -33,11 +34,10 @@ _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing
                   axis=-1).view(np.uint32).ravel()
 # The 8 bytes after a value's digits, at 2 * (k + 331) for an exponent k and
 # at 0 for none, plus 1 for the last value of a row: the exponent, if any,
-# then the ',' that ends every value but a row's last.
+# then the ',' that ends every value but a row's last, which ends in '\n'.
 _SUFFIX_TEXT = [e + sep for e in [b""] + [b"e%+03d" % k for k in range(-330, 331)]
-                for sep in (b",", b"")]
+                for sep in (b",", b"\n")]
 _SUFFIXES = np.array(_SUFFIX_TEXT, dtype="S8").view(np.uint64)
-_SUFFIX_LENGTHS = np.array([len(text) for text in _SUFFIX_TEXT])
 
 
 def _powers_of_ten():
@@ -128,8 +128,8 @@ def _decimal(x):
 
 def _block(x, ncols):
     """A row-major block of values, `ncols` values to a line, as one uint8
-    array of their `%.17g` text, with ',' between a line's values and NUL
-    bytes to be dropped, and the offsets at which its lines end."""
+    array of their `%.17g` text: ',' between a line's values, '\n' after
+    each line."""
     k, rounded, ok = _decimal(x)
 
     # One column per value. %g writes fixed notation for -4 <= k < 17: after
@@ -152,27 +152,21 @@ def _block(x, ncols):
     body *= _ROW < shown
     suffix = np.where(fixed | ~ok, 0, k + 331) * 2
     suffix[ncols - 1::ncols] += 1
-    length = np.signbit(x) + np.where(lead > 0, lead + 1, 0) + shown + _SUFFIX_LENGTHS[suffix]
     for j in np.flatnonzero(~ok):
         raw = np.frombuffer(("%.17g" % x[j]).encode("ascii"), dtype=np.uint8)
         text[:, j] = 0
         text[:raw.size, j] = raw
-        length[j] = raw.size + _SUFFIX_LENGTHS[suffix[j]]
 
     out = np.empty((x.size, _ROWS + 8), dtype=np.uint8)
     out[:, :_ROWS] = text.T
     out[:, _ROWS:].view(np.uint64)[:, 0] = _SUFFIXES[suffix]
-    return out.ravel(), np.cumsum(length.reshape(-1, ncols).sum(axis=1)).tolist()
+    return out[out != 0]
 
 
-def table_lines(table) -> list[str]:
-    """One comma-separated line per row of the 2-D float64 `table`, each
-    value at `%.17g`, formatted in blocks of rows."""
+def table_blocks(table):
+    """Yields the `%.17g` text of the 2-D float64 `table`, one comma-separated
+    line per row, as one uint8 array of whole lines per block of rows."""
     nrows, ncols = table.shape
     step = max(1, _BLOCK // ncols)
-    lines = []
     for start in range(0, nrows, step):
-        out, ends = _block(table[start:start + step].ravel(), ncols)
-        text = str(out[out != 0], "ascii")
-        lines += [text[begin:end] for begin, end in zip([0] + ends, ends)]
-    return lines
+        yield _block(table[start:start + step].ravel(), ncols)

@@ -24,7 +24,7 @@ from .kinetics import (
     uniform_f4,
     write_trajectory_csv,
 )
-from .output import atomic_write, header, rows
+from .output import atomic_write, blocks, header, rows
 from .raman import (
     fit_gaussian,
     lineshape_fwhm,
@@ -94,7 +94,7 @@ def cmd_pump(args) -> int:
         "tau_50_s": metrics.tau_50,
         "photons_to_tau50": metrics.photons_to_tau50,
         "scattered_photons_final": trajectory.scattered_photons[-1],
-    }) + ["time_s,m0_fraction"] + rows(metrics.times, metrics.m0_fraction)
+    }) + ["time_s,m0_fraction", blocks(metrics.times, metrics.m0_fraction)]
     atomic_write(os.path.join(out, "pump_metrics.txt"), lines)
     print(f"final m0 fraction: {metrics.m0_fraction[-1]:.6f}")
     if metrics.tau_50 is None:

@@ -33,7 +33,7 @@ from .kinetics import (
     single_sublevel,
     uniform_f4,
 )
-from .output import atomic_write, header, rows
+from .output import atomic_write, blocks, header
 from .structure import Sublevel
 
 
@@ -269,4 +269,4 @@ def write_heating_summary(summary: HeatingSummary, path) -> None:
     span = 5.0 * max(result.delta_vrms, 1e-9)
     counts, edges = np.histogram(result.projected, bins=51, range=(-span, span))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    atomic_write(path, lines + rows(centers, counts))
+    atomic_write(path, lines + [blocks(centers, counts)])

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import constants as cst
-from .output import atomic_write, rows
+from .output import atomic_write, blocks
 from .structure import (
     N_STATES,
     STATES,
@@ -500,7 +500,5 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         + ",".join("n_" + lv.label() for lv in STATES)
         + ",scattered_photons"
     )
-    lines = [header] + rows(
-        trajectory.times, trajectory.populations, trajectory.scattered_photons
-    )
-    atomic_write(path, lines)
+    atomic_write(path, [header, blocks(trajectory.times, trajectory.populations,
+                                       trajectory.scattered_photons)])

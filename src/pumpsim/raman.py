@@ -13,11 +13,12 @@ a quadrature of the line's transform, which vanishes beyond the pulse length.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import constants as cst
-from .output import atomic_write, header, rows
+from .output import atomic_write, blocks, header
 from .structure import Sublevel, raman_line_offset, state_index
 
 
@@ -127,6 +128,15 @@ def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines, cut, pad)
     yield folded[2 * half : 2 * half + fine : k] / kernel.sum()
 
 
+@lru_cache(maxsize=8)
+def _leggauss(n: int):
+    """The n Gauss-Legendre nodes and weights on [-1, 1], read-only, once per n."""
+    from numpy.polynomial.legendre import leggauss   # 3-5 ms to import, so not at the top
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines):
     """Yields its size, then the same folded sum through the line's transform
     F(t) = (W0^2/4) int_|t|^tau J0(W0 sqrt(s^2 - t^2)) ds, zero for
@@ -149,8 +159,7 @@ def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines):
     if not scale >= np.finfo(float).tiny / np.finfo(float).eps:
         raise ValueError(f"the transform of the tau = {tau:.6g} s line underflows to "
                          f"{scale:.6g} for sigma = {sigma_hz:.6g} Hz")
-    from numpy.polynomial.legendre import leggauss   # 3-5 ms to import, so not at the top
-    (y, w), (ys, ws) = leggauss(int(n_t)), leggauss(16)
+    (y, w), (ys, ws) = _leggauss(int(n_t)), _leggauss(16)
     t = 0.5 * t_max * (y + 1.0)
     u, omega = t / tau, 2.0 * np.pi * t
     d = np.multiply.outer(0.5 * (1.0 - u), ys + 1.0)   # s / tau - u at the s nodes
@@ -361,7 +370,7 @@ def velocity_resolution(fwhm_hz: float) -> VelocityResolution:
 def write_spectrum_csv(spectrum: Spectrum, path, fit: GaussianFit | None = None) -> None:
     """Spectrum export; the fit report, when present, rides along as
     key=value comment lines after the data."""
-    lines = ["detuning_hz,signal"] + rows(spectrum.detunings, spectrum.signal)
+    lines = ["detuning_hz,signal", blocks(spectrum.detunings, spectrum.signal)]
     if fit is not None:
         lines += header({name: getattr(fit, name) for name in (
             "center_hz", "sigma_hz", "fwhm_hz", "amplitude", "rms_residual",

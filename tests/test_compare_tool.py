@@ -105,3 +105,37 @@ def test_matrix_cases_are_named_uniquely():
     biased = [(bias, flags) for _, scenario, bias, flags in cases if bias is not None]
     assert biased == [("0.2", ("spectrum",)), ("0.2", ("spectrum", "--prune")),
                       ("0.5", ("spectrum",)), ("0.5", ("spectrum", "--prune"))]
+
+
+def test_summarize_layers_pairs_processes_by_round():
+    times = {"parent": [0.020, 0.018, 0.030], "change": [0.015, 0.019, 0.016]}
+    runs = [{"round": i, "side": side, "first": "parent" if i % 2 == 0 else "change",
+             "times": {"write_spectrum_csv fig3": times[side][i], "other": 1.0}}
+            for i in (2, 0, 1) for side in ("change", "parent")]
+    got = compare.summarize_layers(runs)
+    assert list(got) == ["write_spectrum_csv fig3", "other"]
+    entry = got["write_spectrum_csv fig3"]
+    assert entry["parent"] == compare.describe(times["parent"])
+    assert entry["change"]["median"] == 0.016
+    # round 0: 0.015 < 0.020, round 1: 0.019 > 0.018, round 2: 0.016 < 0.030
+    assert entry["change_wins"] == 2
+    assert got["other"]["change_wins"] == 0
+    assert compare.summarize_layers([]) == {}
+
+
+def test_layer_cases_and_scenario_edits(tmp_path):
+    names = [case for case, *_ in compare.LAYER_CASES]
+    assert names == ["write_trajectory_csv fig5 5 ms", "write_trajectory_csv fig5 5 ms --prune",
+                     "write_trajectory_csv fig5 50 ms", "write_trajectory_csv fig5 50 ms --prune",
+                     "write_spectrum_csv fig3", "write_spectrum_csv fig4"]
+    tree = os.path.dirname(os.path.dirname(_PATH))
+    for _, _, scenario, _, _ in compare.LAYER_CASES:
+        assert os.path.exists(compare.scenario_config(tree, str(tmp_path), "x", scenario, {}))
+    path = compare.scenario_config(tree, str(tmp_path), "long", "fig5_dynamics",
+                                   {"t_end_s": "0.05"})
+    assert path == str(tmp_path / "long.ini")
+    with open(path, encoding="utf-8") as fh:
+        edited = fh.read()
+    with open(os.path.join(tree, "scenarios", "fig5_dynamics.ini"), encoding="utf-8") as fh:
+        original = fh.read()
+    assert edited == original.replace("t_end_s = 0.005", "t_end_s = 0.05") != original

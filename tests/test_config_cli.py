@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
-from pumpsim import config
+from pumpsim import _g17, config
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
 from pumpsim.kinetics import (
@@ -21,7 +21,7 @@ from pumpsim.kinetics import (
     prune,
     stationary_state,
 )
-from pumpsim.output import atomic_write, header, rows
+from pumpsim.output import atomic_write, blocks, header, rows
 from pumpsim.structure import GROUND_INDICES, Sublevel, state_index, write_branching_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -818,6 +818,28 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert sorted(os.listdir(tmp_path)) == ["report.txt"]
 
+    def test_failed_table_keeps_previous_file(self, tmp_path, monkeypatch):
+        # an error between two blocks of a table leaves the old file and no
+        # temporary file
+        path = tmp_path / "trajectory.csv"
+        atomic_write(path, ["old"])
+        block = _g17._block
+        done = []
+
+        def failing(x, ncols):
+            if done:
+                raise MemoryError("second block")
+            done.append(ncols)
+            return block(x, ncols)
+
+        monkeypatch.setattr(_g17, "_block", failing)
+        table = np.arange(3.0 * _g17._BLOCK).reshape(-1, 3)
+        with pytest.raises(MemoryError):
+            atomic_write(path, ["a,b,c", blocks(table)])
+        assert done == [3]
+        assert path.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["trajectory.csv"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
     def test_mode_follows_umask(self, tmp_path, umask):
         cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
@@ -906,6 +928,64 @@ def test_rows_match_format_spec():
     assert rows(np.empty((3, 0))) == ["", "", ""]
 
 
+def _file_bytes(path, items):
+    # what atomic_write puts in a file for these lines and tables
+    atomic_write(path, items)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _oracle_bytes(*columns):
+    return "".join(line + "\n" for line in _oracle(*columns)).encode("ascii")
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 45])
+def test_table_blocks_straddle_the_block_size(tmp_path, ncols):
+    # tables a row short of one block, of exactly one, a row over and two
+    # blocks and a row, with the awkward doubles spread through every block
+    step = _g17._BLOCK // ncols
+    values = np.resize(_awkward_doubles() * 0.73, (2 * step + 1) * ncols)
+    for nrows in (step - 1, step, step + 1, 2 * step + 1):
+        table = values[:nrows * ncols].reshape(nrows, ncols)
+        assert len(list(blocks(table))) == -(-nrows // step)
+        assert _file_bytes(tmp_path / "t.csv", [blocks(table)]) == _oracle_bytes(table)
+        assert rows(table) == _oracle(table)
+
+
+def test_table_one_column_either_side_of_the_kernel(tmp_path):
+    # a one-column table takes the kernel from 512 values on
+    line = _kernel_table(_awkward_doubles(), ncols=1).ravel()
+    for n in (511, 512, line.size):
+        assert _file_bytes(tmp_path / "t.csv", [blocks(line[:n])]) == _oracle_bytes(line[:n])
+
+
+def test_table_fallback_values_inside_a_block(tmp_path):
+    # ties at 2^-25, subnormals, nan, +-inf and -0.0 take Python's format in
+    # the middle of a block of ordinary values, and the lines around them
+    # keep their places
+    awkward = np.array([2.0 ** -25, -3 * 2.0 ** -25, 5e-324, -5e-324,
+                        2.2250738585072009e-308, float("nan"), float("inf"),
+                        -float("inf"), -0.0, 0.0])
+    table = np.linspace(-1.0, 2.0, 3 * 1200).reshape(1200, 3) * np.pi
+    table[600:600 + awkward.size, 1] = awkward
+    table[700, :] = awkward[5:8]
+    assert _file_bytes(tmp_path / "t.csv", [blocks(table)]) == _oracle_bytes(table)
+    assert rows(table) == _oracle(table)
+
+
+def test_table_between_header_and_trailer_lines(tmp_path):
+    # the layout of a spectrum with its fit: a header line, the table, then
+    # `# key=value` lines; and an empty table under a header
+    x = np.linspace(-2000.0, 2000.0, 4001)
+    y = np.exp(-(x / 700.0) ** 2) / 3.0
+    trailer = header({"center_hz": 0.1 + 0.2, "converged": True})
+    got = _file_bytes(tmp_path / "s.csv", ["detuning_hz,signal", blocks(x, y)] + trailer)
+    assert got == b"detuning_hz,signal\n" + _oracle_bytes(x, y) + (
+        "# center_hz=0.30000000000000004\n# converged=true\n").encode()
+    empty = np.empty(0)
+    assert _file_bytes(tmp_path / "e.csv", ["a,b", blocks(empty, empty), "end"]) == b"a,b\nend\n"
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(st_h.lists(st_h.floats(), min_size=1, max_size=40),
        st_h.lists(st_h.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
@@ -918,12 +998,20 @@ def test_rows_match_format_spec_on_any_double(floats, patterns):
 
 
 def _write_both(writer, module):
-    # a writer that also writes `path`.reference through the reference rows
+    # a writer that also writes `path`.reference, its table through the
+    # reference rows
     def write(obj, path, *args, **kwargs):
         writer(obj, path, *args, **kwargs)
+        tables = []
+
+        def reference(*columns):
+            tables.append(np.column_stack(columns).shape)
+            return ["".join(line + "\n" for line in _reference_rows(*columns)).encode("ascii")]
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(module, "rows", _reference_rows)
+            patch.setattr(module, "blocks", reference)
             writer(obj, path + ".reference", *args, **kwargs)
+        assert len(tables) == 1 and tables[0][0] > 1000
     return write
 
 

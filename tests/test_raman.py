@@ -367,6 +367,34 @@ class TestFold:
         assert np.all(np.isfinite(synth(self.PULSE).signal))
         assert opened == plans
 
+    def test_leggauss_nodes_are_cached_read_only(self, monkeypatch):
+        # the Fourier route's nodes depend on n alone: a repeated n takes
+        # them from the cache, which no caller can write into, and the
+        # spectrum keeps the bits of freshly computed nodes
+        from numpy.polynomial import legendre
+
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return leggauss(n)
+
+        leggauss = legendre.leggauss
+        raman._leggauss.cache_clear()
+        monkeypatch.setattr(legendre, "leggauss", spy)
+        vdist = VelocityDistribution(4.8)
+        first = synth_counterpropagating(uniform_f4(), vdist, self.PULSE, CLI_GRID).signal
+        assert len(calls) == 2 and 16 in calls
+        again = synth_counterpropagating(uniform_f4(), vdist, self.PULSE, CLI_GRID).signal
+        assert len(calls) == 2
+        for array in raman._leggauss(16):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        monkeypatch.setattr(raman, "_leggauss", raman._leggauss.__wrapped__)
+        fresh = synth_counterpropagating(uniform_f4(), vdist, self.PULSE, CLI_GRID).signal
+        assert len(calls) == 4
+        assert first.tobytes() == again.tobytes() == fresh.tobytes()
+
     @pytest.mark.parametrize("sigma_vr", [0.1, 1.0, 4.8])
     def test_routes_agree(self, sigma_vr):
         # both routes, whichever of them a width takes, agree to the

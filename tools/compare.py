@@ -1,20 +1,32 @@
 """Compare two pumpsim source trees: benchmark pairs and CLI output bytes.
 
-    python3 tools/compare.py <parent-tree> <change-tree> [--pairs 10] [--seed 1]
-        [--seconds 10] [--workload <name> ...] [--bench BENCH_<n>.json] [--matrix]
+    python3 tools/compare.py <parent-tree> <change-tree> [--pairs 10] [--seed 1 ...]
+        [--seconds 10] [--workload <name> ...] [--layers 10] [--matrix]
+        [--bench BENCH_<n>.json]
 
 Each tree is a directory holding `src/pumpsim`, `scenarios/` and
 `perfbench/`, such as a `git archive` of a commit. Nothing in either tree
 is edited; the benchmark writes its own scratch folder inside each tree.
 
 With --pairs > 0, `perfbench/run.py --workload <w> --seed <s> --seconds
-<t> --trace 0` runs in each tree as a subprocess, in alternating pairs: the
-parent runs first in even pairs and the change in odd ones. Each metric
-gets medians and statistics.quantiles(n=4, method='inclusive') per side and
-`change_wins`, the pairs where the change reads better. --bench writes the
-protocol (`what`), the summary and every run's environment, round,
-check_fail_frac and last-line JSON lines, in the layout of BENCH_26.json;
-the record's `parent`, `change` and `claim` are left to its author.
+<t> --trace 0` runs in each tree as a subprocess, in alternating pairs, for
+every workload and every --seed given: the parent runs first in even pairs
+and the change in odd ones. Each metric gets medians and
+statistics.quantiles(n=4, method='inclusive') per side and `change_wins`,
+the pairs where the change reads better. --bench writes the protocol
+(`what`), the summary and every run's environment, round, check_fail_frac
+and last-line JSON lines, in the layout of BENCH_26.json, and the layer
+timings and the matrix report when they ran; the record's `parent`,
+`change` and `claim` are left to its author.
+
+With --layers > 0, each tree times its output writers in process, in
+fresh processes alternating as the pairs do: `write_trajectory_csv` on
+fig5 at 5 ms and 50 ms, with and without --prune, and `write_spectrum_csv`
+on fig3 and fig4. A process runs the command with the writer held back,
+then calls the writer on what it was handed LAYER_CALLS + 1 times and
+keeps the median of all calls but the first, which pays for imports. Each
+case gets medians and quartiles of those per-process medians per side and
+`change_wins`.
 
 With --matrix, both trees run the CLI output matrix: `states`, `pump` and
 `spectrum` with and without --prune, `heat` plain, --prune, --seed 0,
@@ -45,6 +57,37 @@ FLAGS = ([("states",), ("states", "--prune"), ("pump",), ("pump", "--prune"),
           ("spectrum",), ("spectrum", "--prune"), ("heat",), ("heat", "--prune"),
           ("heat", "--seed", "0"), ("heat", "--seed", "7", "--prune"),
           ("heat", "--seed", "2718"), ("fit", "@obs"), ("fit", "--fit-scale", "@obs")])
+# In-process writer timings: (case, command, scenario, t_end_s or None, flags)
+LAYER_CASES = [(f"write_trajectory_csv fig5 {ms} ms{' --prune' * prune}", "pump",
+                "fig5_dynamics", None if ms == 5 else "0.05", ("--prune",) * prune)
+               for ms in (5, 50) for prune in (False, True)]
+LAYER_CASES += [(f"write_spectrum_csv {s}", "spectrum", f"{s}_{rest}", None, ())
+                for s, rest in (("fig3", "polarized"), ("fig4", "velocimetry"))]
+LAYER_CALLS = 7
+# Run in each tree as `python -c LAYER_SCRIPT <cases json>`: cases are
+# [case, argv without --out, writer name in pumpsim.cli]; prints
+# {case: median seconds} as JSON.
+LAYER_SCRIPT = """
+import contextlib, io, json, os, statistics, sys, tempfile, time
+from pumpsim import cli
+result = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for case, argv, name in json.loads(sys.argv[1]):
+        writer, handed = getattr(cli, name), []
+        setattr(cli, name, lambda *args, **kwargs: handed.append((args, kwargs)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main([*argv, "--out", tmp]) != 0:
+                sys.exit(f"{case}: the command failed")
+        setattr(cli, name, writer)
+        ((obj, _, *rest), kwargs), = handed
+        times = []
+        for _ in range(int(sys.argv[2]) + 1):
+            start = time.perf_counter()
+            writer(obj, os.path.join(tmp, "timed.csv"), *rest, **kwargs)
+            times.append(time.perf_counter() - start)
+        result[case] = statistics.median(times[1:])
+print(json.dumps(result))
+"""
 OBSERVATIONS = {  # fixed inputs for `fit`: time_s, fraction of atoms in F=4, m=0
     "obs_a.csv": "# observable = g4_m0\n" + "".join(
         f"{t * 1e-4:.4f},{0.84 * (1 - 0.93 ** t) + 0.004 * ((7 * t) % 5 - 2):.6f}\n"
@@ -72,6 +115,13 @@ def parse_run(stdout: str) -> dict:
             "result": json.loads(lines[-1])}
 
 
+def versus(parent, change) -> dict:
+    """describe() of each side's values, in pair order, and change_wins,
+    the pairs where the change reads lower."""
+    return {"parent": describe(parent), "change": describe(change),
+            "change_wins": sum(c < p for p, c in zip(parent, change))}
+
+
 def summarize(runs) -> list:
     """One summary per (workload, seed) from run records that carry workload,
     seed, pair, side and the parsed run; every metric here is better lower."""
@@ -82,11 +132,8 @@ def summarize(runs) -> list:
                 for s in ("parent", "change")}
         entry = {"workload": key[0], "seed": key[1], "pairs": len(side["change"])}
         for name in METRICS:
-            values = {s: [r["result"]["metrics"][name]["value"] for r in side[s]]
-                      for s in side}
-            entry[name] = {s: describe(v) for s, v in values.items()}
-            entry[name]["change_wins"] = sum(c < p for p, c in zip(values["parent"],
-                                                                    values["change"]))
+            entry[name] = versus(*([r["result"]["metrics"][name]["value"] for r in side[s]]
+                                   for s in ("parent", "change")))
         for field in ("failed", "attempted"):
             entry[field] = {s: sum(r["result"][field] for r in side[s]) for s in side}
         entry["correct"] = {s: all(r["result"]["correct"] for r in side[s]) for s in side}
@@ -97,6 +144,15 @@ def summarize(runs) -> list:
                                    for s in side}
         out.append(entry)
     return out
+
+
+def summarize_layers(runs) -> dict:
+    """versus() per case over layer runs that carry round, side and times,
+    {case: seconds}."""
+    side = {s: sorted((r for r in runs if r["side"] == s), key=lambda r: r["round"])
+            for s in ("parent", "change")}
+    return {case: versus(*([r["times"][case] for r in side[s]] for s in side))
+            for case in side["parent"][0]["times"]} if runs else {}
 
 
 def mask(text: str, paths) -> str:
@@ -148,9 +204,9 @@ def _bench_env() -> dict:
     return env
 
 
-def run_pairs(trees, workloads, seed, seconds, pairs) -> list:
+def run_pairs(trees, workloads, seeds, seconds, pairs) -> list:
     runs = []
-    for workload in workloads:
+    for workload, seed in ((w, s) for w in workloads for s in seeds):
         for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
@@ -166,8 +222,51 @@ def run_pairs(trees, workloads, seed, seconds, pairs) -> list:
                                                 "pair": pair, "side": side, "first": order[0]}
                 runs.append(run)
                 m = run["result"]["metrics"]
-                print(f"{workload} pair {pair} {side}: " + ", ".join(
+                print(f"{workload} seed {seed} pair {pair} {side}: " + ", ".join(
                     f"{name} {m[name]['value']:.4f}" for name in METRICS), flush=True)
+    return runs
+
+
+def scenario_config(tree, work, name, scenario, edits) -> str:
+    """The path of `scenario`'s config in `tree`, or of a copy in `work`
+    with each `key = value` line of `edits` (key: value) replaced."""
+    config = os.path.join(tree, "scenarios", f"{scenario}.ini")
+    if not edits:
+        return config
+    with open(config, encoding="utf-8") as fh:
+        text = fh.read()
+    for key, value in edits.items():
+        text = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+    config = os.path.join(work, f"{name}.ini")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return config
+
+
+def run_layers(trees, rounds) -> list:
+    """`rounds` fresh timing processes per tree, alternating which runs first."""
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="pumpsim-layers-") as work:
+        cases = {side: [[case, [command, "--config",
+                                scenario_config(tree, work, f"{side}-{i}", scenario,
+                                                {"t_end_s": t_end} if t_end else {}), *flags],
+                         f"write_{'trajectory' if command == 'pump' else 'spectrum'}_csv"]
+                        for i, (case, command, scenario, t_end, flags) in enumerate(LAYER_CASES)]
+                 for side, tree in trees.items()}
+        for i in range(rounds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                env = _bench_env() | {"PYTHONPATH": os.path.join(trees[side], "src")}
+                done = subprocess.run([sys.executable, "-c", LAYER_SCRIPT,
+                                       json.dumps(cases[side]), str(LAYER_CALLS)],
+                                      cwd=work, env=env, capture_output=True, text=True)
+                if done.returncode != 0:
+                    raise RuntimeError(f"{side} layers round {i}: exit {done.returncode}\n"
+                                       f"{done.stderr}")
+                runs.append({"round": i, "side": side, "first": order[0],
+                             "times": json.loads(done.stdout)})
+                print(f"layers round {i} {side}: " + ", ".join(
+                    f"{t * 1e3:.2f} ms" for t in runs[-1]["times"].values()), flush=True)
     return runs
 
 
@@ -181,13 +280,8 @@ def matrix_cases() -> list:
 
 
 def run_case(tree, work, name, scenario, bias, flags) -> dict:
-    config = os.path.join(tree, "scenarios", f"{scenario}.ini")
-    if bias is not None:
-        with open(config, encoding="utf-8") as fh:
-            text = re.sub(r"(?m)^bias_gauss\s*=.*$", f"bias_gauss = {bias}", fh.read())
-        config = os.path.join(work, f"{name}.ini")
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    config = scenario_config(tree, work, name, scenario,
+                             {"bias_gauss": bias} if bias is not None else {})
     out = os.path.join(work, name)
     data = [os.path.join(work, f) for f in sorted(OBSERVATIONS)]
     argv = [flags[0], "--config", config, "--out", out]
@@ -239,36 +333,52 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="a workload seed, repeatable (default 1)")
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--pairs", type=int, default=0)
-    parser.add_argument("--bench", help="write the pairs' summary and runs to this JSON file")
+    parser.add_argument("--layers", type=int, default=0,
+                        help="rounds of in-process writer timings per tree")
+    parser.add_argument("--bench", help="write the summaries and runs to this JSON file")
     parser.add_argument("--matrix", action="store_true", help="compare the CLI output matrix")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    status = 0
+    seeds = args.seed or [1]
+    record, status = {}, 0
     if args.pairs > 0:
-        runs = run_pairs(trees, args.workload or WORKLOADS, args.seed, args.seconds, args.pairs)
+        runs = run_pairs(trees, args.workload or WORKLOADS, seeds, args.seconds, args.pairs)
         summary = summarize(runs)
         for entry in summary:
             for name in METRICS:
                 p, c = entry[name]["parent"], entry[name]["change"]
-                print(f"{entry['workload']} {name}: median {p['median']:.4f} -> "
-                      f"{c['median']:.4f} ({c['median'] / p['median'] - 1:+.1%}), parent "
-                      f"IQR {p['q3'] - p['q1']:.4f}, change lower in "
+                print(f"{entry['workload']} seed {entry['seed']} {name}: median "
+                      f"{p['median']:.4f} -> {c['median']:.4f} "
+                      f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
+                      f"{p['q3'] - p['q1']:.4f}, change lower in "
                       f"{entry[name]['change_wins']} of {entry['pairs']}")
-        if args.bench:
-            record = {
-                "what": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-                        f"--seconds {args.seconds:g} --trace 0 in each tree, run by "
-                        "tools/compare.py: alternating pairs, the parent first in even "
-                        "pairs; quartiles from statistics.quantiles(n=4, "
-                        "method='inclusive'); change_wins counts pairs where the change "
-                        "reads lower",
-                "summary": summary, "runs": runs}
-            with open(args.bench, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=1)
-                fh.write("\n")
+        record |= {
+            "what": f"python3 perfbench/run.py --workload <w> --seed <s> for s in {seeds} "
+                    f"--seconds {args.seconds:g} --trace 0 in each tree, run by "
+                    "tools/compare.py: alternating pairs, the parent first in even "
+                    "pairs; quartiles from statistics.quantiles(n=4, "
+                    "method='inclusive'); change_wins counts pairs where the change "
+                    "reads lower",
+            "summary": summary, "runs": runs}
+    if args.layers > 0:
+        runs = run_layers(trees, args.layers)
+        summary = summarize_layers(runs)
+        for case, entry in summary.items():
+            p, c = entry["parent"], entry["change"]
+            print(f"{case}: median {p['median'] * 1e3:.2f} -> {c['median'] * 1e3:.2f} ms "
+                  f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
+                  f"{(p['q3'] - p['q1']) * 1e3:.2f} ms, change lower in "
+                  f"{entry['change_wins']} of {args.layers}")
+        record["layers"] = {
+            "what": f"{args.layers} fresh processes per tree, alternating as the pairs do; "
+                    f"each times the writer on what its command handed it, {LAYER_CALLS} calls "
+                    "after one uncounted call, and keeps their median (seconds); medians "
+                    "and inclusive quartiles over processes",
+            "summary": summary, "runs": runs}
     if args.matrix:
         report = run_matrix(trees)
         print(f"{report['cases']} cases per tree; {len(report['mismatch'])} mismatch(es), "
@@ -278,9 +388,13 @@ def main(argv=None) -> int:
         for m in report["moved"]:
             print(f"  moved {m['case']}/{m['file']}: {m['differing']} of {m['lines']} lines, "
                   f"largest move {m['data_move']} of the peak, header {m['header']}")
+        record["matrix"] = report
         status = 1 if report["mismatch"] else 0
+    if args.bench:
+        with open(args.bench, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     return status
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,6 +8,7 @@ text artifacts atomically (write-then-rename), and uses the exit codes
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,7 +224,9 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser that every `main` call shares, built on the first."""
     parser = argparse.ArgumentParser(
         prog="pumpsim",
         description="Optical pumping of cold cesium into m=0: kinetics, "

@@ -174,31 +174,47 @@ def _from_terms(terms: np.ndarray) -> RateMatrix:
     return RateMatrix(mat, terms)
 
 
-def assemble_rate_matrix(beams) -> RateMatrix:
-    """Rate matrix for a set of beams: stimulated rates in both directions,
-    spontaneous feeding of the ground manifolds, and excited-state decay. A
-    channel with a positive rate at unit polarization weight is a term even
-    where the beam's weight for its q is 0."""
+@lru_cache(maxsize=None)
+def _channels(ground_f: int, excited_f: int) -> np.ndarray:
+    """Read-only: each channel of the line ground_f -> excited_f' as its
+    ground and excited index, q and branching ratio, in order of m, then q."""
     table = branching_table()
-    terms = []
+    rows = []
+    for m in range(-ground_f, ground_f + 1):
+        gi = state_index(Sublevel("g", ground_f, m))
+        for q in (-1, 0, 1):
+            if abs(m + q) <= excited_f:
+                ei = state_index(Sublevel("e", excited_f, m + q))
+                rows.append((gi, ei, q, table[ei, gi]))
+    channels = np.array(rows, dtype=[("ground", np.intp), ("excited", np.intp),
+                                     ("q", np.intp), ("branching", float)])
+    channels.setflags(write=False)
+    return channels
+
+
+def assemble_rate_matrix(beams) -> RateMatrix:
+    """Rate matrix for a set of beams, from each line's cached channel table:
+    stimulated rates in both directions, spontaneous feeding of the ground
+    manifolds, and excited-state decay. A channel with a positive rate at unit
+    polarization weight is a term even where the beam's weight for its q is 0."""
+    parts = [np.empty(0, dtype=TERM)]
     for bm in beams:
-        weights = polarization_weights(bm.depolarization)
+        weights = np.array(polarization_weights(bm.depolarization))
         for fe in cst.EXCITED_F:
             if abs(fe - bm.ground_f) > 1:
                 continue
             overlap = transition_overlap(fe, bm)
             # rate (s^-1) per unit branching ratio and polarization weight
             base = 0.5 * cst.GAMMA * (cst.GAMMA / bm.linewidth) * bm.intensity_ratio * overlap
-            for m in range(-bm.ground_f, bm.ground_f + 1):
-                gi = state_index(Sublevel("g", bm.ground_f, m))
-                for q in (-1, 0, 1):
-                    if abs(m + q) > fe:
-                        continue
-                    ei = state_index(Sublevel("e", fe, m + q))
-                    unit = base * table[ei, gi]
-                    if unit > 0.0:
-                        terms.append((gi, ei, q, unit, overlap, unit * weights[q + 1]))
-    return _from_terms(np.array(terms, dtype=TERM))
+            channels = _channels(bm.ground_f, fe)
+            unit = base * channels["branching"]
+            live = unit > 0.0
+            part = np.empty(np.count_nonzero(live), dtype=TERM)
+            part[["ground", "excited", "q"]] = channels[["ground", "excited", "q"]][live]
+            part["unit"], part["overlap"] = unit[live], overlap
+            part["rate"] = part["unit"] * weights[part["q"] + 1]
+            parts.append(part)
+    return _from_terms(np.concatenate(parts))
 
 
 def with_depolarization(rate_matrix: RateMatrix, depolarization: float) -> RateMatrix:

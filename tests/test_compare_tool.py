@@ -127,10 +127,12 @@ def test_layer_cases_and_scenario_edits(tmp_path):
     names = [case for case, *_ in compare.LAYER_CASES]
     assert names == ["write_trajectory_csv fig5 5 ms", "write_trajectory_csv fig5 5 ms --prune",
                      "write_trajectory_csv fig5 50 ms", "write_trajectory_csv fig5 50 ms --prune",
-                     "write_spectrum_csv fig3", "write_spectrum_csv fig4"]
+                     "write_spectrum_csv fig3", "write_spectrum_csv fig4",
+                     "assemble_rate_matrix fig5", "cli.main states"]
     tree = os.path.dirname(os.path.dirname(_PATH))
-    for _, _, scenario, _, _ in compare.LAYER_CASES:
-        assert os.path.exists(compare.scenario_config(tree, str(tmp_path), "x", scenario, {}))
+    for _, _, scenario, _, _, _ in compare.LAYER_CASES:
+        if scenario is not None:
+            assert os.path.exists(compare.scenario_config(tree, str(tmp_path), "x", scenario, {}))
     path = compare.scenario_config(tree, str(tmp_path), "long", "fig5_dynamics",
                                    {"t_end_s": "0.05"})
     assert path == str(tmp_path / "long.ini")
@@ -139,3 +141,46 @@ def test_layer_cases_and_scenario_edits(tmp_path):
     with open(os.path.join(tree, "scenarios", "fig5_dynamics.ini"), encoding="utf-8") as fh:
         original = fh.read()
     assert edited == original.replace("t_end_s = 0.005", "t_end_s = 0.05") != original
+
+
+def test_layer_cases_name_each_layer_and_argv(tmp_path):
+    tree = os.path.dirname(os.path.dirname(_PATH))
+    fig5 = os.path.join(tree, "scenarios", "fig5_dynamics.ini")
+    cases = {case: (argv, name) for case, argv, name
+             in compare.layer_cases(tree, str(tmp_path), "change")}
+    assert list(cases) == [case for case, *_ in compare.LAYER_CASES]
+    # the last two cases: a layer the pump command calls, and a whole call
+    assert cases["assemble_rate_matrix fig5"] == (["pump", "--config", fig5],
+                                                  "assemble_rate_matrix")
+    assert cases["cli.main states"] == (["states"], None)
+    assert cases["write_trajectory_csv fig5 5 ms --prune"] == (
+        ["pump", "--config", fig5, "--prune"], "write_trajectory_csv")
+    # only the 50 ms cases edit a copy, named after the side and the case index
+    assert cases["write_trajectory_csv fig5 50 ms"] == (
+        ["pump", "--config", str(tmp_path / "change-2.ini")], "write_trajectory_csv")
+    assert sorted(os.listdir(tmp_path)) == ["change-2.ini", "change-3.ini"]
+    # LAYER_SCRIPT reads them back from JSON
+    listed = compare.layer_cases(tree, str(tmp_path), "change")
+    assert json.loads(json.dumps(listed)) == listed
+
+
+def test_summarize_traced_by_workload_seed_and_pair():
+    def traced(pair, side, workload, self_s):
+        return {"workload": workload, "seed": 1, "pair": pair, "side": side,
+                "result": {"metrics": {"cli.self_s": {"value": self_s, "unit": "s"},
+                                       "kinetics.assemble_rate_matrix.calls":
+                                           {"value": 19, "unit": "count"}}}}
+    self_s = {"parent": [0.030, 0.020, 0.025], "change": [0.021, 0.022, 0.010]}
+    runs = [traced(pair, side, w, self_s[side][pair] + (w == "fit_sweep"))
+            for w in ("spectrum_mix", "fit_sweep") for pair in (1, 0, 2)
+            for side in ("change", "parent")]
+    got = compare.summarize_traced(runs)
+    assert list(got) == ["spectrum_mix seed 1", "fit_sweep seed 1"]
+    entry = got["spectrum_mix seed 1"]["cli.self_s"]
+    assert entry["parent"] == compare.describe(self_s["parent"])
+    assert entry["change"]["median"] == 0.021
+    # pair 0: 0.021 < 0.030, pair 1: 0.022 > 0.020, pair 2: 0.010 < 0.025
+    assert entry["change_wins"] == 2
+    assert got["fit_sweep seed 1"]["cli.self_s"]["parent"]["median"] == 1.025
+    assert got["fit_sweep seed 1"]["kinetics.assemble_rate_matrix.calls"]["change_wins"] == 0
+    assert compare.summarize_traced([]) == {}

@@ -1,5 +1,6 @@
 """Scenario parsing and the command-line surface."""
 
+import argparse
 import json
 import os
 import stat
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
-from pumpsim import _g17, config
+from pumpsim import _g17, cli, config
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
 from pumpsim.kinetics import (
@@ -807,6 +808,66 @@ class TestFitCommand:
         result = run_cli("fit", "--config", cfg, "--prune")
         assert result.returncode == 2
         assert "--prune" in result.stderr
+
+
+class TestSharedParser:
+    """`main` parses every call with one parser; no call leaves state in it."""
+
+    @staticmethod
+    def pump(cfg, out, *flags):
+        assert main(["pump", "--config", cfg, "--out", str(out), *flags]) == 0
+        return (out / "trajectory.csv").read_bytes() + (out / "pump_metrics.txt").read_bytes()
+
+    @staticmethod
+    def heat(cfg, out, *flags):
+        assert main(["heat", "--config", cfg, "--out", str(out), *flags]) == 0
+        return (out / "heating.txt").read_bytes()
+
+    def test_calls_in_one_process_match_lone_calls(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out"))
+                           + "\n[mc]\nsamples = 2000\nseed = 99\n")
+        lone = {}
+        for name in ("pump", "heat"):
+            result = run_cli(name, "--config", cfg, "--out", str(tmp_path / f"lone-{name}"))
+            assert result.returncode == 0, result.stderr
+        lone["pump"] = ((tmp_path / "lone-pump" / "trajectory.csv").read_bytes()
+                        + (tmp_path / "lone-pump" / "pump_metrics.txt").read_bytes())
+        lone["heat"] = (tmp_path / "lone-heat" / "heating.txt").read_bytes()
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        # a flag given to one call is not a default of the next
+        assert self.heat(cfg, tmp_path / "seed7", "--seed", "7") != lone["heat"]
+        assert self.heat(cfg, tmp_path / "heat") == lone["heat"]
+        assert self.pump(cfg, tmp_path / "pruned", "--prune") != lone["pump"]
+        assert self.pump(cfg, tmp_path / "pump") == lone["pump"]
+        # nor is a call that argparse rejected after reading --prune
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["pump", "--config", cfg, "--prune", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert self.pump(cfg, tmp_path / "after-error") == lone["pump"]
+        assert built.count("pumpsim") == 1
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_help_reads_the_width_when_printed(self, capsys, monkeypatch):
+        helps = []
+        for columns in ("40", "160"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(["pump", "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        narrow, wide = (max(map(len, text.splitlines())) for text in helps)
+        assert narrow <= 40 < wide
 
 
 class TestAtomicWrite:

@@ -2,6 +2,9 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +20,9 @@ from pumpsim.kinetics import (
     Beam,
     RateMatrix,
     Trajectory,
+    _channels,
     _conserving,
+    _from_terms,
     _rk4_step_matrix,
     _spontaneous_part,
     _step_powers,
@@ -977,3 +982,97 @@ def test_zero_intensity_beam_adds_nothing(threshold):
             with_dead, dead_active = prune(assemble_rate_matrix(beams + [dead]), threshold)
             assert np.array_equal(with_dead.matrix, pruned.matrix)
             assert dead_active == active
+
+
+def reference_terms(beams):
+    """The stimulated terms by the per-channel loop that the cached channel
+    tables replaced: one scalar product per channel, in order of beam, F',
+    m and q."""
+    table = branching_table()
+    terms = []
+    for bm in beams:
+        weights = polarization_weights(bm.depolarization)
+        for fe in cst.EXCITED_F:
+            if abs(fe - bm.ground_f) > 1:
+                continue
+            overlap = transition_overlap(fe, bm)
+            base = 0.5 * cst.GAMMA * (cst.GAMMA / bm.linewidth) * bm.intensity_ratio * overlap
+            for m in range(-bm.ground_f, bm.ground_f + 1):
+                gi = state_index(Sublevel("g", bm.ground_f, m))
+                for q in (-1, 0, 1):
+                    if abs(m + q) > fe:
+                        continue
+                    ei = state_index(Sublevel("e", fe, m + q))
+                    unit = base * table[ei, gi]
+                    if unit > 0.0:
+                        terms.append((gi, ei, q, unit, overlap, unit * weights[q + 1]))
+    return np.array(terms, dtype=TERM)
+
+
+class TestAssemblyBits:
+    """The assembly's terms and matrix carry the reference loop's bits."""
+
+    PAIRS = [(3, 3), (3, 4), (4, 3), (4, 4), (4, 5)]
+
+    @staticmethod
+    def random_beams(seed, alpha, n=4, pairs=PAIRS):
+        rng = np.random.default_rng(seed)
+        return [Beam(*pairs[rng.integers(len(pairs))],
+                     intensity_ratio=10.0 ** rng.uniform(-4, 1), detuning=rng.uniform(-30, 30),
+                     depolarization=alpha, linewidth=cst.GAMMA * 10.0 ** rng.uniform(-3, 1))
+                for _ in range(n)]
+
+    @staticmethod
+    def assert_same_bits(beams):
+        terms = reference_terms(beams)
+        rm = assemble_rate_matrix(beams)
+        assert rm.terms.dtype == TERM
+        assert rm.terms.tobytes() == terms.tobytes()
+        assert rm.matrix.tobytes() == _from_terms(terms).matrix.tobytes()
+        return rm
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("alpha", [0.0, 0.013, 0.2, 7.5, 1e200])
+    def test_random_beams(self, seed, alpha):
+        self.assert_same_bits(self.random_beams(seed, alpha))
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_each_line(self, pair):
+        for alpha in (0.0, 0.05):
+            rm = self.assert_same_bits(self.random_beams(11, alpha, n=2, pairs=[pair]))
+            assert set(rm.terms["ground"]) <= set(GROUND_INDICES)
+
+    def test_alpha_zero_keeps_the_zero_weight_sigma_terms(self):
+        rm = self.assert_same_bits(fig5_beams(0.0))
+        sigma = rm.terms[rm.terms["q"] != 0]
+        assert sigma.size > 0 and np.all(sigma["rate"] == 0.0) and np.all(sigma["unit"] > 0.0)
+
+    def test_zero_intensity_and_no_beams_make_no_terms(self):
+        dead = [Beam(4, 4, 0.0, depolarization=0.1), Beam(3, 4, 0.0)]
+        assert self.assert_same_bits(dead).terms.size == 0
+        assert self.assert_same_bits([]).terms.size == 0
+        # a dead beam between live ones leaves their terms as they were
+        live = self.random_beams(3, 0.013, n=2)
+        assert np.array_equal(self.assert_same_bits(live[:1] + dead + live[1:]).terms,
+                              assemble_rate_matrix(live).terms)
+
+    def test_channel_tables_refuse_writes(self):
+        assemble_rate_matrix(fig5_beams())
+        channels = _channels(4, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            channels["branching"][0] = 1.0
+        assert _channels(4, 4) is channels
+
+    def test_import_builds_no_channel_table(self):
+        package = os.path.dirname(os.path.dirname(os.path.abspath(cst.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+        code = ("import pumpsim.kinetics as k\n"
+                "print(k._channels.cache_info().currsize)\n"
+                "k.assemble_rate_matrix([k.Beam(4, 4, 0.019)])\n"
+                "print(k._channels.cache_info().currsize)\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        # F=4 -> F'=3, 4 and 5: one table per line, on first use
+        assert result.stdout == "0\n3\n"

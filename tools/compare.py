@@ -1,7 +1,7 @@
 """Compare two pumpsim source trees: benchmark pairs and CLI output bytes.
 
     python3 tools/compare.py <parent-tree> <change-tree> [--pairs 10] [--seed 1 ...]
-        [--seconds 10] [--workload <name> ...] [--layers 10] [--matrix]
+        [--seconds 10] [--workload <name> ...] [--traced 3] [--layers 10] [--matrix]
         [--bench BENCH_<n>.json]
 
 Each tree is a directory holding `src/pumpsim`, `scenarios/` and
@@ -15,18 +15,24 @@ and the change in odd ones. Each metric gets medians and
 statistics.quantiles(n=4, method='inclusive') per side and `change_wins`,
 the pairs where the change reads better. --bench writes the protocol
 (`what`), the summary and every run's environment, round, check_fail_frac
-and last-line JSON lines, in the layout of BENCH_26.json, and the layer
-timings and the matrix report when they ran; the record's `parent`,
+and last-line JSON lines, in the layout of BENCH_26.json, and the traced,
+layer and matrix reports when they ran; the record's `parent`,
 `change` and `claim` are left to its author.
 
-With --layers > 0, each tree times its output writers in process, in
-fresh processes alternating as the pairs do: `write_trajectory_csv` on
-fig5 at 5 ms and 50 ms, with and without --prune, and `write_spectrum_csv`
-on fig3 and fig4. A process runs the command with the writer held back,
-then calls the writer on what it was handed LAYER_CALLS + 1 times and
-keeps the median of all calls but the first, which pays for imports. Each
-case gets medians and quartiles of those per-process medians per side and
-`change_wins`.
+With --traced > 0, the same alternating pairs run with `--trace 1`, and
+each per-layer metric of the traced round gets medians, quartiles and
+`change_wins` per (workload, seed). One traced round is too noisy to read
+alone: repeat it.
+
+With --layers > 0, each tree times layers in process, in fresh processes
+alternating as the pairs do: `write_trajectory_csv` on fig5 at 5 ms and
+50 ms, with and without --prune, `write_spectrum_csv` on fig3 and fig4,
+`assemble_rate_matrix` on the fig5 beams, and a whole `cli.main(["states"])`
+call with its stdout captured, the fixed cost of every call. A process runs
+each command once with a spy on the layer's name in `pumpsim.cli`, which
+pays for imports and first-use caches, then calls the layer on what it was
+handed LAYER_CALLS times and keeps their median. Each case gets medians
+and quartiles of those per-process medians per side and `change_wins`.
 
 With --matrix, both trees run the CLI output matrix: `states`, `pump` and
 `spectrum` with and without --prune, `heat` plain, --prune, --seed 0,
@@ -50,6 +56,7 @@ import sys
 import tempfile
 
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+TRACED = ("cli.self_s", "kinetics.assemble_rate_matrix.s")  # printed per traced run
 WORKLOADS = ("pump_sweep", "fit_sweep", "spectrum_mix", "heat_sweep")
 SCENARIOS = ("fig3_polarized", "fig4_velocimetry", "fig5_dynamics", "heating_paper",
              "table1_widths")
@@ -57,35 +64,52 @@ FLAGS = ([("states",), ("states", "--prune"), ("pump",), ("pump", "--prune"),
           ("spectrum",), ("spectrum", "--prune"), ("heat",), ("heat", "--prune"),
           ("heat", "--seed", "0"), ("heat", "--seed", "7", "--prune"),
           ("heat", "--seed", "2718"), ("fit", "@obs"), ("fit", "--fit-scale", "@obs")])
-# In-process writer timings: (case, command, scenario, t_end_s or None, flags)
+# In-process layer timings: (case, command, scenario or None, t_end_s or None,
+# flags, layer name in pumpsim.cli or None for the whole cli.main call)
 LAYER_CASES = [(f"write_trajectory_csv fig5 {ms} ms{' --prune' * prune}", "pump",
-                "fig5_dynamics", None if ms == 5 else "0.05", ("--prune",) * prune)
+                "fig5_dynamics", None if ms == 5 else "0.05", ("--prune",) * prune,
+                "write_trajectory_csv")
                for ms in (5, 50) for prune in (False, True)]
-LAYER_CASES += [(f"write_spectrum_csv {s}", "spectrum", f"{s}_{rest}", None, ())
+LAYER_CASES += [(f"write_spectrum_csv {s}", "spectrum", f"{s}_{rest}", None, (),
+                 "write_spectrum_csv")
                 for s, rest in (("fig3", "polarized"), ("fig4", "velocimetry"))]
+LAYER_CASES += [("assemble_rate_matrix fig5", "pump", "fig5_dynamics", None, (),
+                 "assemble_rate_matrix"),
+                ("cli.main states", "states", None, None, (), None)]
 LAYER_CALLS = 7
-# Run in each tree as `python -c LAYER_SCRIPT <cases json>`: cases are
-# [case, argv without --out, writer name in pumpsim.cli]; prints
-# {case: median seconds} as JSON.
+# Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls>`: cases
+# are [case, argv, layer name or None]; prints {case: median seconds} as JSON.
 LAYER_SCRIPT = """
-import contextlib, io, json, os, statistics, sys, tempfile, time
+import contextlib, io, json, statistics, sys, tempfile, time
 from pumpsim import cli
+
+def command(case, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            sys.exit(f"{case}: the command failed")
+
 result = {}
 with tempfile.TemporaryDirectory() as tmp:
     for case, argv, name in json.loads(sys.argv[1]):
-        writer, handed = getattr(cli, name), []
-        setattr(cli, name, lambda *args, **kwargs: handed.append((args, kwargs)))
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main([*argv, "--out", tmp]) != 0:
-                sys.exit(f"{case}: the command failed")
-        setattr(cli, name, writer)
-        ((obj, _, *rest), kwargs), = handed
+        if name is None:
+            command(case, argv)
+            call = lambda: command(case, argv)
+        else:
+            layer, handed = getattr(cli, name), []
+            def spy(*args, **kwargs):
+                handed.append((args, kwargs))
+                return layer(*args, **kwargs)
+            setattr(cli, name, spy)
+            command(case, [*argv, "--out", tmp])
+            setattr(cli, name, layer)
+            (args, kwargs), = handed
+            call = lambda: layer(*args, **kwargs)
         times = []
-        for _ in range(int(sys.argv[2]) + 1):
+        for _ in range(int(sys.argv[2])):
             start = time.perf_counter()
-            writer(obj, os.path.join(tmp, "timed.csv"), *rest, **kwargs)
+            call()
             times.append(time.perf_counter() - start)
-        result[case] = statistics.median(times[1:])
+        result[case] = statistics.median(times)
 print(json.dumps(result))
 """
 OBSERVATIONS = {  # fixed inputs for `fit`: time_s, fraction of atoms in F=4, m=0
@@ -146,6 +170,16 @@ def summarize(runs) -> list:
     return out
 
 
+def summarize_traced(runs) -> dict:
+    """summarize_layers() of each (workload, seed)'s traced runs, by pair,
+    over every per-layer metric; keys are "<workload> seed <seed>"."""
+    return {f"{w} seed {s}": summarize_layers([
+        {"round": r["pair"], "side": r["side"],
+         "times": {name: m["value"] for name, m in r["result"]["metrics"].items()}}
+        for r in runs if (r["workload"], r["seed"]) == (w, s)])
+        for w, s in dict.fromkeys((r["workload"], r["seed"]) for r in runs)}
+
+
 def summarize_layers(runs) -> dict:
     """versus() per case over layer runs that carry round, side and times,
     {case: seconds}."""
@@ -204,7 +238,9 @@ def _bench_env() -> dict:
     return env
 
 
-def run_pairs(trees, workloads, seeds, seconds, pairs) -> list:
+def run_pairs(trees, workloads, seeds, seconds, pairs, trace=0) -> list:
+    """`pairs` alternating perfbench runs per tree for each workload and seed;
+    traced runs report per-layer metrics in place of METRICS."""
     runs = []
     for workload, seed in ((w, s) for w in workloads for s in seeds):
         for pair in range(pairs):
@@ -212,7 +248,7 @@ def run_pairs(trees, workloads, seeds, seconds, pairs) -> list:
             for side in order:
                 cmd = [sys.executable, os.path.join(trees[side], "perfbench", "run.py"),
                        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-                       "--trace", "0"]
+                       "--trace", str(trace)]
                 done = subprocess.run(cmd, cwd=trees[side], env=_bench_env(),
                                       capture_output=True, text=True)
                 if done.returncode != 0:
@@ -221,9 +257,9 @@ def run_pairs(trees, workloads, seeds, seconds, pairs) -> list:
                 run = parse_run(done.stdout) | {"workload": workload, "seed": seed,
                                                 "pair": pair, "side": side, "first": order[0]}
                 runs.append(run)
-                m = run["result"]["metrics"]
+                m, shown = run["result"]["metrics"], TRACED if trace else METRICS
                 print(f"{workload} seed {seed} pair {pair} {side}: " + ", ".join(
-                    f"{name} {m[name]['value']:.4f}" for name in METRICS), flush=True)
+                    f"{name} {m[name]['value']:.4g}" for name in shown), flush=True)
     return runs
 
 
@@ -243,16 +279,24 @@ def scenario_config(tree, work, name, scenario, edits) -> str:
     return config
 
 
+def layer_cases(tree, work, side) -> list:
+    """LAYER_SCRIPT's cases for `tree`: [case, argv, layer name or None], with
+    edited scenario copies written to `work` under names that start with `side`."""
+    out = []
+    for i, (case, command, scenario, t_end, flags, name) in enumerate(LAYER_CASES):
+        argv = [command]
+        if scenario is not None:
+            argv += ["--config", scenario_config(tree, work, f"{side}-{i}", scenario,
+                                                 {"t_end_s": t_end} if t_end else {})]
+        out.append([case, argv + list(flags), name])
+    return out
+
+
 def run_layers(trees, rounds) -> list:
     """`rounds` fresh timing processes per tree, alternating which runs first."""
     runs = []
     with tempfile.TemporaryDirectory(prefix="pumpsim-layers-") as work:
-        cases = {side: [[case, [command, "--config",
-                                scenario_config(tree, work, f"{side}-{i}", scenario,
-                                                {"t_end_s": t_end} if t_end else {}), *flags],
-                         f"write_{'trajectory' if command == 'pump' else 'spectrum'}_csv"]
-                        for i, (case, command, scenario, t_end, flags) in enumerate(LAYER_CASES)]
-                 for side, tree in trees.items()}
+        cases = {side: layer_cases(tree, work, side) for side, tree in trees.items()}
         for i in range(rounds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -266,7 +310,7 @@ def run_layers(trees, rounds) -> list:
                 runs.append({"round": i, "side": side, "first": order[0],
                              "times": json.loads(done.stdout)})
                 print(f"layers round {i} {side}: " + ", ".join(
-                    f"{t * 1e3:.2f} ms" for t in runs[-1]["times"].values()), flush=True)
+                    f"{t * 1e3:.3f} ms" for t in runs[-1]["times"].values()), flush=True)
     return runs
 
 
@@ -337,8 +381,10 @@ def main(argv=None) -> int:
                         help="a workload seed, repeatable (default 1)")
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--pairs", type=int, default=0)
+    parser.add_argument("--traced", type=int, default=0,
+                        help="traced perfbench runs per tree for each workload and seed")
     parser.add_argument("--layers", type=int, default=0,
-                        help="rounds of in-process writer timings per tree")
+                        help="rounds of in-process layer timings per tree")
     parser.add_argument("--bench", help="write the summaries and runs to this JSON file")
     parser.add_argument("--matrix", action="store_true", help="compare the CLI output matrix")
     args = parser.parse_args(argv)
@@ -364,20 +410,37 @@ def main(argv=None) -> int:
                     "method='inclusive'); change_wins counts pairs where the change "
                     "reads lower",
             "summary": summary, "runs": runs}
+    if args.traced > 0:
+        runs = run_pairs(trees, args.workload or WORKLOADS, seeds, args.seconds, args.traced,
+                         trace=1)
+        summary = summarize_traced(runs)
+        for key, table in summary.items():
+            for name, entry in table.items():
+                p, c = entry["parent"], entry["change"]
+                print(f"{key} {name}: median {p['median']:.6g} -> {c['median']:.6g}, parent "
+                      f"IQR {p['q3'] - p['q1']:.3g}, change lower in {entry['change_wins']} "
+                      f"of {args.traced}")
+        record["traced"] = {
+            "what": f"python3 perfbench/run.py --workload <w> --seed <s> for s in {seeds} "
+                    "--trace 1 in each tree, alternating as the pairs do; medians and "
+                    "inclusive quartiles of each per-layer metric over runs; change_wins "
+                    "counts runs where the change reads lower",
+            "summary": summary, "runs": runs}
     if args.layers > 0:
         runs = run_layers(trees, args.layers)
         summary = summarize_layers(runs)
         for case, entry in summary.items():
             p, c = entry["parent"], entry["change"]
-            print(f"{case}: median {p['median'] * 1e3:.2f} -> {c['median'] * 1e3:.2f} ms "
+            print(f"{case}: median {p['median'] * 1e3:.3f} -> {c['median'] * 1e3:.3f} ms "
                   f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
-                  f"{(p['q3'] - p['q1']) * 1e3:.2f} ms, change lower in "
+                  f"{(p['q3'] - p['q1']) * 1e3:.3f} ms, change lower in "
                   f"{entry['change_wins']} of {args.layers}")
         record["layers"] = {
             "what": f"{args.layers} fresh processes per tree, alternating as the pairs do; "
-                    f"each times the writer on what its command handed it, {LAYER_CALLS} calls "
-                    "after one uncounted call, and keeps their median (seconds); medians "
-                    "and inclusive quartiles over processes",
+                    "each runs a case's command once with a spy on its layer, then times "
+                    "the layer on what the command handed it (or the whole cli.main call) "
+                    f"{LAYER_CALLS} times and keeps their median (seconds); medians and "
+                    "inclusive quartiles over processes",
             "summary": summary, "runs": runs}
     if args.matrix:
         report = run_matrix(trees)

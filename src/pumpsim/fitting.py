@@ -22,7 +22,7 @@ from .kinetics import (
     uniform_f4,
     with_depolarization,
 )
-from .structure import Sublevel, parse_label
+from .structure import GROUND_INDICES, Sublevel, parse_label, state_index
 
 
 class DataError(ValueError):
@@ -39,6 +39,7 @@ class ObservationSeries:
     observable: Sublevel = Sublevel("g", 4, 0)
 
     def __post_init__(self):
+        _ground(self.observable)
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.times.size == 0:
@@ -64,6 +65,14 @@ class ObservationSeries:
         return self.weights if self.weights is not None else np.ones_like(self.times)
 
 
+def _ground(level: Sublevel) -> Sublevel:
+    """`level`, if it is a ground sublevel: the fit models fractions of the
+    ground atoms, and an excited population has no such fraction."""
+    if not level.is_ground:
+        raise ValueError(f"observable {level.label()} is not a ground sublevel")
+    return level
+
+
 def load_observations(path) -> ObservationSeries:
     """Read `time_s, fraction[, weight]` rows; `#` lines are comments, and a
     `# observable=g4_m0` comment (the key alone before `=`) names the
@@ -79,7 +88,7 @@ def load_observations(path) -> ObservationSeries:
                 key, eq, value = line.lstrip("#").partition("=")
                 if eq and key.strip().lower() == "observable":
                     try:
-                        observable = parse_label(value)
+                        observable = _ground(parse_label(value))
                     except ValueError as exc:
                         raise DataError(f"{path}:{lineno}: {exc}") from exc
                 continue
@@ -162,9 +171,12 @@ def residual_report(
 
 def _report(series, terms, depolarization, fit_scale) -> ResidualReport:
     traj = _simulate(terms, depolarization, np.concatenate([s.times for s in series]))
+    # the ground populations that `Trajectory.sublevel_fraction` divides by, summed once
+    ground = traj.populations[:, GROUND_INDICES].sum(axis=1)
     residuals, sse, scales = [], 0.0, []
     for s in series:
-        model = np.interp(s.times, traj.times, traj.sublevel_fraction(s.observable))
+        fraction = traj.populations[:, state_index(s.observable)] / ground
+        model = np.interp(s.times, traj.times, fraction)
         w = s.weight_array()
         scale = 1.0
         if fit_scale:

@@ -17,13 +17,18 @@ at any run length. One start or a block of starts as columns fills one
 array. Given the times a caller reads, the integrator computes only the
 samples that bracket them, each from its chunk's start with the bits the
 full run gives it; given a level of the polarized fraction, a full run stops
-after the first chunk that ends with every column at or above it.
+after the first chunk that ends with every column at or above it. A run's
+layout (its output grid and, given times, the rows it computes and returns
+and the power and chunk start that fill each) depends only on dt, t_end,
+max_samples and those times, so it is computed once and shared, read-only,
+by every run with the same four: all the candidates of one fit.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -328,6 +333,57 @@ def stationary_state(rate_matrix: RateMatrix) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+class _Layout(NamedTuple):
+    """Where a run's rows go, the same for every run with its (dt, t_end,
+    max_samples, at); every array is read-only."""
+
+    times: np.ndarray      # the output grid
+    stride: int            # steps per sample
+    n_blocks: int          # whole strides
+    remainder: int         # steps of the last, shorter sample (0: none)
+    chunk: int             # stacked powers
+    computed: int          # rows a run computes
+    rows: object           # returned rows of `times`: slice(None) or indices
+    keep: object           # returned rows of the computed ones
+    products: tuple        # (power j, start slot, row slot) of each `at` row product
+
+
+@lru_cache(maxsize=8)
+def _layout(dt, t_end, max_samples, at) -> _Layout:
+    """The layout of a run; `at` is None or the float64 bytes of its times.
+    Grid row r + 1 of an `at` run is power j = r % chunk times its chunk's
+    start, row r - j."""
+    steps = np.ceil(t_end / dt - 1e-9)
+    if not steps < 2**53:  # past 2**53, float step counts and times skip steps
+        raise ValueError(f"t_end = {t_end:g} s at dt = {dt:g} s takes {steps:g} steps; "
+                         "it must take fewer than 2**53")
+    n_steps = max(1, int(steps))
+    stride = max(1, -(-n_steps // max(1, max_samples - 1)))  # ceil division
+    n_blocks = n_steps // stride
+    remainder = n_steps - n_blocks * stride
+    times = dt * (stride * np.arange(n_blocks + 1))
+    if remainder:
+        times = np.append(times, dt * n_steps)
+    times.setflags(write=False)
+    chunk = min(STACKED_POWERS, n_blocks)
+    if at is None:
+        return _Layout(times, stride, n_blocks, remainder, chunk, len(times),
+                       slice(None), slice(None), ())
+    hi = np.clip(np.searchsorted(times, np.frombuffer(at), side="right"), 1, len(times) - 1)
+    mask = np.zeros(len(times), dtype=bool)
+    mask[0] = mask[hi - 1] = mask[hi] = True
+    rows = np.flatnonzero(mask)
+    mask[:n_blocks:chunk] = mask[n_blocks:] = True  # chunk starts and the last rows
+    grid = np.flatnonzero(mask)
+    keep = np.searchsorted(grid, rows)
+    r = grid[1:np.searchsorted(grid, n_blocks) + 1] - 1
+    starts = np.searchsorted(grid, r - r % chunk)
+    products = tuple(zip((r % chunk).tolist(), starts.tolist(), range(1, len(r) + 1)))
+    rows.setflags(write=False)
+    keep.setflags(write=False)
+    return _Layout(times, stride, n_blocks, remainder, chunk, len(grid), rows, keep, products)
+
+
 def _reached(tail: np.ndarray, level: float) -> bool:
     """Whether the g,F=4,m=0 fraction of the last of two computed rows `tail`
     reaches `level` in every column, with the bits a reader of the returned
@@ -374,6 +430,9 @@ def integrate_rk4(
     It computes the products and reductions of `np.linalg.matrix_power`, a
     `.sum(axis=0)` reset and one `np.matmul` per row, in their order and with
     their bits, through fewer numpy calls: shared squarings, views made once.
+    The layout (grid, computed and returned rows, and the power and chunk
+    start of each `at` row) comes from a cache of the last 8 distinct
+    (dt, t_end, max_samples, at); the returned arrays are fresh every call.
 
     The negative-population check and clip cover every computed row; rows
     never computed are not checked.
@@ -396,41 +455,32 @@ def integrate_rk4(
             f"{STABILITY_LIMIT}; reduce dt"
         )
 
-    steps = np.ceil(t_end / dt - 1e-9)
-    if not steps < 2**53:  # past 2**53, float step counts and times skip steps
-        raise ValueError(f"t_end = {t_end:g} s at dt = {dt:g} s takes {steps:g} steps; "
-                         "it must take fewer than 2**53")
-    n_steps = max(1, int(steps))
-    stride = max(1, -(-n_steps // max(1, max_samples - 1)))  # ceil division
-    n_blocks = n_steps // stride
-    remainder = n_steps - n_blocks * stride
-    times = dt * (stride * np.arange(n_blocks + 1))
-    if remainder:
-        times = np.append(times, dt * n_steps)
-
-    block, last = _step_powers(_rk4_step_matrix(rate_matrix.matrix, dt), (stride, remainder))
-    # powers[j] = B^(j+1) for the block B of `stride` steps, each conserving
-    chunk = min(STACKED_POWERS, n_blocks)
+    layout = _layout(dt, t_end, max_samples,
+                     None if at is None else np.asarray(at, dtype=float).tobytes())
+    n_blocks, chunk, remainder = layout.n_blocks, layout.chunk, layout.remainder
+    block, last = _step_powers(_rk4_step_matrix(rate_matrix.matrix, dt),
+                               (layout.stride, remainder))
+    # powers[j] = B^(j+1) for the block B of `stride` steps, each reset as
+    # `_conserving` resets it, through views made once and one sums buffer:
+    # the column sums of the population rows, whose first N_STATES are the
+    # sums `_conserving` takes (each column adds its rows in the same order)
     powers = np.empty((chunk, N_STATES + 1, N_STATES + 1))
     views = list(powers)
+    diagonals = list(powers.reshape(chunk, -1)[:, :N_STATES * (N_STATES + 2):N_STATES + 2])
+    sums = np.empty(N_STATES + 1)
+    population_sums = sums[:N_STATES]
     powers[0] = _conserving(block)
-    for j in range(1, chunk):
-        _conserving(views[j - 1].dot(views[0], views[j]))
+    for previous, power, population_rows, diagonal in zip(
+            views, views[1:], list(powers[1:, :N_STATES]), diagonals[1:]):
+        previous.dot(views[0], power)
+        diagonal.fill(0.0)
+        np.add.reduce(population_rows, axis=0, out=sums)
+        np.subtract(1.0, population_sums, out=diagonal)
 
-    rows = keep = slice(None)  # the returned rows of `times` and of `data`
-    grid = range(len(times))  # the grid rows this run computes
-    if at is not None:
-        hi = np.clip(np.searchsorted(times, at, side="right"), 1, len(times) - 1)
-        mask = np.zeros(len(times), dtype=bool)
-        mask[0] = mask[hi - 1] = mask[hi] = True
-        rows = np.flatnonzero(mask)
-        mask[:n_blocks:chunk] = mask[n_blocks:] = True  # chunk starts and the last rows
-        grid = np.flatnonzero(mask)
-        keep = np.searchsorted(grid, rows)
     # data[s] holds the s-th computed row; its row N_STATES counts photons.
     # Every row is written before it is read, so rows a stopped run never
     # computes are never touched.
-    data = np.empty((len(grid), N_STATES + 1) + n0.shape[1:])
+    data = np.empty((layout.computed, N_STATES + 1) + n0.shape[1:])
     data[0, :N_STATES] = n0
     data[0, N_STATES] = 0.0
     if at is None:
@@ -440,14 +490,14 @@ def integrate_rk4(
             np.matmul(powers[:k].reshape(-1, N_STATES + 1), data[i], out=out)
             if until is not None and _reached(data[i + k - 1:i + k + 1], until):
                 # the computed prefix, with no remainder row
-                times, data, remainder = times[:i + k + 1], data[:i + k + 1], 0
+                data, remainder = data[:i + k + 1], 0
                 break
-    else:  # grid row r + 1 is power j = r % chunk times its chunk's start, row r - j
-        r = grid[1:np.searchsorted(grid, n_blocks) + 1] - 1
-        starts = np.searchsorted(grid, r - r % chunk).tolist()
-        samples = list(data)
-        for s, (j, c) in enumerate(zip((r % chunk).tolist(), starts), 1):
-            views[j].dot(samples[c], samples[s])
+        times = layout.times[:len(data)].copy()
+    else:
+        samples, dots = list(data), [view.dot for view in views]
+        for j, c, s in layout.products:
+            dots[j](samples[c], samples[s])
+        times = layout.times[layout.rows]
     if remainder:
         np.matmul(_conserving(last), data[-2], out=data[-1])
 
@@ -463,7 +513,7 @@ def integrate_rk4(
         log.debug("clipped %d slightly negative populations (min %.3e)",
                   int(negative.sum()), worst)
         populations[negative] = 0.0
-    return Trajectory(times[rows], populations[keep], data[keep, N_STATES])
+    return Trajectory(times, populations[layout.keep], data[layout.keep, N_STATES])
 
 
 @dataclass

@@ -128,7 +128,8 @@ def test_layer_cases_and_scenario_edits(tmp_path):
     assert names == ["write_trajectory_csv fig5 5 ms", "write_trajectory_csv fig5 5 ms --prune",
                      "write_trajectory_csv fig5 50 ms", "write_trajectory_csv fig5 50 ms --prune",
                      "write_spectrum_csv fig3", "write_spectrum_csv fig4",
-                     "assemble_rate_matrix fig5", "cli.main states"]
+                     "assemble_rate_matrix fig5", "cli.main states",
+                     "fit_depolarization fig5", "fit_depolarization fig5 --fit-scale"]
     tree = os.path.dirname(os.path.dirname(_PATH))
     for _, _, scenario, _, _, _ in compare.LAYER_CASES:
         if scenario is not None:
@@ -149,16 +150,26 @@ def test_layer_cases_name_each_layer_and_argv(tmp_path):
     cases = {case: (argv, name) for case, argv, name
              in compare.layer_cases(tree, str(tmp_path), "change")}
     assert list(cases) == [case for case, *_ in compare.LAYER_CASES]
-    # the last two cases: a layer the pump command calls, and a whole call
+    # a layer the pump command calls, and a whole call
     assert cases["assemble_rate_matrix fig5"] == (["pump", "--config", fig5],
                                                   "assemble_rate_matrix")
     assert cases["cli.main states"] == (["states"], None)
     assert cases["write_trajectory_csv fig5 5 ms --prune"] == (
         ["pump", "--config", fig5, "--prune"], "write_trajectory_csv")
+    # the fit cases fit the matrix's observation files, written to `work`
+    data = [str(tmp_path / name) for name in ("obs_a.csv", "obs_b.csv")]
+    assert cases["fit_depolarization fig5"] == (["fit", "--config", fig5, *data],
+                                                "fit_depolarization")
+    assert cases["fit_depolarization fig5 --fit-scale"] == (
+        ["fit", "--config", fig5, "--fit-scale", *data], "fit_depolarization")
+    for path in data:
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == compare.OBSERVATIONS[os.path.basename(path)]
     # only the 50 ms cases edit a copy, named after the side and the case index
     assert cases["write_trajectory_csv fig5 50 ms"] == (
         ["pump", "--config", str(tmp_path / "change-2.ini")], "write_trajectory_csv")
-    assert sorted(os.listdir(tmp_path)) == ["change-2.ini", "change-3.ini"]
+    assert sorted(os.listdir(tmp_path)) == ["change-2.ini", "change-3.ini",
+                                            "obs_a.csv", "obs_b.csv"]
     # LAYER_SCRIPT reads them back from JSON
     listed = compare.layer_cases(tree, str(tmp_path), "change")
     assert json.loads(json.dumps(listed)) == listed

@@ -696,6 +696,17 @@ class TestFitCommand:
         assert "m0.csv" in result.stderr and "finite" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_excited_observable_exit_3(self, tmp_path, capsys):
+        # an excited population is no fraction of the ground atoms; the fit
+        # used to score it against a flat model and exit 0
+        data = tmp_path / "obs.csv"
+        data.write_text("# observable = e5_m0\n0.001,0.5\n0.002,0.6\n")
+        cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
+        assert main(["fit", "--config", cfg, str(data)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data}:1: observable e5_m0 is not a ground sublevel\n")
+        assert not (tmp_path / "out").exists()
+
     def test_no_data_files_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, GOOD.format(out=str(tmp_path / "out")))
         result = run_cli("fit", "--config", cfg)

@@ -16,7 +16,7 @@ from pumpsim.fitting import (
     simulate_observable,
 )
 from pumpsim.kinetics import Beam, integrate_rk4
-from pumpsim.structure import Sublevel
+from pumpsim.structure import Sublevel, parse_label
 
 TIMES = np.linspace(1e-4, 4.8e-3, 60)
 
@@ -335,4 +335,15 @@ class TestIngestion:
         path = tmp_path / "label.csv"
         path.write_text("# observable = q9_m0\n0.001,0.1\n")
         with pytest.raises(DataError, match=r"label\.csv:1"):
+            load_observations(path)
+
+    @pytest.mark.parametrize("label", ["e5_m0", "e3_m-2"])
+    def test_excited_observable_rejected(self, tmp_path, label):
+        # the model is a fraction of the ground atoms; on the pruned fig5
+        # matrix the e5 population is 0 at every time, so a fit would be flat
+        with pytest.raises(ValueError, match=f"observable {label} is not a ground sublevel"):
+            ObservationSeries([0.001, 0.002], [0.1, 0.2], observable=parse_label(label))
+        path = tmp_path / "excited.csv"
+        path.write_text(f"# comment\n# observable = {label}\n0.001,0.1\n")
+        with pytest.raises(DataError, match=rf"excited\.csv:2: observable {label} is not"):
             load_observations(path)

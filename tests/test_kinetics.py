@@ -23,6 +23,7 @@ from pumpsim.kinetics import (
     _channels,
     _conserving,
     _from_terms,
+    _layout,
     _rk4_step_matrix,
     _spontaneous_part,
     _step_powers,
@@ -757,6 +758,61 @@ class TestReferenceBits:
         rm, _ = prune(assemble_rate_matrix(fig5_beams()))
         at = n_steps * DT * np.array([0.0, 0.31, 0.5, 0.97, 1.0, 2.0])
         self.assert_same_bits(rm, self.starts(columns), DT, n_steps * DT, max_samples, at)
+
+
+class TestLayoutReuse:
+    """Runs with one (dt, t_end, max_samples, at) share one cached layout,
+    and nothing a caller gets back is shared with it."""
+
+    SECOND_AT = np.array([3.1e-3, 2e-5, 1.7e-3, 1.7e-3, 0.0, 2.2e-3])
+
+    def test_interleaved_runs_keep_the_reference_bits(self):
+        matrices = [prune(assemble_rate_matrix(fig5_beams(alpha)))[0] for alpha in (0.0, 0.05)]
+        ats = [TestReferenceBits.FIT_AT, self.SECOND_AT]
+        for _ in range(2):
+            for rm in matrices:
+                for at in ats:
+                    for columns in (1, 5):
+                        TestReferenceBits.assert_same_bits(
+                            rm, TestReferenceBits.starts(columns), LIBRARY_DT, at.max(), 2001, at)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"until": 0.95}, {"at": SECOND_AT}])
+    def test_returned_arrays_are_fresh(self, kwargs):
+        rm = prune(assemble_rate_matrix(fig5_beams()))[0]
+        first = integrate_rk4(rm, uniform_f4(), LIBRARY_DT, 4e-3, 2001, **kwargs)
+        expected = integrate_rk4(rm, uniform_f4(), LIBRARY_DT, 4e-3, 2001, **kwargs)
+        for array in (first.times, first.populations, first.scattered_photons):
+            assert array.flags.writeable
+            array[...] = -1.0
+        again = integrate_rk4(rm, uniform_f4(), LIBRARY_DT, 4e-3, 2001, **kwargs)
+        assert np.array_equal(again.times, expected.times)
+        assert np.array_equal(again.populations, expected.populations)
+        assert np.array_equal(again.scattered_photons, expected.scattered_photons)
+
+    @pytest.mark.parametrize("at", [None, SECOND_AT.tobytes()])
+    def test_cached_arrays_refuse_writes(self, at):
+        layout = _layout(LIBRARY_DT, 4e-3, 2001, at)
+        arrays = [layout.times] + [a for a in (layout.rows, layout.keep)
+                                   if isinstance(a, np.ndarray)]
+        assert len(arrays) == (1 if at is None else 3)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_cache_stays_bounded(self):
+        rm = assemble_rate_matrix([])
+        maxsize = _layout.cache_info().maxsize
+        for i in range(3 * maxsize):
+            integrate_rk4(rm, uniform_f4(), DT, 1e-4, 101, at=[i * 1e-6])
+            assert _layout.cache_info().currsize <= maxsize
+        assert _layout.cache_info().currsize == maxsize
+
+    def test_step_count_bound_raises_on_every_call(self):
+        dt = 2.0**-30
+        for _ in range(3):
+            for at in (None, [1.0]):
+                with pytest.raises(ValueError, match=r"fewer than 2\*\*53"):
+                    integrate_rk4(assemble_rate_matrix([]), uniform_f4(), dt, 2**53 * dt, at=at)
 
 
 class TestStepPowers:

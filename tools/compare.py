@@ -27,8 +27,10 @@ alone: repeat it.
 With --layers > 0, each tree times layers in process, in fresh processes
 alternating as the pairs do: `write_trajectory_csv` on fig5 at 5 ms and
 50 ms, with and without --prune, `write_spectrum_csv` on fig3 and fig4,
-`assemble_rate_matrix` on the fig5 beams, and a whole `cli.main(["states"])`
-call with its stdout captured, the fixed cost of every call. A process runs
+`assemble_rate_matrix` on the fig5 beams, a whole `cli.main(["states"])`
+call with its stdout captured, the fixed cost of every call, and a whole
+`fit_depolarization` on fig5 with and without --fit-scale, fitting the two
+fixed observation files the matrix fits. A process runs
 each command once with a spy on the layer's name in `pumpsim.cli`, which
 pays for imports and first-use caches, then calls the layer on what it was
 handed LAYER_CALLS times and keeps their median. Each case gets medians
@@ -65,7 +67,8 @@ FLAGS = ([("states",), ("states", "--prune"), ("pump",), ("pump", "--prune"),
           ("heat", "--seed", "0"), ("heat", "--seed", "7", "--prune"),
           ("heat", "--seed", "2718"), ("fit", "@obs"), ("fit", "--fit-scale", "@obs")])
 # In-process layer timings: (case, command, scenario or None, t_end_s or None,
-# flags, layer name in pumpsim.cli or None for the whole cli.main call)
+# flags, layer name in pumpsim.cli or None for the whole cli.main call); an
+# "@obs" flag stands for the OBSERVATIONS files, as in FLAGS
 LAYER_CASES = [(f"write_trajectory_csv fig5 {ms} ms{' --prune' * prune}", "pump",
                 "fig5_dynamics", None if ms == 5 else "0.05", ("--prune",) * prune,
                 "write_trajectory_csv")
@@ -76,6 +79,9 @@ LAYER_CASES += [(f"write_spectrum_csv {s}", "spectrum", f"{s}_{rest}", None, (),
 LAYER_CASES += [("assemble_rate_matrix fig5", "pump", "fig5_dynamics", None, (),
                  "assemble_rate_matrix"),
                 ("cli.main states", "states", None, None, (), None)]
+LAYER_CASES += [(f"fit_depolarization fig5{' --fit-scale' * scale}", "fit", "fig5_dynamics",
+                 None, ("--fit-scale",) * scale + ("@obs",), "fit_depolarization")
+                for scale in (False, True)]
 LAYER_CALLS = 7
 # Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls>`: cases
 # are [case, argv, layer name or None]; prints {case: median seconds} as JSON.
@@ -279,16 +285,33 @@ def scenario_config(tree, work, name, scenario, edits) -> str:
     return config
 
 
+def write_observations(work) -> list:
+    """The paths of the OBSERVATIONS files, in name order, written to `work`."""
+    paths = []
+    for name in sorted(OBSERVATIONS):
+        paths.append(os.path.join(work, name))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(OBSERVATIONS[name])
+    return paths
+
+
+def expand(flags, data) -> list:
+    """`flags` with each "@obs" replaced by the observation file paths `data`."""
+    return [a for f in flags for a in (data if f == "@obs" else [f])]
+
+
 def layer_cases(tree, work, side) -> list:
     """LAYER_SCRIPT's cases for `tree`: [case, argv, layer name or None], with
-    edited scenario copies written to `work` under names that start with `side`."""
+    edited scenario copies written to `work` under names that start with `side`,
+    and the OBSERVATIONS files too when a case fits them."""
     out = []
     for i, (case, command, scenario, t_end, flags, name) in enumerate(LAYER_CASES):
         argv = [command]
         if scenario is not None:
             argv += ["--config", scenario_config(tree, work, f"{side}-{i}", scenario,
                                                  {"t_end_s": t_end} if t_end else {})]
-        out.append([case, argv + list(flags), name])
+        data = write_observations(work) if "@obs" in flags else []
+        out.append([case, argv + expand(flags, data), name])
     return out
 
 
@@ -328,8 +351,7 @@ def run_case(tree, work, name, scenario, bias, flags) -> dict:
                              {"bias_gauss": bias} if bias is not None else {})
     out = os.path.join(work, name)
     data = [os.path.join(work, f) for f in sorted(OBSERVATIONS)]
-    argv = [flags[0], "--config", config, "--out", out]
-    argv += [a for f in flags[1:] for a in (data if f == "@obs" else [f])]
+    argv = [flags[0], "--config", config, "--out", out, *expand(flags[1:], data)]
     env = _bench_env() | {"PYTHONPATH": os.path.join(tree, "src")}
     done = subprocess.run([sys.executable, "-m", "pumpsim", *argv], cwd=work, env=env,
                           capture_output=True)
@@ -351,9 +373,7 @@ def run_matrix(trees) -> dict:
         for side in trees:
             works[side] = os.path.join(tmp, side)
             os.makedirs(works[side])
-            for f, text in OBSERVATIONS.items():
-                with open(os.path.join(works[side], f), "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            write_observations(works[side])
         for name, scenario, bias, flags in matrix_cases():
             got = {s: run_case(trees[s], works[s], name, scenario, bias, flags) for s in trees}
             report["cases"] += 1

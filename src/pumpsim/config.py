@@ -67,7 +67,8 @@ class _Key(NamedTuple):
 # Every accepted (section, key). A scenario key sets the ScenarioConfig field
 # of the same name; "beams.*" stands for every [beams.<name>] section.
 _KEYS = {
-    ("constants", "laser_linewidth_hz"): _Key(_FLOAT, 0.0, strict_min=True),
+    ("constants", "laser_linewidth_hz"): _Key(_FLOAT, 0.0, cst.OPTICAL_FREQUENCY,
+                                              strict_min=True),
     ("pulse", "tau_s"): _Key(_FLOAT, 0.0, strict_min=True),
     ("pulse", "geometry"): _Key(_geometry),
     ("field", "bias_gauss"): _Key(_FLOAT),
@@ -153,10 +154,7 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError("[field] rms_fluct_gauss: counterpropagating spectra take no "
                           f"field spread, got {cfg.rms_fluct_gauss}")
 
-    linewidth = 2.0 * 3.141592653589793 * cfg.laser_linewidth_hz
-    if not math.isfinite(linewidth):
-        raise ConfigError("[constants] laser_linewidth_hz: 2 pi times "
-                          f"{cfg.laser_linewidth_hz} Hz overflows")
+    linewidth = 2.0 * math.pi * cfg.laser_linewidth_hz
     for section, values in beam_specs:
         try:
             cfg.beams.append(Beam(

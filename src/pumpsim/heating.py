@@ -9,15 +9,17 @@ to the detection axis as in the paper, projects to 0. Everything is in
 units of the recoil velocity.
 
 The walk's kicks come from one counter-based Philox stream, in which any
-draw can be reached from its index. The atoms are walked in contiguous
-parts at once, one per CPU: the calling thread walks the first and a
-thread pool the rest, each part's draws on a Philox made at their block
-counter. The velocities have the bits of one sequential walk, and the
-caller's generator is not moved.
+draw can be reached from its index, and only atoms still walking draw one.
+The atoms, ordered by count, are walked in contiguous parts at once, one
+per CPU, each part's draws on a Philox made at their block counter. The
+velocities have the bits of one sequential walk, and the caller's
+generator is not moved.
 """
 
+import math
 import operator
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -149,41 +151,58 @@ def _philox_at(key, draw: int) -> "np.random.Philox":
 def _walk(counts: np.ndarray, rng) -> np.ndarray:
     """Velocities along the detection axis after per-sample cycle counts.
 
-    Sample i's kick in cycle k is raw draw k * n + i on from the next draw
-    of the Philox `rng`, uniform on [-1, 1), whatever the counts; kicks past
-    a sample's count are zeroed. The samples are walked in contiguous parts,
-    each cycle of a part on a Philox made at its block counter: parts 1.. on
-    a thread pool while the calling thread walks part 0, so the bits do not
-    depend on the number of parts. An exception in any part is raised once
-    every part has ended. `rng` is read, not drawn from, and is left where
-    it stands."""
+    The samples are ordered by decreasing count, then index. The walking[k]
+    samples that walk cycle k lead that order, and the one at position p
+    draws its kick, uniform on [-1, 1), as raw draw drawn[k] + p on from the
+    next draw of the Philox `rng`, drawn[k] being the kicks of the cycles
+    before k: a spent sample draws nothing, and with equal counts sample i's
+    kick in cycle k is draw k * n + i. The order is walked in contiguous
+    parts of about equal draws, each cycle of a part on a Philox made at its
+    block counter: parts 1.. on a thread pool while the calling thread walks
+    part 0, so the bits do not depend on the number of parts. An exception
+    in any part is raised once every part has ended. `rng` is read, not
+    drawn from, and is left where it stands."""
     n = counts.size
-    velocity = np.zeros(n)
     state = rng.bit_generator.state
     key = state["state"]["key"]
     counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
     first = 4 * counter + state["buffer_pos"]   # index of rng's next raw draw
+    top = int(counts.max(initial=0))
+    # a stable radix sort of the count's complement in the smallest unsigned type
+    order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
+    walking = (n - np.cumsum(np.bincount(counts, minlength=top)[:top])).tolist()
+    drawn = np.cumsum([0, *walking]).tolist()
+    v = np.zeros(n)
 
     def walk_part(lo: int, hi: int) -> None:
-        # in cycle k the part's kicks are the raw draws first + k * n + lo on;
-        # it writes only into its own slice of `velocity`
-        part_counts, part_velocity = counts[lo:hi], velocity[lo:hi]
-        kick, active = np.empty(hi - lo), np.empty(hi - lo, dtype=bool)
-        for k in range(int(part_counts.max(initial=0))):
-            np.random.Generator(_philox_at(key, first + k * n + lo)).random(out=kick)
+        # in cycle k the part's walking samples draw the raw draws
+        # first + drawn[k] + lo on; it writes only into its own slice of v
+        buffer = np.empty(hi - lo)
+        for k, still in enumerate(walking):
+            if still <= lo:
+                break
+            kick = buffer[:min(hi, still) - lo]
+            np.random.Generator(_philox_at(key, first + drawn[k] + lo)).random(out=kick)
             kick *= 2.0     # with the next line, the bits of uniform(-1, 1)
             kick += -1.0
-            np.greater(part_counts, k, out=active)
-            kick *= active
-            part_velocity += kick
+            v[lo:lo + kick.size] += kick
 
     parts = _parts(n)
-    bounds = [n * j // parts for j in range(parts + 1)]
+
+    def drawn_by(p: int) -> int:
+        # every kick of the first p samples, times the part count
+        return parts * sum(min(p, still) for still in walking)
+
+    # part j ends after the most samples whose kicks fit in j / parts of all
+    bounds = [0, *(bisect_right(range(n + 1), drawn[-1] * j, key=drawn_by) - 1
+                   for j in range(1, parts)), n]
     with ThreadPoolExecutor(max(1, parts - 1)) as pool:
         pooled = [pool.submit(walk_part, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
         walk_part(0, bounds[1])
         for future in pooled:
             future.result()
+    velocity = np.empty(n)
+    velocity[order] = v
     return velocity
 
 
@@ -245,7 +264,7 @@ def heating_summary(
         cycle_report=report,
         result=result,
         initial_vrms=initial_vrms,
-        final_vrms_quadrature=float(np.sqrt(initial_vrms**2 + delta**2)),
+        final_vrms_quadrature=math.hypot(initial_vrms, delta),
         final_vrms_additive=float(initial_vrms + delta),
     )
 

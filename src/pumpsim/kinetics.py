@@ -97,8 +97,8 @@ class Beam:
             raise ValueError("intensity_ratio must be finite and nonnegative")
         if not abs(self.detuning) < math.inf:
             raise ValueError("detuning must be finite")
-        if not 0.0 < self.linewidth < math.inf:
-            raise ValueError("laser linewidth must be finite and positive")
+        if not 0.0 < self.linewidth <= 2.0 * math.pi * cst.OPTICAL_FREQUENCY:
+            raise ValueError("laser linewidth must be positive and at most the optical frequency")
         polarization_weights(self.depolarization)
 
 

@@ -74,15 +74,19 @@ def state_index(level: Sublevel) -> int:
         raise ValueError(f"{level} is not in the enumerated state space") from None
 
 
+@lru_cache(maxsize=None)
+def _line_6j(excited_f: int, ground_f: int) -> float:
+    """The 6j factor that every sublevel pair of one hyperfine line shares."""
+    return wigner_6j(cst.J_GROUND, cst.J_EXCITED, 1, excited_f, ground_f, cst.NUCLEAR_SPIN)
+
+
 def _coupling_strength(excited: Sublevel, ground: Sublevel) -> float:
     """Unnormalized squared dipole coupling between an excited and a ground
     sublevel; zero outside the |dF|<=1, |dm|<=1 selection rules."""
     q = ground.m - excited.m   # spherical component closing m' + q - m = 0
     if abs(q) > 1 or abs(excited.f - ground.f) > 1:
         return 0.0
-    w6 = wigner_6j(
-        cst.J_GROUND, cst.J_EXCITED, 1, excited.f, ground.f, cst.NUCLEAR_SPIN
-    )
+    w6 = _line_6j(excited.f, ground.f)
     w3 = wigner_3j(excited.f, 1, ground.f, excited.m, q, -ground.m)
     return (2 * ground.f + 1) * (2 * excited.f + 1) * (w6 * w6) * (w3 * w3)
 

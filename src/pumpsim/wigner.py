@@ -1,13 +1,12 @@
 """Wigner 3j and 6j coefficients for small angular momenta.
 
-The Racah sums are evaluated with exact integer/rational arithmetic and
-converted to float at the end, so the squared coefficients used for
+The Racah sums are exact integer fractions, converted to float by one
+correctly rounded integer division, so the squared coefficients used for
 branching ratios are accurate to machine precision over the D2-line range
 of arguments. Integer and half-integer arguments are accepted.
 """
 
-from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, prod, sqrt
 
 
 def _two(j) -> int:
@@ -29,9 +28,9 @@ def _triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
-def _delta2(a: int, b: int, c: int) -> Fraction:
-    """Squared triangle coefficient, exact."""
-    return Fraction(
+def _delta2(a: int, b: int, c: int) -> tuple[int, int]:
+    """Squared triangle coefficient, exact, as (numerator, denominator)."""
+    return (
         _fact2(a + b - c) * _fact2(a - b + c) * _fact2(-a + b + c),
         _fact2(a + b + c + 2),
     )
@@ -49,7 +48,8 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     if (a + ma) % 2 or (b + mb) % 2 or (c + mc) % 2:
         return 0.0
 
-    pre2 = _delta2(a, b, c) * (
+    pre_num, pre_den = _delta2(a, b, c)
+    pre_num *= (
         _fact2(a + ma) * _fact2(a - ma)
         * _fact2(b + mb) * _fact2(b - mb)
         * _fact2(c + mc) * _fact2(c - mc)
@@ -57,7 +57,7 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
 
     kmin = max(0, (b - c - ma) // 2, (a - c + mb) // 2)
     kmax = min((a + b - c) // 2, (a - ma) // 2, (b + mb) // 2)
-    total = Fraction(0)
+    num, den = 0, 1
     for k in range(kmin, kmax + 1):
         denom = (
             factorial(k)
@@ -67,10 +67,10 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
             * _fact2(c - b + ma + 2 * k)
             * _fact2(c - a - mb + 2 * k)
         )
-        total += Fraction(-1 if k % 2 else 1, denom)
+        num, den = num * denom + (-1) ** k * den, den * denom
 
     sign = -1.0 if ((a - b - mc) // 2) % 2 else 1.0
-    return sign * float(total) * sqrt(float(pre2))
+    return sign * (num / den) * sqrt(pre_num / pre_den)
 
 
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
@@ -81,9 +81,7 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
         if not _triangle_ok(*tri):
             return 0.0
 
-    pre2 = Fraction(1)
-    for tri in triads:
-        pre2 *= _delta2(*tri)
+    pre_num, pre_den = map(prod, zip(*(_delta2(*tri) for tri in triads)))
 
     tri_sums = [sum(tri) // 2 for tri in triads]
     pair_sums = [
@@ -91,13 +89,13 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
         (b + c + e + f) // 2,
         (a + c + d + f) // 2,
     ]
-    total = Fraction(0)
+    num, den = 0, 1
     for t in range(max(tri_sums), min(pair_sums) + 1):
         denom = 1
         for s in tri_sums:
             denom *= factorial(t - s)
         for p in pair_sums:
             denom *= factorial(p - t)
-        total += Fraction(-1 if t % 2 else 1, denom) * factorial(t + 1)
+        num, den = num * denom + (-1) ** t * factorial(t + 1) * den, den * denom
 
-    return float(total) * sqrt(float(pre2))
+    return (num / den) * sqrt(pre_num / pre_den)

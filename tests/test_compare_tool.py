@@ -1,6 +1,7 @@
 """The pure parts of tools/compare.py: run parsing, summaries, masking and
 byte moves. Nothing here starts a process."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -129,7 +130,8 @@ def test_layer_cases_and_scenario_edits(tmp_path):
                      "write_trajectory_csv fig5 50 ms", "write_trajectory_csv fig5 50 ms --prune",
                      "write_spectrum_csv fig3", "write_spectrum_csv fig4",
                      "assemble_rate_matrix fig5", "cli.main states",
-                     "fit_depolarization fig5", "fit_depolarization fig5 --fit-scale"]
+                     "fit_depolarization fig5", "fit_depolarization fig5 --fit-scale",
+                     "heating_summary heating_paper", "heating_summary heating_paper --prune"]
     tree = os.path.dirname(os.path.dirname(_PATH))
     for _, _, scenario, _, _, _ in compare.LAYER_CASES:
         if scenario is not None:
@@ -165,6 +167,10 @@ def test_layer_cases_name_each_layer_and_argv(tmp_path):
     for path in data:
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == compare.OBSERVATIONS[os.path.basename(path)]
+    # the heat cases time the whole summary: cycle counts and the walk
+    heat = os.path.join(tree, "scenarios", "heating_paper.ini")
+    assert cases["heating_summary heating_paper --prune"] == (
+        ["heat", "--config", heat, "--prune"], "heating_summary")
     # only the 50 ms cases edit a copy, named after the side and the case index
     assert cases["write_trajectory_csv fig5 50 ms"] == (
         ["pump", "--config", str(tmp_path / "change-2.ini")], "write_trajectory_csv")
@@ -195,3 +201,17 @@ def test_summarize_traced_by_workload_seed_and_pair():
     assert got["fit_sweep seed 1"]["cli.self_s"]["parent"]["median"] == 1.025
     assert got["fit_sweep seed 1"]["kinetics.assemble_rate_matrix.calls"]["change_wins"] == 0
     assert compare.summarize_traced([]) == {}
+
+
+def test_workload_specs_give_each_workload_its_seeds():
+    assert compare.workload_spec("heat_sweep") == ("heat_sweep", ())
+    assert compare.workload_spec("heat_sweep:1,2718") == ("heat_sweep", (1, 2718))
+    for bad in ("heat", "heat_sweep:1,x", "heat_sweep:1,"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            compare.workload_spec(bad)
+    specs = [("heat_sweep", (1, 2718)), ("pump_sweep", ()), ("fit_sweep", (5,))]
+    jobs = compare.plan(specs, [1, 3])
+    assert jobs == [("heat_sweep", 1), ("heat_sweep", 2718), ("pump_sweep", 1),
+                    ("pump_sweep", 3), ("fit_sweep", 5)]
+    assert compare.describe_plan(jobs) == ("heat_sweep at seeds [1, 2718]; pump_sweep at "
+                                           "seeds [1, 3]; fit_sweep at seeds [5]")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st_h
 from pumpsim import _g17, cli, config
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
+from pumpsim.constants import SPEED_OF_LIGHT, WAVELENGTH
 from pumpsim.kinetics import (
     Beam,
     assemble_rate_matrix,
@@ -277,6 +278,24 @@ def test_oversized_integration_window_exit_2(tmp_path, capsys, command, old, new
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["pump", "spectrum", "heat", "fit"])
+def test_linewidth_wider_than_the_light_exit_2(tmp_path, capsys, command):
+    # 1e300 Hz used to end in an OverflowError inside the line overlap on
+    # every command with beams; the line cannot be wider than its optical
+    # frequency, and the load says so before any integration or walk
+    with open(os.path.join(SCENARIOS, "heating_paper.ini")) as fh:
+        body = fh.read().replace("[velocity]", "[constants]\nlaser_linewidth_hz = 1e300\n\n"
+                                 "[velocity]")
+    data = tmp_path / "obs.csv"
+    data.write_text("# observable = g4_m0\n0.001,0.5\n")
+    argv = [command, "--config", write_config(tmp_path, body), "--out", str(tmp_path / "out")]
+    assert main(argv + [str(data)] * (command == "fit")) == 2
+    assert capsys.readouterr().err == (
+        "config error: [constants] laser_linewidth_hz: must be at most "
+        f"{SPEED_OF_LIGHT / WAVELENGTH}, got 1e+300\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestSpectrumCommand:
     def test_counterpropagating_report(self, tmp_path):
         result = run_cli(
@@ -474,6 +493,19 @@ class TestHeatCommand:
         text = (tmp_path / "out" / "heating.txt").read_text()
         assert "# delta_vrms_vr=" in text
         assert "v_over_vr,count" in text
+
+    def test_huge_velocity_spread_composes(self, tmp_path, capsys):
+        # sigma_vr = 1e300 used to end in an OverflowError at initial_vrms**2,
+        # after the whole walk; the quadrature of two finite spreads is finite
+        with open(os.path.join(SCENARIOS, "heating_paper.ini")) as fh:
+            body = (fh.read().replace("sigma_vr = 4.0", "sigma_vr = 1e300")
+                    .replace("samples = 100000", "samples = 2000"))
+        cfg = write_config(tmp_path, body)
+        assert main(["heat", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "out" / "heating.txt").read_text()
+        assert "# final_vrms_quadrature_vr=1.0000000000000001e+300\n" in text
+        assert "# final_vrms_additive_vr=1.0000000000000001e+300\n" in text
 
     def test_negative_seed_named(self, tmp_path, capsys):
         # the same rule as [mc] seed, in a message that names the flag

@@ -165,22 +165,50 @@ class TestRecoilWalk:
 
 
 def masked_kicks(counts, rng):
-    """The sequential reference walk: one uniform(-1, 1) kick per sample
-    and cycle, added where the sample's count exceeds the cycle."""
+    """The sequential reference walk for equal counts: one uniform(-1, 1)
+    kick per sample and cycle, added where the sample's count exceeds the
+    cycle."""
     velocity = np.zeros(counts.size)
     for k in range(int(counts.max())):
         velocity += np.where(counts > k, rng.uniform(-1.0, 1.0, size=counts.size), 0.0)
     return velocity
 
 
+def walking_kicks(counts, rng):
+    """The sequential reference walk for any counts: the samples ordered by
+    decreasing count, then by index; in each cycle the samples still walking
+    draw one uniform(-1, 1) kick each, in that order, and the others none."""
+    order = np.lexsort((np.arange(counts.size), -counts))
+    velocity = np.zeros(counts.size)
+    for k in range(int(counts.max(initial=0))):
+        walking = order[counts[order] > k]
+        velocity[walking] += rng.uniform(-1.0, 1.0, size=walking.size)
+    return velocity
+
+
+# mixed counts with zeros, 503 samples split unevenly into parts
+MIXED = np.resize([0, 3, 1, 0, 7, 2, 5, 0, 1, 4, 6], 503)
+
+
+def test_references_agree_on_equal_counts():
+    # with equal counts the walking order is the identity, so the two
+    # references draw the same kicks and keep the same bits
+    counts = np.full(500, 6)
+    a = masked_kicks(counts, np.random.Generator(np.random.Philox(9)))
+    b = walking_kicks(counts, np.random.Generator(np.random.Philox(9)))
+    assert np.array_equal(a, b)
+
+
 def test_walk_matches_masked_kicks():
-    # kicks past a sample's count are zeroed in place; the velocities keep
-    # the bits, and the sign of zero, of adding np.where(counts > k, kick, 0)
-    counts = np.tile([0, 3, 1, 0, 7, 2, 5, 0, 1, 4], 50)
-    velocity = masked_kicks(counts, np.random.Generator(np.random.Philox(9)))
-    walked = _walk(counts, np.random.Generator(np.random.Philox(9)))
-    assert np.array_equal(walked, velocity)
-    assert np.array_equal(np.signbit(walked), np.signbit(velocity))
+    # recoil_walk's fixed count walks every sample in every cycle: sample
+    # i's kick in cycle k is draw k * n + i, and the velocities keep the
+    # bits, and the sign of zero, of the sequential masked walk
+    for cycles, samples, seed in ((0, 10, 3), (1, 503, 5), (9, 20_000, 42)):
+        velocity = masked_kicks(np.full(samples, cycles),
+                                np.random.Generator(np.random.Philox(seed)))
+        projected = recoil_walk(cycles, samples=samples, seed=seed).projected
+        assert np.array_equal(projected, velocity)
+        assert np.array_equal(np.signbit(projected), np.signbit(velocity))
 
 
 # ways to leave a Philox stream before the walk: fresh, or partway
@@ -211,103 +239,160 @@ def test_philox_at_matches_one_sequential_stream():
             assert heating._philox_at(key, base + d).random_raw() == stream[d], d
 
 
-@pytest.mark.parametrize("start", sorted(STARTS))
-@pytest.mark.parametrize("parts", [1, 2, 3, 7])
-def test_walk_in_parts_matches_masked_kicks(monkeypatch, parts, start):
-    # 503 samples split unevenly; every part's draws are placed in the one
-    # stream, so the bits are those of the sequential walk whatever the
-    # number of parts, and the walk leaves the generator where it stands
-    monkeypatch.setattr(heating, "_parts", lambda samples: parts)
-    counts = np.resize([0, 3, 1, 0, 7, 2, 5, 0, 1, 4, 6], 503)
-    reference, walked = (np.random.Generator(np.random.Philox(9)) for _ in range(2))
-    STARTS[start](reference)
+def check_walk(counts, reference=walking_kicks, start="fresh"):
+    """_walk against a reference walk from the same stream position: the
+    same bits, the same signs of zero, and the generator left where it
+    stood."""
+    expected, walked = (np.random.Generator(np.random.Philox(9)) for _ in range(2))
+    STARTS[start](expected)
     STARTS[start](walked)
     before = walked.bit_generator.state
-    velocity = masked_kicks(counts, reference)
+    velocity = reference(counts, expected)
     result = _walk(counts, walked)
     assert np.array_equal(result, velocity)
     assert np.array_equal(np.signbit(result), np.signbit(velocity))
     assert str(walked.bit_generator.state) == str(before)
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_walk_in_parts_matches_masked_kicks(monkeypatch, parts, start):
+    # equal counts, 503 samples split unevenly; every part's draws are
+    # placed in the one stream, so the bits are those of the sequential
+    # masked walk whatever the number of parts
+    monkeypatch.setattr(heating, "_parts", lambda samples: parts)
+    check_walk(np.full(503, 4), masked_kicks, start)
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_walk_in_parts_matches_walking_kicks(monkeypatch, parts, start):
+    # mixed counts: the bits are those of the sequential walk of the
+    # walking samples, whatever the number of parts
+    monkeypatch.setattr(heating, "_parts", lambda samples: parts)
+    check_walk(MIXED, walking_kicks, start)
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_walk_with_an_empty_part_matches_walking_kicks(monkeypatch, empty):
+    # a third of the samples, first, middle or last by index, walk no cycle:
+    # they sort to the end of the order, draw nothing and keep their +0.0
+    monkeypatch.setattr(heating, "_parts", lambda samples: 3)
+    counts = np.resize([0, 3, 1, 0, 7, 2, 5, 0, 1, 4, 6], 33)
+    counts[11 * empty : 11 * (empty + 1)] = 0
+    check_walk(counts)
+
+
+@pytest.mark.parametrize("counts", [
+    np.zeros(33, dtype=np.int64),                # nothing to walk: every part is empty
+    np.resize([0, 0, 0, 0, 0, 0, 0, 0, 2], 33),  # fewer walking samples than parts
+    np.resize([1, 0, 0], 33),                    # one cycle for a third of them
+    np.array([40] + [0] * 32),                   # one sample holds every draw
+], ids=["zeros", "sparse", "one_cycle", "one_sample"])
+def test_walk_with_parts_that_draw_nothing(monkeypatch, counts):
+    # a part with no kick to draw walks no cycle, and a sample with count 0
+    # keeps its +0.0
+    monkeypatch.setattr(heating, "_parts", lambda samples: 3)
+    check_walk(counts)
+
+
+def next_draw(bit_generator) -> int:
+    """The index in its stream of a Philox's next raw draw."""
+    state = bit_generator.state
+    counter = sum(int(w) << (64 * i) for i, w in enumerate(state["state"]["counter"]))
+    return 4 * counter + state["buffer_pos"]
+
+
+PHILOX_AT = heating._philox_at
+
+
+def spy_on_draws(monkeypatch, parts, fail=None):
+    """Walk in `parts` parts with a _philox_at that records (thread, first
+    draw, bit generator) for every range a part places. With `fail` set to
+    "caller" or "pooled" it raises on that side instead, and with "caller"
+    the pooled parts are slowed down."""
+    placed, caller = [], threading.current_thread()
+
+    def spy(key, draw):
+        thread = threading.current_thread()
+        if fail == ("caller" if thread is caller else "pooled"):
+            raise RuntimeError(f"{fail} part failed")
+        if fail == "caller":
+            time.sleep(0.02)
+        placed.append((thread, draw, PHILOX_AT(key, draw)))
+        return placed[-1][2]
+
+    monkeypatch.setattr(heating, "_parts", lambda samples: parts)
+    monkeypatch.setattr(heating, "_philox_at", spy)
+    return placed
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_walk_draws_one_kick_per_walked_cycle(monkeypatch, parts):
+    # the placed ranges tile the stream from the generator's next draw on,
+    # with one draw per sample and cycle it walks: none for spent samples
+    placed = spy_on_draws(monkeypatch, parts)
+    _walk(MIXED, np.random.Generator(np.random.Philox(9)))
+    spans = sorted((draw, next_draw(bg)) for _, draw, bg in placed)
+    assert spans[0][0] == FRESH and spans[-1][1] == FRESH + MIXED.sum()
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_walk_parts_draw_about_equal_shares(monkeypatch, parts):
+    # the parts are cut by draws, not by samples: each part's kicks stay
+    # within one sample's count of an equal share
+    placed = spy_on_draws(monkeypatch, parts)
+    counts = np.resize([0, 9, 1, 0, 7, 2, 5, 0, 1, 4, 6], 5_003)
+    _walk(counts, np.random.Generator(np.random.Philox(9)))
+    shares = {}
+    for thread, draw, bg in placed:
+        shares[thread] = shares.get(thread, 0) + next_draw(bg) - draw
+    assert len(shares) == parts and sum(shares.values()) == counts.sum()
+    assert max(shares.values()) - min(shares.values()) <= 2 * counts.max()
 
 
 def test_walk_part_failure_reaches_caller(monkeypatch):
     # a part walked on another thread fails; the walk raises its error once
     # every part has ended, and leaves the generator where it was
-    philox_at = heating._philox_at
-
-    def failing(key, draw):
-        if (draw - FRESH) % 10 == 5:
-            raise RuntimeError("part 1 failed")
-        return philox_at(key, draw)
-
-    monkeypatch.setattr(heating, "_parts", lambda samples: 2)
-    monkeypatch.setattr(heating, "_philox_at", failing)
+    spy_on_draws(monkeypatch, 2, fail="pooled")
     rng = np.random.Generator(np.random.Philox(9))
     before = rng.bit_generator.state
-    with pytest.raises(RuntimeError, match="part 1 failed"):
-        _walk(np.full(10, 3), rng)
+    with pytest.raises(RuntimeError, match="pooled part failed"):
+        _walk(MIXED, rng)
     assert str(rng.bit_generator.state) == str(before)
-
-
-@pytest.mark.parametrize("empty", [0, 1, 2])
-def test_walk_with_an_empty_part_matches_masked_kicks(monkeypatch, empty):
-    # a part whose counts are all 0 walks no cycle and leaves its zeros
-    monkeypatch.setattr(heating, "_parts", lambda samples: 3)
-    counts = np.resize([0, 3, 1, 0, 7, 2, 5, 0, 1, 4, 6], 33)
-    counts[11 * empty : 11 * (empty + 1)] = 0
-    reference, walked = (np.random.Generator(np.random.Philox(9)) for _ in range(2))
-    before = walked.bit_generator.state
-    velocity = masked_kicks(counts, reference)
-    result = _walk(counts, walked)
-    assert np.array_equal(result, velocity)
-    assert np.array_equal(np.signbit(result), np.signbit(velocity))
-    assert str(walked.bit_generator.state) == str(before)
 
 
 def test_walk_caller_part_failure_waits_for_pooled_parts(monkeypatch):
     # part 0, walked on the calling thread, fails at once; its error is
-    # raised only after the slower pooled part has walked all its cycles
-    philox_at, pooled = heating._philox_at, []
-
-    def failing(key, draw):
-        if (draw - FRESH) % 10 == 0:
-            raise RuntimeError("part 0 failed")
-        time.sleep(0.02)
-        pooled.append(draw - FRESH)
-        return philox_at(key, draw)
-
-    monkeypatch.setattr(heating, "_parts", lambda samples: 2)
-    monkeypatch.setattr(heating, "_philox_at", failing)
+    # raised only after the slower pooled part has placed every range it
+    # places in a walk that does not fail
+    caller = threading.current_thread()
+    placed = spy_on_draws(monkeypatch, 2)
+    _walk(MIXED, np.random.Generator(np.random.Philox(9)))
+    walked = sorted(draw for thread, draw, _ in placed if thread is not caller)
+    placed = spy_on_draws(monkeypatch, 2, fail="caller")
     rng = np.random.Generator(np.random.Philox(9))
     before = rng.bit_generator.state
-    with pytest.raises(RuntimeError, match="part 0 failed"):
-        _walk(np.full(10, 3), rng)
-    assert sorted(pooled) == [5, 15, 25]
+    with pytest.raises(RuntimeError, match="caller part failed"):
+        _walk(MIXED, rng)
+    assert walked and sorted(draw for _, draw, _ in placed) == walked
     assert str(rng.bit_generator.state) == str(before)
 
 
 @pytest.mark.parametrize("fails", [False, True])
 def test_walk_leaves_no_thread_running(monkeypatch, fails):
     # every thread a walk starts has ended when it returns or raises
-    philox_at, walkers = heating._philox_at, set()
-
-    def recording(key, draw):
-        walkers.add(threading.current_thread())
-        if fails and (draw - FRESH) % 30 == 10:
-            raise RuntimeError("part 1 failed")
-        return philox_at(key, draw)
-
-    monkeypatch.setattr(heating, "_parts", lambda samples: 3)
-    monkeypatch.setattr(heating, "_philox_at", recording)
+    placed = spy_on_draws(monkeypatch, 3, "pooled" if fails else None)
     before = set(threading.enumerate())
     rng = np.random.Generator(np.random.Philox(9))
     if fails:
-        with pytest.raises(RuntimeError, match="part 1 failed"):
-            _walk(np.full(30, 3), rng)
+        with pytest.raises(RuntimeError, match="pooled part failed"):
+            _walk(MIXED, rng)
     else:
-        _walk(np.full(30, 3), rng)
-    started = walkers - {threading.current_thread()}
-    assert started and not any(thread.is_alive() for thread in started)
+        _walk(MIXED, rng)
+        started = {thread for thread, _, _ in placed} - {threading.current_thread()}
+        assert started and not any(thread.is_alive() for thread in started)
     assert set(threading.enumerate()) <= before
 
 

@@ -120,6 +120,17 @@ def test_non_finite_beam_rejected(field_name, value):
 
 
 class TestTransitionOverlap:
+    def test_linewidth_bounded_by_the_optical_frequency(self):
+        # a 1e300 Hz line used to overflow a float power here; no line is
+        # wider than its optical frequency, and at that width every overlap
+        # is finite and just under 1
+        widest = 2.0 * math.pi * cst.OPTICAL_FREQUENCY
+        bm = Beam(4, 4, 0.019, 0.0, linewidth=widest)
+        for excited_f in (3, 4, 5):
+            assert 0.99 < transition_overlap(excited_f, bm) < 1.0
+        with pytest.raises(ValueError, match="linewidth"):
+            Beam(4, 4, 0.019, 0.0, linewidth=math.nextafter(widest, math.inf))
+
     def test_on_resonance_closed_form(self):
         # on resonance the general form reduces to mu/(mu+1)
         bm = Beam(4, 4, 0.019, 0.0, linewidth=0.2 * cst.GAMMA)

@@ -1,8 +1,8 @@
 """Compare two pumpsim source trees: benchmark pairs and CLI output bytes.
 
     python3 tools/compare.py <parent-tree> <change-tree> [--pairs 10] [--seed 1 ...]
-        [--seconds 10] [--workload <name> ...] [--traced 3] [--layers 10] [--matrix]
-        [--bench BENCH_<n>.json]
+        [--seconds 10] [--workload <name>[:<seed>,...] ...] [--traced 3] [--layers 10]
+        [--matrix] [--bench BENCH_<n>.json]
 
 Each tree is a directory holding `src/pumpsim`, `scenarios/` and
 `perfbench/`, such as a `git archive` of a commit. Nothing in either tree
@@ -10,7 +10,10 @@ is edited; the benchmark writes its own scratch folder inside each tree.
 
 With --pairs > 0, `perfbench/run.py --workload <w> --seed <s> --seconds
 <t> --trace 0` runs in each tree as a subprocess, in alternating pairs, for
-every workload and every --seed given: the parent runs first in even pairs
+every workload given (default: all four) at each of its own seeds, or at
+every --seed given (default 1) when it names none: `--workload
+heat_sweep:1,2718 --workload pump_sweep` runs heat_sweep at seeds 1 and
+2718 and pump_sweep at the --seed list. The parent runs first in even pairs
 and the change in odd ones. Each metric gets medians and
 statistics.quantiles(n=4, method='inclusive') per side and `change_wins`,
 the pairs where the change reads better. --bench writes the protocol
@@ -28,9 +31,11 @@ With --layers > 0, each tree times layers in process, in fresh processes
 alternating as the pairs do: `write_trajectory_csv` on fig5 at 5 ms and
 50 ms, with and without --prune, `write_spectrum_csv` on fig3 and fig4,
 `assemble_rate_matrix` on the fig5 beams, a whole `cli.main(["states"])`
-call with its stdout captured, the fixed cost of every call, and a whole
+call with its stdout captured, the fixed cost of every call, a whole
 `fit_depolarization` on fig5 with and without --fit-scale, fitting the two
-fixed observation files the matrix fits. A process runs
+fixed observation files the matrix fits, and a whole `heating_summary` on
+heating_paper (its cycle counts and the recoil walk) with and without
+--prune. A process runs
 each command once with a spy on the layer's name in `pumpsim.cli`, which
 pays for imports and first-use caches, then calls the layer on what it was
 handed LAYER_CALLS times and keeps their median. Each case gets medians
@@ -82,6 +87,9 @@ LAYER_CASES += [("assemble_rate_matrix fig5", "pump", "fig5_dynamics", None, (),
 LAYER_CASES += [(f"fit_depolarization fig5{' --fit-scale' * scale}", "fit", "fig5_dynamics",
                  None, ("--fit-scale",) * scale + ("@obs",), "fit_depolarization")
                 for scale in (False, True)]
+LAYER_CASES += [(f"heating_summary heating_paper{' --prune' * prune}", "heat", "heating_paper",
+                 None, ("--prune",) * prune, "heating_summary")
+                for prune in (False, True)]
 LAYER_CALLS = 7
 # Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls>`: cases
 # are [case, argv, layer name or None]; prints {case: median seconds} as JSON.
@@ -133,6 +141,32 @@ def describe(values) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"n": len(values), "median": statistics.median(values), "q1": q1, "q3": q3,
             "min": min(values), "max": max(values)}
+
+
+def workload_spec(text: str) -> tuple:
+    """A --workload value, NAME or NAME:SEED,SEED..., as (name, its seeds)."""
+    name, _, seeds = text.partition(":")
+    if name not in WORKLOADS:
+        raise argparse.ArgumentTypeError(f"unknown workload {name!r}; choose from "
+                                         f"{', '.join(WORKLOADS)}")
+    try:
+        return name, tuple(int(seed) for seed in seeds.split(",")) if seeds else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: seeds must be integers") from None
+
+
+def plan(specs, seeds) -> list:
+    """(workload, seed) in run order: each workload of `specs` at its own
+    seeds, or at every one of `seeds` when it names none."""
+    return [(name, seed) for name, own in specs for seed in (own or seeds)]
+
+
+def describe_plan(jobs) -> str:
+    """The seeds of each workload in `jobs`, for a record's `what`."""
+    seeds = {}
+    for name, seed in jobs:
+        seeds.setdefault(name, []).append(seed)
+    return "; ".join(f"{name} at seeds {listed}" for name, listed in seeds.items())
 
 
 def parse_run(stdout: str) -> dict:
@@ -244,11 +278,11 @@ def _bench_env() -> dict:
     return env
 
 
-def run_pairs(trees, workloads, seeds, seconds, pairs, trace=0) -> list:
-    """`pairs` alternating perfbench runs per tree for each workload and seed;
-    traced runs report per-layer metrics in place of METRICS."""
+def run_pairs(trees, jobs, seconds, pairs, trace=0) -> list:
+    """`pairs` alternating perfbench runs per tree for each (workload, seed)
+    of `jobs`; traced runs report per-layer metrics in place of METRICS."""
     runs = []
-    for workload, seed in ((w, s) for w in workloads for s in seeds):
+    for workload, seed in jobs:
         for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
@@ -396,9 +430,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--workload", type=workload_spec, action="append",
+                        help="a workload, or NAME:SEED,SEED... for one with its own seeds; "
+                             "repeatable (default: all four)")
     parser.add_argument("--seed", type=int, action="append",
-                        help="a workload seed, repeatable (default 1)")
+                        help="a seed for every workload that names none, repeatable "
+                             "(default 1)")
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--pairs", type=int, default=0)
     parser.add_argument("--traced", type=int, default=0,
@@ -409,10 +446,10 @@ def main(argv=None) -> int:
     parser.add_argument("--matrix", action="store_true", help="compare the CLI output matrix")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    seeds = args.seed or [1]
+    jobs = plan(args.workload or [(name, ()) for name in WORKLOADS], args.seed or [1])
     record, status = {}, 0
     if args.pairs > 0:
-        runs = run_pairs(trees, args.workload or WORKLOADS, seeds, args.seconds, args.pairs)
+        runs = run_pairs(trees, jobs, args.seconds, args.pairs)
         summary = summarize(runs)
         for entry in summary:
             for name in METRICS:
@@ -423,7 +460,7 @@ def main(argv=None) -> int:
                       f"{p['q3'] - p['q1']:.4f}, change lower in "
                       f"{entry[name]['change_wins']} of {entry['pairs']}")
         record |= {
-            "what": f"python3 perfbench/run.py --workload <w> --seed <s> for s in {seeds} "
+            "what": f"python3 perfbench/run.py --workload <w> --seed <s> for {describe_plan(jobs)} "
                     f"--seconds {args.seconds:g} --trace 0 in each tree, run by "
                     "tools/compare.py: alternating pairs, the parent first in even "
                     "pairs; quartiles from statistics.quantiles(n=4, "
@@ -431,8 +468,7 @@ def main(argv=None) -> int:
                     "reads lower",
             "summary": summary, "runs": runs}
     if args.traced > 0:
-        runs = run_pairs(trees, args.workload or WORKLOADS, seeds, args.seconds, args.traced,
-                         trace=1)
+        runs = run_pairs(trees, jobs, args.seconds, args.traced, trace=1)
         summary = summarize_traced(runs)
         for key, table in summary.items():
             for name, entry in table.items():
@@ -441,7 +477,7 @@ def main(argv=None) -> int:
                       f"IQR {p['q3'] - p['q1']:.3g}, change lower in {entry['change_wins']} "
                       f"of {args.traced}")
         record["traced"] = {
-            "what": f"python3 perfbench/run.py --workload <w> --seed <s> for s in {seeds} "
+            "what": f"python3 perfbench/run.py --workload <w> --seed <s> for {describe_plan(jobs)} "
                     "--trace 1 in each tree, alternating as the pairs do; medians and "
                     "inclusive quartiles of each per-layer metric over runs; change_wins "
                     "counts runs where the change reads lower",

@@ -151,6 +151,11 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _fixed(value: float, places: int) -> str:
+    """`places` decimals below 1e6; 4 significant digits from there up."""
+    return f"{value:.{places}f}" if abs(value) < 1e6 else f"{value:.4g}"
+
+
 def cmd_heat(args) -> int:
     cfg = _load(args, "heat")
     if args.seed is not None and args.seed < 0:
@@ -165,12 +170,12 @@ def cmd_heat(args) -> int:
     out = cfg.directory
     write_heating_summary(summary, os.path.join(out, "heating.txt"))
     result = summary.result
-    print(f"mean fluorescence cycles: {result.mean_cycles:.3f}")
-    print(f"delta v_rms: {result.delta_vrms:.3f} v_r "
-          f"(standard error {result.standard_error:.4f})")
-    print(f"initial {summary.initial_vrms:.2f} v_r -> quadrature "
-          f"{summary.final_vrms_quadrature:.3f} v_r, additive "
-          f"{summary.final_vrms_additive:.3f} v_r")
+    print(f"mean fluorescence cycles: {_fixed(result.mean_cycles, 3)}")
+    print(f"delta v_rms: {_fixed(result.delta_vrms, 3)} v_r "
+          f"(standard error {_fixed(result.standard_error, 4)})")
+    print(f"initial {_fixed(summary.initial_vrms, 2)} v_r -> quadrature "
+          f"{_fixed(summary.final_vrms_quadrature, 3)} v_r, additive "
+          f"{_fixed(summary.final_vrms_additive, 3)} v_r")
     print(f"wrote {out}/heating.txt")
     report = summary.cycle_report
     unreached = [f"m={m}" for m, hit in report.reached.items() if not hit]

@@ -81,7 +81,7 @@ _KEYS = {
     ("output", "directory"): _Key(str.strip),
     ("beams.*", "target"): _Key(_target),
     ("beams.*", "intensity_ratio"): _Key(_FLOAT, 0.0),
-    ("beams.*", "detuning_gamma"): _Key(_FLOAT),
+    ("beams.*", "detuning_gamma"): _Key(_FLOAT, -cst.MAX_DETUNING, cst.MAX_DETUNING),
     ("beams.*", "alpha"): _Key(_FLOAT, 0.0),
 }
 _SECTIONS = {section for section, _ in _KEYS}

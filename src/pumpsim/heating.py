@@ -8,12 +8,12 @@ on [-1, 1]; the absorption recoil along the back-reflected pump, orthogonal
 to the detection axis as in the paper, projects to 0. Everything is in
 units of the recoil velocity.
 
-The walk's kicks come from one counter-based Philox stream, in which any
-draw can be reached from its index, and only atoms still walking draw one.
-The atoms, ordered by count, are walked in contiguous parts at once, one
-per CPU, each part's draws on a Philox made at their block counter. The
-velocities have the bits of one sequential walk, and the caller's
-generator is not moved.
+The walk's kicks come two to a draw from one counter-based Philox stream,
+in which any draw can be reached from its index, and only atoms still
+walking take one. The atoms, ordered by count, are walked in contiguous
+parts at once, one per CPU, each part's draws on a Philox made at their
+block counter. The velocities have the bits of one sequential walk, and
+the caller's generator is not moved.
 """
 
 import math
@@ -151,40 +151,44 @@ def _philox_at(key, draw: int) -> "np.random.Philox":
 def _walk(counts: np.ndarray, rng) -> np.ndarray:
     """Velocities along the detection axis after per-sample cycle counts.
 
-    The samples are ordered by decreasing count, then index. The walking[k]
-    samples that walk cycle k lead that order, and the one at position p
-    draws its kick, uniform on [-1, 1), as raw draw drawn[k] + p on from the
-    next draw of the Philox `rng`, drawn[k] being the kicks of the cycles
-    before k: a spent sample draws nothing, and with equal counts sample i's
-    kick in cycle k is draw k * n + i. The order is walked in contiguous
-    parts of about equal draws, each cycle of a part on a Philox made at its
-    block counter: parts 1.. on a thread pool while the calling thread walks
-    part 0, so the bits do not depend on the number of parts. An exception
-    in any part is raised once every part has ended. `rng` is read, not
-    drawn from, and is left where it stands."""
+    The samples are ordered by decreasing count, then index (equal counts
+    skip the sort); the walking[k] samples that walk cycle k lead that order,
+    and the one at position p takes kick 2 f + drawn[k] + p, f being the
+    index of rng's next raw draw and drawn[k] the kicks of the cycles before
+    k. Kick j is the low (j even) or high (j odd) 32-bit half u of Philox raw
+    draw j // 2, in next_uint32's order, and moves the sample by (2u + 1)
+    2**-32 - 1: a midpoint lattice on (-1, 1), mean 0. The order is walked in
+    parts of about equal kicks, each cycle of a part on a Philox made at its
+    block counter, parts 1.. on a thread pool while the calling thread walks
+    part 0, so the bits do not depend on the number of parts. An error in any
+    part is raised once every part has ended. `rng` is read, and left as is."""
     n = counts.size
     state = rng.bit_generator.state
     key = state["state"]["key"]
     counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
-    first = 4 * counter + state["buffer_pos"]   # index of rng's next raw draw
+    first = 2 * (4 * counter + state["buffer_pos"])   # 2 f, the walk's first kick
     top = int(counts.max(initial=0))
-    # a stable radix sort of the count's complement in the smallest unsigned type
-    order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
-    walking = (n - np.cumsum(np.bincount(counts, minlength=top)[:top])).tolist()
+    if counts.min(initial=top) == top:   # equal counts: the order is the identity
+        order, walking = None, [n] * top
+    else:
+        # a stable radix sort of the count's complement in the smallest unsigned type
+        order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
+        walking = (n - np.cumsum(np.bincount(counts, minlength=top)[:top])).tolist()
     drawn = np.cumsum([0, *walking]).tolist()
     v = np.zeros(n)
 
     def walk_part(lo: int, hi: int) -> None:
-        # in cycle k the part's walking samples draw the raw draws
-        # first + drawn[k] + lo on; it writes only into its own slice of v
+        # in cycle k the part's walking samples take the kicks j = first +
+        # drawn[k] + lo on; it writes only into its own slice of v
         buffer = np.empty(hi - lo)
         for k, still in enumerate(walking):
-            if still <= lo:
+            if min(hi, still) <= lo:
                 break
-            kick = buffer[:min(hi, still) - lo]
-            np.random.Generator(_philox_at(key, first + drawn[k] + lo)).random(out=kick)
-            kick *= 2.0     # with the next line, the bits of uniform(-1, 1)
-            kick += -1.0
+            kick, j = buffer[:min(hi, still) - lo], first + drawn[k] + lo
+            raw = _philox_at(key, j // 2).random_raw((j % 2 + kick.size + 1) // 2)
+            np.multiply(raw.astype("<u8", copy=False).view("<u4")[j % 2:j % 2 + kick.size],
+                        2.0**-31, out=kick)
+            kick += 2.0**-32 - 1.0   # exact in float64: (2u + 1) 2**-32 - 1
             v[lo:lo + kick.size] += kick
 
     parts = _parts(n)
@@ -201,6 +205,8 @@ def _walk(counts: np.ndarray, rng) -> np.ndarray:
         walk_part(0, bounds[1])
         for future in pooled:
             future.result()
+    if order is None:
+        return v
     velocity = np.empty(n)
     velocity[order] = v
     return velocity

@@ -95,8 +95,8 @@ class Beam:
         _check_transition(self.ground_f, self.excited_f)
         if not 0.0 <= self.intensity_ratio < math.inf:
             raise ValueError("intensity_ratio must be finite and nonnegative")
-        if not abs(self.detuning) < math.inf:
-            raise ValueError("detuning must be finite")
+        if not abs(self.detuning) <= cst.MAX_DETUNING:
+            raise ValueError("detuning must be at most the optical frequency, in either sign")
         if not 0.0 < self.linewidth <= 2.0 * math.pi * cst.OPTICAL_FREQUENCY:
             raise ValueError("laser linewidth must be positive and at most the optical frequency")
         polarization_weights(self.depolarization)
@@ -211,6 +211,8 @@ def assemble_rate_matrix(beams) -> RateMatrix:
             overlap = transition_overlap(fe, bm)
             # rate (s^-1) per unit branching ratio and polarization weight
             base = 0.5 * cst.GAMMA * (cst.GAMMA / bm.linewidth) * bm.intensity_ratio * overlap
+            if not base < math.inf:   # a tiny linewidth or a huge intensity overflows
+                raise ValueError(f"the {bm.ground_f}->{fe}' rate of {bm} is not finite")
             channels = _channels(bm.ground_f, fe)
             unit = base * channels["branching"]
             live = unit > 0.0

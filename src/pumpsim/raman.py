@@ -35,8 +35,9 @@ class RamanPulse:
     duration: float
 
     def __post_init__(self):
-        if not 0.0 < self.duration < np.inf:
-            raise ValueError("pulse duration must be finite and positive")
+        if not (0.0 < self.duration < np.inf and np.pi / self.duration < np.inf):
+            raise ValueError("pulse duration must be finite and positive, with a finite "
+                             f"Rabi frequency pi / duration, got {self.duration!r}")
 
 
 @dataclass(frozen=True)

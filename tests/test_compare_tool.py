@@ -215,3 +215,41 @@ def test_workload_specs_give_each_workload_its_seeds():
                     ("pump_sweep", 3), ("fit_sweep", 5)]
     assert compare.describe_plan(jobs) == ("heat_sweep at seeds [1, 2718]; pump_sweep at "
                                            "seeds [1, 3]; fit_sweep at seeds [5]")
+
+
+_PACE = os.path.join(os.path.dirname(_PATH), os.pardir, "perfbench", "pace.py")
+_pace_spec = importlib.util.spec_from_file_location("bench_pace", _PACE)
+pace = importlib.util.module_from_spec(_pace_spec)
+_pace_spec.loader.exec_module(pace)
+
+
+@pytest.mark.parametrize("speed", [1.0, 0.5, 0.37])
+def test_time_layer_paces_each_call_as_wall_s_is_paced(speed):
+    # at a fraction `speed` of the reference pace a 10 ms call reads
+    # 10 ms / speed, and so does each reference slice after it: the paced
+    # time is the reference pace's 10 ms at any speed, as perfbench/run.py
+    # rescales wall_s with perfbench/pace.py
+    now, asked = [0.0], []
+
+    def call():
+        now[0] += 0.010 / speed
+
+    def run_slices(seconds):
+        asked.append(seconds)
+        slice_s = pace.REF_SLICE_S / speed
+        return seconds, max(1, round(seconds / slice_s))
+
+    bench = argparse.Namespace(PACE_SHARE=pace.PACE_SHARE, pace=run_slices,
+                               at_reference_pace=pace.at_reference_pace)
+    got = compare.time_layer(call, 5, bench, clock=lambda: now[0])
+    assert got["measured"] == pytest.approx(0.010 / speed)
+    assert got["paced"] == pytest.approx(0.010)
+    assert asked == [pytest.approx(pace.PACE_SHARE * 0.010 / speed)] * 5
+
+
+def test_time_layer_runs_the_reference_slices():
+    # with perfbench/pace.py itself: every call is followed by its slices
+    calls = []
+    got = compare.time_layer(lambda: calls.append(pace.reference_slice()), 3, pace)
+    assert len(calls) == 3
+    assert got["measured"] > 0.0 and got["paced"] > 0.0

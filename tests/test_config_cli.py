@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st_h
 from pumpsim import _g17, cli, config
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
-from pumpsim.constants import SPEED_OF_LIGHT, WAVELENGTH
+from pumpsim.constants import GAMMA, SPEED_OF_LIGHT, WAVELENGTH
 from pumpsim.kinetics import (
     Beam,
     assemble_rate_matrix,
@@ -279,6 +280,23 @@ def test_oversized_integration_window_exit_2(tmp_path, capsys, command, old, new
 
 
 @pytest.mark.parametrize("command", ["pump", "spectrum", "heat", "fit"])
+def test_detuning_beyond_the_light_exit_2(tmp_path, capsys, command):
+    # 5.8e76 linewidths used to end in an OverflowError inside the line
+    # overlap on every command with beams; the load now bounds the detuning
+    with open(os.path.join(SCENARIOS, "heating_paper.ini")) as fh:
+        body = fh.read().replace("detuning_gamma = -0.5", "detuning_gamma = 5.78960446186581e+76")
+    data = tmp_path / "obs.csv"
+    data.write_text("# observable = g4_m0\n0.001,0.5\n")
+    argv = [command, "--config", write_config(tmp_path, body), "--out", str(tmp_path / "out")]
+    assert main(argv + [str(data)] * (command == "fit")) == 2
+    bound = 2.0 * np.pi * SPEED_OF_LIGHT / WAVELENGTH / GAMMA
+    assert capsys.readouterr().err == (
+        f"config error: [beams.pb] detuning_gamma: must be at most {bound}, "
+        "got 5.78960446186581e+76\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pump", "spectrum", "heat", "fit"])
 def test_linewidth_wider_than_the_light_exit_2(tmp_path, capsys, command):
     # 1e300 Hz used to end in an OverflowError inside the line overlap on
     # every command with beams; the line cannot be wider than its optical
@@ -427,6 +445,19 @@ class TestSpectrumCommand:
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_subnormal_pulse_exit_2(self, tmp_path, capsys):
+        # a subnormal tau_s used to write an all-NaN copropagating spectrum
+        # and exit 0, after printing an infinite FWHM*tau
+        with open(os.path.join(SCENARIOS, "fig3_polarized.ini")) as fh:
+            body = fh.read().replace("tau_s = 0.007", "tau_s = 5e-324")
+        cfg = write_config(tmp_path, body)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: pulse duration must be finite and positive, with "
+                                "a finite Rabi frequency pi / duration, got 5e-324\n")
+        assert not (tmp_path / "out").exists()
+
     def test_huge_doppler_width_exit_4(self, tmp_path):
         # at 1e10 v_r the spectrum is flat on the grid, computed and
         # written; only the Gaussian fit fails, so the run exits 4
@@ -506,6 +537,22 @@ class TestHeatCommand:
         text = (tmp_path / "out" / "heating.txt").read_text()
         assert "# final_vrms_quadrature_vr=1.0000000000000001e+300\n" in text
         assert "# final_vrms_additive_vr=1.0000000000000001e+300\n" in text
+
+    @pytest.mark.parametrize("sigma_vr, line", [
+        ("4.0", r"initial 4\.00 v_r -> quadrature \d\.\d{3} v_r, additive \d\.\d{3} v_r"),
+        ("1e300", r"initial 1e\+300 v_r -> quadrature 1e\+300 v_r, additive 1e\+300 v_r"),
+    ])
+    def test_spread_line_stays_short(self, tmp_path, capsys, sigma_vr, line):
+        # ordinary spreads print in fixed point as they always have; from 1e6
+        # up in 4 significant digits, not as a 301-digit number
+        with open(os.path.join(SCENARIOS, "heating_paper.ini")) as fh:
+            body = (fh.read().replace("sigma_vr = 4.0", f"sigma_vr = {sigma_vr}")
+                    .replace("samples = 100000", "samples = 2000"))
+        cfg = write_config(tmp_path, body)
+        assert main(["heat", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(line, printed[2])
+        assert max(len(text) for text in printed[:3]) < 80
 
     def test_negative_seed_named(self, tmp_path, capsys):
         # the same rule as [mc] seed, in a message that names the flag

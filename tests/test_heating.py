@@ -164,25 +164,43 @@ class TestRecoilWalk:
         np.testing.assert_array_equal(a.projected, b.projected)
 
 
+def kick_stream(rng):
+    """take(size): the next `size` kicks of one sequential stream, two to a
+    raw draw of rng's Philox from its next raw draw on, the low 32-bit half
+    first; a half u gives the kick ((2u + 1) - 2**32) / 2**32."""
+    left = np.empty(0, dtype=np.uint64)   # a high half not yet taken
+
+    def take(size):
+        nonlocal left
+        raw = rng.bit_generator.random_raw(max(0, size - left.size + 1) // 2)
+        halves = np.concatenate([left, np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel()])
+        left, u = halves[size:], halves[:size].astype(np.int64)
+        return ((2 * u + 1) - 2**32) / 2.0**32
+
+    return take
+
+
 def masked_kicks(counts, rng):
-    """The sequential reference walk for equal counts: one uniform(-1, 1)
-    kick per sample and cycle, added where the sample's count exceeds the
-    cycle."""
+    """The sequential reference walk for equal counts: one kick of
+    kick_stream per sample and cycle, added where the sample's count
+    exceeds the cycle."""
+    take = kick_stream(rng)
     velocity = np.zeros(counts.size)
     for k in range(int(counts.max())):
-        velocity += np.where(counts > k, rng.uniform(-1.0, 1.0, size=counts.size), 0.0)
+        velocity += np.where(counts > k, take(counts.size), 0.0)
     return velocity
 
 
 def walking_kicks(counts, rng):
     """The sequential reference walk for any counts: the samples ordered by
     decreasing count, then by index; in each cycle the samples still walking
-    draw one uniform(-1, 1) kick each, in that order, and the others none."""
+    take one kick of kick_stream each, in that order, and the others none."""
+    take = kick_stream(rng)
     order = np.lexsort((np.arange(counts.size), -counts))
     velocity = np.zeros(counts.size)
     for k in range(int(counts.max(initial=0))):
         walking = order[counts[order] > k]
-        velocity[walking] += rng.uniform(-1.0, 1.0, size=walking.size)
+        velocity[walking] += take(walking.size)
     return velocity
 
 
@@ -201,7 +219,7 @@ def test_references_agree_on_equal_counts():
 
 def test_walk_matches_masked_kicks():
     # recoil_walk's fixed count walks every sample in every cycle: sample
-    # i's kick in cycle k is draw k * n + i, and the velocities keep the
+    # i's kick in cycle k is kick k * n + i, and the velocities keep the
     # bits, and the sign of zero, of the sequential masked walk
     for cycles, samples, seed in ((0, 10, 3), (1, 503, 5), (9, 20_000, 42)):
         velocity = masked_kicks(np.full(samples, cycles),
@@ -220,6 +238,33 @@ STARTS = {
     "raw_4": lambda rng: rng.bit_generator.random_raw(4),
     "uint32": lambda rng: rng.integers(0, 2**32 - 1, size=3, dtype=np.uint32),
 }
+
+
+def test_kick_lattice_ends_and_middle(monkeypatch):
+    # each raw draw gives its low half's kick, then its high half's: the
+    # halves 0 and 2**32 - 1 give -(1 - 2**-32) and 1 - 2**-32 exactly, and
+    # the two middle halves -2**-32 and 2**-32
+    draws = np.array([0xFFFFFFFF_00000000, 0x80000000_7FFFFFFF], dtype=np.uint64)
+
+    class Draws:
+        def random_raw(self, size):
+            return draws[:size]
+
+    monkeypatch.setattr(heating, "_parts", lambda samples: 1)
+    monkeypatch.setattr(heating, "_philox_at", lambda key, draw: Draws())
+    velocity = _walk(np.ones(4, dtype=np.int64), np.random.Generator(np.random.Philox(9)))
+    assert velocity.tolist() == [-(1 - 2**-32), 1 - 2**-32, -(2**-32), 2**-32]
+
+
+def test_equal_counts_walk_without_a_sort(monkeypatch):
+    # with every count equal the walking order is the identity: the walk
+    # neither sorts the samples nor scatters them back
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted equal counts")
+
+    expected = masked_kicks(np.full(503, 4), np.random.Generator(np.random.Philox(5)))
+    monkeypatch.setattr(np, "argsort", no_sort)
+    assert np.array_equal(recoil_walk(4, samples=503, seed=5).projected, expected)
 
 
 # a fresh Philox stands before block 1: its next raw draw is draw 4
@@ -327,28 +372,40 @@ def spy_on_draws(monkeypatch, parts, fail=None):
     return placed
 
 
+def raw_draws(kicks) -> int:
+    """The raw draws that hold `kicks` kicks, two to a draw."""
+    return -(-kicks // 2)
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_walk_draws_one_kick_per_walked_cycle(monkeypatch, parts):
-    # the placed ranges tile the stream from the generator's next draw on,
-    # with one draw per sample and cycle it walks: none for spent samples
+    # the placed raw ranges tile the stream from the generator's next draw
+    # on: two kicks to a draw, one kick per sample and cycle it walks and
+    # none for spent samples. A range whose first kick is a high half
+    # (an odd kick index) shares that draw with the range before it.
     placed = spy_on_draws(monkeypatch, parts)
     _walk(MIXED, np.random.Generator(np.random.Philox(9)))
     spans = sorted((draw, next_draw(bg)) for _, draw, bg in placed)
-    assert spans[0][0] == FRESH and spans[-1][1] == FRESH + MIXED.sum()
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert spans[0][0] == FRESH and spans[-1][1] == FRESH + raw_draws(MIXED.sum())
+    shared = [b[0] == a[1] - 1 for a, b in zip(spans, spans[1:])]
+    assert all(b[0] in (a[1] - 1, a[1]) for a, b in zip(spans, spans[1:]))
+    assert any(shared)   # odd starts included
+    assert sum(end - draw for draw, end in spans) == raw_draws(MIXED.sum()) + sum(shared)
 
 
 @pytest.mark.parametrize("parts", [2, 3])
 def test_walk_parts_draw_about_equal_shares(monkeypatch, parts):
-    # the parts are cut by draws, not by samples: each part's kicks stay
-    # within one sample's count of an equal share
+    # the parts are cut by kicks, not by samples: each part's raw draws stay
+    # within one sample's count of an equal share, plus the one draw each
+    # of its ranges may share with a neighbour
     placed = spy_on_draws(monkeypatch, parts)
     counts = np.resize([0, 9, 1, 0, 7, 2, 5, 0, 1, 4, 6], 5_003)
     _walk(counts, np.random.Generator(np.random.Philox(9)))
     shares = {}
     for thread, draw, bg in placed:
         shares[thread] = shares.get(thread, 0) + next_draw(bg) - draw
-    assert len(shares) == parts and sum(shares.values()) == counts.sum()
+    assert len(shares) == parts
+    assert 0 <= sum(shares.values()) - raw_draws(counts.sum()) < len(placed)
     assert max(shares.values()) - min(shares.values()) <= 2 * counts.max()
 
 

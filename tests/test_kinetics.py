@@ -119,6 +119,15 @@ def test_non_finite_beam_rejected(field_name, value):
         replace(Beam(4, 4, 0.019, -0.5, 0.013), **{field_name: value})
 
 
+@pytest.mark.parametrize("change", [{"linewidth": 2.0 * math.pi * 1e-300},
+                                    {"intensity_ratio": 1e308}])
+def test_overflowing_rate_rejected(change):
+    # such a beam used to give infinite rates, and NaN ones where its
+    # polarization weight is 0, so every population came out NaN
+    with pytest.raises(ValueError, match="rate of Beam.* is not finite"):
+        assemble_rate_matrix([replace(Beam(4, 4, 0.019, -0.5, 0.0), **change)])
+
+
 class TestTransitionOverlap:
     def test_linewidth_bounded_by_the_optical_frequency(self):
         # a 1e300 Hz line used to overflow a float power here; no line is
@@ -130,6 +139,18 @@ class TestTransitionOverlap:
             assert 0.99 < transition_overlap(excited_f, bm) < 1.0
         with pytest.raises(ValueError, match="linewidth"):
             Beam(4, 4, 0.019, 0.0, linewidth=math.nextafter(widest, math.inf))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_detuning_bounded_by_the_optical_frequency(self, sign):
+        # a detuning of 5.8e76 linewidths used to overflow a float power
+        # here; no laser sits further from a line than its optical
+        # frequency, and there every overlap is finite and tiny
+        farthest = sign * 2.0 * math.pi * cst.OPTICAL_FREQUENCY / cst.GAMMA
+        bm = Beam(4, 4, 0.019, farthest)
+        for excited_f in (3, 4, 5):
+            assert 0.0 < transition_overlap(excited_f, bm) < 1e-15
+        with pytest.raises(ValueError, match="detuning"):
+            Beam(4, 4, 0.019, math.nextafter(farthest, sign * math.inf))
 
     def test_on_resonance_closed_form(self):
         # on resonance the general form reduces to mu/(mu+1)

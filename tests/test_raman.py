@@ -98,6 +98,13 @@ class TestRabiLineshape:
         with pytest.raises(ValueError):
             RamanPulse(-1.0)
 
+    @pytest.mark.parametrize("tau", [5e-324, 1e-310])
+    def test_subnormal_pulse_rejected(self, tau):
+        # pi / tau overflows: every line shape value would be NaN
+        with pytest.raises(ValueError, match="finite Rabi frequency"):
+            RamanPulse(tau)
+        assert np.isfinite(lineshape_fwhm(RamanPulse(1e-300)))
+
 
 class TestCopropagating:
     def test_polarized_single_line_at_zero(self):

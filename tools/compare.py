@@ -38,8 +38,12 @@ heating_paper (its cycle counts and the recoil walk) with and without
 --prune. A process runs
 each command once with a spy on the layer's name in `pumpsim.cli`, which
 pays for imports and first-use caches, then calls the layer on what it was
-handed LAYER_CALLS times and keeps their median. Each case gets medians
-and quartiles of those per-process medians per side and `change_wins`.
+handed LAYER_CALLS times and keeps their median. Each call is paced as
+`perfbench/run.py` paces `wall_s`: the tree's `perfbench/pace.py` reference
+slices run after it for PACE_SHARE of its time, and the call's time is
+rescaled by their mean time to seconds at the reference pace. Each case
+gets medians and quartiles of those per-process paced medians per side and
+`change_wins`; the record keeps the measured medians too.
 
 With --matrix, both trees run the CLI output matrix: `states`, `pump` and
 `spectrum` with and without --prune, `heat` plain, --prune, --seed 0,
@@ -61,6 +65,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 TRACED = ("cli.self_s", "kinetics.assemble_rate_matrix.s")  # printed per traced run
@@ -91,10 +96,14 @@ LAYER_CASES += [(f"heating_summary heating_paper{' --prune' * prune}", "heat", "
                  None, ("--prune",) * prune, "heating_summary")
                 for prune in (False, True)]
 LAYER_CALLS = 7
-# Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls>`: cases
-# are [case, argv, layer name or None]; prints {case: median seconds} as JSON.
+# Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls> <tools dir>
+# <perfbench dir>`: cases are [case, argv, layer name or None]; prints
+# {"paced": {case: median seconds}, "measured": {case: median seconds}} as JSON.
 LAYER_SCRIPT = """
-import contextlib, io, json, statistics, sys, tempfile, time
+import contextlib, io, json, sys, tempfile
+sys.path[:0] = sys.argv[3:5]
+import pace
+from compare import time_layer
 from pumpsim import cli
 
 def command(case, argv):
@@ -102,7 +111,7 @@ def command(case, argv):
         if cli.main(argv) != 0:
             sys.exit(f"{case}: the command failed")
 
-result = {}
+result = {"paced": {}, "measured": {}}
 with tempfile.TemporaryDirectory() as tmp:
     for case, argv, name in json.loads(sys.argv[1]):
         if name is None:
@@ -118,14 +127,12 @@ with tempfile.TemporaryDirectory() as tmp:
             setattr(cli, name, layer)
             (args, kwargs), = handed
             call = lambda: layer(*args, **kwargs)
-        times = []
-        for _ in range(int(sys.argv[2])):
-            start = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - start)
-        result[case] = statistics.median(times)
+        timed = time_layer(call, int(sys.argv[2]), pace)
+        for kind in result:
+            result[kind][case] = timed[kind]
 print(json.dumps(result))
 """
+TOOLS = os.path.dirname(os.path.abspath(__file__))   # where LAYER_SCRIPT finds time_layer
 OBSERVATIONS = {  # fixed inputs for `fit`: time_s, fraction of atoms in F=4, m=0
     "obs_a.csv": "# observable = g4_m0\n" + "".join(
         f"{t * 1e-4:.4f},{0.84 * (1 - 0.93 ** t) + 0.004 * ((7 * t) % 5 - 2):.6f}\n"
@@ -141,6 +148,21 @@ def describe(values) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"n": len(values), "median": statistics.median(values), "q1": q1, "q3": q3,
             "min": min(values), "max": max(values)}
+
+
+def time_layer(call, calls, pace, clock=time.perf_counter) -> dict:
+    """The median "measured" and "paced" seconds of `calls` calls of
+    `call`: after each, the reference slices of `pace` (perfbench/pace.py)
+    run for its PACE_SHARE of the call's time, and the paced time is the
+    call's time rescaled by their mean time to the reference pace."""
+    measured, paced = [], []
+    for _ in range(calls):
+        start = clock()
+        call()
+        measured.append(clock() - start)
+        elapsed, slices = pace.pace(pace.PACE_SHARE * measured[-1])
+        paced.append(pace.at_reference_pace(measured[-1], elapsed / slices))
+    return {"measured": statistics.median(measured), "paced": statistics.median(paced)}
 
 
 def workload_spec(text: str) -> tuple:
@@ -359,14 +381,16 @@ def run_layers(trees, rounds) -> list:
             for side in order:
                 env = _bench_env() | {"PYTHONPATH": os.path.join(trees[side], "src")}
                 done = subprocess.run([sys.executable, "-c", LAYER_SCRIPT,
-                                       json.dumps(cases[side]), str(LAYER_CALLS)],
+                                       json.dumps(cases[side]), str(LAYER_CALLS), TOOLS,
+                                       os.path.join(trees[side], "perfbench")],
                                       cwd=work, env=env, capture_output=True, text=True)
                 if done.returncode != 0:
                     raise RuntimeError(f"{side} layers round {i}: exit {done.returncode}\n"
                                        f"{done.stderr}")
+                timed = json.loads(done.stdout)
                 runs.append({"round": i, "side": side, "first": order[0],
-                             "times": json.loads(done.stdout)})
-                print(f"layers round {i} {side}: " + ", ".join(
+                             "times": timed["paced"], "measured": timed["measured"]})
+                print(f"layers round {i} {side} (paced): " + ", ".join(
                     f"{t * 1e3:.3f} ms" for t in runs[-1]["times"].values()), flush=True)
     return runs
 
@@ -487,7 +511,7 @@ def main(argv=None) -> int:
         summary = summarize_layers(runs)
         for case, entry in summary.items():
             p, c = entry["parent"], entry["change"]
-            print(f"{case}: median {p['median'] * 1e3:.3f} -> {c['median'] * 1e3:.3f} ms "
+            print(f"{case}: paced median {p['median'] * 1e3:.3f} -> {c['median'] * 1e3:.3f} ms "
                   f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
                   f"{(p['q3'] - p['q1']) * 1e3:.3f} ms, change lower in "
                   f"{entry['change_wins']} of {args.layers}")
@@ -495,8 +519,11 @@ def main(argv=None) -> int:
             "what": f"{args.layers} fresh processes per tree, alternating as the pairs do; "
                     "each runs a case's command once with a spy on its layer, then times "
                     "the layer on what the command handed it (or the whole cli.main call) "
-                    f"{LAYER_CALLS} times and keeps their median (seconds); medians and "
-                    "inclusive quartiles over processes",
+                    f"{LAYER_CALLS} times, each call followed by the tree's perfbench/pace.py "
+                    "reference slices, and keeps the median of the calls' times at the "
+                    "reference pace (`times`, seconds) and as measured (`measured`); the "
+                    "summary has medians and inclusive quartiles of the paced medians over "
+                    "processes",
             "summary": summary, "runs": runs}
     if args.matrix:
         report = run_matrix(trees)

@@ -13,7 +13,8 @@ in which any draw can be reached from its index, and only atoms still
 walking take one. The atoms, ordered by count, are walked in contiguous
 parts at once, one per CPU, each part's draws on a Philox made at their
 block counter. The velocities have the bits of one sequential walk, and
-the caller's generator is not moved.
+the caller's generator is not moved. A heat run's one thread pool draws the
+atoms' sublevels while the cycle counts integrate, then walks the parts.
 """
 
 import math
@@ -148,7 +149,7 @@ def _philox_at(key, draw: int) -> "np.random.Philox":
     return bit_generator
 
 
-def _walk(counts: np.ndarray, rng) -> np.ndarray:
+def _walk(counts: np.ndarray, rng, pool=None) -> np.ndarray:
     """Velocities along the detection axis after per-sample cycle counts.
 
     The samples are ordered by decreasing count, then index (equal counts
@@ -159,9 +160,13 @@ def _walk(counts: np.ndarray, rng) -> np.ndarray:
     draw j // 2, in next_uint32's order, and moves the sample by (2u + 1)
     2**-32 - 1: a midpoint lattice on (-1, 1), mean 0. The order is walked in
     parts of about equal kicks, each cycle of a part on a Philox made at its
-    block counter, parts 1.. on a thread pool while the calling thread walks
-    part 0, so the bits do not depend on the number of parts. An error in any
-    part is raised once every part has ended. `rng` is read, and left as is."""
+    block counter, parts 1.. on `pool` (one of its own when handed none) while
+    the calling thread walks part 0, so the bits do not depend on the number
+    of parts. An error in any part reaches the caller once the pool has
+    closed, after every part has ended. `rng` is read, and left as is."""
+    if pool is None:
+        with ThreadPoolExecutor(max(1, _parts(counts.size) - 1)) as pool:
+            return _walk(counts, rng, pool)
     n = counts.size
     state = rng.bit_generator.state
     key = state["state"]["key"]
@@ -200,11 +205,10 @@ def _walk(counts: np.ndarray, rng) -> np.ndarray:
     # part j ends after the most samples whose kicks fit in j / parts of all
     bounds = [0, *(bisect_right(range(n + 1), drawn[-1] * j, key=drawn_by) - 1
                    for j in range(1, parts)), n]
-    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
-        pooled = [pool.submit(walk_part, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
-        walk_part(0, bounds[1])
-        for future in pooled:
-            future.result()
+    pooled = [pool.submit(walk_part, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+    walk_part(0, bounds[1])
+    for future in pooled:
+        future.result()
     if order is None:
         return v
     velocity = np.empty(n)
@@ -225,7 +229,7 @@ def _summarize(projected: np.ndarray, mean_cycles, samples, seed) -> HeatingResu
 
 def recoil_walk(cycles: int, samples: int = 100_000, seed: int = 12345) -> HeatingResult:
     """Random recoil walk with a fixed number of fluorescence cycles per
-    atom. Reproducible for a fixed seed."""
+    atom, on a thread pool of its own. Reproducible for a fixed seed."""
     cycles = _count("cycles", cycles)
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
@@ -256,14 +260,21 @@ def heating_summary(
     sublevel's expected count, rounded stochastically so the ensemble mean
     is preserved. Reports the rms velocity increase along the detection
     axis and the quadrature/additive compositions with the initial spread.
+    One thread pool draws the sublevels and roundings (the same calls in the
+    same order, so the same bits) while the cycle counts integrate on the
+    calling thread, then walks the parts; no thread outlives the call.
     """
     rng = _rng(seed, samples)
-    report = expected_cycles(beams, pruned=pruned)
-    ms = rng.integers(-4, 5, size=samples)
-    expected = np.array([report.per_sublevel[m] for m in range(-4, 5)])[ms + 4]
-    base = np.floor(expected)
-    counts = (base + (rng.random(samples) < (expected - base))).astype(np.int64)
-    projected = _walk(counts, rng)
+    with ThreadPoolExecutor(max(1, _parts(samples) - 1)) as pool:
+        rounding = np.empty(samples)   # made on the worker, it raised peak memory about 1 MB
+        draws = pool.submit(lambda: (rng.integers(-4, 5, size=samples), rng.random(out=rounding)))
+        report = expected_cycles(beams, pruned=pruned)
+        ms, rounding = draws.result()
+        expected = np.array([report.per_sublevel[m] for m in range(-4, 5)])[ms + 4]
+        base = np.floor(expected)
+        counts = (base + (rounding < (expected - base))).astype(np.int64)
+        del draws, rounding   # the future holds them too: free them before the walk
+        projected = _walk(counts, rng, pool)
     result = _summarize(projected, counts.mean(), samples, seed)
     delta = result.delta_vrms
     return HeatingSummary(

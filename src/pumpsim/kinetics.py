@@ -147,10 +147,13 @@ class RateMatrix:
     zero, so total population is conserved. The matrix is built from `terms`,
     its record array of stimulated terms (dtype `TERM`), kept alongside so
     weak transitions can be pruned and the contamination changed afterwards.
+    It keeps its last run's power stack, so `matrix` must not change once it
+    is integrated (`_from_terms` makes it read-only).
     """
 
     matrix: np.ndarray
     terms: np.ndarray = field(repr=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def max_rate(self) -> float:
@@ -176,6 +179,7 @@ def _from_terms(terms: np.ndarray) -> RateMatrix:
     np.add.at(mat, (excited, ground), rate)
     np.add.at(mat, (ground, excited), rate)
     np.fill_diagonal(mat, -mat.sum(axis=0))
+    mat.setflags(write=False)
     return RateMatrix(mat, terms)
 
 
@@ -397,6 +401,38 @@ def _reached(tail: np.ndarray, level: float) -> bool:
     return bool(np.all(fraction[-1] >= level))
 
 
+def _stack(rate_matrix: RateMatrix, dt: float, layout: _Layout):
+    """The read-only powers B, ..., B^chunk of the `stride`-step block B and
+    the `remainder`-step power (None for none), reset as `_conserving` resets
+    them, kept on `rate_matrix` for its last (dt, stride, remainder, chunk)."""
+    chunk, kept = layout.chunk, rate_matrix._kept
+    key = (dt, layout.stride, layout.remainder, chunk)
+    stack = kept.get(key)
+    if stack is None:
+        block, last = _step_powers(_rk4_step_matrix(rate_matrix.matrix, dt), key[1:3])
+        # powers[j] = B^(j+1), each reset through views made once and one
+        # sums buffer: the column sums of the population rows, whose first
+        # N_STATES are the sums `_conserving` takes (in the same order)
+        powers = np.empty((chunk, N_STATES + 1, N_STATES + 1))
+        views = list(powers)
+        diagonals = list(powers.reshape(chunk, -1)[:, :N_STATES * (N_STATES + 2):N_STATES + 2])
+        sums = np.empty(N_STATES + 1)
+        population_sums = sums[:N_STATES]
+        powers[0] = _conserving(block)
+        for previous, power, population_rows, diagonal in zip(
+                views, views[1:], list(powers[1:, :N_STATES]), diagonals[1:]):
+            previous.dot(views[0], power)
+            diagonal.fill(0.0)
+            np.add.reduce(population_rows, axis=0, out=sums)
+            np.subtract(1.0, population_sums, out=diagonal)
+        if last is not None:
+            _conserving(last).setflags(write=False)
+        powers.setflags(write=False)
+        kept.clear()
+        kept[key] = stack = powers, last
+    return stack
+
+
 def integrate_rk4(
     rate_matrix: RateMatrix,
     n0: np.ndarray,
@@ -434,7 +470,9 @@ def integrate_rk4(
     their bits, through fewer numpy calls: shared squarings, views made once.
     The layout (grid, computed and returned rows, and the power and chunk
     start of each `at` row) comes from a cache of the last 8 distinct
-    (dt, t_end, max_samples, at); the returned arrays are fresh every call.
+    (dt, t_end, max_samples, at), and the power stack from `rate_matrix`
+    when its last run had the same dt and layout (the second block of cycle
+    counts); the returned arrays are fresh every call.
 
     The negative-population check and clip cover every computed row; rows
     never computed are not checked.
@@ -459,25 +497,8 @@ def integrate_rk4(
 
     layout = _layout(dt, t_end, max_samples,
                      None if at is None else np.asarray(at, dtype=float).tobytes())
-    n_blocks, chunk, remainder = layout.n_blocks, layout.chunk, layout.remainder
-    block, last = _step_powers(_rk4_step_matrix(rate_matrix.matrix, dt),
-                               (layout.stride, remainder))
-    # powers[j] = B^(j+1) for the block B of `stride` steps, each reset as
-    # `_conserving` resets it, through views made once and one sums buffer:
-    # the column sums of the population rows, whose first N_STATES are the
-    # sums `_conserving` takes (each column adds its rows in the same order)
-    powers = np.empty((chunk, N_STATES + 1, N_STATES + 1))
-    views = list(powers)
-    diagonals = list(powers.reshape(chunk, -1)[:, :N_STATES * (N_STATES + 2):N_STATES + 2])
-    sums = np.empty(N_STATES + 1)
-    population_sums = sums[:N_STATES]
-    powers[0] = _conserving(block)
-    for previous, power, population_rows, diagonal in zip(
-            views, views[1:], list(powers[1:, :N_STATES]), diagonals[1:]):
-        previous.dot(views[0], power)
-        diagonal.fill(0.0)
-        np.add.reduce(population_rows, axis=0, out=sums)
-        np.subtract(1.0, population_sums, out=diagonal)
+    n_blocks, chunk = layout.n_blocks, layout.chunk
+    powers, last = _stack(rate_matrix, dt, layout)
 
     # data[s] holds the s-th computed row; its row N_STATES counts photons.
     # Every row is written before it is read, so rows a stopped run never
@@ -492,16 +513,16 @@ def integrate_rk4(
             np.matmul(powers[:k].reshape(-1, N_STATES + 1), data[i], out=out)
             if until is not None and _reached(data[i + k - 1:i + k + 1], until):
                 # the computed prefix, with no remainder row
-                data, remainder = data[:i + k + 1], 0
+                data, last = data[:i + k + 1], None
                 break
         times = layout.times[:len(data)].copy()
     else:
-        samples, dots = list(data), [view.dot for view in views]
+        samples, dots = list(data), [power.dot for power in powers]
         for j, c, s in layout.products:
             dots[j](samples[c], samples[s])
         times = layout.times[layout.rows]
-    if remainder:
-        np.matmul(_conserving(last), data[-2], out=data[-1])
+    if last is not None:
+        np.matmul(last, data[-2], out=data[-1])
 
     populations = data[:, :N_STATES]
     negative = populations < 0

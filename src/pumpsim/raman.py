@@ -12,6 +12,7 @@ fold is one FFT convolution or, for a Doppler width where that is less work,
 a quadrature of the line's transform, which vanishes beyond the pulse length.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,6 +85,15 @@ def lineshape_fwhm(pulse: RamanPulse) -> float:
     return FWHM_TAU / pulse.duration
 
 
+def _bound_phase(pulse: RamanPulse, grid: np.ndarray, lines, reach: float) -> None:
+    """Refuse lines read to `reach` Hz past the grid ends at an overflowing Rabi phase."""
+    far = max((max(abs(grid[0] - s0), abs(grid[-1] - s0)) for s0 in lines), default=0.0)
+    far, tau = float(far) + float(reach), float(pulse.duration)
+    if not 0.5 * math.hypot(math.pi / tau, 2.0 * math.pi * far) * tau < math.inf:
+        raise ValueError(f"the Rabi phase of the tau_s = {tau:.6g} s pulse overflows "
+                         f"{far:.6g} Hz from a line")
+
+
 def _next_fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n, the real-transform sizes pocketfft
     handles fastest; equal to scipy.fft.next_fast_len(n, real=True)."""
@@ -121,6 +131,7 @@ def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines, cut, pad)
         fine = (grid.size - 1) * k + 1
         nodes = fine + pad * half
     yield (n := _next_fast_len(int(nodes)) if nodes <= _MAX_FOLD else nodes)
+    _bound_phase(pulse, grid, lines, half * h)
     k, half, fine = int(k), int(half), int(fine)
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * h / sigma_hz) ** 2)
     x = (np.arange(fine + 2 * half) - half) * h
@@ -197,8 +208,9 @@ def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
             np.abs(steps - step) <= 1e-9 * step + 16.0 * np.spacing(np.abs(grid).max()))):
         raise ValueError(f"the Gaussian fold needs a uniform, increasing detuning grid; "
                          f"its steps range from {steps.min():.17g} to {steps.max():.17g} Hz")
-    signal = np.zeros_like(grid)
-    for position, weight in widths.pop(0.0, {}).items():   # bare lines, in m order
+    signal, bare = np.zeros_like(grid), widths.pop(0.0, {})
+    _bound_phase(pulse, grid, bare, 0.0)
+    for position, weight in bare.items():   # bare lines, in m order
         signal += weight * rabi_lineshape(grid - position, pulse)
     for sigma_hz, lines in widths.items():
         plans = routes(pulse, sigma_hz, grid, lines)

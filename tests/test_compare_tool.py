@@ -131,7 +131,8 @@ def test_layer_cases_and_scenario_edits(tmp_path):
                      "write_spectrum_csv fig3", "write_spectrum_csv fig4",
                      "assemble_rate_matrix fig5", "cli.main states",
                      "fit_depolarization fig5", "fit_depolarization fig5 --fit-scale",
-                     "heating_summary heating_paper", "heating_summary heating_paper --prune"]
+                     "heating_summary heating_paper", "heating_summary heating_paper --prune",
+                     "expected_cycles heating_paper", "expected_cycles heating_paper --prune"]
     tree = os.path.dirname(os.path.dirname(_PATH))
     for _, _, scenario, _, _, _ in compare.LAYER_CASES:
         if scenario is not None:
@@ -171,6 +172,11 @@ def test_layer_cases_name_each_layer_and_argv(tmp_path):
     heat = os.path.join(tree, "scenarios", "heating_paper.ini")
     assert cases["heating_summary heating_paper --prune"] == (
         ["heat", "--config", heat, "--prune"], "heating_summary")
+    # and the cycle counts alone, by a module.function name in pumpsim
+    assert cases["expected_cycles heating_paper"] == (
+        ["heat", "--config", heat], "heating.expected_cycles")
+    assert cases["expected_cycles heating_paper --prune"] == (
+        ["heat", "--config", heat, "--prune"], "heating.expected_cycles")
     # only the 50 ms cases edit a copy, named after the side and the case index
     assert cases["write_trajectory_csv fig5 50 ms"] == (
         ["pump", "--config", str(tmp_path / "change-2.ini")], "write_trajectory_csv")
@@ -179,6 +185,17 @@ def test_layer_cases_name_each_layer_and_argv(tmp_path):
     # LAYER_SCRIPT reads them back from JSON
     listed = compare.layer_cases(tree, str(tmp_path), "change")
     assert json.loads(json.dumps(listed)) == listed
+
+
+def test_layer_owner_reads_cli_and_module_names():
+    # LAYER_SCRIPT spies on a bare name in pumpsim.cli, or on a
+    # `module.function` name such as the cycle counts heating_summary calls
+    from pumpsim import cli, heating
+    assert compare.layer_owner("write_trajectory_csv") == (cli, "write_trajectory_csv")
+    assert compare.layer_owner("heating.expected_cycles") == (heating, "expected_cycles")
+    for _, _, _, _, _, name in compare.LAYER_CASES:
+        if name is not None:
+            assert callable(getattr(*compare.layer_owner(name)))
 
 
 def test_summarize_traced_by_workload_seed_and_pair():

@@ -62,6 +62,13 @@ def edited(scenario, edits, path):
          edits={("pulse", "tau_s"): "5e-324"})
 @example(scenario="fig3_polarized", command="pump", prune=False,
          edits={("beams", "alpha"): "0", ("constants", "laser_linewidth_hz"): "1e-300"})
+# an overflowed Rabi phase: NaN spectrum rows with exit 0
+@example(scenario="fig3_polarized", command="spectrum", prune=False,
+         edits={("pulse", "tau_s"): "1e300", ("field", "bias_gauss"): "1e3",
+                ("field", "rms_fluct_gauss"): "0"})
+@example(scenario="fig3_polarized", command="spectrum", prune=False,
+         edits={("pulse", "tau_s"): "1e100", ("field", "bias_gauss"): "0.1",
+                ("field", "rms_fluct_gauss"): "0"})
 def test_every_input_ends_in_a_documented_exit_code(scenario, command, prune, edits):
     # no exception escapes main; the exit code is 0, 2, 3 or 4; an exit-0
     # run prints and writes only finite numbers; exits 2 and 3 write no

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pumpsim import heating
+from pumpsim import heating, kinetics
 from pumpsim.config import load_config
 from pumpsim.heating import (
     CycleReport,
@@ -399,6 +399,17 @@ def test_walk_parts_draw_about_equal_shares(monkeypatch, parts):
     # within one sample's count of an equal share, plus the one draw each
     # of its ranges may share with a neighbour
     placed = spy_on_draws(monkeypatch, parts)
+    # each part waits for the others at its first range, so that no pool
+    # thread is idle, and walks a second part, while a part is submitted
+    barrier, started, spy = threading.Barrier(parts), set(), heating._philox_at
+
+    def first_waits(key, draw):
+        if threading.current_thread() not in started:
+            started.add(threading.current_thread())
+            barrier.wait(timeout=10)
+        return spy(key, draw)
+
+    monkeypatch.setattr(heating, "_philox_at", first_waits)
     counts = np.resize([0, 9, 1, 0, 7, 2, 5, 0, 1, 4, 6], 5_003)
     _walk(counts, np.random.Generator(np.random.Philox(9)))
     shares = {}
@@ -460,6 +471,14 @@ def test_part_count_follows_cpus_and_samples():
     assert heating._parts(10**9) == cpus
     for n in (heating._MIN_PART - 1, 40_000, 100_000):
         assert n // heating._parts(n) >= min(n, heating._MIN_PART)
+
+
+STEP_POWERS = kinetics._step_powers
+
+
+@pytest.fixture(scope="module")
+def heating_paper_beams():
+    return load_config(HEATING_PAPER).beams
 
 
 @pytest.fixture(scope="module")
@@ -599,6 +618,34 @@ class TestExpectedCycles:
         assert all(report.reached.values()) and report.uniform_reached
         assert len(returned) == 2 and max(returned) < 500
 
+    @pytest.mark.parametrize("alpha", [None, 0.05])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_blocks_share_one_stack(self, pruned, alpha, monkeypatch):
+        # both blocks integrate on one matrix with one layout, so the second
+        # reuses the first one's power stack: one _step_powers per call, also
+        # at alpha 0.05, where no block stops before t_end
+        beams = load_config(HEATING_PAPER).beams
+        if alpha is not None:
+            beams = [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
+        built, integrated = [], []
+
+        def step_powers(*args):
+            built.append(args[1])
+            return STEP_POWERS(*args)
+
+        def integrate(*args, **kwargs):
+            integrated.append(integrate_rk4(*args, **kwargs))
+            return integrated[-1]
+
+        monkeypatch.setattr(kinetics, "_step_powers", step_powers)
+        monkeypatch.setattr(heating, "integrate_rk4", integrate)
+        for calls in (1, 2):
+            report = expected_cycles(beams, pruned=pruned)
+            assert len(built) == calls and len(integrated) == 2 * calls
+        assert all(report.reached.values()) == (alpha is None)
+        if alpha is not None:
+            assert [traj.times.size for traj in integrated] == [4001] * 4
+
     def test_block_store_memory_bound(self):
         # each block of five starts allocates 4001 x 44 x 5 doubles (7 MB),
         # of which a stopped run writes only its first rows; the peak is
@@ -651,6 +698,63 @@ class TestHeatingSummary:
         a = heating_summary(ideal_pump_beams(), samples=np.int64(10), seed=7)
         b = heating_summary(ideal_pump_beams(), samples=10, seed=7)
         np.testing.assert_array_equal(a.result.projected, b.result.projected)
+
+    @pytest.mark.parametrize("samples", [2, 1_000, 100_000])
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7, 2718])
+    def test_matches_sequential_reference(self, seed, pruned, samples, heating_paper_beams):
+        # the draws beside the cycle counts and the walk on the pool keep
+        # the bits of one thread drawing, then walking
+        rng = np.random.Generator(np.random.Philox(seed))
+        report = expected_cycles(heating_paper_beams, pruned=pruned)
+        ms = rng.integers(-4, 5, size=samples)
+        expected = np.array([report.per_sublevel[m] for m in range(-4, 5)])[ms + 4]
+        base = np.floor(expected)
+        counts = (base + (rng.random(samples) < (expected - base))).astype(np.int64)
+        velocity = walking_kicks(counts, rng)
+        summary = heating_summary(heating_paper_beams, samples=samples, seed=seed,
+                                  pruned=pruned)
+        assert summary.result.projected.tobytes() == velocity.tobytes()
+        assert summary.result.mean_cycles == counts.mean()
+        assert summary.cycle_report == report
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_leaves_no_thread_running(self, fails, monkeypatch):
+        # the draws run on a pool thread; every thread has ended when the
+        # call returns or raises, and an error of the cycle counts is raised
+        # only after the slowed draws have ended
+        drawn = []
+
+        class SlowDraws:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                time.sleep(0.05)
+                values = self.rng.random(*args, **kwargs)
+                drawn.append(threading.current_thread())
+                return values
+
+        def cycles(*args, **kwargs):
+            if fails:
+                raise RuntimeError("cycle counts failed")
+            return expected_cycles(*args, **kwargs)
+
+        rng = heating._rng
+        monkeypatch.setattr(heating, "_rng", lambda seed, samples: SlowDraws(rng(seed, samples)))
+        monkeypatch.setattr(heating, "expected_cycles", cycles)
+        before = set(threading.enumerate())
+        if fails:
+            with pytest.raises(RuntimeError, match="cycle counts failed"):
+                heating_summary(ideal_pump_beams(), samples=1_000)
+        else:
+            heating_summary(ideal_pump_beams(), samples=1_000)
+        assert len(drawn) == 1 and drawn[0] is not threading.current_thread()
+        assert not drawn[0].is_alive()
+        assert set(threading.enumerate()) <= before
 
     def test_export(self, tmp_path):
         summary = heating_summary(ideal_pump_beams(), samples=5_000, seed=7)

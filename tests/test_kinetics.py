@@ -1,10 +1,12 @@
 """Rate-matrix assembly, pruning, and the fixed-step integrator."""
 
+import gc
 import logging
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
 from pumpsim import constants as cst
+from pumpsim import kinetics
 from pumpsim.kinetics import (
     LIBRARY_DT,
     STACKED_POWERS,
@@ -871,6 +874,90 @@ class TestStepPowers:
         assert np.array_equal(step, self.STEP)
 
 
+class TestKeptStack:
+    """A rate matrix keeps the power stack of its last run."""
+
+    @staticmethod
+    def builds(monkeypatch):
+        # the calls of _step_powers, one for each stack built
+        calls = []
+
+        def spy(step, exponents):
+            calls.append(exponents)
+            return _step_powers(step, exponents)
+
+        monkeypatch.setattr(kinetics, "_step_powers", spy)
+        return calls
+
+    @staticmethod
+    def same_bits(a, b):
+        return all(x.tobytes() == y.tobytes() for x, y in (
+            (a.times, b.times), (a.populations, b.populations),
+            (a.scattered_photons, b.scattered_photons)))
+
+    @pytest.mark.parametrize("kwargs", [{}, {"until": 0.95}, {"at": [1e-3, 3.3e-3]}])
+    def test_second_run_reuses_the_stack(self, monkeypatch, kwargs):
+        # the second run on one matrix builds nothing and keeps the bits of
+        # a run on a fresh matrix, whose stack is built afresh
+        calls = self.builds(monkeypatch)
+        rm = prune(assemble_rate_matrix(fig5_beams()))[0]
+        starts = np.column_stack([uniform_f4(), single_sublevel(Sublevel("g", 4, 4))])
+        first = integrate_rk4(rm, starts, LIBRARY_DT, 4e-3, 2001, **kwargs)
+        second = integrate_rk4(rm, starts[:, ::-1], LIBRARY_DT, 4e-3, 2001, **kwargs)
+        assert len(calls) == 1
+        fresh = integrate_rk4(prune(assemble_rate_matrix(fig5_beams()))[0], starts[:, ::-1],
+                              LIBRARY_DT, 4e-3, 2001, **kwargs)
+        assert len(calls) == 2 and self.same_bits(second, fresh)
+        assert self.same_bits(first, integrate_rk4(rm, starts, LIBRARY_DT, 4e-3, 2001, **kwargs))
+
+    @pytest.mark.parametrize("dt, t_end", [(LIBRARY_DT / 2, 4e-3), (LIBRARY_DT, 4.1e-3)])
+    def test_other_step_or_layout_builds_a_new_stack(self, monkeypatch, dt, t_end):
+        # another dt, or a t_end that moves the stride or remainder, builds
+        # again, and the matrix keeps only the last stack
+        calls = self.builds(monkeypatch)
+        rm = prune(assemble_rate_matrix(fig5_beams()))[0]
+        integrate_rk4(rm, uniform_f4(), LIBRARY_DT, 4e-3, 2001)
+        other = integrate_rk4(rm, uniform_f4(), dt, t_end, 2001)
+        assert len(calls) == 2 and len(rm._kept) == 1
+        fresh = integrate_rk4(prune(assemble_rate_matrix(fig5_beams()))[0], uniform_f4(),
+                              dt, t_end, 2001)
+        assert self.same_bits(other, fresh)
+        integrate_rk4(rm, uniform_f4(), LIBRARY_DT, 4e-3, 2001)
+        assert len(calls) == 4
+
+    def test_kept_arrays_refuse_writes(self):
+        rm = assemble_rate_matrix(fig5_beams())
+        integrate_rk4(rm, uniform_f4(), DT, 1.01e-3, 201)  # a run with a remainder step
+        (powers, last), = rm._kept.values()
+        assert powers.shape == (STACKED_POWERS, 44, 44) and last.shape == (44, 44)
+        for array in (powers, last):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_matrices_refuse_writes(self):
+        full = assemble_rate_matrix(fig5_beams())
+        for table in (full, prune(full)[0], with_depolarization(full, 0.2),
+                      _from_terms(full.terms)):
+            with pytest.raises(ValueError, match="read-only"):
+                table.matrix[0, 0] = 1.0
+
+    def test_stack_is_not_compared_or_printed(self):
+        rm = assemble_rate_matrix(fig5_beams())
+        text = repr(rm)
+        integrate_rk4(rm, uniform_f4(), DT, 1e-3)
+        assert rm._kept and repr(rm) == text and "_kept" not in text
+        assert rm == RateMatrix(rm.matrix, rm.terms)
+
+    def test_stack_goes_with_its_matrix(self):
+        # nothing but the matrix holds its stack
+        rm = assemble_rate_matrix(fig5_beams())
+        integrate_rk4(rm, uniform_f4(), DT, 1e-3)
+        kept = weakref.ref(next(iter(rm._kept.values()))[0])
+        del rm
+        gc.collect()
+        assert kept() is None
+
+
 def test_uniform_f4_is_fresh():
     expected = np.zeros(43)
     for m in range(-4, 5):
@@ -1039,7 +1126,7 @@ def test_cached_spontaneous_part_keeps_every_matrix():
               with_depolarization(full, 0.013), with_depolarization(prune(full)[0], 0.2)]
     for table in tables:
         assert np.array_equal(table.matrix, rebuilt(table.terms))
-        assert table.matrix.flags.writeable
+        assert not np.shares_memory(table.matrix, _spontaneous_part())
     assert not _spontaneous_part().flags.writeable
 
 

@@ -1,6 +1,7 @@
 """Lineshapes, spectrum synthesis, Gaussian fits, and unit conversions."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -529,6 +530,25 @@ class TestFold:
             synth_counterpropagating(
                 uniform_f4(), VelocityDistribution(sigma_vr), RamanPulse(tau_s), CLI_GRID
             )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bias_gauss, tau_s, rms_gauss", [
+        (1e3, 1e300, 0.0), (1e6, 1e300, 0.0), (1e9, 1e300, 0.0),  # bare lines
+        (1e302, 1.0, 1e-3),                                       # folded by the field smear
+    ])
+    def test_overflowing_rabi_phase_rejected(self, bias_gauss, tau_s, rms_gauss):
+        # sin of an overflowed Rabi phase is NaN, and the signal with it: the
+        # spectrum is refused before any line is evaluated, without a warning
+        grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"Rabi phase of the tau_s = {tau_s:g} s")):
+            synth_copropagating(uniform_f4(), bias_gauss, RamanPulse(tau_s), grid, rms_gauss)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bias_gauss, tau_s", [(0.1, 1e100), (1e3, 1e290)])
+    def test_large_finite_rabi_phase_kept(self, bias_gauss, tau_s):
+        grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
+        signal = synth_copropagating(uniform_f4(), bias_gauss, RamanPulse(tau_s), grid).signal
+        assert np.all(np.isfinite(signal)) and np.all((signal >= 0.0) & (signal <= 1.0))
 
     @pytest.mark.filterwarnings("error")
     def test_huge_doppler_width_is_flat(self):

@@ -33,10 +33,11 @@ alternating as the pairs do: `write_trajectory_csv` on fig5 at 5 ms and
 `assemble_rate_matrix` on the fig5 beams, a whole `cli.main(["states"])`
 call with its stdout captured, the fixed cost of every call, a whole
 `fit_depolarization` on fig5 with and without --fit-scale, fitting the two
-fixed observation files the matrix fits, and a whole `heating_summary` on
-heating_paper (its cycle counts and the recoil walk) with and without
---prune. A process runs
-each command once with a spy on the layer's name in `pumpsim.cli`, which
+fixed observation files the matrix fits, a whole `heating_summary` on
+heating_paper (its cycle counts and the recoil walk) and its
+`expected_cycles` alone, each with and without --prune. A process runs
+each command once with a spy on the layer's name in `pumpsim.cli`, or on a
+`module.function` name in pumpsim such as `heating.expected_cycles`, which
 pays for imports and first-use caches, then calls the layer on what it was
 handed LAYER_CALLS times and keeps their median. Each call is paced as
 `perfbench/run.py` paces `wall_s`: the tree's `perfbench/pace.py` reference
@@ -58,6 +59,7 @@ differs.
 """
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -77,8 +79,9 @@ FLAGS = ([("states",), ("states", "--prune"), ("pump",), ("pump", "--prune"),
           ("heat", "--seed", "0"), ("heat", "--seed", "7", "--prune"),
           ("heat", "--seed", "2718"), ("fit", "@obs"), ("fit", "--fit-scale", "@obs")])
 # In-process layer timings: (case, command, scenario or None, t_end_s or None,
-# flags, layer name in pumpsim.cli or None for the whole cli.main call); an
-# "@obs" flag stands for the OBSERVATIONS files, as in FLAGS
+# flags, layer name in pumpsim.cli, `module.function` in pumpsim, or None for
+# the whole cli.main call); an "@obs" flag stands for the OBSERVATIONS files,
+# as in FLAGS
 LAYER_CASES = [(f"write_trajectory_csv fig5 {ms} ms{' --prune' * prune}", "pump",
                 "fig5_dynamics", None if ms == 5 else "0.05", ("--prune",) * prune,
                 "write_trajectory_csv")
@@ -92,8 +95,9 @@ LAYER_CASES += [("assemble_rate_matrix fig5", "pump", "fig5_dynamics", None, (),
 LAYER_CASES += [(f"fit_depolarization fig5{' --fit-scale' * scale}", "fit", "fig5_dynamics",
                  None, ("--fit-scale",) * scale + ("@obs",), "fit_depolarization")
                 for scale in (False, True)]
-LAYER_CASES += [(f"heating_summary heating_paper{' --prune' * prune}", "heat", "heating_paper",
-                 None, ("--prune",) * prune, "heating_summary")
+LAYER_CASES += [(f"{name.split('.')[-1]} heating_paper{' --prune' * prune}", "heat",
+                 "heating_paper", None, ("--prune",) * prune, name)
+                for name in ("heating_summary", "heating.expected_cycles")
                 for prune in (False, True)]
 LAYER_CALLS = 7
 # Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls> <tools dir>
@@ -103,7 +107,7 @@ LAYER_SCRIPT = """
 import contextlib, io, json, sys, tempfile
 sys.path[:0] = sys.argv[3:5]
 import pace
-from compare import time_layer
+from compare import layer_owner, time_layer
 from pumpsim import cli
 
 def command(case, argv):
@@ -118,13 +122,14 @@ with tempfile.TemporaryDirectory() as tmp:
             command(case, argv)
             call = lambda: command(case, argv)
         else:
-            layer, handed = getattr(cli, name), []
+            owner, attr = layer_owner(name)
+            layer, handed = getattr(owner, attr), []
             def spy(*args, **kwargs):
                 handed.append((args, kwargs))
                 return layer(*args, **kwargs)
-            setattr(cli, name, spy)
+            setattr(owner, attr, spy)
             command(case, [*argv, "--out", tmp])
-            setattr(cli, name, layer)
+            setattr(owner, attr, layer)
             (args, kwargs), = handed
             call = lambda: layer(*args, **kwargs)
         timed = time_layer(call, int(sys.argv[2]), pace)
@@ -148,6 +153,13 @@ def describe(values) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"n": len(values), "median": statistics.median(values), "q1": q1, "q3": q3,
             "min": min(values), "max": max(values)}
+
+
+def layer_owner(name: str) -> tuple:
+    """(module, attribute) of a layer name: `pumpsim.cli` holds a bare name,
+    and `pumpsim.<module>` a `module.function` name."""
+    module, _, attr = name.rpartition(".")
+    return importlib.import_module(f"pumpsim.{module or 'cli'}"), attr
 
 
 def time_layer(call, calls, pace, clock=time.perf_counter) -> dict:

@@ -152,18 +152,18 @@ def _philox_at(key, draw: int) -> "np.random.Philox":
 def _walk(counts: np.ndarray, rng, pool=None) -> np.ndarray:
     """Velocities along the detection axis after per-sample cycle counts.
 
-    The samples are ordered by decreasing count, then index (equal counts
-    skip the sort); the walking[k] samples that walk cycle k lead that order,
-    and the one at position p takes kick 2 f + drawn[k] + p, f being the
-    index of rng's next raw draw and drawn[k] the kicks of the cycles before
-    k. Kick j is the low (j even) or high (j odd) 32-bit half u of Philox raw
-    draw j // 2, in next_uint32's order, and moves the sample by (2u + 1)
-    2**-32 - 1: a midpoint lattice on (-1, 1), mean 0. The order is walked in
-    parts of about equal kicks, each cycle of a part on a Philox made at its
-    block counter, parts 1.. on `pool` (one of its own when handed none) while
-    the calling thread walks part 0, so the bits do not depend on the number
-    of parts. An error in any part reaches the caller once the pool has
-    closed, after every part has ended. `rng` is read, and left as is."""
+    The samples are ordered by decreasing count, then index; the walking[k]
+    samples that walk cycle k lead that order, and the one at position p takes
+    kick 2 f + drawn[k] + p, f being the index of rng's next raw draw and
+    drawn[k] the kicks of the cycles before k. Kick j is the low (j even) or
+    high (j odd) 32-bit half u of Philox raw draw j // 2, in next_uint32's
+    order, and moves the sample by (2u + 1) 2**-32 - 1: a midpoint lattice on
+    (-1, 1), mean 0. The order is walked in parts of about equal kicks, each
+    cycle of a part on a Philox made at its block counter, parts 1.. on `pool`
+    (one of its own when handed none) while the calling thread walks part 0,
+    so the bits do not depend on the number of parts. An error in any part
+    reaches the caller once the pool has closed, after every part has ended.
+    `rng` is read, and left as is."""
     if pool is None:
         with ThreadPoolExecutor(max(1, _parts(counts.size) - 1)) as pool:
             return _walk(counts, rng, pool)
@@ -173,12 +173,9 @@ def _walk(counts: np.ndarray, rng, pool=None) -> np.ndarray:
     counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
     first = 2 * (4 * counter + state["buffer_pos"])   # 2 f, the walk's first kick
     top = int(counts.max(initial=0))
-    if counts.min(initial=top) == top:   # equal counts: the order is the identity
-        order, walking = None, [n] * top
-    else:
-        # a stable radix sort of the count's complement in the smallest unsigned type
-        order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
-        walking = (n - np.cumsum(np.bincount(counts, minlength=top)[:top])).tolist()
+    # a stable radix sort of the count's complement in the smallest unsigned type
+    order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
+    walking = (n - np.cumsum(np.bincount(counts, minlength=top)[:top])).tolist()
     drawn = np.cumsum([0, *walking]).tolist()
     v = np.zeros(n)
 
@@ -209,8 +206,6 @@ def _walk(counts: np.ndarray, rng, pool=None) -> np.ndarray:
     walk_part(0, bounds[1])
     for future in pooled:
         future.result()
-    if order is None:
-        return v
     velocity = np.empty(n)
     velocity[order] = v
     return velocity

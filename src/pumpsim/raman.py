@@ -8,8 +8,8 @@ lineshape used for every line. Both geometries go through one synthesis:
 each line sits at its Zeeman offset plus a shift, and the lines of one width
 (Doppler or bias-field spread) are folded once, summed by population, with a
 Gaussian of that width on a uniform grid, or left bare where it is zero. A
-fold is one FFT convolution or, for a Doppler width where that is less work,
-a quadrature of the line's transform, which vanishes beyond the pulse length.
+fold, cut at +-_CUT sigma, is one FFT convolution or, where that is less
+work, a quadrature of the line's transform, zero beyond the pulse length.
 """
 
 import math
@@ -109,27 +109,30 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-# Size bound of one fold on either route: `_fold`'s FFT length (19x the
-# 4.37e5 at 5.2 v_r, 7 ms; about 35 bytes a node) or `_fourier`'s
+# Both routes cut the Gaussian at +-_CUT sigma: e^-28.1, a tail mass of 6e-14
+_CUT = 7.5
+
+# Size bound of one fold on either route: `_fold`'s FFT length (25x the
+# 3.3e5 at 5.2 v_r, 7 ms; about 35 bytes a node) or `_fourier`'s
 # n_t (n_t + 384), which keeps its n_t x n_t node matrix under 64 MB
 _MAX_FOLD = 2**23
 
 
-def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines, cut, pad):
-    """Yields its FFT length, (grid span + pad cut sigma) / h rounded up
+def _fold(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines):
+    """Yields its FFT length, (grid span + 2 _CUT sigma) / h rounded up
     and sized in floats up to inf, then sum w P(x - s0) over the Rabi lines
     P of `lines`, {position s0: weight w}, folded with a normalized Gaussian
-    of rms sigma_hz cut at +-cut sigma by one FFT convolution on nodes
+    of rms sigma_hz cut at +-_CUT sigma by one FFT convolution on nodes
     h = step / k apart, k the smallest integer with h <= fwhm / 32, so node
-    k*i is grid point i. A linear convolution needs pad = 2."""
+    k*i is grid point i. The pad of 2 cuts is all a linear convolution needs."""
     fwhm = lineshape_fwhm(pulse)
     step = (grid[-1] - grid[0]) / (grid.size - 1) if grid.size > 1 else fwhm / 32.0
     with np.errstate(over="ignore", divide="ignore"):   # sized in floats, up to inf
         k = np.ceil(step / (fwhm / 32.0))
         h = step / k
-        half = np.floor(cut * sigma_hz / h)
+        half = np.floor(_CUT * sigma_hz / h)
         fine = (grid.size - 1) * k + 1
-        nodes = fine + pad * half
+        nodes = fine + 2 * half
     yield (n := _next_fast_len(int(nodes)) if nodes <= _MAX_FOLD else nodes)
     _bound_phase(pulse, grid, lines, half * h)
     k, half, fine = int(k), int(half), int(fine)
@@ -154,17 +157,18 @@ def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines):
     F(t) = (W0^2/4) int_|t|^tau J0(W0 sqrt(s^2 - t^2)) ds, zero for
     |t| > tau (Gradshteyn & Ryzhik 3.876.1), W0 = pi / tau: the sum is
     2 int_0^T exp(-2 pi^2 sigma^2 t^2) F(t) Re(sum_s0 w e^(2 pi i (x - s0) t)) dt,
-    T = min(tau, sqrt(80) / (2 pi sigma)) where the Gaussian is e^-40, on
+    T = min(tau, _CUT / (2 pi sigma)), where `_fold` cuts the Gaussian, on
     n_t = ceil(2 max|x - s0| T) + 48 Gauss-Legendre nodes. F, found once,
     takes 16 s nodes and J0 the 48-point midpoint rule on [0, pi]. The size
     n_t (n_t + 384) counts the n_t x n_t matrix whose eigenvalues are the
     nodes and the n_t x 16 x 24 cosines of J0, the bulk of the work: the
     grid costs some 2 sqrt(grid) complex exponentials a node."""
     tau = pulse.duration
-    with np.errstate(over="ignore"):
-        t_max = min(tau, np.sqrt(80.0) / (2.0 * np.pi * sigma_hz))
+    with np.errstate(over="ignore"):   # sized in floats, up to inf
+        t_max = min(tau, _CUT / (2.0 * np.pi * sigma_hz))
         n_t = np.ceil(2.0 * t_max * max(np.abs(grid[[0, -1]] - s0).max() for s0 in lines)) + 48
-    yield n_t * (n_t + 384.0)
+        size = n_t * (n_t + 384.0)
+    yield size
     # W0 tau = pi, so F(t) = (pi^2 / 4 tau) f(t / tau); the terms that count
     # stay normal floats while this scale stays above tiny / eps
     scale = np.pi**2 / (4.0 * tau) * t_max
@@ -187,12 +191,12 @@ def _fourier(pulse: RamanPulse, sigma_hz: float, grid: np.ndarray, lines):
 
 
 def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
-           grid: np.ndarray, shift: float, width, routes) -> Spectrum:
+           grid: np.ndarray, shift: float, width) -> Spectrum:
     """Sum of the populated F=4, |m|<=3 lines, line m at
     `raman_line_offset(m, bias_gauss) + shift`, bare where width(m) is 0.
     The lines of a width w > 0, as {position: summed population}, are folded
-    once with a Gaussian of rms w Hz by the plan of least size among
-    `routes(pulse, w, grid, lines)`."""
+    once with a Gaussian of rms w Hz by the plan of least size, `_fold` or
+    `_fourier`."""
     grid = np.asarray(grid, dtype=float)
     if not grid.size:
         return Spectrum(grid, np.zeros(0))
@@ -201,6 +205,8 @@ def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
         weight = populations[state_index(Sublevel("g", 4, m))]
         if weight != 0.0:
             lines, s0 = widths.setdefault(width(m), {}), raman_line_offset(m, bias_gauss) + shift
+            if not abs(s0) < math.inf:
+                raise ValueError(f"line m = {m} at bias_gauss = {bias_gauss:.6g} G is not finite")
             lines[s0] = lines.get(s0, 0.0) + weight
     steps = np.diff(grid)
     step = (grid[-1] - grid[0]) / max(steps.size, 1)
@@ -213,7 +219,7 @@ def _synth(populations: np.ndarray, bias_gauss: float, pulse: RamanPulse,
     for position, weight in bare.items():   # bare lines, in m order
         signal += weight * rabi_lineshape(grid - position, pulse)
     for sigma_hz, lines in widths.items():
-        plans = routes(pulse, sigma_hz, grid, lines)
+        plans = [plan(pulse, sigma_hz, grid, lines) for plan in (_fold, _fourier)]
         size = min(sizes := [next(plan) for plan in plans])
         if not size <= _MAX_FOLD:   # refused before allocating
             raise ValueError(f"the Gaussian fold needs {size:.0f} nodes, over the {_MAX_FOLD} "
@@ -239,8 +245,7 @@ def synth_copropagating(
     if not 0.0 <= field_rms_gauss < np.inf:
         raise ValueError("field_rms_gauss must be finite and nonnegative")
     return _synth(populations, bias_gauss, pulse, grid, 0.0,
-                  lambda m: abs(raman_line_offset(m, field_rms_gauss)),
-                  lambda *plan: [_fold(*plan, 6.0, 4)])
+                  lambda m: abs(raman_line_offset(m, field_rms_gauss)))
 
 
 def doppler_shift(velocity):
@@ -266,8 +271,7 @@ def synth_counterpropagating(
                         ("shift of the mean velocity", vdist.mean, shift)):
         if not np.isfinite(hz):
             raise ValueError(f"the Doppler {name} {v:.6g} v_r is not finite")
-    return _synth(populations, bias_gauss, pulse, grid, shift, lambda m: sigma_hz,
-                  lambda *plan: [_fold(*plan, np.sqrt(80.0), 2), _fourier(*plan)])
+    return _synth(populations, bias_gauss, pulse, grid, shift, lambda m: sigma_hz)
 
 
 @dataclass

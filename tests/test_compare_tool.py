@@ -132,7 +132,9 @@ def test_layer_cases_and_scenario_edits(tmp_path):
                      "assemble_rate_matrix fig5", "cli.main states",
                      "fit_depolarization fig5", "fit_depolarization fig5 --fit-scale",
                      "heating_summary heating_paper", "heating_summary heating_paper --prune",
-                     "expected_cycles heating_paper", "expected_cycles heating_paper --prune"]
+                     "expected_cycles heating_paper", "expected_cycles heating_paper --prune",
+                     "synth_copropagating fig3", "synth_copropagating fig3 --prune",
+                     "synth_counterpropagating fig4", "synth_counterpropagating table1"]
     tree = os.path.dirname(os.path.dirname(_PATH))
     for _, _, scenario, _, _, _ in compare.LAYER_CASES:
         if scenario is not None:
@@ -177,6 +179,13 @@ def test_layer_cases_name_each_layer_and_argv(tmp_path):
         ["heat", "--config", heat], "heating.expected_cycles")
     assert cases["expected_cycles heating_paper --prune"] == (
         ["heat", "--config", heat, "--prune"], "heating.expected_cycles")
+    # synthesis alone, on the populations and grid `spectrum` hands it
+    fig3 = os.path.join(tree, "scenarios", "fig3_polarized.ini")
+    assert cases["synth_copropagating fig3 --prune"] == (
+        ["spectrum", "--config", fig3, "--prune"], "synth_copropagating")
+    assert cases["synth_counterpropagating table1"] == (
+        ["spectrum", "--config", os.path.join(tree, "scenarios", "table1_widths.ini")],
+        "synth_counterpropagating")
     # only the 50 ms cases edit a copy, named after the side and the case index
     assert cases["write_trajectory_csv fig5 50 ms"] == (
         ["pump", "--config", str(tmp_path / "change-2.ini")], "write_trajectory_csv")

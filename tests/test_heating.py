@@ -256,17 +256,6 @@ def test_kick_lattice_ends_and_middle(monkeypatch):
     assert velocity.tolist() == [-(1 - 2**-32), 1 - 2**-32, -(2**-32), 2**-32]
 
 
-def test_equal_counts_walk_without_a_sort(monkeypatch):
-    # with every count equal the walking order is the identity: the walk
-    # neither sorts the samples nor scatters them back
-    def no_sort(*args, **kwargs):
-        raise AssertionError("sorted equal counts")
-
-    expected = masked_kicks(np.full(503, 4), np.random.Generator(np.random.Philox(5)))
-    monkeypatch.setattr(np, "argsort", no_sort)
-    assert np.array_equal(recoil_walk(4, samples=503, seed=5).projected, expected)
-
-
 # a fresh Philox stands before block 1: its next raw draw is draw 4
 FRESH = 4
 

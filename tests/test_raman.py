@@ -253,6 +253,7 @@ class TestCounterpropagating:
 
 
 CLI_GRID = np.arange(-250e3, 250e3 + 1.0, 250.0)
+CO_GRID = np.arange(-2000.0, 2000.0 + 0.5, 1.0)  # the CLI's copropagating grid
 SUBSET = slice(None, None, 10)  # 201 of the 2001 CLI grid points
 
 
@@ -291,6 +292,24 @@ def untruncated_counterpropagating(populations, vdist, pulse, grid, bias_gauss):
                for offset, weight in weights.items() if weight)
 
 
+def untruncated_copropagating(populations, bias_gauss, pulse, grid, rms_gauss):
+    """Independent oracle without a cut: each line m at its Zeeman offset,
+    summed by a 20 Hz rectangle rule over +-14 sigma of the Gaussian spread
+    of its Zeeman shift, normalized by the Gaussian's integral; the m = 0
+    line is bare."""
+    signal = np.zeros_like(grid)
+    for m in range(-3, 4):
+        weight = populations[state_index(Sublevel("g", 4, m))]
+        offset, sigma_hz = raman_line_offset(m, bias_gauss), abs(raman_line_offset(m, rms_gauss))
+        if not sigma_hz:
+            signal += weight * rabi_lineshape(grid - offset, pulse)
+            continue
+        shifts = np.arange(-14.0 * sigma_hz, 14.0 * sigma_hz + 10.0, 20.0)
+        gauss = np.exp(-0.5 * (shifts / sigma_hz) ** 2) * 20.0 / (np.sqrt(2.0 * np.pi) * sigma_hz)
+        signal += weight * (rabi_lineshape(np.subtract.outer(grid - offset, shifts), pulse) @ gauss)
+    return signal
+
+
 class TestFold:
     PULSE = RamanPulse(0.007)
 
@@ -312,45 +331,53 @@ class TestFold:
         (0.5, 0.0), (0.1, 0.0), (0.1, 0.1),
     ])
     def test_counterpropagating_matches_untruncated_quadrature(self, sigma_vr, bias_gauss):
-        # both routes cut the Gaussian where it falls to e^-40, so they hold
-        # 1e-10 of the peak everywhere, the grid's end points included
+        # both routes cut the Gaussian at +-7.5 sigma, where it falls to
+        # e^-28.1, so they hold 1e-10 of the peak everywhere, the grid's end
+        # points included
         vdist = VelocityDistribution(sigma_vr)
         grid = CLI_GRID[::100]   # 21 points, -250 and +250 kHz among them
         got = synth_counterpropagating(uniform_f4(), vdist, self.PULSE, CLI_GRID, bias_gauss)
         want = untruncated_counterpropagating(uniform_f4(), vdist, self.PULSE, grid, bias_gauss)
         assert np.max(np.abs(got.signal[::100] - want)) <= 1e-10 * want.max()
 
-    @pytest.mark.parametrize("sigma_vr, route", [(0.1, "fold"), (0.3, "fold"),
-                                                 (0.5, "fourier"), (4.0, "fourier")])
-    def test_route_has_the_smaller_size(self, monkeypatch, sigma_vr, route):
-        # the FFT fold serves narrow Doppler widths, where F needs many
-        # nodes, and the transform wide ones; on the CLI grid at 7 ms the
-        # switch lies near 0.43 v_r
-        sigma_hz = doppler_shift(sigma_vr)
-        fold = next(_fold(self.PULSE, sigma_hz, CLI_GRID, {0.0: 1.0}, np.sqrt(80.0), 2))
-        fourier = next(_fourier(self.PULSE, sigma_hz, CLI_GRID, {0.0: 1.0}))
-        assert (fold < fourier) == (route == "fold")
-        used = []
+    @pytest.mark.parametrize("synth, routes", [
+        *((lambda pulse, v=sigma_vr: synth_counterpropagating(
+            polarized_populations(), VelocityDistribution(v), pulse, CLI_GRID), [route])
+          for sigma_vr, route in ((0.1, "fold"), (0.3, "fold"), (0.5, "fourier"),
+                                  (4.0, "fourier"))),
+        # fig3's field, 0.1 G, with a 3 mG smear: the widths of m = +-3 and
+        # +-2 take the transform, and that of m = +-1 (2.1 kHz) the FFT fold
+        (lambda pulse: synth_copropagating(uniform_f4(), 0.1, pulse, CO_GRID, 3e-3),
+         ["fourier", "fourier", "fold"]),
+    ], ids=["0.1-fold", "0.3-fold", "0.5-fourier", "4.0-fourier", "fig3-3mG"])
+    def test_route_has_the_smaller_size(self, monkeypatch, synth, routes):
+        # the FFT fold serves narrow widths, where F needs many nodes, and
+        # the transform wide ones; on the CLI grid at 7 ms a Doppler width
+        # switches near 0.36 v_r
+        sizes, used = [], []
 
         def spy(name, plan):
             def wrapped(*args):
                 folded = plan(*args)
-                yield next(folded)
+                sizes.append(next(folded))
+                yield sizes[-1]
                 used.append(name)   # reached only by the route that folds
                 yield from folded
             return wrapped
 
         monkeypatch.setattr(raman, "_fold", spy("fold", _fold))
         monkeypatch.setattr(raman, "_fourier", spy("fourier", _fourier))
-        synth_counterpropagating(polarized_populations(), VelocityDistribution(sigma_vr),
-                                 self.PULSE, CLI_GRID)
-        assert used == [route]
+        synth(self.PULSE)
+        assert used == routes
+        # each width sizes its FFT fold, then its Fourier route
+        assert [("fold", "fourier")[int(fourier < fold)]
+                for fold, fourier in zip(sizes[::2], sizes[1::2])] == routes
 
     @pytest.mark.parametrize("synth, plans", [
         # the smear widths |m| * 0.70 MHz/G * 300 uG: three widths, m and -m
-        # in each of them
+        # in each of them, and the FFT fold folds each
         (lambda pulse: synth_copropagating(uniform_f4(), 0.1, pulse, CLI_GRID, 3e-4),
-         {"fold": [2, 2, 2]}),
+         {"fold": [2, 2, 2], "fourier": [1, 1, 1]}),
         # one Doppler width over seven positions: one plan on each route,
         # and the Fourier route folds
         (lambda pulse: synth_counterpropagating(uniform_f4(), VelocityDistribution(4.8), pulse,
@@ -411,7 +438,7 @@ class TestFold:
         sigma_hz, lines = doppler_shift(sigma_vr), {0.0: 0.3, 70e3: 1.7}
 
         def folded(lines):
-            plans = [_fold(self.PULSE, sigma_hz, CLI_GRID, lines, np.sqrt(80.0), 2),
+            plans = [_fold(self.PULSE, sigma_hz, CLI_GRID, lines),
                      _fourier(self.PULSE, sigma_hz, CLI_GRID, lines)]
             for plan in plans:
                 next(plan)
@@ -428,17 +455,25 @@ class TestFold:
     @pytest.mark.parametrize("rms_gauss", [5e-5, 3e-4])
     def test_copropagating_smear_matches_direct_sum(self, m, rms_gauss):
         # smear sigma = |m| * 0.70 MHz/G * rms: 35 Hz (m=1, 50 uG) to 630 Hz
-        # (m=3, 300 uG)
-        bias_gauss, pulse = 0.1, RamanPulse(0.007)
-        offset = raman_line_offset(m, bias_gauss)
-        sigma_hz = abs(raman_line_offset(m, rms_gauss))
-        grid = offset + np.arange(-4000.0, 4000.5, 2.0)
-        got = synth_copropagating(polarized_populations(m), bias_gauss, pulse, grid, rms_gauss)
-        shifts = np.linspace(-6.0 * sigma_hz, 6.0 * sigma_hz, 4001)
-        gauss = np.exp(-0.5 * (shifts / sigma_hz) ** 2)
-        gauss /= gauss.sum()
-        want = sum(gw * rabi_lineshape(grid - offset - s, pulse) for s, gw in zip(shifts, gauss))
-        assert np.max(np.abs(got.signal - want)) <= 1e-6 * want.max()
+        # (m=3, 300 uG); at 0.002 / |m| G the line sits at 1.4 kHz on the
+        # CLI grid, where a Gaussian cut at +-6 sigma is off by 3.5e-9
+        bias_gauss = 0.002 / abs(m)
+        got = synth_copropagating(polarized_populations(m), bias_gauss, self.PULSE, CO_GRID,
+                                  rms_gauss).signal[::20]
+        want = untruncated_copropagating(polarized_populations(m), bias_gauss, self.PULSE,
+                                         CO_GRID[::20], rms_gauss)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("bias_gauss, rms_gauss", [(0.002, 3e-4), (0.002, 1e-3),
+                                                       (0.001, 1e-4)])
+    def test_copropagating_matches_untruncated_quadrature(self, bias_gauss, rms_gauss):
+        # all seven lines, the smeared ones on or near the CLI grid, where
+        # Gaussians cut at +-6 sigma are off by up to 1.2e-9 of the peak
+        got = synth_copropagating(uniform_f4(), bias_gauss, self.PULSE, CO_GRID,
+                                  rms_gauss).signal[::20]
+        want = untruncated_copropagating(uniform_f4(), bias_gauss, self.PULSE, CO_GRID[::20],
+                                         rms_gauss)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
     def test_copropagating_m0_line_is_not_folded(self):
         grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
@@ -511,7 +546,7 @@ class TestFold:
         # route is refused before any array is allocated
         vdist, pulse = VelocityDistribution(1e-6), RamanPulse(10.0)
         sigma_hz = doppler_shift(vdist.sigma)
-        sizes = [next(_fold(pulse, sigma_hz, CLI_GRID, [0.0], np.sqrt(80.0), 2)),
+        sizes = [next(_fold(pulse, sigma_hz, CLI_GRID, [0.0])),
                  next(_fourier(pulse, sigma_hz, CLI_GRID, [0.0]))]
         assert min(sizes) > _MAX_FOLD
         message = rf"fold needs {min(sizes):.0f} nodes, over the 8388608"
@@ -538,10 +573,25 @@ class TestFold:
     ])
     def test_overflowing_rabi_phase_rejected(self, bias_gauss, tau_s, rms_gauss):
         # sin of an overflowed Rabi phase is NaN, and the signal with it: the
-        # spectrum is refused before any line is evaluated, without a warning
-        grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
-        with pytest.raises(ValueError, match=re.escape(f"Rabi phase of the tau_s = {tau_s:g} s")):
-            synth_copropagating(uniform_f4(), bias_gauss, RamanPulse(tau_s), grid, rms_gauss)
+        # spectrum is refused before any line is evaluated, without a warning;
+        # at 1e302 G the line positions themselves are not finite, and no
+        # pulse length would help, so the message names the field
+        message = (f"at bias_gauss = {bias_gauss:g} G is not finite" if rms_gauss
+                   else f"Rabi phase of the tau_s = {tau_s:g} s")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth_copropagating(uniform_f4(), bias_gauss, RamanPulse(tau_s), CO_GRID, rms_gauss)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("synth", [
+        lambda pulse: synth_counterpropagating(uniform_f4(), VelocityDistribution(4.0), pulse,
+                                               CLI_GRID, 1e290),
+        lambda pulse: synth_copropagating(uniform_f4(), 1e290, pulse, CO_GRID, 1e-3),
+    ], ids=["counterpropagating", "copropagating"])
+    def test_far_lines_size_the_fourier_route_without_a_warning(self, synth):
+        # lines 1e296 Hz off the grid give the Fourier route a finite n_t
+        # whose size overflows to inf: the FFT fold is taken, quietly
+        signal = synth(self.PULSE).signal
+        assert np.all(np.isfinite(signal))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bias_gauss, tau_s", [(0.1, 1e100), (1e3, 1e290)])

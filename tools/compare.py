@@ -35,7 +35,9 @@ call with its stdout captured, the fixed cost of every call, a whole
 `fit_depolarization` on fig5 with and without --fit-scale, fitting the two
 fixed observation files the matrix fits, a whole `heating_summary` on
 heating_paper (its cycle counts and the recoil walk) and its
-`expected_cycles` alone, each with and without --prune. A process runs
+`expected_cycles` alone, each with and without --prune, and spectrum
+synthesis: `synth_copropagating` on fig3 with and without --prune and
+`synth_counterpropagating` on fig4 and table1. A process runs
 each command once with a spy on the layer's name in `pumpsim.cli`, or on a
 `module.function` name in pumpsim such as `heating.expected_cycles`, which
 pays for imports and first-use caches, then calls the layer on what it was
@@ -99,6 +101,11 @@ LAYER_CASES += [(f"{name.split('.')[-1]} heating_paper{' --prune' * prune}", "he
                  "heating_paper", None, ("--prune",) * prune, name)
                 for name in ("heating_summary", "heating.expected_cycles")
                 for prune in (False, True)]
+LAYER_CASES += [(f"synth_copropagating fig3{' --prune' * prune}", "spectrum", "fig3_polarized",
+                 None, ("--prune",) * prune, "synth_copropagating") for prune in (False, True)]
+LAYER_CASES += [(f"synth_counterpropagating {s}", "spectrum", scenario, None, (),
+                 "synth_counterpropagating")
+                for s, scenario in (("fig4", "fig4_velocimetry"), ("table1", "table1_widths"))]
 LAYER_CALLS = 7
 # Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls> <tools dir>
 # <perfbench dir>`: cases are [case, argv, layer name or None]; prints

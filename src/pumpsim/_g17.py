@@ -3,6 +3,8 @@ of `'%.17g' % x` for a whole table, byte for byte, in blocks of whole lines.
 See `output.blocks` for why its digits are exact. The module is imported on
 the first call that needs it, and builds its tables then."""
 
+from functools import lru_cache
+
 import numpy as np
 
 # The kernel formats the values whose rounding it can prove exact: zeros,
@@ -16,15 +18,15 @@ _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into 26+27 bits
 # A scaled value whose fraction lies closer than this to one half goes to
 # Python: the kernel's error is below 1e-14 (see output.blocks).
 _TIE_MARGIN = 2.0 ** -20
-# Values per block: the largest temporary, 32 bytes a value, stays below the
-# 128 KiB from which malloc maps fresh pages on every call. Each block's
-# compacted text is one write to the file.
-_BLOCK = 4000
+# Bytes per block: the largest temporary, a slot of text and suffix per
+# value, stays below the 128 KiB from which malloc maps fresh pages on every
+# call. Each block's compacted text is one write to the file.
+_BLOCK_BYTES = 128_000
 # The text of a value, one row per byte, NUL in the rows it leaves unused:
 # the sign, the "0.000" of fixed notation below 1, and 18 rows for the 17
-# digits and the point. The exponent and the separator follow in 8 bytes.
+# digits and the point. The suffix follows in a whole number of 8-byte words.
 _SIGN, _LEAD, _BODY, _ROWS = 0, 1, 6, 24
-_LEAD_AT = np.array([[0], [0], [1], [2], [3]])  # row i shows when lead > _LEAD_AT[i]
+_LEAD_AT = np.uint8([[0], [0], [1], [2], [3]])  # row i shows when lead > _LEAD_AT[i]
 _LEAD_TEXT = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 _ROW = np.arange(18, dtype=np.uint8)[:, None]
 _NTH = np.arange(1, 18, dtype=np.uint8)[:, None]
@@ -32,12 +34,8 @@ _ZERO, _POINT, _MINUS = np.uint8(ord("0")), np.uint8(ord(".")), np.uint8(ord("-"
 # "0000".."9999" in ASCII, four bytes to a uint32
 _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                   axis=-1).view(np.uint32).ravel()
-# The 8 bytes after a value's digits, at 2 * (k + 331) for an exponent k and
-# at 0 for none, plus 1 for the last value of a row: the exponent, if any,
-# then the ',' that ends every value but a row's last, which ends in '\n'.
-_SUFFIX_TEXT = [e + sep for e in [b""] + [b"e%+03d" % k for k in range(-330, 331)]
-                for sep in (b",", b"\n")]
-_SUFFIXES = np.array(_SUFFIX_TEXT, dtype="S8").view(np.uint64)
+# A value's exponent, at k + 331 for k, and at 0 for none
+_EXPONENTS = [b""] + [b"e%+03d" % k for k in range(-330, 331)]
 
 
 def _powers_of_ten():
@@ -64,6 +62,26 @@ def _powers_of_ten():
 
 
 _HEAD, _TAIL, _LO = _powers_of_ten()
+
+
+@lru_cache(maxsize=8)
+def _layout(keep):
+    """Rows per block, a block's kept values, their suffix offsets and the
+    suffix table for the kept-column flags `keep`: at t * len(_EXPONENTS) + e,
+    exponent e (at most 5 bytes) then tail t, NUL-padded to whole uint64 words."""
+    cols = [j for j, kept in enumerate(keep) if kept]
+    tails = [b",0" * (end - col - 1) + b"," for col, end in zip(cols, cols[1:] + [len(keep)])]
+    tails[-1] = tails[-1][:-1] + b"\n"
+    distinct = list(dict.fromkeys(tails))
+    width = -(-(5 + max(map(len, distinct))) // 8) * 8
+    text = np.array([e + t for t in distinct for e in _EXPONENTS], dtype=f"S{width}")
+    step = max(1, _BLOCK_BYTES // (_ROWS + width) // len(cols))
+    mask = np.tile(keep, step)
+    tail = np.tile([distinct.index(t) * len(_EXPONENTS) for t in tails], step)
+    suffixes = text.view(np.uint64).reshape(text.size, -1)
+    for array in (mask, tail, suffixes):
+        array.setflags(write=False)
+    return step, mask, tail, suffixes
 
 
 def _scaled(ax, k):
@@ -101,7 +119,7 @@ def _digits(N):
     quads[1] = _QUADS[hi % 10000]
     quads[2] = _QUADS[lo // 10000]
     quads[3] = _QUADS[lo % 10000]
-    z[1:17] = quads.view(np.uint8).reshape(4, N.size, 4).transpose(0, 2, 1).reshape(16, N.size)
+    z[1:17].reshape(4, 4, -1)[...] = quads.view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
     return z
 
 
@@ -126,10 +144,10 @@ def _decimal(x):
     return k, rounded, ok
 
 
-def _block(x, ncols):
-    """A row-major block of values, `ncols` values to a line, as one uint8
-    array of their `%.17g` text: ',' between a line's values, '\n' after
-    each line."""
+def _block(x, tail, suffixes):
+    """Values `x` as the bytes of their `%.17g` text, each followed by its
+    suffix: the row of `suffixes` at its offset in `tail` plus the index of
+    its exponent."""
     k, rounded, ok = _decimal(x)
 
     # One column per value. %g writes fixed notation for -4 <= k < 17: after
@@ -137,11 +155,12 @@ def _block(x, ncols):
     # it puts the point after the first digit and adds the exponent. It drops
     # trailing zeros, and the point when no digit follows it.
     fixed = (k >= -4) & (k < 17)
-    lead = np.where(fixed & (k < 0), -k, 0)
+    lead = (-k * (fixed & (k < 0))).astype(np.uint8)
     point = np.where(fixed, np.where(k < 0, 17, k + 1), 1).astype(np.uint8)
     z = _digits(rounded)
     nd = ((z[1:18] != _ZERO) * _NTH).max(axis=0)  # digits to the last nonzero
-    shown = np.where(lead > 0, nd, np.where(nd <= point, point, nd + 1))
+    shown = np.maximum(point, nd + (nd > point))  # to the point, or past it with it
+    shown -= (shown - nd) * (lead > 0)  # below 1: the digits alone
     text = np.empty((_ROWS, x.size), dtype=np.uint8)
     text[_SIGN] = np.signbit(x) * _MINUS
     text[_LEAD:_BODY] = (lead > _LEAD_AT) * _LEAD_TEXT
@@ -150,23 +169,29 @@ def _block(x, ncols):
     body += (z[0:18] - body) * (_ROW > point)  # digits after the point move down
     body += (_POINT - body) * (_ROW == point)
     body *= _ROW < shown
-    suffix = np.where(fixed | ~ok, 0, k + 331) * 2
-    suffix[ncols - 1::ncols] += 1
+    suffix = (k + 331) * (ok & ~fixed) + tail[:x.size]
     for j in np.flatnonzero(~ok):
         raw = np.frombuffer(("%.17g" % x[j]).encode("ascii"), dtype=np.uint8)
         text[:, j] = 0
         text[:raw.size, j] = raw
 
-    out = np.empty((x.size, _ROWS + 8), dtype=np.uint8)
+    out = np.empty((x.size, _ROWS + 8 * suffixes.shape[1]), dtype=np.uint8)
     out[:, :_ROWS] = text.T
-    out[:, _ROWS:].view(np.uint64)[:, 0] = _SUFFIXES[suffix]
-    return out[out != 0]
+    out[:, _ROWS:].view(np.uint64)[:] = suffixes.take(suffix, axis=0)
+    return out.tobytes().translate(None, b"\0")
 
 
 def table_blocks(table):
     """Yields the `%.17g` text of the 2-D float64 `table`, one comma-separated
-    line per row, as one uint8 array of whole lines per block of rows."""
-    nrows, ncols = table.shape
-    step = max(1, _BLOCK // ncols)
-    for start in range(0, nrows, step):
-        yield _block(table[start:start + step].ravel(), ncols)
+    line per row, as bytes of whole lines per block of at most _BLOCK_BYTES
+    of slots. Column 0 and each column holding more than +0.0 go through the
+    kernel, each with the tail ',0' per skipped column after it, then ',' or '\n'."""
+    bits = table.view(np.uint64)  # +0.0 is the one double whose bits are all zero
+    keep = bits[:8].any(axis=0)  # the first rows settle most tables without a scan
+    if not keep.all():
+        keep = bits.any(axis=0)
+    keep[0] = True
+    step, mask, tail, suffixes = _layout(tuple(keep.tolist()))
+    for start in range(0, len(table), step):
+        rows = table[start:start + step].ravel()
+        yield _block(rows[mask[:rows.size]], tail, suffixes)

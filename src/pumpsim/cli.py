@@ -117,8 +117,9 @@ def cmd_spectrum(args) -> int:
     fwhm_single = lineshape_fwhm(pulse)
     shift = clock_line_shift(cfg.bias_gauss)
     if shift > 0.1 * fwhm_single:
-        print(f"warning: at {cfg.bias_gauss:g} G the m=0 line's second-order Zeeman shift, "
-              f"{shift:.3g} Hz, exceeds 10% of the {fwhm_single:.4g} Hz line width; "
+        size = f", {shift:.3g} Hz," if np.isfinite(shift) else " overflows a double and"
+        print(f"warning: at {cfg.bias_gauss:g} G the m=0 line's second-order Zeeman shift"
+              f"{size} exceeds 10% of the {fwhm_single:.4g} Hz line width; "
               "line positions are first order in the field", file=sys.stderr)
     print(f"single-line FWHM*tau: {fwhm_single * cfg.tau_s:.4f} "
           "(measured product in the reference setup: 1.12)")

@@ -250,7 +250,9 @@ def prune(
     overlap = rate_matrix.terms["overlap"]
     pruned = _from_terms(rate_matrix.terms[overlap >= threshold * overlap.max(initial=0.0)])
     live = pruned.terms[pruned.terms["rate"] > 0.0]
-    return pruned, int(np.unique(np.concatenate([live["ground"], live["excited"]])).size)
+    active = np.zeros(N_STATES, dtype=bool)
+    active[live["ground"]] = active[live["excited"]] = True
+    return pruned, int(np.count_nonzero(active))
 
 
 _UNIFORM_F4 = np.zeros(N_STATES)

@@ -17,10 +17,12 @@ def blocks(*columns):
     `f"{x:.17g}"`, byte for byte. Integer columns print as their float64
     values, as `%g` does.
 
-    A table of _SMALL values or more goes through a numpy kernel, one uint8
-    array per block of rows. For each value x it finds the decimal exponent
+    A table of _SMALL values or more goes through a numpy kernel, in blocks
+    of rows sized in bytes. For each value x it finds the decimal exponent
     k and the 17 digits N, |x| 10^(16-k) rounded to the nearest integer with
-    10^16 <= N < 10^17, and lays out the text from N, k and the sign.
+    10^16 <= N < 10^17, and lays out the text from N, k and the sign. A
+    column that is +0.0 in every row (but the first column) skips it: a
+    suffix table keyed by exponent and column tail writes its ',0'.
     The digits are exact: |x| 10^(16-k) is computed in double-double
     arithmetic (Dekker's exact two-product against a double-double power of
     ten), with an error below 1e-14, far below the 2^-20 margin the kernel

@@ -196,6 +196,65 @@ def test_layer_cases_name_each_layer_and_argv(tmp_path):
     assert json.loads(json.dumps(listed)) == listed
 
 
+def test_process_cases_name_each_command_and_argv(tmp_path):
+    tree = os.path.dirname(os.path.dirname(_PATH))
+    cases = dict(compare.process_cases(tree, str(tmp_path), "parent"))
+    assert list(cases) == ["states --prune fig5", "pump fig5", "pump fig5 --prune",
+                           "spectrum fig3", "spectrum fig4", "heat heating_paper", "fit fig5"]
+    scenario = lambda name: os.path.join(tree, "scenarios", f"{name}.ini")
+    # each process writes to its own folder, never to the scenario's
+    assert cases["states --prune fig5"] == [
+        "states", "--config", scenario("fig5_dynamics"), "--out", str(tmp_path / "parent-0"),
+        "--prune"]
+    assert cases["spectrum fig4"] == [
+        "spectrum", "--config", scenario("fig4_velocimetry"), "--out",
+        str(tmp_path / "parent-4")]
+    assert cases["fit fig5"][-2:] == [str(tmp_path / "obs_a.csv"), str(tmp_path / "obs_b.csv")]
+    for argv in cases.values():
+        assert os.path.exists(argv[2])
+
+
+def test_run_processes_alternates_trees_and_paces_each_process(monkeypatch):
+    # no process starts: subprocess.run and the pace module are stand-ins
+    started = []
+
+    def run(cmd, cwd, env, capture_output, text):
+        started.append((env["PYTHONPATH"], cmd[1:3], cmd[3]))
+        return argparse.Namespace(returncode=0, stderr="")
+
+    bench = argparse.Namespace(PACE_SHARE=0.2, pace=lambda seconds: (seconds, 1),
+                               at_reference_pace=lambda seconds, slice_s: 2.0)
+    monkeypatch.setattr(compare.subprocess, "run", run)
+    monkeypatch.setattr(compare, "load_pace", lambda tree: bench)
+    trees = {"parent": "/p", "change": "/c"}
+    runs = compare.run_processes(trees, 3)
+    assert [(r["round"], r["side"], r["first"]) for r in runs] == [
+        (0, "parent", "parent"), (0, "change", "parent"), (1, "change", "change"),
+        (1, "parent", "change"), (2, "parent", "parent"), (2, "change", "parent")]
+    names = [case for case, *_ in compare.PROCESS_CASES]
+    calls = compare.PROCESS_CALLS
+    assert len(started) == 6 * len(names) * calls
+    # each tree's processes run its own pumpsim, by `python -m pumpsim <command>`
+    per_side = len(names) * calls
+    assert {path for path, _, _ in started[:per_side]} == {os.path.join("/p", "src")}
+    assert {path for path, _, _ in started[per_side:2 * per_side]} == {os.path.join("/c", "src")}
+    assert [cmd for _, cmd, _ in started[:per_side:calls]] == [["-m", "pumpsim"]] * len(names)
+    commands = [command for _, command, _, _ in compare.PROCESS_CASES]
+    assert [c for _, _, c in started[:per_side:calls]] == commands
+    for r in runs:
+        assert list(r["times"]) == list(r["measured"]) == names
+        assert set(r["times"].values()) == {2.0}
+    assert list(compare.summarize_layers(runs)) == names
+
+
+def test_run_processes_names_a_failed_process(monkeypatch):
+    monkeypatch.setattr(compare.subprocess, "run",
+                        lambda *a, **k: argparse.Namespace(returncode=2, stderr="config error"))
+    monkeypatch.setattr(compare, "load_pace", lambda tree: pace)
+    with pytest.raises(RuntimeError, match="parent states --prune fig5 round 0: exit 2"):
+        compare.run_processes({"parent": "/p", "change": "/c"}, 1)
+
+
 def test_layer_owner_reads_cli_and_module_names():
     # LAYER_SCRIPT spies on a bare name in pumpsim.cli, or on a
     # `module.function` name such as the cycle counts heating_summary calls

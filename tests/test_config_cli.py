@@ -402,6 +402,18 @@ class TestSpectrumCommand:
                         "positions are first order in the field"] if warns else [])
         assert (tmp_path / "out" / "spectrum.csv").exists()
 
+    def test_overflowing_clock_line_shift_warning(self, tmp_path, capsys):
+        # at 1e290 G the neglected shift is past a double's range: the warning
+        # says so rather than printing "inf Hz"
+        with open(os.path.join(SCENARIOS, "fig4_velocimetry.ini")) as fh:
+            body = fh.read().replace("bias_gauss = 0.0", "bias_gauss = 1e290")
+        cfg = write_config(tmp_path, body)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: at 1e+290 G the m=0 line's second-order Zeeman shift overflows a "
+            "double and exceeds 10% of the 114.1 Hz line width; line positions are first "
+            "order in the field"]
+
     def test_counterpropagating_field_spread_rejected(self, tmp_path):
         # the field spread smears copropagating lines only; a
         # counterpropagating run used to ignore it without a word
@@ -977,17 +989,17 @@ class TestAtomicWrite:
         block = _g17._block
         done = []
 
-        def failing(x, ncols):
+        def failing(x, *layout):
             if done:
                 raise MemoryError("second block")
-            done.append(ncols)
-            return block(x, ncols)
+            done.append(x.size)
+            return block(x, *layout)
 
         monkeypatch.setattr(_g17, "_block", failing)
-        table = np.arange(3.0 * _g17._BLOCK).reshape(-1, 3)
+        table = np.arange(3.0 * _VALUES_PER_BLOCK).reshape(-1, 3)
         with pytest.raises(MemoryError):
             atomic_write(path, ["a,b,c", blocks(table)])
-        assert done == [3]
+        assert done == [_VALUES_PER_BLOCK // 3 * 3]
         assert path.read_text() == "old\n"
         assert sorted(os.listdir(tmp_path)) == ["trajectory.csv"]
 
@@ -1004,6 +1016,10 @@ class TestAtomicWrite:
                      tmp_path / "out" / "pump_metrics.txt",
                      tmp_path / "branching.csv"):
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask, path
+
+
+# values in a block of a table without a skipped column: 32-byte slots
+_VALUES_PER_BLOCK = _g17._BLOCK_BYTES // 32
 
 
 def _oracle(*columns):
@@ -1094,7 +1110,7 @@ def _oracle_bytes(*columns):
 def test_table_blocks_straddle_the_block_size(tmp_path, ncols):
     # tables a row short of one block, of exactly one, a row over and two
     # blocks and a row, with the awkward doubles spread through every block
-    step = _g17._BLOCK // ncols
+    step = _VALUES_PER_BLOCK // ncols
     values = np.resize(_awkward_doubles() * 0.73, (2 * step + 1) * ncols)
     for nrows in (step - 1, step, step + 1, 2 * step + 1):
         table = values[:nrows * ncols].reshape(nrows, ncols)
@@ -1122,6 +1138,80 @@ def test_table_fallback_values_inside_a_block(tmp_path):
     table[700, :] = awkward[5:8]
     assert _file_bytes(tmp_path / "t.csv", [blocks(table)]) == _oracle_bytes(table)
     assert rows(table) == _oracle(table)
+
+
+def _spy_blocks(monkeypatch):
+    # the (values, suffix words) of each block the kernel formats
+    block, calls = _g17._block, []
+
+    def spy(x, tail, suffixes):
+        calls.append((x.size, suffixes.shape[1]))
+        return block(x, tail, suffixes)
+
+    monkeypatch.setattr(_g17, "_block", spy)
+    return calls
+
+
+# the columns a pruned fig5 trajectory holds at +0.0: F'=3 and F'=5
+_PRUNED_ZEROS = list(range(17, 24)) + list(range(33, 44))
+
+
+def _table_with_zeros(nrows, ncols, zeros):
+    table = np.resize(_awkward_doubles() * 0.73, (nrows, ncols))
+    table[:, zeros] = 0.0
+    return table
+
+
+@pytest.mark.parametrize("ncols, zeros", [
+    (9, [0, 1, 2]),           # first, column 0 among them
+    (9, [4]),                 # inside
+    (45, _PRUNED_ZEROS),      # in runs
+    (9, [7, 8]),              # last
+    (9, list(range(1, 9))),   # in every column but the first
+], ids=["first", "inside", "runs", "last", "all-but-first"])
+def test_all_zero_columns_skip_the_kernel(tmp_path, monkeypatch, ncols, zeros):
+    # a column of +0.0 in every row writes its 0s from the suffix of the
+    # value before it; column 0 always goes through the kernel
+    table = _table_with_zeros(700, ncols, zeros)
+    calls = _spy_blocks(monkeypatch)
+    assert _file_bytes(tmp_path / "t.csv", [blocks(table)]) == _oracle_bytes(table)
+    kept = ncols - len(set(zeros) - {0})
+    assert sum(size for size, _ in calls) == 700 * kept
+    assert rows(table) == _oracle(table)
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+@pytest.mark.parametrize("value", [-0.0, float("nan"), 5e-324], ids=["-0.0", "nan", "5e-324"])
+def test_zero_columns_with_another_value_stay_in_the_kernel(tmp_path, monkeypatch, row, value):
+    # a +0.0 column holding one -0.0, NaN or subnormal is formatted value by
+    # value, and so is a column of -0.0
+    table = _table_with_zeros(700, 9, [2, 3, 4])
+    table[row, 3] = value
+    table[:, 5] = -0.0
+    calls = _spy_blocks(monkeypatch)
+    assert _file_bytes(tmp_path / "t.csv", [blocks(table)]) == _oracle_bytes(table)
+    assert sum(size for size, _ in calls) == 700 * 7
+    assert rows(table) == _oracle(table)
+
+
+@pytest.mark.parametrize("ncols, zeros", [(3, [1]), (45, _PRUNED_ZEROS)], ids=["3", "45"])
+def test_skipped_columns_straddle_the_block_size(tmp_path, monkeypatch, ncols, zeros):
+    # blocks are sized in bytes: a row short of one block, exactly one, a
+    # row over and two blocks and a row, each block's slots within the bound
+    calls = _spy_blocks(monkeypatch)
+    kept = ncols - len(zeros)
+    next(blocks(_table_with_zeros(_VALUES_PER_BLOCK, ncols, zeros)))  # a full first block
+    step = calls[0][0] // kept
+    for nrows in (step - 1, step, step + 1, 2 * step + 1):
+        table = _table_with_zeros(nrows, ncols, zeros)
+        calls.clear()
+        assert len(list(blocks(table))) == -(-nrows // step)
+        assert [size for size, _ in calls] == [
+            min(step, nrows - start) * kept for start in range(0, nrows, step)]
+        for size, words in calls:
+            assert size * (_g17._ROWS + 8 * words) <= _g17._BLOCK_BYTES
+        assert _file_bytes(tmp_path / "t.csv", [blocks(table)]) == _oracle_bytes(table)
+        assert rows(table) == _oracle(table)
 
 
 def test_table_between_header_and_trailer_lines(tmp_path):

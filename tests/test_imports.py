@@ -82,3 +82,18 @@ def test_import_loads_only_what_it_names(imports, unloaded):
                         f"print([m for m in sys.modules if m.startswith({unloaded!r})])\n")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_pump_prune_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.unique loads numpy.ma (about 10 ms) on its first call; `prune`
+    # counts its active sublevels without it
+    scenario = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)), "scenarios",
+                            "fig5_dynamics.ini")
+    result = run_python("import contextlib, io, sys\n"
+                        "from pumpsim import cli\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        f"    code = cli.main(['pump', '--config', {scenario!r}, '--prune',\n"
+                        f"                     '--out', {str(tmp_path)!r}])\n"
+                        "sys.exit(code or 'numpy.ma' in sys.modules)\n")
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "trajectory.csv").exists()

@@ -2,7 +2,7 @@
 
     python3 tools/compare.py <parent-tree> <change-tree> [--pairs 10] [--seed 1 ...]
         [--seconds 10] [--workload <name>[:<seed>,...] ...] [--traced 3] [--layers 10]
-        [--matrix] [--bench BENCH_<n>.json]
+        [--processes 10] [--matrix] [--bench BENCH_<n>.json]
 
 Each tree is a directory holding `src/pumpsim`, `scenarios/` and
 `perfbench/`, such as a `git archive` of a commit. Nothing in either tree
@@ -48,6 +48,16 @@ rescaled by their mean time to seconds at the reference pace. Each case
 gets medians and quartiles of those per-process paced medians per side and
 `change_wins`; the record keeps the measured medians too.
 
+With --processes > 0, each tree times fresh `python -m pumpsim` processes,
+in rounds alternating as the pairs do: `states --prune` and `pump` with and
+without --prune on fig5, `spectrum` on fig3 and fig4, `heat` on
+heating_paper and `fit` on fig5 with the two observation files the matrix
+fits. A round runs each case PROCESS_CALLS times; each process is timed
+from its start to its exit, then paced as a layer call is, with the tree's
+`perfbench/pace.py` run in this process, and the round keeps the median.
+Each case gets medians and quartiles of those per side and `change_wins`;
+the record keeps the measured medians too.
+
 With --matrix, both trees run the CLI output matrix: `states`, `pump` and
 `spectrum` with and without --prune, `heat` plain, --prune, --seed 0,
 --seed 7 --prune and --seed 2718, and `fit` with and without --fit-scale
@@ -62,6 +72,7 @@ differs.
 
 import argparse
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -107,6 +118,16 @@ LAYER_CASES += [(f"synth_counterpropagating {s}", "spectrum", scenario, None, ()
                  "synth_counterpropagating")
                 for s, scenario in (("fig4", "fig4_velocimetry"), ("table1", "table1_widths"))]
 LAYER_CALLS = 7
+# Fresh `python -m pumpsim` processes: (case, command, scenario, flags), with
+# "@obs" as in FLAGS
+PROCESS_CASES = [("states --prune fig5", "states", "fig5_dynamics", ("--prune",)),
+                 ("pump fig5", "pump", "fig5_dynamics", ()),
+                 ("pump fig5 --prune", "pump", "fig5_dynamics", ("--prune",)),
+                 ("spectrum fig3", "spectrum", "fig3_polarized", ()),
+                 ("spectrum fig4", "spectrum", "fig4_velocimetry", ()),
+                 ("heat heating_paper", "heat", "heating_paper", ()),
+                 ("fit fig5", "fit", "fig5_dynamics", ("@obs",))]
+PROCESS_CALLS = 3
 # Run in each tree as `python -c LAYER_SCRIPT <cases json> <calls> <tools dir>
 # <perfbench dir>`: cases are [case, argv, layer name or None]; prints
 # {"paced": {case: median seconds}, "measured": {case: median seconds}} as JSON.
@@ -414,6 +435,55 @@ def run_layers(trees, rounds) -> list:
     return runs
 
 
+def process_cases(tree, work, side) -> list:
+    """(case, argv after `python -m pumpsim`) for each of PROCESS_CASES in
+    `tree`, writing to a folder of `work` named after the side and the case
+    index, with the OBSERVATIONS files read from `work`."""
+    data = [os.path.join(work, name) for name in sorted(OBSERVATIONS)]
+    return [(case, [command, "--config", os.path.join(tree, "scenarios", f"{scenario}.ini"),
+                    "--out", os.path.join(work, f"{side}-{i}"), *expand(flags, data)])
+            for i, (case, command, scenario, flags) in enumerate(PROCESS_CASES)]
+
+
+def load_pace(tree):
+    """`tree`'s perfbench/pace.py, as a module kept out of sys.modules."""
+    path = os.path.join(tree, "perfbench", "pace.py")
+    spec = importlib.util.spec_from_file_location("pace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_processes(trees, rounds) -> list:
+    """`rounds` rounds per tree of PROCESS_CALLS fresh processes per case,
+    alternating which tree runs first; time_layer times and paces each
+    process and keeps the medians."""
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="pumpsim-processes-") as work:
+        write_observations(work)
+        cases = {side: process_cases(tree, work, side) for side, tree in trees.items()}
+        paces = {side: load_pace(tree) for side, tree in trees.items()}
+        for i in range(rounds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                env = _bench_env() | {"PYTHONPATH": os.path.join(trees[side], "src")}
+                timed = {}
+                for case, argv in cases[side]:
+                    def call():
+                        done = subprocess.run([sys.executable, "-m", "pumpsim", *argv],
+                                              cwd=work, env=env, capture_output=True, text=True)
+                        if done.returncode != 0:
+                            raise RuntimeError(f"{side} {case} round {i}: exit "
+                                               f"{done.returncode}\n{done.stderr}")
+                    timed[case] = time_layer(call, PROCESS_CALLS, paces[side])
+                runs.append({"round": i, "side": side, "first": order[0],
+                             "times": {case: t["paced"] for case, t in timed.items()},
+                             "measured": {case: t["measured"] for case, t in timed.items()}})
+                print(f"processes round {i} {side} (paced): " + ", ".join(
+                    f"{t * 1e3:.1f} ms" for t in runs[-1]["times"].values()), flush=True)
+    return runs
+
+
 def matrix_cases() -> list:
     """(name, scenario, bias or None, argv after the command's config)."""
     cases = [(f"{s}-{'-'.join(f)}".replace("@obs", "obs").replace("--", ""), s, None, f)
@@ -485,6 +555,8 @@ def main(argv=None) -> int:
                         help="traced perfbench runs per tree for each workload and seed")
     parser.add_argument("--layers", type=int, default=0,
                         help="rounds of in-process layer timings per tree")
+    parser.add_argument("--processes", type=int, default=0,
+                        help="rounds of fresh `python -m pumpsim` process timings per tree")
     parser.add_argument("--bench", help="write the summaries and runs to this JSON file")
     parser.add_argument("--matrix", action="store_true", help="compare the CLI output matrix")
     args = parser.parse_args(argv)
@@ -543,6 +615,24 @@ def main(argv=None) -> int:
                     "reference pace (`times`, seconds) and as measured (`measured`); the "
                     "summary has medians and inclusive quartiles of the paced medians over "
                     "processes",
+            "summary": summary, "runs": runs}
+    if args.processes > 0:
+        runs = run_processes(trees, args.processes)
+        summary = summarize_layers(runs)
+        for case, entry in summary.items():
+            p, c = entry["parent"], entry["change"]
+            print(f"{case}: paced median {p['median'] * 1e3:.1f} -> {c['median'] * 1e3:.1f} ms "
+                  f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
+                  f"{(p['q3'] - p['q1']) * 1e3:.1f} ms, change lower in "
+                  f"{entry['change_wins']} of {args.processes}")
+        record["processes"] = {
+            "what": f"{args.processes} rounds per tree, alternating as the pairs do, of "
+                    f"{PROCESS_CALLS} fresh `python -m pumpsim` processes per case, each timed "
+                    "from start to exit and followed by the tree's perfbench/pace.py reference "
+                    "slices run in the comparing process; a round keeps the median of its "
+                    "processes' times at the reference pace (`times`, seconds) and as measured "
+                    "(`measured`); the summary has medians and inclusive quartiles of the "
+                    "paced medians over rounds",
             "summary": summary, "runs": runs}
     if args.matrix:
         report = run_matrix(trees)

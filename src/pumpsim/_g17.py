@@ -186,10 +186,7 @@ def table_blocks(table):
     line per row, as bytes of whole lines per block of at most _BLOCK_BYTES
     of slots. Column 0 and each column holding more than +0.0 go through the
     kernel, each with the tail ',0' per skipped column after it, then ',' or '\n'."""
-    bits = table.view(np.uint64)  # +0.0 is the one double whose bits are all zero
-    keep = bits[:8].any(axis=0)  # the first rows settle most tables without a scan
-    if not keep.all():
-        keep = bits.any(axis=0)
+    keep = table.view(np.uint64).any(axis=0)  # +0.0 is the one double with no bit set
     keep[0] = True
     step, mask, tail, suffixes = _layout(tuple(keep.tolist()))
     for start in range(0, len(table), step):

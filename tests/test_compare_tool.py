@@ -124,6 +124,17 @@ def test_summarize_layers_pairs_processes_by_round():
     assert compare.summarize_layers([]) == {}
 
 
+def test_report_timings_prints_each_case_and_keeps_the_runs(capsys):
+    runs = [{"round": i, "side": side, "first": "parent", "times": {"case": t}}
+            for i, (p, c) in enumerate([(0.020, 0.015), (0.030, 0.016)])
+            for side, t in (("parent", p), ("change", c))]
+    record = compare.report_timings(runs, 2, 1, "two rounds")
+    assert record == {"what": "two rounds", "summary": compare.summarize_layers(runs),
+                      "runs": runs}
+    assert capsys.readouterr().out == ("case: paced median 25.0 -> 15.5 ms (-38.0%), "
+                                       "parent IQR 5.0 ms, change lower in 2 of 2\n")
+
+
 def test_layer_cases_and_scenario_edits(tmp_path):
     names = [case for case, *_ in compare.LAYER_CASES]
     assert names == ["write_trajectory_csv fig5 5 ms", "write_trajectory_csv fig5 5 ms --prune",

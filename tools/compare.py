@@ -411,28 +411,38 @@ def layer_cases(tree, work, side) -> list:
     return out
 
 
+def alternate(trees, rounds, label, digits, time_side) -> list:
+    """`rounds` rounds in which each tree is timed in turn, alternating which
+    goes first, by `time_side(round, side, env)`: {"paced": {case: seconds},
+    "measured": {case: seconds}}, with `env` running the side's pumpsim."""
+    runs = []
+    for i in range(rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            env = _bench_env() | {"PYTHONPATH": os.path.join(trees[side], "src")}
+            timed = time_side(i, side, env)
+            runs.append({"round": i, "side": side, "first": order[0],
+                         "times": timed["paced"], "measured": timed["measured"]})
+            print(f"{label} round {i} {side} (paced): " + ", ".join(
+                f"{t * 1e3:.{digits}f} ms" for t in timed["paced"].values()), flush=True)
+    return runs
+
+
 def run_layers(trees, rounds) -> list:
     """`rounds` fresh timing processes per tree, alternating which runs first."""
-    runs = []
     with tempfile.TemporaryDirectory(prefix="pumpsim-layers-") as work:
         cases = {side: layer_cases(tree, work, side) for side, tree in trees.items()}
-        for i in range(rounds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                env = _bench_env() | {"PYTHONPATH": os.path.join(trees[side], "src")}
-                done = subprocess.run([sys.executable, "-c", LAYER_SCRIPT,
-                                       json.dumps(cases[side]), str(LAYER_CALLS), TOOLS,
-                                       os.path.join(trees[side], "perfbench")],
-                                      cwd=work, env=env, capture_output=True, text=True)
-                if done.returncode != 0:
-                    raise RuntimeError(f"{side} layers round {i}: exit {done.returncode}\n"
-                                       f"{done.stderr}")
-                timed = json.loads(done.stdout)
-                runs.append({"round": i, "side": side, "first": order[0],
-                             "times": timed["paced"], "measured": timed["measured"]})
-                print(f"layers round {i} {side} (paced): " + ", ".join(
-                    f"{t * 1e3:.3f} ms" for t in runs[-1]["times"].values()), flush=True)
-    return runs
+
+        def time_side(i, side, env):
+            done = subprocess.run([sys.executable, "-c", LAYER_SCRIPT, json.dumps(cases[side]),
+                                   str(LAYER_CALLS), TOOLS,
+                                   os.path.join(trees[side], "perfbench")],
+                                  cwd=work, env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                raise RuntimeError(f"{side} layers round {i}: exit {done.returncode}\n"
+                                   f"{done.stderr}")
+            return json.loads(done.stdout)
+        return alternate(trees, rounds, "layers", 3, time_side)
 
 
 def process_cases(tree, work, side) -> list:
@@ -458,30 +468,24 @@ def run_processes(trees, rounds) -> list:
     """`rounds` rounds per tree of PROCESS_CALLS fresh processes per case,
     alternating which tree runs first; time_layer times and paces each
     process and keeps the medians."""
-    runs = []
     with tempfile.TemporaryDirectory(prefix="pumpsim-processes-") as work:
         write_observations(work)
         cases = {side: process_cases(tree, work, side) for side, tree in trees.items()}
         paces = {side: load_pace(tree) for side, tree in trees.items()}
-        for i in range(rounds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                env = _bench_env() | {"PYTHONPATH": os.path.join(trees[side], "src")}
-                timed = {}
-                for case, argv in cases[side]:
-                    def call():
-                        done = subprocess.run([sys.executable, "-m", "pumpsim", *argv],
-                                              cwd=work, env=env, capture_output=True, text=True)
-                        if done.returncode != 0:
-                            raise RuntimeError(f"{side} {case} round {i}: exit "
-                                               f"{done.returncode}\n{done.stderr}")
-                    timed[case] = time_layer(call, PROCESS_CALLS, paces[side])
-                runs.append({"round": i, "side": side, "first": order[0],
-                             "times": {case: t["paced"] for case, t in timed.items()},
-                             "measured": {case: t["measured"] for case, t in timed.items()}})
-                print(f"processes round {i} {side} (paced): " + ", ".join(
-                    f"{t * 1e3:.1f} ms" for t in runs[-1]["times"].values()), flush=True)
-    return runs
+
+        def time_side(i, side, env):
+            timed = {}
+            for case, argv in cases[side]:
+                def call():
+                    done = subprocess.run([sys.executable, "-m", "pumpsim", *argv],
+                                          cwd=work, env=env, capture_output=True, text=True)
+                    if done.returncode != 0:
+                        raise RuntimeError(f"{side} {case} round {i}: exit "
+                                           f"{done.returncode}\n{done.stderr}")
+                timed[case] = time_layer(call, PROCESS_CALLS, paces[side])
+            return {key: {case: t[key] for case, t in timed.items()}
+                    for key in ("paced", "measured")}
+        return alternate(trees, rounds, "processes", 1, time_side)
 
 
 def matrix_cases() -> list:
@@ -537,6 +541,19 @@ def run_matrix(trees) -> dict:
             print(f"{name}: exit {old['code']}/{new['code']}, {len(new['files'])} file(s)",
                   flush=True)
     return report
+
+
+def report_timings(runs, rounds, digits, what) -> dict:
+    """Prints summarize_layers(runs) per case in ms to `digits` decimals and
+    returns the record of `runs` described by `what`."""
+    summary = summarize_layers(runs)
+    for case, entry in summary.items():
+        p, c = entry["parent"], entry["change"]
+        print(f"{case}: paced median {p['median'] * 1e3:.{digits}f} -> "
+              f"{c['median'] * 1e3:.{digits}f} ms ({c['median'] / p['median'] - 1:+.1%}), "
+              f"parent IQR {(p['q3'] - p['q1']) * 1e3:.{digits}f} ms, change lower in "
+              f"{entry['change_wins']} of {rounds}")
+    return {"what": what, "summary": summary, "runs": runs}
 
 
 def main(argv=None) -> int:
@@ -598,42 +615,24 @@ def main(argv=None) -> int:
                     "counts runs where the change reads lower",
             "summary": summary, "runs": runs}
     if args.layers > 0:
-        runs = run_layers(trees, args.layers)
-        summary = summarize_layers(runs)
-        for case, entry in summary.items():
-            p, c = entry["parent"], entry["change"]
-            print(f"{case}: paced median {p['median'] * 1e3:.3f} -> {c['median'] * 1e3:.3f} ms "
-                  f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
-                  f"{(p['q3'] - p['q1']) * 1e3:.3f} ms, change lower in "
-                  f"{entry['change_wins']} of {args.layers}")
-        record["layers"] = {
-            "what": f"{args.layers} fresh processes per tree, alternating as the pairs do; "
-                    "each runs a case's command once with a spy on its layer, then times "
-                    "the layer on what the command handed it (or the whole cli.main call) "
-                    f"{LAYER_CALLS} times, each call followed by the tree's perfbench/pace.py "
-                    "reference slices, and keeps the median of the calls' times at the "
-                    "reference pace (`times`, seconds) and as measured (`measured`); the "
-                    "summary has medians and inclusive quartiles of the paced medians over "
-                    "processes",
-            "summary": summary, "runs": runs}
+        record["layers"] = report_timings(
+            run_layers(trees, args.layers), args.layers, 3,
+            f"{args.layers} fresh processes per tree, alternating as the pairs do; each runs "
+            "a case's command once with a spy on its layer, then times the layer on what the "
+            f"command handed it (or the whole cli.main call) {LAYER_CALLS} times, each call "
+            "followed by the tree's perfbench/pace.py reference slices, and keeps the median "
+            "of the calls' times at the reference pace (`times`, seconds) and as measured "
+            "(`measured`); the summary has medians and inclusive quartiles of the paced "
+            "medians over processes")
     if args.processes > 0:
-        runs = run_processes(trees, args.processes)
-        summary = summarize_layers(runs)
-        for case, entry in summary.items():
-            p, c = entry["parent"], entry["change"]
-            print(f"{case}: paced median {p['median'] * 1e3:.1f} -> {c['median'] * 1e3:.1f} ms "
-                  f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
-                  f"{(p['q3'] - p['q1']) * 1e3:.1f} ms, change lower in "
-                  f"{entry['change_wins']} of {args.processes}")
-        record["processes"] = {
-            "what": f"{args.processes} rounds per tree, alternating as the pairs do, of "
-                    f"{PROCESS_CALLS} fresh `python -m pumpsim` processes per case, each timed "
-                    "from start to exit and followed by the tree's perfbench/pace.py reference "
-                    "slices run in the comparing process; a round keeps the median of its "
-                    "processes' times at the reference pace (`times`, seconds) and as measured "
-                    "(`measured`); the summary has medians and inclusive quartiles of the "
-                    "paced medians over rounds",
-            "summary": summary, "runs": runs}
+        record["processes"] = report_timings(
+            run_processes(trees, args.processes), args.processes, 1,
+            f"{args.processes} rounds per tree, alternating as the pairs do, of "
+            f"{PROCESS_CALLS} fresh `python -m pumpsim` processes per case, each timed from "
+            "start to exit and followed by the tree's perfbench/pace.py reference slices run "
+            "in the comparing process; a round keeps the median of its processes' times at "
+            "the reference pace (`times`, seconds) and as measured (`measured`); the summary "
+            "has medians and inclusive quartiles of the paced medians over rounds")
     if args.matrix:
         report = run_matrix(trees)
         print(f"{report['cases']} cases per tree; {len(report['mismatch'])} mismatch(es), "

@@ -17,11 +17,12 @@ from .fitting import BOUNDS, XATOL, DataError, fit_depolarization, load_observat
 from .heating import heating_summary, write_heating_summary
 from .kinetics import (
     LIBRARY_DT,
-    PRUNE_THRESHOLD,
+    PRUNE_THRESHOLD,  # perfbench/checks.py reads it from here
     assemble_rate_matrix,
     integrate_rk4,
     prune,
     pump_metrics,
+    rate_matrix,
     uniform_f4,
     write_trajectory_csv,
 )
@@ -67,17 +68,14 @@ def cmd_states(args) -> int:
         print(f"{i},{level.label()}")
     print(f"# total={len(STATES)}")
     if args.prune:
-        matrix = assemble_rate_matrix(_load(args, "--prune").beams)
-        _, active = prune(matrix, PRUNE_THRESHOLD)
+        _, active = prune(assemble_rate_matrix(_load(args, "--prune").beams))
         print(f"# active_after_prune={active}")
     return EXIT_OK
 
 
 def _pump_run(cfg: ScenarioConfig, pruned: bool, at=None):
-    matrix = assemble_rate_matrix(cfg.beams)
-    if pruned:
-        matrix, _ = prune(matrix, PRUNE_THRESHOLD)
-    return integrate_rk4(matrix, uniform_f4(), cfg.dt_seconds, cfg.t_end_s, at=at)
+    return integrate_rk4(rate_matrix(cfg.beams, pruned), uniform_f4(), cfg.dt_seconds,
+                         cfg.t_end_s, at=at)
 
 
 def cmd_pump(args) -> int:

@@ -16,9 +16,8 @@ import numpy as np
 
 from .kinetics import (
     LIBRARY_DT,
-    assemble_rate_matrix,
     integrate_rk4,
-    prune,
+    rate_matrix,
     uniform_f4,
     with_depolarization,
 )
@@ -134,17 +133,13 @@ def simulate_observable(
 ) -> np.ndarray:
     """Model prediction of a ground-sublevel fraction at the requested times,
     starting from the uniformly populated F=4 level."""
-    traj = _simulate(_terms(beams), depolarization, times)
+    traj = _simulate(rate_matrix(beams, True), depolarization, times)
     return np.interp(times, traj.times, traj.sublevel_fraction(observable))
 
 
-def _terms(beams):
-    return prune(assemble_rate_matrix(beams))[0]
-
-
-def _simulate(terms, depolarization, times):
+def _simulate(matrix, depolarization, times):
     """The trajectory rows that interpolation at `times` reads."""
-    matrix = with_depolarization(terms, depolarization)
+    matrix = with_depolarization(matrix, depolarization)
     return integrate_rk4(matrix, uniform_f4(), LIBRARY_DT, float(np.max(times)),
                          max_samples=2001, at=times)
 
@@ -165,12 +160,12 @@ def residual_report(
     """Per-point residuals (observed minus model) and the weighted SSE at one
     contamination value; with fit_scale each series' model is first scaled
     by its closed-form least-squares amplitude. The fit scores every
-    candidate the same way, on terms it assembles once."""
-    return _report(list(series), _terms(beams), depolarization, fit_scale)
+    candidate the same way, on a matrix it assembles once."""
+    return _report(list(series), rate_matrix(beams, True), depolarization, fit_scale)
 
 
-def _report(series, terms, depolarization, fit_scale) -> ResidualReport:
-    traj = _simulate(terms, depolarization, np.concatenate([s.times for s in series]))
+def _report(series, matrix, depolarization, fit_scale) -> ResidualReport:
+    traj = _simulate(matrix, depolarization, np.concatenate([s.times for s in series]))
     # the ground populations that `Trajectory.sublevel_fraction` divides by, summed once
     ground = traj.populations[:, GROUND_INDICES].sum(axis=1)
     residuals, sse, scales = [], 0.0, []
@@ -207,7 +202,7 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
 
     Bounded golden-section/parabolic search (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 5) with |step| tolerance
-    1e-4 times the upper bound. The pruned terms are assembled once; each
+    1e-4 times the upper bound. The pruned matrix is assembled once; each
     candidate, alpha-hat too, is scored once as `residual_report` scores it.
     The fit is weakly identified when the candidates' SSEs agree to 1e-7 of
     the largest.
@@ -215,11 +210,11 @@ def fit_depolarization(series, beams, fit_scale: bool = False) -> FitResult:
     series = list(series)
     if not series:
         raise ValueError("need at least one observation series")
-    terms = _terms(beams)
+    matrix = rate_matrix(beams, True)
     reports = {}
 
     def objective(depol):
-        reports[depol] = _report(series, terms, depol, fit_scale)
+        reports[depol] = _report(series, matrix, depol, fit_scale)
         return reports[depol].sse
 
     best, evaluations, converged = _bounded_minimum(objective, BOUNDS, XATOL, MAX_ITERATIONS)

@@ -29,10 +29,9 @@ import numpy as np
 from .kinetics import (
     LIBRARY_DT,
     Trajectory,
-    assemble_rate_matrix,
     first_crossing,
     integrate_rk4,
-    prune,
+    rate_matrix,
     single_sublevel,
     uniform_f4,
 )
@@ -65,15 +64,13 @@ def expected_cycles(beams, t_end: float = 0.02, pruned: bool = False) -> CycleRe
     two column blocks of five, and each block's run stops once all its
     starts have reached the threshold: a block with a start that never does
     runs the whole window to t_end."""
-    matrix = assemble_rate_matrix(beams)
-    if pruned:
-        matrix, _ = prune(matrix)
+    matrix = rate_matrix(beams, pruned)
     starts = np.column_stack(
         [single_sublevel(Sublevel("g", 4, m)) for m in range(-4, 5)] + [uniform_f4()]
     )
     photons, hits = [], []
-    # not one block of ten: the stacked products of ten columns round
-    # differently from those of five, which would move every count's bits
+    # two blocks of five for memory: each 4001-row store (7 MB, 14 MB for ten
+    # columns) is freed before the next block, which reuses the first's powers
     for block in (starts[:, :5], starts[:, 5:]):
         traj = integrate_rk4(matrix, block, LIBRARY_DT, t_end, max_samples=4001,
                              until=PUMP_THRESHOLD)

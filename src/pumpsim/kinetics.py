@@ -22,6 +22,9 @@ layout (its output grid and, given times, the rows it computes and returns
 and the power and chunk start that fill each) depends only on dt, t_end,
 max_samples and those times, so it is computed once and shared, read-only,
 by every run with the same four: all the candidates of one fit.
+
+Every command's matrix comes from `rate_matrix`; `states --prune` calls
+`prune` on its own, for its count of active sublevels.
 """
 
 import logging
@@ -253,6 +256,12 @@ def prune(
     active = np.zeros(N_STATES, dtype=bool)
     active[live["ground"]] = active[live["excited"]] = True
     return pruned, int(np.count_nonzero(active))
+
+
+def rate_matrix(beams, pruned: bool) -> RateMatrix:
+    """The beams' assembled rate matrix, pruned at PRUNE_THRESHOLD when `pruned`."""
+    matrix = assemble_rate_matrix(beams)
+    return prune(matrix)[0] if pruned else matrix
 
 
 _UNIFORM_F4 = np.zeros(N_STATES)

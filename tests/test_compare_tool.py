@@ -6,6 +6,8 @@ import importlib.util
 import json
 import os
 import statistics
+import sys
+import types
 
 import pytest
 
@@ -48,6 +50,9 @@ def test_describe_uses_inclusive_quartiles():
     q1, _, q3 = statistics.quantiles([1.0, 2.0, 3.0, 4.0], n=4, method="inclusive")
     assert compare.describe([4.0, 3.0, 2.0, 1.0])["q1"] == q1 == 1.75
     assert compare.describe([4.0, 3.0, 2.0, 1.0])["q3"] == q3 == 3.25
+    # one round (--layers 1, --pairs 1) reports rather than failing
+    assert compare.describe([7.0]) == {"n": 1, "median": 7.0, "q1": 7.0, "q3": 7.0,
+                                       "min": 7.0, "max": 7.0}
 
 
 def test_summarize_pairs_by_index_and_counts_change_wins():
@@ -275,6 +280,34 @@ def test_layer_owner_reads_cli_and_module_names():
     for _, _, _, _, _, name in compare.LAYER_CASES:
         if name is not None:
             assert callable(getattr(*compare.layer_owner(name)))
+
+
+def test_spying_follows_a_layer_into_every_module_that_binds_it(monkeypatch):
+    # two trees may reach one layer through different modules' bindings: a
+    # `pump` that assembles in cli, and one that assembles inside kinetics
+    def layer(x):
+        return 2 * x
+
+    def other(x):
+        return x
+
+    owner, caller, unrelated = (types.ModuleType(f"pumpsim.{n}_stub")
+                                for n in ("owner", "caller", "unrelated"))
+    owner.layer = caller.layer = layer
+    unrelated.layer = other
+    for module in (owner, caller, unrelated):
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+    handed = []
+    with compare.spying("owner_stub.layer", handed) as original:
+        assert original is layer
+        assert (owner.layer(1), caller.layer(2), unrelated.layer(3)) == (2, 4, 3)
+    assert handed == [((1,), {}), ((2,), {})]
+    assert owner.layer is caller.layer is layer and unrelated.layer is other
+    # the bindings come back when the command fails too
+    with pytest.raises(RuntimeError):
+        with compare.spying("owner_stub.layer", handed):
+            raise RuntimeError
+    assert owner.layer is caller.layer is layer
 
 
 def test_summarize_traced_by_workload_seed_and_pair():

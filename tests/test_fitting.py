@@ -15,7 +15,7 @@ from pumpsim.fitting import (
     residual_report,
     simulate_observable,
 )
-from pumpsim.kinetics import Beam, integrate_rk4
+from pumpsim.kinetics import Beam, integrate_rk4, rate_matrix
 from pumpsim.structure import Sublevel, parse_label
 
 TIMES = np.linspace(1e-4, 4.8e-3, 60)
@@ -227,14 +227,14 @@ class TestSearchMatchesScipy:
     def fit_and_scipy(self, monkeypatch, series, beams, fit_scale=False):
         report, alphas = fitting._report, []
 
-        def recorded(series, terms, alpha, fit_scale):
+        def recorded(series, matrix, alpha, fit_scale):
             alphas.append(alpha)
-            return report(series, terms, alpha, fit_scale)
+            return report(series, matrix, alpha, fit_scale)
 
         monkeypatch.setattr(fitting, "_report", recorded)
         fit = fit_depolarization(series, beams, fit_scale=fit_scale)
-        terms = fitting._terms(beams)
-        want, result = scipy_search(lambda a: report(series, terms, a, fit_scale).sse,
+        matrix = rate_matrix(beams, True)
+        want, result = scipy_search(lambda a: report(series, matrix, a, fit_scale).sse,
                                     fitting.MAX_ITERATIONS)
         assert alphas == want
         assert (fit.depolarization, fit.iterations, fit.converged) == (

@@ -635,12 +635,17 @@ class TestExpectedCycles:
         if alpha is not None:
             assert [traj.times.size for traj in integrated] == [4001] * 4
 
-    def test_block_store_memory_bound(self):
-        # each block of five starts allocates 4001 x 44 x 5 doubles (7 MB),
-        # of which a stopped run writes only its first rows; the peak is
-        # about 7.8 MB. The blocks hold five starts for their bits, not for
-        # memory (see expected_cycles).
+    @pytest.mark.parametrize("alpha", [None, 0.05], ids=["heating_paper", "alpha_0.05"])
+    def test_block_store_memory_bound(self, alpha):
+        # each block of five starts allocates 4001 x 44 x 5 doubles (7 MB)
+        # and frees them before the next block; the blocks are split for
+        # memory, since one block of ten would hold 14 MB (see
+        # expected_cycles). heating_paper's blocks stop by row 417, with a
+        # peak of about 7.7 MB; at alpha = 0.05 no start reaches 0.95, both
+        # blocks write all 4,001 rows and the peak is about 8.6 MB
         beams = load_config(HEATING_PAPER).beams
+        if alpha is not None:
+            beams = [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
         expected_cycles(beams)  # build the cached tables outside the trace
         tracemalloc.start()
         try:

@@ -36,6 +36,7 @@ from pumpsim.kinetics import (
     polarization_weights,
     prune,
     pump_metrics,
+    rate_matrix,
     single_sublevel,
     stationary_state,
     transition_overlap,
@@ -1085,7 +1086,8 @@ def test_with_depolarization_rebuilds_weights():
                           assemble_rate_matrix(fig5_beams(alpha=0.013)).matrix)
     with pytest.raises(ValueError, match="depolarization"):
         replace(rebuilt[0], depolarization=-0.1)
-    # re-weighting a term table, full or pruned, is assembling those beams
+    # re-weighting a term table, full or pruned, is assembling those beams;
+    # rate_matrix is assembling them (and pruning when asked), term for term
     for template_alpha in (0.0, 0.013):
         full = assemble_rate_matrix(fig5_beams(template_alpha))
         pruned, _ = prune(full)
@@ -1094,6 +1096,10 @@ def test_with_depolarization_rebuilds_weights():
             assert np.array_equal(with_depolarization(full, alpha).matrix, fresh.matrix)
             assert np.array_equal(with_depolarization(pruned, alpha).matrix,
                                   prune(fresh)[0].matrix)
+            for built, want in ((rate_matrix(fig5_beams(alpha), False), fresh),
+                                (rate_matrix(fig5_beams(alpha), True), prune(fresh)[0])):
+                assert built.matrix.tobytes() == want.matrix.tobytes()
+                assert built.terms.tobytes() == want.terms.tobytes()
     with pytest.raises(ValueError, match="depolarization"):
         with_depolarization(full, float("nan"))
 

@@ -39,9 +39,11 @@ heating_paper (its cycle counts and the recoil walk) and its
 synthesis: `synth_copropagating` on fig3 with and without --prune and
 `synth_counterpropagating` on fig4 and table1. A process runs
 each command once with a spy on the layer's name in `pumpsim.cli`, or on a
-`module.function` name in pumpsim such as `heating.expected_cycles`, which
-pays for imports and first-use caches, then calls the layer on what it was
-handed LAYER_CALLS times and keeps their median. Each call is paced as
+`module.function` name in pumpsim such as `heating.expected_cycles`, set at
+every pumpsim module that binds that function, so that a call which moves
+from one module to another is seen in both trees. That first run pays for
+imports and first-use caches; the process then calls the layer on what it
+was handed LAYER_CALLS times and keeps their median. Each call is paced as
 `perfbench/run.py` paces `wall_s`: the tree's `perfbench/pace.py` reference
 slices run after it for PACE_SHARE of its time, and the call's time is
 rescaled by their mean time to seconds at the reference pace. Each case
@@ -71,6 +73,7 @@ differs.
 """
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
 import json
@@ -135,7 +138,7 @@ LAYER_SCRIPT = """
 import contextlib, io, json, sys, tempfile
 sys.path[:0] = sys.argv[3:5]
 import pace
-from compare import layer_owner, time_layer
+from compare import spying, time_layer
 from pumpsim import cli
 
 def command(case, argv):
@@ -150,14 +153,9 @@ with tempfile.TemporaryDirectory() as tmp:
             command(case, argv)
             call = lambda: command(case, argv)
         else:
-            owner, attr = layer_owner(name)
-            layer, handed = getattr(owner, attr), []
-            def spy(*args, **kwargs):
-                handed.append((args, kwargs))
-                return layer(*args, **kwargs)
-            setattr(owner, attr, spy)
-            command(case, [*argv, "--out", tmp])
-            setattr(owner, attr, layer)
+            handed = []
+            with spying(name, handed) as layer:
+                command(case, [*argv, "--out", tmp])
             (args, kwargs), = handed
             call = lambda: layer(*args, **kwargs)
         timed = time_layer(call, int(sys.argv[2]), pace)
@@ -177,8 +175,10 @@ OBSERVATIONS = {  # fixed inputs for `fit`: time_s, fraction of atoms in F=4, m=
 
 
 def describe(values) -> dict:
-    """n, median, inclusive quartiles, min and max of a list of numbers."""
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """n, median, inclusive quartiles, min and max of a list of numbers; the
+    quartiles of one number are that number, so one round still reports."""
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                 else values * 3)
     return {"n": len(values), "median": statistics.median(values), "q1": q1, "q3": q3,
             "min": min(values), "max": max(values)}
 
@@ -188,6 +188,31 @@ def layer_owner(name: str) -> tuple:
     and `pumpsim.<module>` a `module.function` name."""
     module, _, attr = name.rpartition(".")
     return importlib.import_module(f"pumpsim.{module or 'cli'}"), attr
+
+
+@contextlib.contextmanager
+def spying(name: str, handed: list):
+    """Spy on the layer `name` (see layer_owner) while the block runs: every
+    pumpsim module that binds it holds a spy that appends each call's (args,
+    kwargs) to `handed`, as perfbench/spans.py's `Tracer.install` wraps each
+    binding, and every binding is restored afterwards. Yields the layer."""
+    owner, attr = layer_owner(name)
+    layer = getattr(owner, attr)
+
+    def spy(*args, **kwargs):
+        handed.append((args, kwargs))
+        return layer(*args, **kwargs)
+
+    bound = [module for module_name, module in list(sys.modules.items())
+             if (module_name == "pumpsim" or module_name.startswith("pumpsim."))
+             and getattr(module, attr, None) is layer]
+    for module in bound:
+        setattr(module, attr, spy)
+    try:
+        yield layer
+    finally:
+        for module in bound:
+            setattr(module, attr, layer)
 
 
 def time_layer(call, calls, pace, clock=time.perf_counter) -> dict:

@@ -14,14 +14,17 @@ of the step matrix's block B between output samples, so one matrix product
 fills 32 samples, bit-deterministic at any BLAS thread count. Each power's
 population columns are reset to sum to exactly 1, which conserves population
 at any run length. One start or a block of starts as columns fills one
-array. Given the times a caller reads, the integrator computes only the
-samples that bracket them, each from its chunk's start with the bits the
-full run gives it; given a level of the polarized fraction, a full run stops
-after the first chunk that ends with every column at or above it. A run's
-layout (its output grid and, given times, the rows it computes and returns
-and the power and chunk start that fill each) depends only on dt, t_end,
-max_samples and those times, so it is computed once and shared, read-only,
-by every run with the same four: all the candidates of one fit.
+array. A one-column start runs on the sublevels it reaches through the
+matrix, padded until their count plus the photon row is a multiple of 4 (as
+44 is), and reads +0.0 on the others; a block runs on all 43. Given the
+times a caller reads, the integrator computes only the samples that bracket
+them, each from its chunk's start with the bits the full run gives it; given
+a level of the polarized fraction, a full run stops after the first chunk
+that ends with every column at or above it. A run's layout (its output grid
+and, given times, the rows it computes and returns and the power and chunk
+start that fill each) depends only on dt, t_end, max_samples and those
+times, so it is computed once and shared, read-only, by every run with the
+same four: all the candidates of one fit.
 
 Every command's matrix comes from `rate_matrix`; `states --prune` calls
 `prune` on its own, for its count of active sublevels.
@@ -150,12 +153,16 @@ class RateMatrix:
     zero, so total population is conserved. The matrix is built from `terms`,
     its record array of stimulated terms (dtype `TERM`), kept alongside so
     weak transitions can be pruned and the contamination changed afterwards.
-    It keeps its last run's power stack, so `matrix` must not change once it
-    is integrated (`_from_terms` makes it read-only).
+    It keeps its last run's power stack, keyed by dt, layout and the states
+    the run integrated, so `matrix` must not change once it is integrated
+    (`_from_terms` makes it read-only). `_reach` keeps the states its last
+    one-column start reached; `with_depolarization` shares it, since the
+    contamination changes rates, not couplings.
     """
 
     matrix: np.ndarray
     terms: np.ndarray = field(repr=False)
+    _reach: dict = field(default_factory=dict, repr=False, compare=False)
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -174,7 +181,7 @@ def _spontaneous_part() -> np.ndarray:
     return mat
 
 
-def _from_terms(terms: np.ndarray) -> RateMatrix:
+def _from_terms(terms: np.ndarray, reach=None) -> RateMatrix:
     """Spontaneous part plus each stimulated term's rate in both directions;
     the diagonal carries the total outflow, making every column sum to zero."""
     mat = _spontaneous_part().copy()
@@ -183,7 +190,7 @@ def _from_terms(terms: np.ndarray) -> RateMatrix:
     np.add.at(mat, (ground, excited), rate)
     np.fill_diagonal(mat, -mat.sum(axis=0))
     mat.setflags(write=False)
-    return RateMatrix(mat, terms)
+    return RateMatrix(mat, terms, {} if reach is None else reach)
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +245,7 @@ def with_depolarization(rate_matrix: RateMatrix, depolarization: float) -> RateM
     weights = np.asarray(polarization_weights(depolarization))
     terms = rate_matrix.terms.copy()
     terms["rate"] = terms["unit"] * weights[terms["q"] + 1]
-    return _from_terms(terms)
+    return _from_terms(terms, rate_matrix._reach)
 
 
 def prune(
@@ -297,30 +304,27 @@ class Trajectory:
         return self.populations[:, state_index(level)] / ground
 
 
-def _rk4_step_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of the augmented linear system as a matrix.
+def _rk4_step_matrix(rates: np.ndarray, dt: float, states=None) -> np.ndarray:
+    """One classical RK4 step of the augmented system on `states` (None: all) as a matrix.
 
-    The 44th row integrates Gamma * sum(excited populations), i.e. the
+    The last row integrates Gamma * sum(excited populations), i.e. the
     expected number of fluorescence photons, with the same quadrature.
     """
     gen = np.zeros((N_STATES + 1, N_STATES + 1))
     gen[:N_STATES, :N_STATES] = rates
     gen[N_STATES, EXCITED_INDICES] = cst.GAMMA
-    hr = dt * gen
-    return _EYE + hr @ (_EYE + hr @ (_EYE_2 + hr @ (_EYE_6 + hr / 24.0)))
-
-
-# the identity terms I, I/2 and I/6 of the RK4 polynomial, read-only
-_EYE, _EYE_2, _EYE_6 = (np.eye(N_STATES + 1) / d for d in (1.0, 2.0, 6.0))
-for _term in (_EYE, _EYE_2, _EYE_6):
-    _term.setflags(write=False)
+    if states is not None:
+        gen = gen[np.ix_(*2 * [np.append(states, N_STATES)])]
+    hr, eye = dt * gen, np.eye(len(gen))
+    return eye + hr @ (eye + hr @ (eye / 2.0 + hr @ (eye / 6.0 + hr / 24.0)))
 
 
 def _conserving(power: np.ndarray) -> np.ndarray:
     """Reset the population diagonal in place so each population column sums to 1."""
-    diagonal = power.reshape(-1)[:N_STATES * (N_STATES + 2):N_STATES + 2]
+    n = len(power) - 1
+    diagonal = power.reshape(-1)[:n * (n + 2):n + 2]
     diagonal.fill(0.0)
-    np.subtract(1.0, np.add.reduce(power[:N_STATES, :N_STATES], axis=0), out=diagonal)
+    np.subtract(1.0, np.add.reduce(power[:n, :n], axis=0), out=diagonal)
     return power
 
 
@@ -412,26 +416,56 @@ def _reached(tail: np.ndarray, level: float) -> bool:
     return bool(np.all(fraction[-1] >= level))
 
 
-def _stack(rate_matrix: RateMatrix, dt: float, layout: _Layout):
-    """The read-only powers B, ..., B^chunk of the `stride`-step block B and
-    the `remainder`-step power (None for none), reset as `_conserving` resets
-    them, kept on `rate_matrix` for its last (dt, stride, remainder, chunk)."""
+def _states(rate_matrix: RateMatrix, support: np.ndarray):
+    """The sublevels, sorted, that a start with nonzero entries `support`
+    reaches through the matrix's nonzeros and its terms' couplings (at any
+    contamination), padded with the lowest others to 4k - 1 of them, as 43
+    is, so the stacked and per-row products round alike; None for all 43."""
+    key, memo = support.tobytes(), rate_matrix._reach
+    if key not in memo:
+        links, terms = rate_matrix.matrix != 0, rate_matrix.terms
+        links[terms["ground"], terms["excited"]] = links[terms["excited"], terms["ground"]] = True
+        reached = support.copy()
+        while not np.array_equal(grown := reached | links[:, reached].any(axis=1), reached):
+            reached = grown
+        reached[np.flatnonzero(~reached)[:-(np.count_nonzero(reached) + 1) % 4]] = True
+        memo.clear()
+        memo[key] = None if reached.all() else np.flatnonzero(reached)
+    return memo[key]
+
+
+def _on_all_states(rows: np.ndarray, states) -> np.ndarray:
+    """The populations of `rows` on all 43 sublevels: +0.0 off `states`."""
+    if states is None:
+        return rows[:, :N_STATES]
+    populations = np.zeros((len(rows), N_STATES) + rows.shape[2:])
+    populations[:, states] = rows[:, :-1]
+    return populations
+
+
+def _stack(rate_matrix: RateMatrix, dt: float, layout: _Layout, states):
+    """The read-only powers B, ..., B^chunk of the `stride`-step block B on
+    `states`, the `remainder`-step power (None for none), reset as
+    `_conserving` resets them, and each power's bound `dot`, kept on
+    `rate_matrix` for its last (dt, stride, remainder, chunk, states)."""
     chunk, kept = layout.chunk, rate_matrix._kept
-    key = (dt, layout.stride, layout.remainder, chunk)
+    key = (dt, layout.stride, layout.remainder, chunk,
+           None if states is None else states.tobytes())
     stack = kept.get(key)
     if stack is None:
-        block, last = _step_powers(_rk4_step_matrix(rate_matrix.matrix, dt), key[1:3])
+        block, last = _step_powers(_rk4_step_matrix(rate_matrix.matrix, dt, states), key[1:3])
         # powers[j] = B^(j+1), each reset through views made once and one
         # sums buffer: the column sums of the population rows, whose first
-        # N_STATES are the sums `_conserving` takes (in the same order)
-        powers = np.empty((chunk, N_STATES + 1, N_STATES + 1))
+        # n are the sums `_conserving` takes (in the same order)
+        n = len(block) - 1
+        powers = np.empty((chunk, n + 1, n + 1))
         views = list(powers)
-        diagonals = list(powers.reshape(chunk, -1)[:, :N_STATES * (N_STATES + 2):N_STATES + 2])
-        sums = np.empty(N_STATES + 1)
-        population_sums = sums[:N_STATES]
+        diagonals = list(powers.reshape(chunk, -1)[:, :n * (n + 2):n + 2])
+        sums = np.empty(n + 1)
+        population_sums = sums[:n]
         powers[0] = _conserving(block)
         for previous, power, population_rows, diagonal in zip(
-                views, views[1:], list(powers[1:, :N_STATES]), diagonals[1:]):
+                views, views[1:], list(powers[1:, :n]), diagonals[1:]):
             previous.dot(views[0], power)
             diagonal.fill(0.0)
             np.add.reduce(population_rows, axis=0, out=sums)
@@ -440,7 +474,7 @@ def _stack(rate_matrix: RateMatrix, dt: float, layout: _Layout):
             _conserving(last).setflags(write=False)
         powers.setflags(write=False)
         kept.clear()
-        kept[key] = stack = powers, last
+        kept[key] = stack = powers, last, [power.dot for power in powers]
     return stack
 
 
@@ -461,6 +495,9 @@ def integrate_rk4(
     of k. dt must satisfy dt * max|R| <= 0.1. Output is sampled on a uniform
     stride (at most max_samples points) plus the final step; one matrix
     product of the stacked powers B, ..., B^32 fills a chunk of 32 samples.
+    A one-column start runs on the sublevels it reaches (`_states`), padded
+    so the full and the `at` products round alike, and returns +0.0 on the
+    rest. A block runs on all 43, where the reduction was measured slower.
 
     With a sequence of times `at`, the run computes only row 0, the two grid
     samples that bracket each time (clamped at the ends), each chunk's start
@@ -482,8 +519,8 @@ def integrate_rk4(
     The layout (grid, computed and returned rows, and the power and chunk
     start of each `at` row) comes from a cache of the last 8 distinct
     (dt, t_end, max_samples, at), and the power stack from `rate_matrix`
-    when its last run had the same dt and layout (the second block of cycle
-    counts); the returned arrays are fresh every call.
+    when its last run had the same dt, layout and states (the second block
+    of cycle counts); the returned arrays are fresh every call.
 
     The negative-population check and clip cover every computed row; rows
     never computed are not checked.
@@ -508,34 +545,37 @@ def integrate_rk4(
 
     layout = _layout(dt, t_end, max_samples,
                      None if at is None else np.asarray(at, dtype=float).tobytes())
+    states = _states(rate_matrix, n0.reshape(-1) != 0) if n0.size == N_STATES else None
+    n = N_STATES if states is None else len(states)
     n_blocks, chunk = layout.n_blocks, layout.chunk
-    powers, last = _stack(rate_matrix, dt, layout)
+    powers, last, dots = _stack(rate_matrix, dt, layout, states)
 
-    # data[s] holds the s-th computed row; its row N_STATES counts photons.
+    # data[s] holds the s-th computed row; its row n counts photons.
     # Every row is written before it is read, so rows a stopped run never
     # computes are never touched.
-    data = np.empty((layout.computed, N_STATES + 1) + n0.shape[1:])
-    data[0, :N_STATES] = n0
-    data[0, N_STATES] = 0.0
+    data = np.empty((layout.computed, n + 1) + n0.shape[1:])
+    data[0, :n] = n0 if states is None else n0[states]
+    data[0, n] = 0.0
     if at is None:
         for i in range(0, n_blocks, chunk):
             k = min(chunk, n_blocks - i)
-            out = data[i + 1:i + 1 + k].reshape((k * (N_STATES + 1),) + n0.shape[1:])
-            np.matmul(powers[:k].reshape(-1, N_STATES + 1), data[i], out=out)
-            if until is not None and _reached(data[i + k - 1:i + k + 1], until):
+            out = data[i + 1:i + 1 + k].reshape((k * (n + 1),) + n0.shape[1:])
+            np.matmul(powers[:k].reshape(-1, n + 1), data[i], out=out)
+            if until is not None and _reached(
+                    _on_all_states(data[i + k - 1:i + k + 1], states), until):
                 # the computed prefix, with no remainder row
                 data, last = data[:i + k + 1], None
                 break
         times = layout.times[:len(data)].copy()
     else:
-        samples, dots = list(data), [power.dot for power in powers]
+        samples = list(data)
         for j, c, s in layout.products:
             dots[j](samples[c], samples[s])
         times = layout.times[layout.rows]
     if last is not None:
         np.matmul(last, data[-2], out=data[-1])
 
-    populations = data[:, :N_STATES]
+    populations = data[:, :n]
     negative = populations < 0
     if negative.any():
         worst = populations[negative].min()
@@ -547,7 +587,7 @@ def integrate_rk4(
         log.debug("clipped %d slightly negative populations (min %.3e)",
                   int(negative.sum()), worst)
         populations[negative] = 0.0
-    return Trajectory(times, populations[layout.keep], data[layout.keep, N_STATES])
+    return Trajectory(times, _on_all_states(data, states)[layout.keep], data[layout.keep, n])
 
 
 @dataclass

@@ -97,9 +97,36 @@ def test_moves_reads_data_against_the_column_peak_and_lists_headers():
     assert got["header"] == {"center_hz": ["1e-13", "-2e-13"]}
 
 
+def test_moves_reads_the_numeric_fields_of_a_fit_report():
+    # the rows start with the series' file name, which is skipped; the
+    # time and residual columns keep their own peaks
+    old = (b"# alpha_hat=0.12252885943898716\n# converged=True\n# scale[a.csv]=1.0\n"
+           b"series,time_s,residual\na.csv,0.0001,0.004\na.csv,0.0002,-0.002\n"
+           b"b.csv,0.0001,0.001\n")
+    new = (b"# alpha_hat=0.12252885943898688\n# converged=False\n# scale[a.csv]=0\n"
+           b"series,time_s,residual\na.csv,0.0001,0.004\na.csv,0.0002,-0.0020000004\n"
+           b"b.csv,0.0001,0.001\n")
+    got = compare.moves(old, new)
+    assert got["differing"] == 4
+    assert got["data_move"] == pytest.approx(4e-10 / 0.004)
+    assert got["header"] == {"alpha_hat": ["0.12252885943898716", "0.12252885943898688"],
+                             "converged": ["True", "False"], "scale[a.csv]": ["1.0", "0"]}
+    assert got["header_move"] == {
+        "alpha_hat": pytest.approx(2.8e-16 / 0.12252885943898716, rel=1e-3),
+        "scale[a.csv]": 1.0}
+
+
+def test_moves_of_a_name_or_off_a_zero_header():
+    # a moved name is no numeric move; a header moving off 0 moves infinitely far
+    got = compare.moves(b"a.csv,1\n# sse=0\n", b"b.csv,1\n# sse=1e-30\n")
+    assert got["differing"] == 2 and got["data_move"] is None
+    assert got["header_move"] == {"sse": float("inf")}
+
+
 def test_moves_of_equal_or_reshaped_files():
     same = compare.moves(b"a,b\n1,2\n", b"a,b\n1,2\n")
-    assert (same["differing"], same["data_move"], same["header"]) == (0, None, {})
+    assert (same["differing"], same["data_move"], same["header"], same["header_move"]) == (
+        0, None, {}, {})
     longer = compare.moves(b"a,b\n1,2\n", b"a,b\n1,2\n3,4\n")
     assert longer["differing"] == 1 and longer["data_move"] is None
 

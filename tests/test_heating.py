@@ -635,21 +635,23 @@ class TestExpectedCycles:
         if alpha is not None:
             assert [traj.times.size for traj in integrated] == [4001] * 4
 
-    @pytest.mark.parametrize("alpha", [None, 0.05], ids=["heating_paper", "alpha_0.05"])
-    def test_block_store_memory_bound(self, alpha):
+    @pytest.mark.parametrize("alpha, pruned", [(None, False), (0.05, False), (0.05, True)],
+                             ids=["heating_paper", "alpha_0.05", "alpha_0.05_pruned"])
+    def test_block_store_memory_bound(self, alpha, pruned):
         # each block of five starts allocates 4001 x 44 x 5 doubles (7 MB)
         # and frees them before the next block; the blocks are split for
         # memory, since one block of ten would hold 14 MB (see
         # expected_cycles). heating_paper's blocks stop by row 417, with a
         # peak of about 7.7 MB; at alpha = 0.05 no start reaches 0.95, both
-        # blocks write all 4,001 rows and the peak is about 8.6 MB
+        # blocks write all 4,001 rows and the peak is about 8.6 MB. Pruned,
+        # the blocks still run on all 43 sublevels
         beams = load_config(HEATING_PAPER).beams
         if alpha is not None:
             beams = [Beam(4, 4, 0.019, -0.5, alpha), Beam(3, 4, 0.023, 0.0, alpha)]
-        expected_cycles(beams)  # build the cached tables outside the trace
+        expected_cycles(beams, pruned=pruned)  # build the cached tables outside the trace
         tracemalloc.start()
         try:
-            expected_cycles(beams)
+            expected_cycles(beams, pruned=pruned)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

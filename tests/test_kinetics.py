@@ -16,6 +16,7 @@ from hypothesis import strategies as st_h
 
 from pumpsim import constants as cst
 from pumpsim import kinetics
+from pumpsim.config import load_config
 from pumpsim.kinetics import (
     LIBRARY_DT,
     STACKED_POWERS,
@@ -46,12 +47,15 @@ from pumpsim.kinetics import (
 from pumpsim.structure import (
     EXCITED_INDICES,
     GROUND_INDICES,
+    STATES,
     Sublevel,
     branching_table,
     state_index,
 )
 
 DT = 0.01 / cst.GAMMA
+HEATING_PAPER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                             "scenarios", "heating_paper.ini")
 
 
 def fig5_beams(alpha=0.013):
@@ -722,30 +726,61 @@ class TestStackedPowers:
         assert np.array_equal(power[43], photons)
 
 
-def reference_rows(rm, n0, dt, t_end, max_samples):
+def reached_states(rm, n0):
+    """The sublevels integrate_rk4 integrates a start on, by a breadth-first
+    search over the matrix's nonzeros and its terms' couplings, padded with
+    the lowest unreached ones until their count plus one is a multiple of 4;
+    None for a block start or all 43."""
+    if np.shape(n0)[1:] not in ((), (1,)):
+        return None
+    feeds = {j: set() for j in range(43)}
+    for i, j in zip(*np.nonzero(rm.matrix)):
+        feeds[j].add(i)
+    for g, e in zip(rm.terms["ground"], rm.terms["excited"]):
+        feeds[g].add(e)
+        feeds[e].add(g)
+    reached, frontier = set(), set(np.flatnonzero(np.ravel(n0)).tolist())
+    while frontier:
+        reached |= frontier
+        frontier = set().union(*(feeds[j] for j in frontier)) - reached
+    reached |= set(sorted(set(range(43)) - reached)[:-(len(reached) + 1) % 4])
+    return None if len(reached) == 43 else np.array(sorted(reached))
+
+
+def reference_rows(rm, n0, dt, t_end, max_samples, reduced=True):
     """Times and every grid row of a run by the integrator's defining calls:
     `np.linalg.matrix_power`, a `put` and `.sum(axis=0)` reset, and one
-    `np.matmul` of the (k*44, 44) power stack per chunk; clipped at the end."""
+    `np.matmul` of the (k*(n+1), n+1) power stack per chunk; clipped at the
+    end. `reduced` runs it on `reached_states` with +0.0 elsewhere, as the
+    integrator does; otherwise on all 43 sublevels, an oracle within
+    rounding."""
+    states = reached_states(rm, n0) if reduced else None
+    n = 43 if states is None else len(states)
+
     def reset(power):
-        power.put(np.arange(43) * 45, 0.0)
-        power.put(np.arange(43) * 45, 1.0 - power[:43, :43].sum(axis=0))
+        power.put(np.arange(n) * (n + 2), 0.0)
+        power.put(np.arange(n) * (n + 2), 1.0 - power[:n, :n].sum(axis=0))
         return power
     n_steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
     stride = -(-n_steps // (max_samples - 1))
     n_blocks, remainder = divmod(n_steps, stride)
-    step = _rk4_step_matrix(rm.matrix, dt)
+    step = _rk4_step_matrix(rm.matrix, dt, states)
     powers = [reset(np.linalg.matrix_power(step, stride))]
     while len(powers) < min(STACKED_POWERS, n_blocks):
         powers.append(reset(np.matmul(powers[-1], powers[0])))
-    stack = np.array(powers).reshape(-1, 44)
-    data = np.zeros((n_blocks + 1 + (remainder > 0), 44) + n0.shape[1:])
-    data[0, :43] = n0
+    stack = np.array(powers).reshape(-1, n + 1)
+    data = np.zeros((n_blocks + 1 + (remainder > 0), n + 1) + n0.shape[1:])
+    data[0, :n] = n0 if states is None else n0[states]
     for i in range(0, n_blocks, len(powers)):
         k = min(len(powers), n_blocks - i)
-        data[i + 1:i + 1 + k] = np.matmul(stack[:k * 44], data[i]).reshape(data[i + 1:i + 1 + k].shape)
+        data[i + 1:i + 1 + k] = np.matmul(stack[:k * (n + 1)], data[i]).reshape(data[i + 1:i + 1 + k].shape)
     if remainder:
         data[-1] = np.matmul(reset(np.linalg.matrix_power(step, remainder)), data[-2])
-    data[:, :43][data[:, :43] < 0] = 0.0
+    data[:, :n][data[:, :n] < 0] = 0.0
+    if states is not None:
+        full = np.zeros((len(data), 44) + n0.shape[1:])
+        full[:, states], full[:, 43] = data[:, :n], data[:, n]
+        data = full
     times = dt * (stride * np.arange(n_blocks + 1))
     return (np.append(times, dt * n_steps) if remainder else times), data
 
@@ -758,7 +793,8 @@ class TestReferenceBits:
 
     @staticmethod
     def assert_same_bits(rm, n0, dt, t_end, max_samples, at):
-        times, data = reference_rows(rm, n0, dt, t_end, max_samples)
+        # a block runs on all 43 sublevels, with the bits of the 44-row system
+        times, data = reference_rows(rm, n0, dt, t_end, max_samples, reduced=n0.ndim == 1)
         hi = np.clip(np.searchsorted(times, at, side="right"), 1, len(times) - 1)
         until = integrate_rk4(rm, n0, dt, t_end, max_samples, until=0.95)
         for traj, rows in [(integrate_rk4(rm, n0, dt, t_end, max_samples), slice(None)),
@@ -851,6 +887,120 @@ class TestLayoutReuse:
                     integrate_rk4(assemble_rate_matrix([]), uniform_f4(), dt, 2**53 * dt, at=at)
 
 
+class TestReachedStates:
+    """A one-column start runs on the sublevels it reaches, padded until
+    their count plus the photon row is a multiple of 4; a block runs on all
+    43."""
+
+    @staticmethod
+    def matrix(case, pruned):
+        if case == "heating_paper":
+            return rate_matrix(load_config(HEATING_PAPER).beams, pruned)
+        return rate_matrix(fig5_beams(case), pruned)
+
+    @staticmethod
+    def routes(rm, n0, dt, t_end, max_samples, at):
+        """(returned rows of the grid, trajectory) of the full, `at` and `until` runs."""
+        full = integrate_rk4(rm, n0, dt, t_end, max_samples)
+        hi = np.clip(np.searchsorted(full.times, at, side="right"), 1, len(full.times) - 1)
+        until = integrate_rk4(rm, n0, dt, t_end, max_samples, until=0.95)
+        return [(slice(None), full),
+                (np.unique(np.r_[0, hi - 1, hi]),
+                 integrate_rk4(rm, n0, dt, t_end, max_samples, at=at)),
+                (slice(until.times.size), until)]
+
+    @pytest.mark.parametrize("case", [0.0, 0.013, 0.2, "heating_paper"])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_routes_match_the_43_state_system(self, case, pruned):
+        # within rounding of the run on all 43 sublevels, and exactly +0.0
+        # (no sign bit) off the reached ones, which the writer then skips
+        rm, n0 = self.matrix(case, pruned), uniform_f4()
+        states = reached_states(rm, n0)
+        # pruned, the uniform F=4 start reaches 25 sublevels, padded to 27
+        assert (None if states is None else len(states)) == (27 if pruned else None)
+        times, data = reference_rows(rm, n0, LIBRARY_DT, 4.8e-3, 2001, reduced=False)
+        off = np.setdiff1d(np.arange(43), np.arange(43) if states is None else states)
+        for rows, traj in self.routes(rm, n0, LIBRARY_DT, 4.8e-3, 2001,
+                                      TestReferenceBits.FIT_AT):
+            assert np.array_equal(traj.times, times[rows])
+            np.testing.assert_allclose(traj.populations, data[rows, :43], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(traj.scattered_photons, data[rows, 43],
+                                       rtol=1e-13, atol=0)
+            off_set = traj.populations[:, off]
+            assert np.all(off_set == 0.0) and not np.signbit(off_set).any()
+
+    @staticmethod
+    def chain(size):
+        """A generator on `size` sublevels in a chain, from g,F=3,m=-3 up
+        through the ground and then the excited sublevels to g,F=4,m=0, each
+        feeding the next; g,F=4,m=0 barely leaks back, so its fraction climbs
+        past 0.95. The start reaches the chain and nothing else."""
+        m0 = state_index(Sublevel("g", 4, 0))
+        path = [i for i in range(43) if i != m0][:size - 1] + [m0]
+        rates = np.zeros((43, 43))
+        rng = np.random.default_rng(size)
+        for a, b in zip(path, path[1:]):
+            forward = rng.uniform(1e5, 1e6)
+            rates[b, a], rates[a, b] = forward, (1e3 if b == m0 else 0.3 * forward)
+        np.fill_diagonal(rates, -rates.sum(axis=0))
+        return RateMatrix(rates, np.empty(0, TERM)), single_sublevel(STATES[path[0]]), path
+
+    # reached sets whose size plus one takes each residue mod 4: 26, 27, 24
+    # and 25 (the pruned fig5 start reaches 25), then 6, 7, 8 and 9. Left
+    # unpadded, on OpenBLAS 0.3.31, the `at` rows of the 8-, 24-, 25- and
+    # 26-state chains differ from the full run's in the last bits
+    @pytest.mark.parametrize("size", [25, 26, 23, 24, 5, 6, 7, 8])
+    def test_padding_keeps_every_route_bit_equal(self, size):
+        rm, n0, path = self.chain(size)
+        states = kinetics._states(rm, n0 != 0)
+        assert set(path) <= set(states) and (len(states) + 1) % 4 == 0
+        assert len(states) - size == -(size + 1) % 4
+        # 4.8 ms ends on a remainder step; 3,280,000 steps fill 2000 strides
+        for t_end in (4.8e-3, 3_280_000 * DT):
+            grid = _layout(DT, t_end, 2001, None).times
+            at = np.concatenate([[0.0, grid[7], grid[-1], 2 * t_end], np.linspace(t_end, 1e-5, 25)])
+            routes = self.routes(rm, n0, DT, t_end, 2001, at)
+            full = routes[0][1]
+            for rows, traj in routes:
+                assert np.array_equal(traj.times, full.times[rows])
+                assert np.array_equal(traj.populations, full.populations[rows])
+                assert np.array_equal(traj.scattered_photons, full.scattered_photons[rows])
+            # the `until` run stops a few chunks in, well before t_end
+            assert STACKED_POWERS < routes[2][1].times.size < full.times.size
+            assert np.all(full.populations[:, np.setdiff1d(np.arange(43), states)] == 0.0)
+
+    def test_depolarized_matrices_share_the_reached_states(self):
+        # the reach is worked out once per term set: with_depolarization
+        # changes rates, not couplings, so every candidate of a fit reads it.
+        # At alpha = 0 no coupling of positive rate leaves the dark
+        # g,F=4,m=0 start, but its sigma terms (rate 0) count all the same
+        base = prune(assemble_rate_matrix(fig5_beams(0.0)))[0]
+        n0 = single_sublevel(Sublevel("g", 4, 0))
+        assert np.all(integrate_rk4(base, n0, LIBRARY_DT, 1e-4).populations[-1] == n0)
+        (states,) = base._reach.values()
+        assert len(states) == 27 and np.array_equal(states, reached_states(base, n0))
+        for alpha in (0.013, 0.2):
+            rm = with_depolarization(base, alpha)
+            assert rm._reach is base._reach
+            traj = integrate_rk4(rm, n0, LIBRARY_DT, 1e-4)
+            assert next(iter(rm._reach.values())) is states
+            _, data = reference_rows(rm, n0, LIBRARY_DT, 1e-4, 1201, reduced=False)
+            np.testing.assert_allclose(traj.populations, data[:, :43], rtol=0, atol=1e-13)
+            assert np.count_nonzero(traj.populations[-1]) > 20
+        integrate_rk4(base, uniform_f4(), LIBRARY_DT, 1e-4)
+        assert len(base._reach) == 1 and next(iter(base._reach.values())) is not states
+
+    @pytest.mark.parametrize("n0", [uniform_f4(), uniform_f4()[:, None],
+                                    np.column_stack([uniform_f4()] * 2)])
+    def test_block_starts_keep_all_states(self, n0):
+        rm = prune(assemble_rate_matrix(fig5_beams()))[0]
+        integrate_rk4(rm, n0, LIBRARY_DT, 1e-4)
+        (key,) = rm._kept
+        powers = rm._kept[key][0]
+        assert powers.shape[1:] == ((28, 28) if n0.size == 43 else (44, 44))
+        assert (key[-1] is None) == (n0.size > 43)
+
+
 class TestStepPowers:
     STEP = _rk4_step_matrix(prune(assemble_rate_matrix(fig5_beams()))[0].matrix, DT)
 
@@ -929,9 +1079,11 @@ class TestKeptStack:
     def test_kept_arrays_refuse_writes(self):
         rm = assemble_rate_matrix(fig5_beams())
         integrate_rk4(rm, uniform_f4(), DT, 1.01e-3, 201)  # a run with a remainder step
-        (powers, last), = rm._kept.values()
+        (powers, last, dots), = rm._kept.values()
         assert powers.shape == (STACKED_POWERS, 44, 44) and last.shape == (44, 44)
-        for array in (powers, last):
+        # each power's bound `dot`, made once with the stack, reads a read-only view
+        assert [dot.__self__.base is powers for dot in dots] == [True] * STACKED_POWERS
+        for array in (powers, last, *(dot.__self__ for dot in dots)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
 

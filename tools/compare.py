@@ -67,9 +67,11 @@ on two fixed observation files, on all five scenarios, plus `spectrum` with
 and without --prune on fig3 at 0.2 G and 0.5 G. Exit codes, stderr, stdout
 (output paths masked) and every output file's bytes are compared. A file
 that differs is listed with its count of differing lines, the largest move
-of a data value relative to its column's peak, and each `# key=value` line
-that changed, old and new. The exit status is 1 if anything but file bytes
-differs.
+of a numeric data field relative to its column's peak (fields that are not
+numbers, such as a fit report's series names, are skipped), and each
+`# key=value` line that changed, old and new, with the move of a numeric
+value relative to its old value. The exit status is 1 if anything but file
+bytes differs.
 """
 
 import argparse
@@ -323,38 +325,48 @@ def mask(text: str, paths) -> str:
     return text
 
 
+def number(text: str):
+    """text as a float, or None when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def moves(old: bytes, new: bytes) -> dict:
     """How far `new` moved from `old`: the count of differing lines, the
     largest change of a data value relative to its column's peak in `old`
-    (None if no differing row parses as numbers), and each differing
-    `# key=value` line as key: [old value, new value]."""
+    (None if no number of a data row moved), each differing `# key=value`
+    line as key: [old value, new value], and in `header_move` each numeric
+    one's change relative to its old value. A data row's fields that are not
+    numbers, such as the series names of a fit report, are skipped."""
     a, b = old.decode().splitlines(), new.decode().splitlines()
     out = {"lines": len(a), "differing": sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b)),
-           "data_move": None, "header": {}}
+           "data_move": None, "header": {}, "header_move": {}}
     if len(a) != len(b):
         return out
 
     def numbers(line):
-        try:
-            return [float(field) for field in line.split(",")]
-        except ValueError:
-            return None
+        """The numeric fields of a row, by column."""
+        return {i: v for i, field in enumerate(line.split(",")) if (v := number(field)) is not None}
 
     rows = [(numbers(x), numbers(y)) for x, y in zip(a, b) if not x.startswith("#")]
     peak = {}
     for x, _ in rows:
-        for i, v in enumerate(x or ()):
+        for i, v in x.items():
             peak[i] = max(peak.get(i, 0.0), abs(v))
     for x, y in rows:
-        if x is not None and y is not None and len(x) == len(y):
-            for i, (u, v) in enumerate(zip(x, y)):
-                if u != v:
-                    move = abs(u - v) / peak[i] if peak[i] else float("inf")
-                    out["data_move"] = max(out["data_move"] or 0.0, move)
+        for i in sorted(x.keys() & y.keys()):
+            if x[i] != y[i]:
+                move = abs(x[i] - y[i]) / peak[i] if peak[i] else float("inf")
+                out["data_move"] = max(out["data_move"] or 0.0, move)
     for x, y in zip(a, b):
         if x != y and x.startswith("#") and y.startswith("#"):
             key, _, value = x.lstrip("# ").partition("=")
             out["header"][key] = [value, y.partition("=")[2]]
+            u, v = number(value), number(out["header"][key][1])
+            if u is not None and v is not None:
+                out["header_move"][key] = abs(u - v) / abs(u) if u else float("inf")
     return out
 
 
@@ -666,7 +678,8 @@ def main(argv=None) -> int:
             print(f"  mismatch {line}")
         for m in report["moved"]:
             print(f"  moved {m['case']}/{m['file']}: {m['differing']} of {m['lines']} lines, "
-                  f"largest move {m['data_move']} of the peak, header {m['header']}")
+                  f"largest move {m['data_move']} of the peak, header {m['header']}, "
+                  f"relative header moves {m['header_move']}")
         record["matrix"] = report
         status = 1 if report["mismatch"] else 0
     if args.bench:

@@ -3,17 +3,17 @@
 INI-style key=value sections describe a complete run: the beams, the Raman
 pulse, the magnetic field, the velocity distribution, integration controls,
 Monte Carlo controls, and the output directory. Unknown sections or keys
-are rejected by name, and every physical value is range-checked here so the
-command line can fail before any work starts.
+are rejected by name; each value is checked at load, by the type that holds
+it where load_config builds one, so a command fails before any work starts.
 """
 
 import configparser
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 from . import constants as cst
 from .kinetics import Beam
+from .raman import RamanPulse, VelocityDistribution
 
 GEOMETRIES = ("copropagating", "counterpropagating")
 
@@ -57,47 +57,50 @@ _FLOAT = _number(float, "a number")
 _INT = _number(int, "an integer")
 
 
-class _Key(NamedTuple):
-    parse: Callable[[str], object]
-    minimum: float | None = None
-    maximum: float | None = None
-    strict_min: bool = False
+def _range(minimum, maximum=math.inf, strict_min=False):
+    def check(value):
+        if value < minimum or (strict_min and value == minimum):
+            bound = "greater than" if strict_min else "at least"
+            raise ValueError(f"must be {bound} {minimum}, got {value}")
+        if value > maximum:
+            raise ValueError(f"must be at most {maximum}, got {value}")
+    return check
 
 
-# Every accepted (section, key). A scenario key sets the ScenarioConfig field
-# of the same name; "beams.*" stands for every [beams.<name>] section.
+# Every accepted (section, key): (parse, check). A scenario key sets the
+# ScenarioConfig field of the same name; "beams.*" stands for every
+# [beams.<name>] section. The check is the type that holds the value, or None
+# where the Beam that load_config builds checks it. A key with a _range is
+# checked again where its value is used: laser_linewidth_hz in Beam (a scenario
+# with no beams builds none), and rms_fluct_gauss, samples, seed, t_end_s and
+# dt_gamma in synth_copropagating, heating._rng, cmd_heat and integrate_rk4.
 _KEYS = {
-    ("constants", "laser_linewidth_hz"): _Key(_FLOAT, 0.0, cst.OPTICAL_FREQUENCY,
-                                              strict_min=True),
-    ("pulse", "tau_s"): _Key(_FLOAT, 0.0, strict_min=True),
-    ("pulse", "geometry"): _Key(_geometry),
-    ("field", "bias_gauss"): _Key(_FLOAT),
-    ("field", "rms_fluct_gauss"): _Key(_FLOAT, 0.0),
-    ("velocity", "sigma_vr"): _Key(_FLOAT, 0.0),
-    ("integration", "dt_gamma"): _Key(_FLOAT, 0.0, 0.1, strict_min=True),
-    ("integration", "t_end_s"): _Key(_FLOAT, 0.0, strict_min=True),
-    ("mc", "samples"): _Key(_INT, 2, 10**7),
-    ("mc", "seed"): _Key(_INT, 0),
-    ("output", "directory"): _Key(str.strip),
-    ("beams.*", "target"): _Key(_target),
-    ("beams.*", "intensity_ratio"): _Key(_FLOAT, 0.0),
-    ("beams.*", "detuning_gamma"): _Key(_FLOAT, -cst.MAX_DETUNING, cst.MAX_DETUNING),
-    ("beams.*", "alpha"): _Key(_FLOAT, 0.0),
+    ("constants", "laser_linewidth_hz"): (_FLOAT, _range(0.0, cst.OPTICAL_FREQUENCY,
+                                                         strict_min=True)),
+    ("pulse", "tau_s"): (_FLOAT, RamanPulse),
+    ("pulse", "geometry"): (_geometry, None),
+    ("field", "bias_gauss"): (_FLOAT, None),
+    ("field", "rms_fluct_gauss"): (_FLOAT, _range(0.0)),
+    ("velocity", "sigma_vr"): (_FLOAT, VelocityDistribution),
+    ("integration", "dt_gamma"): (_FLOAT, _range(0.0, 0.1, strict_min=True)),
+    ("integration", "t_end_s"): (_FLOAT, _range(0.0, strict_min=True)),
+    ("mc", "samples"): (_INT, _range(2, 10**7)),
+    ("mc", "seed"): (_INT, _range(0)),
+    ("output", "directory"): (str.strip, None),
+    ("beams.*", "target"): (_target, None),
+    ("beams.*", "intensity_ratio"): (_FLOAT, None),
+    ("beams.*", "detuning_gamma"): (_FLOAT, None),
+    ("beams.*", "alpha"): (_FLOAT, None),
 }
 _SECTIONS = {section for section, _ in _KEYS}
 
 
 def _value(section: str, table: str, key: str, raw: str):
-    rule = _KEYS[(table, key)]
+    parse, check = _KEYS[(table, key)]
     try:
-        value = rule.parse(raw)
-        if rule.minimum is not None and (
-            value < rule.minimum or (rule.strict_min and value == rule.minimum)
-        ):
-            bound = "greater than" if rule.strict_min else "at least"
-            raise ValueError(f"must be {bound} {rule.minimum}, got {value}")
-        if rule.maximum is not None and value > rule.maximum:
-            raise ValueError(f"must be at most {rule.maximum}, got {value}")
+        value = parse(raw)
+        if check is not None:
+            check(value)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
     return value
@@ -106,7 +109,7 @@ def _value(section: str, table: str, key: str, raw: str):
 @dataclass
 class ScenarioConfig:
     beams: list[Beam] = field(default_factory=list)
-    laser_linewidth_hz: float = 1.0e6
+    laser_linewidth_hz: float = cst.LASER_LINEWIDTH_HZ
     tau_s: float = 0.007
     geometry: str = "copropagating"
     bias_gauss: float = 0.1
@@ -154,16 +157,11 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError("[field] rms_fluct_gauss: counterpropagating spectra take no "
                           f"field spread, got {cfg.rms_fluct_gauss}")
 
-    linewidth = 2.0 * math.pi * cfg.laser_linewidth_hz
     for section, values in beam_specs:
         try:
-            cfg.beams.append(Beam(
-                *values["target"],
-                values["intensity_ratio"],
-                values.get("detuning_gamma", 0.0),
-                values.get("alpha", 0.0),
-                linewidth,
-            ))
+            cfg.beams.append(Beam(*values["target"], values["intensity_ratio"],
+                                  values.get("detuning_gamma", 0.0), values.get("alpha", 0.0),
+                                  2.0 * math.pi * cfg.laser_linewidth_hz))
         except ValueError as exc:
-            raise ConfigError(f"[{section}] target: {exc}") from None
+            raise ConfigError(f"[{section}] {exc}") from None
     return cfg

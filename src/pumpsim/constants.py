@@ -20,7 +20,8 @@ WAVELENGTH = 852e-9                     # m
 OPTICAL_FREQUENCY = SPEED_OF_LIGHT / WAVELENGTH   # Hz, ~352 THz: no laser line is wider
 GAMMA = 2.0 * math.pi * 5.22e6         # natural linewidth, rad/s
 MAX_DETUNING = 2.0 * math.pi * OPTICAL_FREQUENCY / GAMMA   # the optical frequency, in GAMMA
-LASER_LINEWIDTH = 2.0 * math.pi * 1.0e6   # default diode-laser linewidth, rad/s
+LASER_LINEWIDTH_HZ = 1.0e6   # default diode-laser linewidth, Hz
+LASER_LINEWIDTH = 2.0 * math.pi * LASER_LINEWIDTH_HZ   # the same, rad/s
 
 # angular momenta
 NUCLEAR_SPIN = 3.5

@@ -73,7 +73,7 @@ def polarization_weights(depolarization: float) -> tuple[float, float, float]:
     intensity `p` of each circular component relative to the pi component
     enters as `sqrt(p)`."""
     if not 0.0 <= depolarization < math.inf:
-        raise ValueError("depolarization must be finite and nonnegative")
+        raise ValueError(f"depolarization: must be finite and nonnegative, got {depolarization}")
     a2 = depolarization * depolarization
     # a2 may overflow to inf, where the second form gives the limit 0.5
     s = a2 / (1.0 + 2.0 * a2) if a2 <= 1.0 else 1.0 / (1.0 / a2 + 2.0)
@@ -100,9 +100,10 @@ class Beam:
     def __post_init__(self):
         _check_transition(self.ground_f, self.excited_f)
         if not 0.0 <= self.intensity_ratio < math.inf:
-            raise ValueError("intensity_ratio must be finite and nonnegative")
+            raise ValueError("intensity_ratio: must be finite and nonnegative, "
+                             f"got {self.intensity_ratio}")
         if not abs(self.detuning) <= cst.MAX_DETUNING:
-            raise ValueError("detuning must be at most the optical frequency, in either sign")
+            raise ValueError(f"detuning: must not pass the optical frequency, got {self.detuning}")
         if not 0.0 < self.linewidth <= 2.0 * math.pi * cst.OPTICAL_FREQUENCY:
             raise ValueError("laser linewidth must be positive and at most the optical frequency")
         polarization_weights(self.depolarization)
@@ -110,11 +111,11 @@ class Beam:
 
 def _check_transition(ground_f: int, excited_f: int) -> None:
     if ground_f not in cst.GROUND_F:
-        raise ValueError(f"no ground hyperfine level F={ground_f}")
+        raise ValueError(f"ground_f: no ground hyperfine level F={ground_f}")
     if excited_f not in cst.EXCITED_F:
-        raise ValueError(f"no excited hyperfine level F'={excited_f}")
+        raise ValueError(f"excited_f: no excited hyperfine level F'={excited_f}")
     if abs(excited_f - ground_f) > 1:
-        raise ValueError(f"{ground_f}->{excited_f}' is not dipole-allowed")
+        raise ValueError(f"excited_f: {ground_f}->{excited_f}' is not dipole-allowed")
 
 
 # `perfbench/probe.py` is the only caller of this alias

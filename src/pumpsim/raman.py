@@ -50,7 +50,7 @@ class VelocityDistribution:
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < np.inf:
-            raise ValueError("velocity spread sigma must be finite and nonnegative")
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if not np.isfinite(self.mean):
             raise ValueError("velocity mean must be finite")
 

@@ -131,13 +131,22 @@ def test_moves_of_equal_or_reshaped_files():
     assert longer["differing"] == 1 and longer["data_move"] is None
 
 
-def test_matrix_cases_are_named_uniquely():
+def test_matrix_cases_are_named_uniquely(tmp_path):
     cases = compare.matrix_cases()
-    assert len(cases) == 5 * 13 + 4
+    assert len(cases) == 5 * 13 + 4 + 8
     assert len({name for name, *_ in cases}) == len(cases)
-    biased = [(bias, flags) for _, scenario, bias, flags in cases if bias is not None]
-    assert biased == [("0.2", ("spectrum",)), ("0.2", ("spectrum", "--prune")),
-                      ("0.5", ("spectrum",)), ("0.5", ("spectrum", "--prune"))]
+    edited = [(edits, flags) for _, scenario, edits, flags in cases if edits]
+    assert edited[:4] == [
+        ({"bias_gauss": "0.2"}, ("spectrum",)), ({"bias_gauss": "0.2"}, ("spectrum", "--prune")),
+        ({"bias_gauss": "0.5"}, ("spectrum",)), ({"bias_gauss": "0.5"}, ("spectrum", "--prune"))]
+    # each rejected value replaces a `key = value` line its scenario has
+    rejected = cases[-8:]
+    assert [edits for _, _, edits, _ in rejected] == [{k: v} for _, k, v, _ in compare.REJECTED]
+    repo = os.path.dirname(os.path.dirname(_PATH))
+    for name, scenario, edits, _ in rejected:
+        (key, value), = edits.items()
+        with open(compare.scenario_config(repo, str(tmp_path), name, scenario, edits)) as fh:
+            assert f"\n{key} = {value}\n" in fh.read(), name
 
 
 def test_summarize_layers_pairs_processes_by_round():

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import stat
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
-from pumpsim import _g17, cli, config
+from pumpsim import _g17, cli
 from pumpsim.cli import main
 from pumpsim.config import ConfigError, load_config
-from pumpsim.constants import GAMMA, SPEED_OF_LIGHT, WAVELENGTH
+from pumpsim.constants import MAX_DETUNING, OPTICAL_FREQUENCY, SPEED_OF_LIGHT, WAVELENGTH
 from pumpsim.kinetics import (
     Beam,
     assemble_rate_matrix,
@@ -74,6 +75,43 @@ directory = {out}
 """
 
 
+# every bounded scenario input, one value just past each of its bounds: (section,
+# key, value, the key or Beam field its message names, the value as printed)
+PAST_BOUNDS = [
+    ("constants", "laser_linewidth_hz", "0", "laser_linewidth_hz", "got 0.0"),
+    ("constants", "laser_linewidth_hz", repr(math.nextafter(OPTICAL_FREQUENCY, math.inf)),
+     "laser_linewidth_hz", f"got {math.nextafter(OPTICAL_FREQUENCY, math.inf)!r}"),
+    ("pulse", "tau_s", "0", "tau_s", "got 0.0"),
+    # the largest duration whose Rabi frequency pi / tau overflows is about 1.75e-308
+    ("pulse", "tau_s", "1.7e-308", "tau_s", "got 1.7e-308"),
+    ("field", "rms_fluct_gauss", "-5e-324", "rms_fluct_gauss", "got -5e-324"),
+    ("velocity", "sigma_vr", "-5e-324", "sigma_vr", "got -5e-324"),
+    ("integration", "dt_gamma", "0", "dt_gamma", "got 0.0"),
+    ("integration", "dt_gamma", repr(math.nextafter(0.1, 1.0)), "dt_gamma",
+     f"got {math.nextafter(0.1, 1.0)!r}"),
+    ("integration", "t_end_s", "0", "t_end_s", "got 0.0"),
+    ("mc", "samples", "1", "samples", "got 1"),
+    ("mc", "samples", "10000001", "samples", "got 10000001"),
+    ("mc", "seed", "-1", "seed", "got -1"),
+    ("beams.pb", "target", "2->3", "ground_f", "F=2"),
+    ("beams.pb", "target", "5->5", "ground_f", "F=5"),
+    ("beams.pb", "target", "4->2", "excited_f", "F'=2"),
+    ("beams.pb", "target", "4->6", "excited_f", "F'=6"),
+    ("beams.pb", "target", "3->5", "excited_f", "3->5'"),
+    ("beams.pb", "intensity_ratio", "-5e-324", "intensity_ratio", "got -5e-324"),
+    ("beams.pb", "detuning_gamma", repr(-math.nextafter(MAX_DETUNING, math.inf)), "detuning",
+     f"got {-math.nextafter(MAX_DETUNING, math.inf)!r}"),
+    ("beams.pb", "detuning_gamma", repr(math.nextafter(MAX_DETUNING, math.inf)), "detuning",
+     f"got {math.nextafter(MAX_DETUNING, math.inf)!r}"),
+    ("beams.pb", "alpha", "-5e-324", "depolarization", "got -5e-324"),
+]
+# every floating-point scenario key
+FLOAT_KEYS = [("constants", "laser_linewidth_hz"), ("pulse", "tau_s"), ("field", "bias_gauss"),
+              ("field", "rms_fluct_gauss"), ("velocity", "sigma_vr"), ("integration", "dt_gamma"),
+              ("integration", "t_end_s"), ("beams.pb", "intensity_ratio"),
+              ("beams.pb", "detuning_gamma"), ("beams.pb", "alpha")]
+
+
 class TestConfig:
     def test_shipped_scenarios_parse(self):
         for name in (
@@ -105,49 +143,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[lasers\]"):
             load_config(write_config(tmp_path, bad))
 
-    def test_range_checks(self, tmp_path):
-        # every bounded key of the config table, just past each of its bounds
-        bounded = [(table, key, rule) for (table, key), rule in config._KEYS.items()
-                   if rule.minimum is not None or rule.maximum is not None]
-        assert len(bounded) >= 10
-        for table, key, rule in bounded:
-            section = "beams.pb" if table == "beams.*" else table
-            values = []
-            if rule.minimum is not None:
-                values.append(rule.minimum if rule.strict_min else rule.minimum - 1)
-            if rule.maximum is not None:
-                values.append(5 * rule.maximum)
-            for value in values:
-                items = {}
-                if table == "beams.*":
-                    items = {"target": "4->4", "intensity_ratio": "0.019"}
-                items[key] = str(value)
-                body = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
-                with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must be"):
-                    load_config(write_config(tmp_path, body))
+    def test_range_checks(self, tmp_path, capsys):
+        # every bounded scenario input, just past each of its bounds, fails
+        # at load with a message that names its section, its key or Beam
+        # field, and the value; main prints that message and exits 2
+        assert len({(section, key) for section, key, *_ in PAST_BOUNDS}) >= 10
+        for section, key, value, names, shown in PAST_BOUNDS:
+            items = {key: value}
+            if section == "beams.pb":
+                items = {"target": "4->4", "intensity_ratio": "0.019"} | items
+            body = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            path = write_config(tmp_path, body)
+            with pytest.raises(ConfigError) as raised:
+                load_config(path)
+            message = str(raised.value)
+            assert message.startswith(f"[{section}] {names}: ") and shown in message, message
+            assert main(["pump", "--config", path, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+            assert not (tmp_path / "out").exists()
 
     def test_non_finite_rejected(self, tmp_path):
         # NaN passes every range comparison and infinity passes a lone minimum
-        floats = [(table, key) for (table, key), rule in config._KEYS.items()
-                  if rule.parse is config._FLOAT]
-        assert len(floats) >= 10
-        for table, key in floats:
-            section = "beams.pb" if table == "beams.*" else table
+        assert len(FLOAT_KEYS) >= 10
+        for section, key in FLOAT_KEYS:
             for value in ("nan", "inf", "-inf"):
-                items = {}
-                if table == "beams.*":
-                    items = {"target": "4->4", "intensity_ratio": "0.019"}
-                items[key] = value
+                items = {key: value}
+                if section == "beams.pb":
+                    items = {"target": "4->4", "intensity_ratio": "0.019"} | items
                 body = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
                 with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*not finite"):
                     load_config(write_config(tmp_path, body))
 
     def test_bad_target(self, tmp_path):
+        # a Beam error names the section and the Beam field that failed
         bad = GOOD.format(out="out").replace("target = 4->4", "target = 4->2")
-        with pytest.raises(ConfigError, match=r"\[beams\.pb\] target: no excited"):
+        with pytest.raises(ConfigError, match=r"\[beams\.pb\] excited_f: no excited"):
             load_config(write_config(tmp_path, bad))
         bad = GOOD.format(out="out").replace("target = 4->4", "target = 3->5")
-        with pytest.raises(ConfigError, match=r"\[beams\.pb\] target: .*dipole"):
+        with pytest.raises(ConfigError, match=r"\[beams\.pb\] excited_f: 3->5' .*dipole"):
             load_config(write_config(tmp_path, bad))
 
     def test_missing_file(self):
@@ -282,17 +315,38 @@ def test_oversized_integration_window_exit_2(tmp_path, capsys, command, old, new
 @pytest.mark.parametrize("command", ["pump", "spectrum", "heat", "fit"])
 def test_detuning_beyond_the_light_exit_2(tmp_path, capsys, command):
     # 5.8e76 linewidths used to end in an OverflowError inside the line
-    # overlap on every command with beams; the load now bounds the detuning
+    # overlap on every command with beams; the Beam built at load bounds it
     with open(os.path.join(SCENARIOS, "heating_paper.ini")) as fh:
         body = fh.read().replace("detuning_gamma = -0.5", "detuning_gamma = 5.78960446186581e+76")
     data = tmp_path / "obs.csv"
     data.write_text("# observable = g4_m0\n0.001,0.5\n")
     argv = [command, "--config", write_config(tmp_path, body), "--out", str(tmp_path / "out")]
     assert main(argv + [str(data)] * (command == "fit")) == 2
-    bound = 2.0 * np.pi * SPEED_OF_LIGHT / WAVELENGTH / GAMMA
-    assert capsys.readouterr().err == (
-        f"config error: [beams.pb] detuning_gamma: must be at most {bound}, "
-        "got 5.78960446186581e+76\n")
+    assert capsys.readouterr().err == ("config error: [beams.pb] detuning: must not pass the "
+                                       "optical frequency, got 5.78960446186581e+76\n")
+    assert not (tmp_path / "out").exists()
+
+
+SUBNORMAL_PULSE = ("config error: [pulse] tau_s: pulse duration must be finite and positive, "
+                   "with a finite Rabi frequency pi / duration, got 5e-324\n")
+
+
+@pytest.mark.parametrize("command, scenario", [("pump", "fig3_polarized"),
+                                               ("heat", "heating_paper"),
+                                               ("fit", "fig5_dynamics")],
+                         ids=["pump", "heat", "fit"])
+def test_subnormal_pulse_exit_2(tmp_path, capsys, command, scenario):
+    # the commands that read no [pulse] used to take a subnormal tau_s and
+    # exit 0 (spectrum exited 2, after its pump run); each now fails at load
+    with open(os.path.join(SCENARIOS, f"{scenario}.ini")) as fh:
+        body = fh.read()
+    body = (body.replace("tau_s = 0.007", "tau_s = 5e-324") if "[pulse]" in body
+            else body + "\n[pulse]\ntau_s = 5e-324\n")
+    data = tmp_path / "obs.csv"
+    data.write_text("# observable = g4_m0\n0.001,0.5\n")
+    argv = [command, "--config", write_config(tmp_path, body), "--out", str(tmp_path / "out")]
+    assert main(argv + [str(data)] * (command == "fit")) == 2
+    assert capsys.readouterr() == ("", SUBNORMAL_PULSE)
     assert not (tmp_path / "out").exists()
 
 
@@ -459,15 +513,13 @@ class TestSpectrumCommand:
 
     def test_subnormal_pulse_exit_2(self, tmp_path, capsys):
         # a subnormal tau_s used to write an all-NaN copropagating spectrum
-        # and exit 0, after printing an infinite FWHM*tau
+        # and exit 0, after printing an infinite FWHM*tau; RamanPulse now
+        # refuses it at load, before the pump run
         with open(os.path.join(SCENARIOS, "fig3_polarized.ini")) as fh:
             body = fh.read().replace("tau_s = 0.007", "tau_s = 5e-324")
         cfg = write_config(tmp_path, body)
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("config error: pulse duration must be finite and positive, with "
-                                "a finite Rabi frequency pi / duration, got 5e-324\n")
+        assert capsys.readouterr() == ("", SUBNORMAL_PULSE)
         assert not (tmp_path / "out").exists()
 
     def test_huge_doppler_width_exit_4(self, tmp_path):

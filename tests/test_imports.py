@@ -65,23 +65,29 @@ def test_import_leaves_numpy_random_unloaded():
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("imports, unloaded", [
+@pytest.mark.parametrize("imports, loaded, unloaded", [
     # the package root re-exports nothing, so it loads no submodule
-    ("pumpsim", ("pumpsim.",)),
+    ("pumpsim", (), ("pumpsim.",)),
     # a rate-model client loads neither the spectrum, heating and fit
     # modules nor their imports
-    ("pumpsim.kinetics, pumpsim.structure",
+    ("pumpsim.kinetics, pumpsim.structure", (),
      ("pumpsim.raman", "pumpsim.heating", "pumpsim.fitting", "pumpsim.config",
       "pumpsim.cli", "concurrent.futures", "numpy.random")),
+    # the config checks tau_s and sigma_vr with the raman types that hold
+    # them, and loads nothing of the heating, fit or command-line modules
+    ("pumpsim.config", ("pumpsim.raman",),
+     ("pumpsim.heating", "pumpsim.fitting", "pumpsim.cli", "concurrent.futures",
+      "numpy.random")),
     # numpy.polynomial costs 3-5 ms to import; the spectrum's Fourier route
     # loads it on its first call, so no other command pays for it
-    ("pumpsim.cli", ("numpy.polynomial",)),
-], ids=["root", "kinetics", "cli"])
-def test_import_loads_only_what_it_names(imports, unloaded):
+    ("pumpsim.cli", (), ("numpy.polynomial",)),
+], ids=["root", "kinetics", "config", "cli"])
+def test_import_loads_only_what_it_names(imports, loaded, unloaded):
     result = run_python(f"import sys, {imports}\n"
-                        f"print([m for m in sys.modules if m.startswith({unloaded!r})])\n")
+                        f"print([m for m in {loaded!r} if m not in sys.modules],\n"
+                        f"      [m for m in sys.modules if m.startswith({unloaded!r})])\n")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[] []\n"
 
 
 def test_pump_prune_leaves_numpy_ma_unloaded(tmp_path):

@@ -64,14 +64,16 @@ With --matrix, both trees run the CLI output matrix: `states`, `pump` and
 `spectrum` with and without --prune, `heat` plain, --prune, --seed 0,
 --seed 7 --prune and --seed 2718, and `fit` with and without --fit-scale
 on two fixed observation files, on all five scenarios, plus `spectrum` with
-and without --prune on fig3 at 0.2 G and 0.5 G. Exit codes, stderr, stdout
-(output paths masked) and every output file's bytes are compared. A file
-that differs is listed with its count of differing lines, the largest move
-of a numeric data field relative to its column's peak (fields that are not
-numbers, such as a fit report's series names, are skipped), and each
-`# key=value` line that changed, old and new, with the move of a numeric
-value relative to its old value. The exit status is 1 if anything but file
-bytes differs.
+and without --prune on fig3 at 0.2 G and 0.5 G, and the REJECTED cases,
+each a scenario with one of its keys set to a value the load refuses, so
+a change to a check shows in their exit codes and stderr. Exit codes,
+stderr, stdout (output paths masked) and every output file's bytes are
+compared. A file that differs is listed with its count of differing lines,
+the largest move of a numeric data field relative to its column's peak
+(fields that are not numbers, such as a fit report's series names, are
+skipped), and each `# key=value` line that changed, old and new, with the
+move of a numeric value relative to its old value. The exit status is 1 if
+anything but file bytes differs.
 """
 
 import argparse
@@ -96,6 +98,17 @@ FLAGS = ([("states",), ("states", "--prune"), ("pump",), ("pump", "--prune"),
           ("spectrum",), ("spectrum", "--prune"), ("heat",), ("heat", "--prune"),
           ("heat", "--seed", "0"), ("heat", "--seed", "7", "--prune"),
           ("heat", "--seed", "2718"), ("fit", "@obs"), ("fit", "--fit-scale", "@obs")])
+# Matrix cases that set one key a scenario already sets to a rejected value:
+# (scenario, key, value, command); the valid cases never show a check's exit
+# code or stderr
+REJECTED = [("fig5_dynamics", "detuning_gamma", "1e77", "pump"),
+            ("fig5_dynamics", "intensity_ratio", "-1", "pump"),
+            ("fig5_dynamics", "alpha", "-0.1", "pump"),
+            ("fig5_dynamics", "target", "4->2", "pump"),
+            ("fig3_polarized", "tau_s", "5e-324", "pump"),
+            ("fig3_polarized", "tau_s", "5e-324", "spectrum"),
+            ("heating_paper", "sigma_vr", "-1", "heat"),
+            ("fig3_polarized", "laser_linewidth_hz", "1e300", "pump")]
 # In-process layer timings: (case, command, scenario or None, t_end_s or None,
 # flags, layer name in pumpsim.cli, `module.function` in pumpsim, or None for
 # the whole cli.main call); an "@obs" flag stands for the OBSERVATIONS files,
@@ -526,17 +539,19 @@ def run_processes(trees, rounds) -> list:
 
 
 def matrix_cases() -> list:
-    """(name, scenario, bias or None, argv after the command's config)."""
-    cases = [(f"{s}-{'-'.join(f)}".replace("@obs", "obs").replace("--", ""), s, None, f)
+    """(name, scenario, {key: value} edits, argv after the command's config)."""
+    cases = [(f"{s}-{'-'.join(f)}".replace("@obs", "obs").replace("--", ""), s, {}, f)
              for s in SCENARIOS for f in FLAGS]
-    cases += [(f"fig3_polarized-{b}G-{'-'.join(f)}".replace("--", ""), "fig3_polarized", b, f)
+    cases += [(f"fig3_polarized-{b}G-{'-'.join(f)}".replace("--", ""), "fig3_polarized",
+               {"bias_gauss": b}, f)
               for b in ("0.2", "0.5") for f in (("spectrum",), ("spectrum", "--prune"))]
+    cases += [(f"{s}-{command}-rejected-{key}", s, {key: value}, (command,))
+              for s, key, value, command in REJECTED]
     return cases
 
 
-def run_case(tree, work, name, scenario, bias, flags) -> dict:
-    config = scenario_config(tree, work, name, scenario,
-                             {"bias_gauss": bias} if bias is not None else {})
+def run_case(tree, work, name, scenario, edits, flags) -> dict:
+    config = scenario_config(tree, work, name, scenario, edits)
     out = os.path.join(work, name)
     data = [os.path.join(work, f) for f in sorted(OBSERVATIONS)]
     argv = [flags[0], "--config", config, "--out", out, *expand(flags[1:], data)]
@@ -562,8 +577,8 @@ def run_matrix(trees) -> dict:
             works[side] = os.path.join(tmp, side)
             os.makedirs(works[side])
             write_observations(works[side])
-        for name, scenario, bias, flags in matrix_cases():
-            got = {s: run_case(trees[s], works[s], name, scenario, bias, flags) for s in trees}
+        for name, scenario, edits, flags in matrix_cases():
+            got = {s: run_case(trees[s], works[s], name, scenario, edits, flags) for s in trees}
             report["cases"] += 1
             old, new = got["parent"], got["change"]
             for what in ("code", "stdout", "stderr"):

@@ -91,12 +91,12 @@ def _scaled(ax, k):
     `in_range` says 10^16 <= floor(V) < 10^17; `ok` adds that V's fraction
     is not within _TIE_MARGIN of one half."""
     i = 16 - k - _S_MIN
-    hh, ht = _HEAD[i], _TAIL[i]
+    hh, ht = _HEAD.take(i), _TAIL.take(i)
     p = ax * (hh + ht)
     c = ax * _SPLIT
     ah = c - (c - ax)
     al = ax - ah
-    r = ((ah * hh - p) + ah * ht + al * hh) + al * ht + ax * _LO[i]
+    r = ((ah * hh - p) + ah * ht + al * hh) + al * ht + ax * _LO.take(i)
     whole = np.floor(r)
     frac = r - whole
     floor = p.astype(np.int64) + whole.astype(np.int64)
@@ -115,10 +115,10 @@ def _digits(N):
     lo = (m - hi * 100000000).astype(np.uint32)
     hi = hi.astype(np.uint32)
     quads = np.empty((4, N.size), dtype=np.uint32)
-    quads[0] = _QUADS[hi // 10000]
-    quads[1] = _QUADS[hi % 10000]
-    quads[2] = _QUADS[lo // 10000]
-    quads[3] = _QUADS[lo % 10000]
+    for row, eight in enumerate((hi, lo)):  # each < 10^8: "clip" never clips, "raise" buffers
+        four = eight // 10000
+        _QUADS.take(four, out=quads[2 * row], mode="clip")
+        _QUADS.take(eight - four * 10000, out=quads[2 * row + 1], mode="clip")
     z[1:17].reshape(4, 4, -1)[...] = quads.view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
     return z
 

@@ -72,11 +72,20 @@ class Spectrum:
 def rabi_lineshape(delta, pulse: RamanPulse):
     """Transfer probability of a square pi pulse at two-photon detuning delta
     (Hz, scalar or array): P = (W0/W)^2 sin^2(W tau / 2), W^2 = W0^2 + d^2,
-    W0 = pi / tau, so P = 1 on resonance."""
-    d = 2.0 * np.pi * np.asarray(delta, dtype=float)
-    w0 = np.pi / pulse.duration
-    w = np.hypot(w0, d)
-    out = (w0 / w) ** 2 * np.sin(0.5 * w * pulse.duration) ** 2
+    W0 = pi / tau, d = 2 pi delta, so P = 1 on resonance. It is evaluated in
+    Rabi units, r = d / W0 = 2 tau delta and u = 1 + r^2 = (W / W0)^2, as
+    P = sin^2((pi/2) sqrt(u)) / u: no hypot, no W. |r| is clamped at 1e150,
+    so u is finite at every phase `_bound_phase` accepts; a NaN stays NaN."""
+    u = np.multiply(delta, pulse.duration, out=np.empty(np.shape(delta)))
+    u *= 2.0   # r, after tau delta: 2 tau alone overflows for tau > 9e307 s
+    np.clip(u, -1e150, 1e150, out=u)   # P < 1e-300 past the clamp
+    u *= u
+    u += 1.0
+    out = np.sqrt(u, out=np.empty_like(u))
+    out *= 0.5 * np.pi
+    np.sin(out, out=out)
+    out *= out
+    out /= u
     return float(out) if np.ndim(delta) == 0 else out
 
 

@@ -4,6 +4,7 @@ byte moves. Nothing here starts a process."""
 import argparse
 import importlib.util
 import json
+import math
 import os
 import statistics
 import sys
@@ -18,21 +19,30 @@ compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare)
 
 
-def run_stdout(wall, rss, setup, sha="ab12", failed=0):
+def run_stdout(wall, rss, setup, sha="ab12", failed=0, probes=None):
+    # `probes`, (measured probe times, import time), adds run.py's setup_s samples line
     result = {"correct": True, "attempted": 16, "failed": failed,
               "metrics": {"setup_s": {"value": setup, "unit": "s"},
                           "wall_s": {"value": wall, "unit": "s"},
                           "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    samples = []
+    if probes is not None:
+        measured, import_s = probes
+        samples = [f"setup_s samples at reference pace: {', '.join([f'{setup:.4f}'] * 3)}; "
+                   f"measured: {', '.join(f'{v:.4f}' for v in measured)} "
+                   f"(import {import_s:.4f} s)"]
     return "\n".join([
         "workload=spectrum_mix seed=1 seconds=10 trace=0",
         "environment: nproc=2 python=3.11.7",
         f"outputs_sha256={sha}",
         f"round 0: 16 jobs, wall 0.4 s, peak rss {rss} MB, outputs_sha256={sha}",
         f"round 1: 16 jobs, wall 0.3 s, peak rss {rss} MB, outputs_sha256={sha}",
+        *samples,
         "check_fail_frac = 0.0 1",
         f"wall_s = {wall} s",
         json.dumps(result),
     ])
+
 
 
 def test_parse_run_keeps_environment_rounds_and_result():
@@ -41,6 +51,11 @@ def test_parse_run_keeps_environment_rounds_and_result():
     assert [r.split(":")[0] for r in run["rounds"]] == ["round 0", "round 1"]
     assert run["check_fail_frac"] == "check_fail_frac = 0.0 1"
     assert run["result"]["metrics"]["wall_s"]["value"] == 0.2
+    assert run["setup_measured"] is run["import_s"] is None
+    # the unpaced probe times of the setup_s samples line
+    run = compare.parse_run(run_stdout(0.2, 65.0, 0.12, probes=([0.1, 0.13, 0.11], 0.07)))
+    assert run["setup_measured"] == [0.1, 0.13, 0.11]
+    assert run["import_s"] == 0.07
 
 
 def test_describe_uses_inclusive_quartiles():
@@ -79,6 +94,78 @@ def test_summarize_pairs_by_index_and_counts_change_wins():
     assert entry["correct"] == {"parent": True, "change": True}
     assert entry["outputs_sha256"] == {"parent": ["aa"], "change": ["bb", "cc"]}
     assert entry["check_fail_frac"]["change"] == ["check_fail_frac = 0.0 1"]
+    # no setup_s samples line, no unpaced set-up summary
+    assert not set(compare.UNPACED) & set(entry)
+
+
+def test_sign_interval_order_statistics_and_coverage():
+    # the largest k with 1 - 2 sum_{i<k} C(n, i) / 2^n >= 0.95
+    assert compare.sign_interval(10) == (2, 1 - 2 * (1 + 10) / 2 ** 10)   # 0.979
+    assert compare.sign_interval(6) == (1, 1 - 2 / 2 ** 6)                # 0.969
+    assert compare.sign_interval(9) == (2, 1 - 2 * (1 + 9) / 2 ** 9)
+    assert compare.sign_interval(20) == (6, 1 - 2 * sum(map(math.comb, [20] * 6,
+                                                              range(6))) / 2 ** 20)
+    assert [compare.sign_interval(n) for n in range(6)] == [None] * 6
+
+
+def test_paired_interval_of_a_shift_and_of_identical_samples():
+    parent = [1.0 + i / 8 for i in (3, 0, 7, 1, 9, 4, 2, 8, 5, 6)]
+    # a constant shift is resolved: every difference is -0.25
+    entry = compare.versus(parent, [p - 0.25 for p in parent])
+    assert entry["paired"] == {"median": -0.25, "interval": [-0.25, -0.25],
+                               "coverage": 1 - 22 / 1024, "resolved": True}
+    # identical samples are not
+    entry = compare.versus(parent, parent)
+    assert entry["paired"] == {"median": 0.0, "interval": [0.0, 0.0],
+                               "coverage": 1 - 22 / 1024, "resolved": False}
+    # n = 10: [d_(2), d_(9)] of the sorted differences, in any pair order
+    diffs = [3.0, -5.0, 1.0, 4.0, -1.0, 0.5, -4.0, 2.0, -2.0, 6.0]
+    entry = compare.versus(parent, [p + d for p, d in zip(parent, diffs)])
+    assert entry["paired"]["interval"] == [-4.0, 4.0]
+    assert entry["paired"]["median"] == 0.75 and not entry["paired"]["resolved"]
+    entry = compare.versus(parent, [p + d + 5.5 for p, d in zip(parent, diffs)])
+    assert entry["paired"]["interval"] == [1.5, 9.5] and entry["paired"]["resolved"]
+    # n = 6: [d_(1), d_(6)], the extremes
+    entry = compare.versus([0.0] * 6, [3.0, 1.0, 4.0, 1.5, 9.0, 2.5])
+    assert entry["paired"] == {"median": 2.75, "interval": [1.0, 9.0],
+                               "coverage": 1 - 2 / 64, "resolved": True}
+    # below six pairs no interval reaches 0.95, and nothing is resolved
+    entry = compare.versus([1.0] * 5, [0.5] * 5)
+    assert entry["paired"] == {"median": -0.5, "interval": None, "coverage": None,
+                               "resolved": False}
+    assert entry["change_wins"] == 5
+
+
+def test_pairs_print_the_paired_interval_and_the_unpaced_setup(monkeypatch, capsys):
+    walls = {"parent": [0.25, 0.26, 0.24, 0.25, 0.27, 0.25],
+             "change": [0.20, 0.22, 0.21, 0.20, 0.23, 0.21]}
+    runs = []
+    for pair in range(6):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            out = run_stdout(walls[side][pair], 60.0, 0.1, probes=([0.100, 0.110, 0.105], 0.070))
+            runs.append(compare.parse_run(out) | {"workload": "spectrum_mix", "seed": 1,
+                                                  "pair": pair, "side": side, "first": order[0]})
+    (entry,) = compare.summarize(runs)
+    assert entry["wall_s"]["paired"]["resolved"]
+    assert entry["wall_s"]["paired"]["interval"] == pytest.approx([-0.05, -0.03])
+    # the medians of each run's measured probes, and the import times
+    assert entry["setup_measured_s"]["parent"]["median"] == 0.105
+    assert entry["import_s"]["change"]["median"] == 0.07
+    assert not entry["setup_measured_s"]["paired"]["resolved"]
+    monkeypatch.setattr(compare, "run_pairs", lambda *args: runs)
+    assert compare.main(["parent", "change", "--pairs", "6",
+                         "--workload", "spectrum_mix"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "spectrum_mix seed 1 setup_s", "  spectrum_mix seed 1 setup_measured_s",
+        "  spectrum_mix seed 1 import_s", "spectrum_mix seed 1 wall_s",
+        "spectrum_mix seed 1 peak_rss_mb"]
+    assert lines[3].startswith("spectrum_mix seed 1 wall_s: median 0.2500 -> 0.2100 (-16.0%), "
+                               "parent IQR 0.0075, change lower in 6 of 6; paired median -0.0400, "
+                               "sign-test interval [-0.0500, -0.0300] (coverage 0.969): resolved")
+    assert lines[1].endswith("change lower in 0 of 6; paired median +0.0000, sign-test "
+                             "interval [+0.0000, +0.0000] (coverage 0.969): not resolved")
 
 
 def test_mask_replaces_the_longest_path_first():
@@ -173,7 +260,9 @@ def test_report_timings_prints_each_case_and_keeps_the_runs(capsys):
     assert record == {"what": "two rounds", "summary": compare.summarize_layers(runs),
                       "runs": runs}
     assert capsys.readouterr().out == ("case: paced median 25.0 -> 15.5 ms (-38.0%), "
-                                       "parent IQR 5.0 ms, change lower in 2 of 2\n")
+                                       "parent IQR 5.0 ms, change lower in 2 of 2; paired "
+                                       "median -9.5 ms, no 95 % sign-test interval below "
+                                       "6 pairs\n")
 
 
 def test_layer_cases_and_scenario_edits(tmp_path):

@@ -1147,6 +1147,24 @@ def test_rows_match_format_spec():
     assert rows(np.empty((3, 0))) == ["", "", ""]
 
 
+def test_digits_match_python():
+    # `_digits` against Python's decimal text of each N, zero-filled to 17
+    # digits between a row of '0' above and one below: zero, the ends of
+    # [10^16, 10^17), each side of multiples of 10^4 and 10^8, where the
+    # four- and eight-digit splits carry, and seeded random N
+    rng = np.random.Generator(np.random.Philox(39))
+    values = [0, 1, 9999, 10**4, 10**8, 10**16, 10**17 - 1]
+    for scale in (10**4, 10**8):
+        for q in [10**16 // scale, 10**17 // scale - 1, *rng.integers(10**16 // scale,
+                                                                      10**17 // scale, 200)]:
+            values += [int(q) * scale + e for e in (-1, 0, 1)]
+    values += rng.integers(10**16, 10**17, 10_000).tolist()
+    n = np.array([v for v in values if 0 <= v < 10**17], dtype=np.int64)
+    want = b"".join(b"0" + str(v).zfill(17).encode("ascii") + b"0" for v in n.tolist())
+    assert _g17._digits(n).T.tobytes() == want
+    assert _g17._digits(n[:1]).T.tobytes() == want[:19]
+
+
 def _file_bytes(path, items):
     # what atomic_write puts in a file for these lines and tables
     atomic_write(path, items)

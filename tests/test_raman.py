@@ -59,7 +59,40 @@ def noisy_gaussian(seed: int) -> Spectrum:
     return Spectrum(x, np.clip(noisy, 0.0, None))
 
 
+def hypot_rabi_lineshape(delta, tau):
+    # the reference line in angular units: P = (W0/W)^2 sin^2(W tau / 2),
+    # W = hypot(W0, d), W0 = pi / tau, d = 2 pi delta
+    d = 2.0 * np.pi * np.asarray(delta, dtype=float)
+    w0 = np.pi / tau
+    w = np.hypot(w0, d)
+    return (w0 / w) ** 2 * np.sin(0.5 * w * tau) ** 2
+
+
 class TestRabiLineshape:
+    @pytest.mark.parametrize("tau", [1e-5, 1e-3, 0.007, 1.0, 7.3])
+    def test_matches_the_hypot_form(self, tau):
+        # the Rabi-unit form against the reference, within 1e-15 absolute,
+        # over +-5e4 Hz and, finer, over the central lobes of each duration
+        delta = np.concatenate([np.linspace(-5e4, 5e4, 200_001),
+                                np.linspace(-20.0 / tau, 20.0 / tau, 20_001)])
+        got = rabi_lineshape(delta, RamanPulse(tau))
+        assert np.max(np.abs(got - hypot_rabi_lineshape(delta, tau))) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_wings_nan_and_scalar(self):
+        # past |2 tau delta| = 1.4e154, r^2 would overflow: the clamp keeps
+        # P finite and below 1e-300, without a warning; a NaN detuning stays
+        # NaN, and a scalar gives a Python float
+        pulse = RamanPulse(1.0)
+        far = np.array([7e153, -7e153, 1e200, -5e307])
+        p = rabi_lineshape(far, pulse)
+        assert np.all((p >= 0.0) & (p <= 1e-300)), p
+        assert np.isnan(rabi_lineshape(np.array([0.0, np.nan]), pulse)).tolist() == [False, True]
+        assert np.isnan(rabi_lineshape(float("nan"), pulse))
+        for scalar in (0.3, 3, np.float64(0.3), np.array(0.3)):
+            assert type(rabi_lineshape(scalar, pulse)) is float
+        assert rabi_lineshape(0.0, RamanPulse(1e308)) == 1.0   # 2 tau alone is inf
+
     def test_pi_pulse_full_transfer(self):
         assert rabi_lineshape(0.0, RamanPulse(0.007)) == pytest.approx(1.0, abs=1e-12)
 
@@ -594,7 +627,7 @@ class TestFold:
         assert np.all(np.isfinite(signal))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bias_gauss, tau_s", [(0.1, 1e100), (1e3, 1e290)])
+    @pytest.mark.parametrize("bias_gauss, tau_s", [(0.1, 1e100), (1e3, 1e290), (0.1, 1e300)])
     def test_large_finite_rabi_phase_kept(self, bias_gauss, tau_s):
         grid = np.arange(-2000.0, 2000.0 + 0.5, 1.0)
         signal = synth_copropagating(uniform_f4(), bias_gauss, RamanPulse(tau_s), grid).signal

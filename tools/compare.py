@@ -16,7 +16,18 @@ heat_sweep:1,2718 --workload pump_sweep` runs heat_sweep at seeds 1 and
 2718 and pump_sweep at the --seed list. The parent runs first in even pairs
 and the change in odd ones. Each metric gets medians and
 statistics.quantiles(n=4, method='inclusive') per side and `change_wins`,
-the pairs where the change reads better. --bench writes the protocol
+the pairs where the change reads better, and `paired`: the median of the
+paired differences d_i = change_i - parent_i, their sign-test interval
+[d_(k), d_(n+1-k)] for the median difference, k the largest with coverage
+1 - 2 sum_{i<k} C(n, i) / 2^n of at least 0.95 ([d_(2), d_(9)] at 0.979
+for 10 pairs, [d_(1), d_(6)] at 0.969 for 6, none below 6), and
+`resolved` when that interval excludes 0 (Hollander, Wolfe & Chicco,
+*Nonparametric Statistical Methods*, 3rd ed., 2014, ch. 3). Every summary
+below, traced, layer and process, gets `paired` too. Under each `setup_s`
+line the set-up probes' measured times (`setup_measured_s`, each run's
+median) and import times (`import_s`) that run.py prints beside the paced
+samples get the same summary, since the pace itself moves with edits that
+add no work. --bench writes the protocol
 (`what`), the summary and every run's environment, round, check_fail_frac
 and last-line JSON lines, in the layout of BENCH_26.json, and the traced,
 layer and matrix reports when they ran; the record's `parent`,
@@ -81,6 +92,7 @@ import contextlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import statistics
@@ -90,6 +102,7 @@ import tempfile
 import time
 
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+UNPACED = ("setup_measured_s", "import_s")   # read off run.py's setup_s samples line
 TRACED = ("cli.self_s", "kinetics.assemble_rate_matrix.s")  # printed per traced run
 WORKLOADS = ("pump_sweep", "fit_sweep", "spectrum_mix", "heat_sweep")
 SCENARIOS = ("fig3_polarized", "fig4_velocimetry", "fig5_dynamics", "heating_paper",
@@ -272,20 +285,62 @@ def describe_plan(jobs) -> str:
 
 
 def parse_run(stdout: str) -> dict:
-    """The lines of one perfbench/run.py output that a comparison keeps."""
+    """The lines of one perfbench/run.py output that a comparison keeps, and
+    the unpaced set-up probe times of its `setup_s samples` line (None
+    without one): `setup_measured`, the measured time of each probe, and
+    `import_s`, the median import time."""
     lines = stdout.strip().splitlines()
+    setup = next((m for ln in lines if (m := re.match(
+        r"setup_s samples .*; measured: ([\d., ]+) \(import ([\d.]+) s\)", ln))), None)
     return {"environment": next((ln for ln in lines if ln.startswith("environment:")), None),
             "rounds": [ln for ln in lines if re.match(r"round \d+", ln)],
             "check_fail_frac": next((ln for ln in lines if ln.startswith("check_fail_frac")),
                                     None),
+            "setup_measured": [float(v) for v in setup[1].split(",")] if setup else None,
+            "import_s": float(setup[2]) if setup else None,
             "result": json.loads(lines[-1])}
 
 
+def sign_interval(n: int):
+    """(k, coverage) of the sign-test interval [d_(k), d_(n+1-k)] of n paired
+    differences: the largest k whose coverage 1 - 2 sum_{i<k} C(n, i) / 2^n
+    is at least 0.95, or None when even k = 1 falls short (n < 6)."""
+    k, tail = 0, 0
+    while 1 - 2 * (tail + math.comb(n, k)) / 2 ** n >= 0.95:
+        tail += math.comb(n, k)
+        k += 1
+    return (k, 1 - 2 * tail / 2 ** n) if k else None
+
+
 def versus(parent, change) -> dict:
-    """describe() of each side's values, in pair order, and change_wins,
-    the pairs where the change reads lower."""
+    """describe() of each side's values, in pair order; change_wins, the
+    pairs where the change reads lower; and `paired`: the median of the
+    differences d_i = change_i - parent_i, their sign_interval() as
+    `interval` with its `coverage` (None below 6 pairs), and `resolved`,
+    whether that interval excludes 0."""
+    d = sorted(c - p for p, c in zip(parent, change))
+    paired = {"median": statistics.median(d), "interval": None, "coverage": None,
+              "resolved": False}
+    if found := sign_interval(len(d)):
+        k, paired["coverage"] = found
+        paired["interval"] = [d[k - 1], d[len(d) - k]]
+        paired["resolved"] = d[k - 1] > 0 or d[len(d) - k] < 0
     return {"parent": describe(parent), "change": describe(change),
-            "change_wins": sum(c < p for p, c in zip(parent, change))}
+            "change_wins": sum(c < p for p, c in zip(parent, change)), "paired": paired}
+
+
+def paired_text(paired, spec, scale=1.0, unit="") -> str:
+    """The `paired` entry of versus() as printed, each value * scale
+    formatted by `spec` and followed by `unit`."""
+    def show(value):
+        return f"{value * scale:+{spec}}{unit}"
+    text = f"paired median {show(paired['median'])}, "
+    if paired["interval"] is None:
+        return text + "no 95 % sign-test interval below 6 pairs"
+    low, high = paired["interval"]
+    return text + (f"sign-test interval [{show(low)}, {show(high)}] "
+                   f"(coverage {paired['coverage']:.3f}): "
+                   f"{'resolved' if paired['resolved'] else 'not resolved'}")
 
 
 def summarize(runs) -> list:
@@ -300,6 +355,10 @@ def summarize(runs) -> list:
         for name in METRICS:
             entry[name] = versus(*([r["result"]["metrics"][name]["value"] for r in side[s]]
                                    for s in ("parent", "change")))
+        if all(r.get("setup_measured") for r in mine):
+            entry["setup_measured_s"] = versus(*([statistics.median(r["setup_measured"])
+                                                  for r in side[s]] for s in side))
+            entry["import_s"] = versus(*([r["import_s"] for r in side[s]] for s in side))
         for field in ("failed", "attempted"):
             entry[field] = {s: sum(r["result"][field] for r in side[s]) for s in side}
         entry["correct"] = {s: all(r["result"]["correct"] for r in side[s]) for s in side}
@@ -604,7 +663,8 @@ def report_timings(runs, rounds, digits, what) -> dict:
         print(f"{case}: paced median {p['median'] * 1e3:.{digits}f} -> "
               f"{c['median'] * 1e3:.{digits}f} ms ({c['median'] / p['median'] - 1:+.1%}), "
               f"parent IQR {(p['q3'] - p['q1']) * 1e3:.{digits}f} ms, change lower in "
-              f"{entry['change_wins']} of {rounds}")
+              f"{entry['change_wins']} of {rounds}; "
+              + paired_text(entry["paired"], f".{digits}f", 1e3, " ms"))
     return {"what": what, "summary": summary, "runs": runs}
 
 
@@ -636,20 +696,27 @@ def main(argv=None) -> int:
         runs = run_pairs(trees, jobs, args.seconds, args.pairs)
         summary = summarize(runs)
         for entry in summary:
-            for name in METRICS:
+            for name in ("setup_s", *UNPACED, "wall_s", "peak_rss_mb"):
+                if name not in entry:
+                    continue
                 p, c = entry[name]["parent"], entry[name]["change"]
-                print(f"{entry['workload']} seed {entry['seed']} {name}: median "
-                      f"{p['median']:.4f} -> {c['median']:.4f} "
+                print(f"{'  ' * (name in UNPACED)}{entry['workload']} seed {entry['seed']} "
+                      f"{name}: median {p['median']:.4f} -> {c['median']:.4f} "
                       f"({c['median'] / p['median'] - 1:+.1%}), parent IQR "
                       f"{p['q3'] - p['q1']:.4f}, change lower in "
-                      f"{entry[name]['change_wins']} of {entry['pairs']}")
+                      f"{entry[name]['change_wins']} of {entry['pairs']}; "
+                      + paired_text(entry[name]["paired"], ".4f"))
         record |= {
             "what": f"python3 perfbench/run.py --workload <w> --seed <s> for {describe_plan(jobs)} "
                     f"--seconds {args.seconds:g} --trace 0 in each tree, run by "
                     "tools/compare.py: alternating pairs, the parent first in even "
                     "pairs; quartiles from statistics.quantiles(n=4, "
                     "method='inclusive'); change_wins counts pairs where the change "
-                    "reads lower",
+                    "reads lower; `paired` has the median of the paired differences "
+                    "change - parent and their sign-test interval [d_(k), d_(n+1-k)], k "
+                    "the largest with coverage at least 0.95, `resolved` when it excludes "
+                    "0; setup_measured_s (each run's median measured probe time) and "
+                    "import_s are the unpaced set-up times of run.py's setup_s samples line",
             "summary": summary, "runs": runs}
     if args.traced > 0:
         runs = run_pairs(trees, jobs, args.seconds, args.traced, trace=1)
@@ -659,7 +726,7 @@ def main(argv=None) -> int:
                 p, c = entry["parent"], entry["change"]
                 print(f"{key} {name}: median {p['median']:.6g} -> {c['median']:.6g}, parent "
                       f"IQR {p['q3'] - p['q1']:.3g}, change lower in {entry['change_wins']} "
-                      f"of {args.traced}")
+                      f"of {args.traced}; " + paired_text(entry["paired"], ".3g"))
         record["traced"] = {
             "what": f"python3 perfbench/run.py --workload <w> --seed <s> for {describe_plan(jobs)} "
                     "--trace 1 in each tree, alternating as the pairs do; medians and "
